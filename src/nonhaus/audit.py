@@ -10,7 +10,7 @@ stack atlases) are static and carry a citation note only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -178,28 +178,14 @@ def shrink_contraction_record(k: int) -> ShrinkContractionRecord:
         Regular(Fraction(3, 7)),
     )
     params = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    ok = True
-    for p in samples:
-        for u in params:
-            for v in params:
-                lhs = pseudo_dist(_scale(p, u), _scale(p, v))
-                if lhs != abs(u - v) * abs(coord(p)):
-                    ok = False
-        for q in samples:
-            for u in params:
-                lhs = pseudo_dist(_scale(p, u), _scale(q, u))
-                if lhs != (1 - u) * pseudo_dist(p, q):
-                    ok = False
-    for p in samples:
-        if _scale(p, Fraction(0)) != p or _scale(p, Fraction(1)) != Origin(1):
-            ok = False
-    return ShrinkContractionRecord(
+    record = ShrinkContractionRecord(
         samples=samples,
         params=params,
-        ok=ok,
+        ok=True,
         note="coordinate scaling is a pseudometric contraction to one origin; "
         "origin choices cost nothing in this model",
     )
+    return replace(record, ok=not _recheck_shrink(record))
 
 
 def _chart_membership(k: int) -> MembershipAudit:
@@ -545,6 +531,8 @@ def _recheck_shrink(rec: ShrinkContractionRecord) -> list[str]:
             for q in rec.samples:
                 if pseudo_dist(_scale(p, u), _scale(q, u)) != (1 - u) * pseudo_dist(p, q):
                     failures.append(f"shrink factor fails at ({p}, {q}), u={u}")
+        if _scale(p, Fraction(0)) != p or _scale(p, Fraction(1)) != Origin(1):
+            failures.append(f"endpoints of the contraction fail at {p}")
     if not rec.ok:
         failures.append("record is marked not ok")
     return failures
@@ -613,115 +601,10 @@ def ensure_report_valid(doc: ReportDocument) -> None:
 
 serialize.register(
     ClaimRecord,
-    "claim-record",
-    lambda o: {
-        "claim_id": o.claim_id,
-        "statement": o.statement,
-        "verdicts": [[m, v] for m, v in o.verdicts],
-        "certificate_refs": [[m, r] for m, r in o.certificate_refs],
-    },
-    lambda d: ClaimRecord(
-        claim_id=d["claim_id"],
-        statement=d["statement"],
-        verdicts=tuple((m, v) for m, v in d["verdicts"]),
-        certificate_refs=tuple((m, r) for m, r in d["certificate_refs"]),
-    ),
-)
-
-serialize.register(
     ReportDocument,
-    "report-document",
-    lambda o: {
-        "schema_version": o.schema_version,
-        "k": o.k,
-        "model": o.model,
-        "claims": [serialize.encode(c) for c in o.claims],
-        "certificates": [[ref, serialize.encode(c)] for ref, c in o.certificates],
-    },
-    lambda d: ReportDocument(
-        schema_version=d["schema_version"],
-        k=int(d["k"]),
-        model=d["model"],
-        claims=tuple(serialize.decode(c) for c in d["claims"]),
-        certificates=tuple((ref, serialize.decode(c)) for ref, c in d["certificates"]),
-    ),
-)
-
-serialize.register(
     MembershipAudit,
-    "membership-audit",
-    lambda o: {"records": [serialize.encode(r) for r in o.records], "note": o.note},
-    lambda d: MembershipAudit(
-        records=tuple(serialize.decode(r) for r in d["records"]), note=d["note"]
-    ),
-)
-
-serialize.register(
     ConnectedPreimageRecord,
-    "connected-preimage-record",
-    lambda o: {
-        "k": o.k,
-        "model": o.model,
-        "eps": serialize.frac_str(o.eps),
-        "paths": [serialize.encode(p) for p in o.paths],
-    },
-    lambda d: ConnectedPreimageRecord(
-        k=int(d["k"]),
-        model=d["model"],
-        eps=serialize.parse_frac(d["eps"]),
-        paths=tuple(serialize.decode(p) for p in d["paths"]),
-    ),
-)
-
-serialize.register(
     LoopClassRecord,
-    "loop-class-record",
-    lambda o: {
-        "loop": serialize.encode(o.loop),
-        "quotient_class": serialize.encode(o.quotient_class),
-        "pseudometric_class": serialize.encode(o.pseudometric_class),
-        "note": o.note,
-    },
-    lambda d: LoopClassRecord(
-        loop=serialize.decode(d["loop"]),
-        quotient_class=serialize.decode(d["quotient_class"]),
-        pseudometric_class=serialize.decode(d["pseudometric_class"]),
-        note=d["note"],
-    ),
-)
-
-serialize.register(
     ShrinkContractionRecord,
-    "shrink-contraction-record",
-    lambda o: {
-        "samples": [serialize.encode(p) for p in o.samples],
-        "params": [serialize.frac_str(u) for u in o.params],
-        "ok": o.ok,
-        "note": o.note,
-    },
-    lambda d: ShrinkContractionRecord(
-        samples=tuple(serialize.decode(p) for p in d["samples"]),
-        params=tuple(serialize.parse_frac(u) for u in d["params"]),
-        ok=bool(d["ok"]),
-        note=d["note"],
-    ),
-)
-
-serialize.register(
     SubgroupGapRecord,
-    "subgroup-gap-record",
-    lambda o: {
-        "k": o.k,
-        "deck_order": o.deck_order,
-        "trivial_subgroup_count": o.trivial_subgroup_count,
-        "deck_ref": o.deck_ref,
-        "note": o.note,
-    },
-    lambda d: SubgroupGapRecord(
-        k=int(d["k"]),
-        deck_order=int(d["deck_order"]),
-        trivial_subgroup_count=int(d["trivial_subgroup_count"]),
-        deck_ref=d["deck_ref"],
-        note=d["note"],
-    ),
 )

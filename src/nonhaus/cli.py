@@ -108,7 +108,7 @@ def _parse_assignment(text: str) -> dict[Fraction, int]:
         return out
     for part in text.split(","):
         t, origin = part.split("=")
-        out[Fraction(t.strip())] = int(origin)
+        out[serialize.parse_frac(t.strip())] = int(origin)
     return out
 
 
@@ -218,6 +218,17 @@ def _cmd_thick(args: argparse.Namespace) -> int:
     return 0
 
 
+# Flags shared by several subcommands; each subcommand names the ones it reads.
+SHARED_FLAGS: dict[str, dict] = {
+    "--k": dict(type=int, default=2, help="number of origins (default 2)"),
+    "--model": dict(choices=[m.value for m in TopologyModel], default="quotient",
+                    help="topology model (default quotient)"),
+    "--x0": dict(type=serialize.parse_frac, default=Fraction(1), help="basepoint coordinate"),
+    "--json": dict(action="store_true", help="emit JSON instead of text"),
+    "--out": dict(help="write output to this file instead of stdout"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonhaus",
@@ -227,62 +238,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--k", type=int, default=2, help="number of origins (default 2)")
-        p.add_argument(
-            "--model",
-            choices=[m.value for m in TopologyModel],
-            default="quotient",
-            help="topology model (default quotient)",
-        )
-        p.add_argument("--x0", type=Fraction, default=Fraction(1), help="basepoint coordinate")
-        p.add_argument("--paper-constancy", action="store_true",
-                       help="treat origin-valued maps as constant across the zero set")
-        p.add_argument("--embedding", choices=[e.value for e in EmbeddingSpec],
-                       default="main", help="curve embedding (default main)")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--out", help="write output to this file instead of stdout")
+    def subcommand(name: str, handler, help: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_audit = sub.add_parser("audit", help="emit the claims-audit report")
-    common(p_audit)
-    p_audit.add_argument("--eps", type=Fraction, default=Fraction(1),
+    p_audit = subcommand("audit", _cmd_audit, "emit the claims-audit report",
+                         "--k", "--model", "--x0", "--json", "--out")
+    p_audit.add_argument("--eps", type=serialize.parse_frac, default=Fraction(1),
                          help="window radius for the covering certificates")
     p_audit.add_argument("--check", help="re-check an existing report file and exit")
-    p_audit.set_defaults(handler=_cmd_audit)
 
-    p_lift = sub.add_parser("lift", help="enumerate lifts of a path")
-    common(p_lift)
+    p_lift = subcommand("lift", _cmd_lift, "enumerate lifts of a path",
+                        "--k", "--model", "--x0", "--json", "--out")
     p_lift.add_argument("--path", help="read a 'plpath v1' file instead of the bounce path")
     p_lift.add_argument("--dump-path", help="also write the path as 'plpath v1' to this file")
-    p_lift.set_defaults(handler=_cmd_lift)
 
-    p_hom = sub.add_parser("homotopy", help="attempt a homotopy lift")
-    common(p_hom)
+    p_hom = subcommand("homotopy", _cmd_homotopy, "attempt a homotopy lift",
+                       "--k", "--model", "--json", "--out")
+    p_hom.add_argument("--paper-constancy", action="store_true",
+                       help="treat origin-valued maps as constant across the zero set")
     p_hom.add_argument("--field", help="read a 'plfield v1' file instead of the merging field")
     p_hom.add_argument("--dump-field", help="also write the field as 'plfield v1' to this file")
     p_hom.add_argument("--assign", default="1/4=1,3/4=2",
                        help="boundary origin assignment, e.g. '1/4=1,3/4=2'")
-    p_hom.set_defaults(handler=_cmd_homotopy)
 
-    p_deck = sub.add_parser("deck", help="deck group table and verification")
-    common(p_deck)
-    p_deck.set_defaults(handler=_cmd_deck)
+    subcommand("deck", _cmd_deck, "deck group table and verification",
+               "--k", "--json", "--out")
+    subcommand("metric", _cmd_metric, "pseudometric and separation report",
+               "--k", "--model", "--json", "--out")
 
-    p_metric = sub.add_parser("metric", help="pseudometric and separation report")
-    common(p_metric)
-    p_metric.set_defaults(handler=_cmd_metric)
-
-    p_render = sub.add_parser("render", help="render the scene as deterministic SVG")
-    common(p_render)
+    p_render = subcommand("render", _cmd_render, "render the scene as deterministic SVG",
+                          "--k", "--x0", "--out")
     p_render.add_argument("--lifts", action="store_true", help="annotate the bounce-path lifts")
-    p_render.set_defaults(handler=_cmd_render)
 
-    p_thick = sub.add_parser("thick", help="audit the radially thickened variant")
-    common(p_thick)
+    p_thick = subcommand("thick", _cmd_thick, "audit the radially thickened variant",
+                         "--json", "--out")
+    p_thick.add_argument("--embedding", choices=[e.value for e in EmbeddingSpec], default="main",
+                         help="curve embedding (default main)")
     p_thick.add_argument("--grid-n", type=int, default=32, help="polar grid size (default 32)")
     p_thick.add_argument("--tolerance", type=float, default=1e-6,
-                         help="coverage tolerance (default 1e-6)")
-    p_thick.set_defaults(handler=_cmd_thick)
+                         help="coverage tolerance, finite and >= 0 (default 1e-6)")
 
     return parser
 

@@ -1,10 +1,24 @@
 """Lossless JSON and plain-text interchange for every certificate type.
 
-Rationals serialize as ``"numerator/denominator"`` strings, never as
-floats, so exactness survives the round trip; the thickened report is the
-one floating-point payload and declares its tolerance inline.  Every value
-is a ``{"kind": ...}``-tagged object; :func:`decode` rebuilds the original
-dataclass, and ``decode(encode(x)) == x`` holds for all registered types.
+Wire rule.  A registered dataclass is a JSON object whose ``"kind"`` is
+the class name in kebab-case (``PLPath`` -> ``"pl-path"``) and which has
+one key per dataclass field, named after the field.  The one rename is
+``ContractionStage.kind``, written as ``"stage_kind"`` because ``"kind"``
+is the tag.  Each field's JSON form follows its type hint:
+
+* ``Fraction``: a ``"numerator/denominator"`` string, never a float;
+* ``int``, ``str``, ``bool``, ``float``: the JSON scalar (floats occur
+  only in the thickened report);
+* an ``Enum``: its value;
+* ``tuple[X, ...]`` and fixed ``tuple[X, Y, ...]``: a JSON list;
+* ``Optional[X]``: ``null`` or the form of X;
+* a dataclass, a union of dataclasses, or ``Any``: the nested
+  ``kind``-tagged object (a bare ``Fraction`` in an ``Any`` slot is
+  ``{"kind": "fraction", "value": "n/d"}``).
+
+:func:`decode` rebuilds the original dataclass, ``decode(encode(x)) == x``
+holds for all registered types, and malformed data raises ``ValueError``
+naming the class and field.
 
 Text formats:
 
@@ -16,9 +30,13 @@ Text formats:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+import types
+from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .embedding import BasePoint, EmbeddingReport, PlanePoint
 from .lifting import (
@@ -48,7 +66,6 @@ from .space import (
     RegularInterval,
     SeparationVerdict,
     SpaceConfig,
-    TopologyModel,
 )
 from .symmetry import (
     ContractionCertificate,
@@ -71,72 +88,171 @@ from .thickened import (
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+    """Exact rational from ``"n/d"``, ``"n"`` or a decimal; ValueError otherwise."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+    except TypeError:
+        raise ValueError(f"expected a rational string, got {s!r}") from None
 
 
-def _fr_pairs(pairs) -> list[list]:
-    return [[frac_str(a), int(b)] for a, b in pairs]
+# A converter maps one field value to its JSON form or back; an encoder of
+# None means the value is written as it is.
+Converter = Callable[[Any], Any]
+
+_WIRE_RENAMES = {(ContractionStage, "kind"): "stage_kind"}
+
+_KINDS: dict[type, str] = {}  # registered dataclass -> kind
+_CLASSES: dict[str, type] = {}  # kind -> registered dataclass
+_CODECS: dict[type, tuple[Callable[[Any], dict], Callable[[dict], Any]]] = {}
 
 
-def _un_fr_pairs(data) -> tuple[tuple[Fraction, int], ...]:
-    return tuple((parse_frac(a), int(b)) for a, b in data)
+def _kind(cls: type) -> str:
+    return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "-", cls.__name__).lower()
 
 
-_ENCODERS: dict[type, tuple[str, Callable[[Any], dict]]] = {}
-_DECODERS: dict[str, Callable[[dict], Any]] = {}
+def _as_list(value: Any, length: Optional[int] = None) -> list:
+    if type(value) is not list or (length is not None and len(value) != length):
+        expected = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"expected {expected}, got {json.dumps(value)[:40]}")
+    return value
 
 
-def _codec(cls: type, kind: str):
-    def wrap(pair):
-        enc, dec = pair
-        _ENCODERS[cls] = (kind, enc)
-        _DECODERS[kind] = dec
-        return pair
+def _instance_of(classes: tuple[type, ...]) -> Converter:
+    def dec(value: Any) -> Any:
+        obj = decode(value)
+        if not isinstance(obj, classes):
+            names = " or ".join(c.__name__ for c in classes)
+            raise ValueError(f"expected {names}, got {json.dumps(value)[:40]}")
+        return obj
 
-    return wrap
+    return dec
 
 
-def register(cls: type, kind: str, enc: Callable[[Any], dict], dec: Callable[[dict], Any]) -> None:
-    """Register a codec for an external type (used by the audit document)."""
-    _ENCODERS[cls] = (kind, enc)
-    _DECODERS[kind] = dec
+def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
+    """(encoder, decoder) for values of one field type hint."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is Fraction:
+        return frac_str, parse_frac
+    if hint in (int, str, bool, float):
+        return None, hint
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return (lambda v: v.value), hint
+    if hint is Any:
+        return encode, decode
+    if dataclasses.is_dataclass(hint):
+        return encode, _instance_of((hint,))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _converters(args[0])
+        return (
+            list if enc is None else (lambda v: list(map(enc, v))),
+            lambda v: tuple(map(dec, _as_list(v))),
+        )
+    if origin is tuple:
+        pairs = [_converters(a) for a in args]
+        encs = [(lambda v: v) if e is None else e for e, _ in pairs]
+        decs = [d for _, d in pairs]
+        return (
+            list if all(e is None for e, _ in pairs) else (lambda v: [e(x) for e, x in zip(encs, v)]),
+            lambda v: tuple(d(x) for d, x in zip(decs, _as_list(v, len(decs)))),
+        )
+    if origin in (Union, types.UnionType):
+        members = tuple(a for a in args if a is not type(None))
+        if len(members) < len(args):
+            enc, dec = _converters(Union[members])
+            return (
+                None if enc is None else (lambda v: None if v is None else enc(v)),
+                lambda v: None if v is None else dec(v),
+            )
+        if all(dataclasses.is_dataclass(m) for m in members):
+            return encode, _instance_of(members)
+    raise TypeError(f"no JSON form for type hint {hint!r}")
+
+
+def register(*classes: type) -> None:
+    """Register dataclasses with :func:`encode` and :func:`decode`.
+
+    Each codec is derived from the class's type hints on its first use, so
+    importing the package evaluates no type hints.
+    """
+    for cls in classes:
+        _KINDS[cls] = _kind(cls)
+        _CLASSES[_KINDS[cls]] = cls
+
+
+def _derive(cls: type) -> tuple[Callable[[Any], dict], Callable[[dict], Any]]:
+    """Build and keep cls's encoder and decoder from its field type hints."""
+    hints = get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        wire = _WIRE_RENAMES.get((cls, f.name), f.name)
+        if wire == "kind":
+            raise TypeError(f"{cls.__name__}.kind collides with the kind tag")
+        fields.append((f.name, wire, *_converters(hints[f.name])))
+    codec = _CODECS[cls] = (_object_encoder(_KINDS[cls], fields), _object_decoder(cls, fields))
+    return codec
+
+
+def _object_encoder(kind: str, fields: list) -> Callable[[Any], dict]:
+    def enc(obj: Any) -> dict:
+        data = {"kind": kind}
+        for name, wire, conv, _ in fields:
+            value = getattr(obj, name)
+            data[wire] = value if conv is None else conv(value)
+        return data
+
+    return enc
+
+
+def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
+    def dec(data: dict) -> Any:
+        values = []
+        try:
+            for name, wire, _, conv in fields:
+                values.append(conv(data[wire]))
+        except KeyError:
+            raise ValueError(f"{cls.__name__}: missing field {wire!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+        return cls(*values)
+
+    return dec
 
 
 def encode(obj: Any) -> Any:
     """Encode a registered value (or a primitive) into JSON-ready data."""
+    codec = _CODECS.get(type(obj))
+    if codec is None and type(obj) in _KINDS:
+        codec = _derive(type(obj))
+    if codec is not None:
+        return codec[0](obj)
     if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
     if isinstance(obj, Fraction):
         return {"kind": "fraction", "value": frac_str(obj)}
     if isinstance(obj, (list, tuple)):
         return [encode(v) for v in obj]
-    entry = _ENCODERS.get(type(obj))
-    if entry is None:
-        raise TypeError(f"no codec registered for {type(obj).__name__}")
-    kind, enc = entry
-    data = enc(obj)
-    data["kind"] = kind
-    return data
+    raise TypeError(f"no codec registered for {type(obj).__name__}")
 
 
 def decode(data: Any) -> Any:
     """Inverse of :func:`encode`."""
-    if data is None or isinstance(data, (bool, int, str, float)):
-        return data
     if isinstance(data, list):
         return [decode(v) for v in data]
+    if not isinstance(data, dict):
+        return data
     kind = data.get("kind")
     if kind == "fraction":
-        return parse_frac(data["value"])
-    dec = _DECODERS.get(kind)
-    if dec is None:
+        return parse_frac(data.get("value"))
+    cls = _CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return dec(data)
+    return (_CODECS.get(cls) or _derive(cls))[1](data)
 
 
 def dumps(obj: Any) -> str:
@@ -145,624 +261,23 @@ def dumps(obj: Any) -> str:
 
 
 def loads(text: str) -> Any:
-    return decode(json.loads(text))
+    try:
+        return decode(json.loads(text))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
-# --- space ------------------------------------------------------------------
-
-_codec(SpaceConfig, "space-config")(
-    (
-        lambda o: {"k": o.k, "model": o.model.value},
-        lambda d: SpaceConfig(int(d["k"]), TopologyModel(d["model"])),
-    )
-)
-
-_codec(LabeledRep, "labeled-rep")(
-    (
-        lambda o: {"x": frac_str(o.x), "branch": o.branch},
-        lambda d: LabeledRep(parse_frac(d["x"]), int(d["branch"])),
-    )
-)
-
-_codec(Origin, "origin")(
-    (lambda o: {"index": o.index}, lambda d: Origin(int(d["index"])))
-)
-
-_codec(Regular, "regular")(
-    (lambda o: {"x": frac_str(o.x)}, lambda d: Regular(parse_frac(d["x"])))
-)
-
-_codec(RegularInterval, "regular-interval")(
-    (
-        lambda o: {"a": frac_str(o.a), "b": frac_str(o.b)},
-        lambda d: RegularInterval(parse_frac(d["a"]), parse_frac(d["b"])),
-    )
-)
-
-_codec(OriginChart, "origin-chart")(
-    (
-        lambda o: {"index": o.index, "eps": frac_str(o.eps)},
-        lambda d: OriginChart(int(d["index"]), parse_frac(d["eps"])),
-    )
-)
-
-_codec(Ball, "ball")(
-    (
-        lambda o: {"center": encode(o.center), "eps": frac_str(o.eps)},
-        lambda d: Ball(decode(d["center"]), parse_frac(d["eps"])),
-    )
-)
-
-_codec(InseparabilityRule, "inseparability-rule")(
-    (
-        lambda o: {"i": o.i, "j": o.j},
-        lambda d: InseparabilityRule(int(d["i"]), int(d["j"])),
-    )
-)
-
-_codec(SeparationVerdict, "separation-verdict")(
-    (
-        lambda o: {
-            "axiom": o.axiom,
-            "holds": o.holds,
-            "pair": [encode(o.pair[0]), encode(o.pair[1])],
-            "opens": None if o.opens is None else [encode(o.opens[0]), encode(o.opens[1])],
-            "rule": None if o.rule is None else encode(o.rule),
-            "note": o.note,
-        },
-        lambda d: SeparationVerdict(
-            axiom=d["axiom"],
-            holds=bool(d["holds"]),
-            pair=(decode(d["pair"][0]), decode(d["pair"][1])),
-            opens=None if d["opens"] is None else (decode(d["opens"][0]), decode(d["opens"][1])),
-            rule=None if d["rule"] is None else decode(d["rule"]),
-            note=d["note"],
-        ),
-    )
-)
-
-_codec(MembershipRecord, "membership-record")(
-    (
-        lambda o: {
-            "open": encode(o.open),
-            "entries": [[encode(p), bool(b)] for p, b in o.entries],
-            "note": o.note,
-        },
-        lambda d: MembershipRecord(
-            open=decode(d["open"]),
-            entries=tuple((decode(p), bool(b)) for p, b in d["entries"]),
-            note=d["note"],
-        ),
-    )
-)
-
-# --- embedding ----------------------------------------------------------------
-
-_codec(PlanePoint, "plane-point")(
-    (
-        lambda o: {"u": frac_str(o.u), "v": frac_str(o.v)},
-        lambda d: PlanePoint(parse_frac(d["u"]), parse_frac(d["v"])),
-    )
-)
-
-_codec(BasePoint, "base-point")(
-    (lambda o: {"x": frac_str(o.x)}, lambda d: BasePoint(parse_frac(d["x"])))
-)
-
-_codec(EmbeddingReport, "embedding-report")(
-    (
-        lambda o: {
-            "sample_count": o.sample_count,
-            "identity_ok": o.identity_ok,
-            "injective_ok": o.injective_ok,
-            "accumulation_ok": o.accumulation_ok,
-            "accumulation_n": o.accumulation_n,
-            "bounded_ok": o.bounded_ok,
-            "catalog": [frac_str(x) for x in o.catalog],
-            "derivation": o.derivation,
-        },
-        lambda d: EmbeddingReport(
-            sample_count=int(d["sample_count"]),
-            identity_ok=bool(d["identity_ok"]),
-            injective_ok=bool(d["injective_ok"]),
-            accumulation_ok=bool(d["accumulation_ok"]),
-            accumulation_n=int(d["accumulation_n"]),
-            bounded_ok=bool(d["bounded_ok"]),
-            catalog=tuple(parse_frac(x) for x in d["catalog"]),
-            derivation=d["derivation"],
-        ),
-    )
-)
-
-# --- projection ---------------------------------------------------------------
-
-_codec(PairWitness, "pair-witness")(
-    (
-        lambda o: {
-            "i": o.i,
-            "j": o.j,
-            "rule": encode(o.rule),
-            "common": encode(o.common),
-            "open_i": encode(o.open_i),
-            "open_j": encode(o.open_j),
-        },
-        lambda d: PairWitness(
-            i=int(d["i"]),
-            j=int(d["j"]),
-            rule=decode(d["rule"]),
-            common=decode(d["common"]),
-            open_i=decode(d["open_i"]),
-            open_j=decode(d["open_j"]),
-        ),
-    )
-)
-
-_codec(EvenCoverFailure, "even-cover-failure")(
-    (
-        lambda o: {
-            "k": o.k,
-            "model": o.model,
-            "eps": frac_str(o.eps),
-            "fibre": [encode(p) for p in o.fibre],
-            "witnesses": [encode(w) for w in o.witnesses],
-            "conclusion": list(o.conclusion),
-        },
-        lambda d: EvenCoverFailure(
-            k=int(d["k"]),
-            model=d["model"],
-            eps=parse_frac(d["eps"]),
-            fibre=tuple(decode(p) for p in d["fibre"]),
-            witnesses=tuple(decode(w) for w in d["witnesses"]),
-            conclusion=tuple(d["conclusion"]),
-        ),
-    )
-)
-
-_codec(OriginJoinPath, "origin-join-path")(
-    (
-        lambda o: {
-            "eps": frac_str(o.eps),
-            "breakpoints": [[frac_str(t), encode(p)] for t, p in o.breakpoints],
-        },
-        lambda d: OriginJoinPath(
-            eps=parse_frac(d["eps"]),
-            breakpoints=tuple((parse_frac(t), decode(p)) for t, p in d["breakpoints"]),
-        ),
-    )
-)
-
-_codec(SectionWitness, "section-witness")(
-    (
-        lambda o: {
-            "i": o.i,
-            "j": o.j,
-            "eps": frac_str(o.eps),
-            "samples": [frac_str(x) for x in o.samples],
-            "agreement_locus": o.agreement_locus,
-            "disagreement": [encode(o.disagreement[0]), encode(o.disagreement[1])],
-        },
-        lambda d: SectionWitness(
-            i=int(d["i"]),
-            j=int(d["j"]),
-            eps=parse_frac(d["eps"]),
-            samples=tuple(parse_frac(x) for x in d["samples"]),
-            agreement_locus=d["agreement_locus"],
-            disagreement=(decode(d["disagreement"][0]), decode(d["disagreement"][1])),
-        ),
-    )
-)
-
-# --- lifting ------------------------------------------------------------------
-
-_codec(PLPath, "pl-path")(
-    (
-        lambda o: {"breakpoints": [[frac_str(t), frac_str(x)] for t, x in o.breakpoints]},
-        lambda d: PLPath(tuple((parse_frac(t), parse_frac(x)) for t, x in d["breakpoints"])),
-    )
-)
-
-_codec(LiftedPath, "lifted-path")(
-    (
-        lambda o: {"base": encode(o.base), "values": [encode(v) for v in o.values]},
-        lambda d: LiftedPath(
-            base=decode(d["base"]), values=tuple(decode(v) for v in d["values"])
-        ),
-    )
-)
-
-_codec(SegmentModulus, "segment-modulus")(
-    (
-        lambda o: {"t0": frac_str(o.t0), "t1": frac_str(o.t1), "slope_abs": frac_str(o.slope_abs)},
-        lambda d: SegmentModulus(
-            parse_frac(d["t0"]), parse_frac(d["t1"]), parse_frac(d["slope_abs"])
-        ),
-    )
-)
-
-_codec(ContinuityVerdict, "continuity-verdict")(
-    (
-        lambda o: {
-            "ok": o.ok,
-            "model": o.model,
-            "lipschitz": None if o.lipschitz is None else frac_str(o.lipschitz),
-            "segments": [encode(s) for s in o.segments],
-            "witness": o.witness,
-            "note": o.note,
-        },
-        lambda d: ContinuityVerdict(
-            ok=bool(d["ok"]),
-            model=d["model"],
-            lipschitz=None if d["lipschitz"] is None else parse_frac(d["lipschitz"]),
-            segments=tuple(decode(s) for s in d["segments"]),
-            witness=d["witness"],
-            note=d["note"],
-        ),
-    )
-)
-
-_codec(MonodromyObstruction, "monodromy-obstruction")(
-    (
-        lambda o: {
-            "k": o.k,
-            "model": o.model,
-            "x0": frac_str(o.x0),
-            "path": encode(o.path),
-            "lifts": [encode(l) for l in o.lifts],
-            "statement": o.statement,
-        },
-        lambda d: MonodromyObstruction(
-            k=int(d["k"]),
-            model=d["model"],
-            x0=parse_frac(d["x0"]),
-            path=decode(d["path"]),
-            lifts=tuple(decode(l) for l in d["lifts"]),
-            statement=d["statement"],
-        ),
-    )
-)
-
-_codec(HomotopyField, "homotopy-field")(
-    (
-        lambda o: {
-            "s_breaks": [frac_str(s) for s in o.s_breaks],
-            "t_breaks": [frac_str(t) for t in o.t_breaks],
-            "values": [[frac_str(v) for v in row] for row in o.values],
-        },
-        lambda d: HomotopyField(
-            s_breaks=tuple(parse_frac(s) for s in d["s_breaks"]),
-            t_breaks=tuple(parse_frac(t) for t in d["t_breaks"]),
-            values=tuple(tuple(parse_frac(v) for v in row) for row in d["values"]),
-        ),
-    )
-)
-
-
-def _node(n) -> list[str]:
-    return [frac_str(n[0]), frac_str(n[1])]
-
-
-def _un_node(d) -> tuple[Fraction, Fraction]:
-    return (parse_frac(d[0]), parse_frac(d[1]))
-
-
-_codec(ZeroSegment, "zero-segment")(
-    (
-        lambda o: {"a": _node(o.a), "b": _node(o.b)},
-        lambda d: ZeroSegment(_un_node(d["a"]), _un_node(d["b"])),
-    )
-)
-
-_codec(ZeroComponent, "zero-component")(
-    (
-        lambda o: {
-            "index": o.index,
-            "segments": list(o.segments),
-            "bottom_touches": [frac_str(s) for s in o.bottom_touches],
-        },
-        lambda d: ZeroComponent(
-            index=int(d["index"]),
-            segments=tuple(int(i) for i in d["segments"]),
-            bottom_touches=tuple(parse_frac(s) for s in d["bottom_touches"]),
-        ),
-    )
-)
-
-_codec(ZeroSetComplex, "zero-set-complex")(
-    (
-        lambda o: {
-            "segments": [encode(s) for s in o.segments],
-            "components": [encode(c) for c in o.components],
-        },
-        lambda d: ZeroSetComplex(
-            segments=tuple(decode(s) for s in d["segments"]),
-            components=tuple(decode(c) for c in d["components"]),
-        ),
-    )
-)
-
-_codec(LiftsEnumerated, "lifts-enumerated")(
-    (
-        lambda o: {
-            "assignments": [
-                [[int(c), int(g)] for c, g in assignment] for assignment in o.assignments
-            ],
-            "note": o.note,
-        },
-        lambda d: LiftsEnumerated(
-            assignments=tuple(
-                tuple((int(c), int(g)) for c, g in assignment)
-                for assignment in d["assignments"]
-            ),
-            note=d["note"],
-        ),
-    )
-)
-
-_codec(NoLift, "no-lift")(
-    (
-        lambda o: {
-            "component": o.component,
-            "constraints": _fr_pairs(o.constraints),
-            "note": o.note,
-        },
-        lambda d: NoLift(
-            component=None if d["component"] is None else int(d["component"]),
-            constraints=_un_fr_pairs(d["constraints"]),
-            note=d["note"],
-        ),
-    )
-)
-
-_codec(NonUniqueExistence, "non-unique-existence")(
-    (
-        lambda o: {
-            "component_count": o.component_count,
-            "count_formula": o.count_formula,
-            "note": o.note,
-        },
-        lambda d: NonUniqueExistence(
-            component_count=int(d["component_count"]),
-            count_formula=d["count_formula"],
-            note=d["note"],
-        ),
-    )
-)
-
-_codec(HomotopyLiftRecord, "homotopy-lift-record")(
-    (
-        lambda o: {
-            "field": encode(o.field),
-            "assignment": _fr_pairs(o.assignment),
-            "model": o.model,
-            "paper_constancy": o.paper_constancy,
-            "result": encode(o.result),
-        },
-        lambda d: HomotopyLiftRecord(
-            field=decode(d["field"]),
-            assignment=_un_fr_pairs(d["assignment"]),
-            model=d["model"],
-            paper_constancy=bool(d["paper_constancy"]),
-            result=decode(d["result"]),
-        ),
-    )
-)
-
-# --- symmetry -----------------------------------------------------------------
-
-_codec(DeckElement, "deck-element")(
-    (
-        lambda o: {"images": list(o.images)},
-        lambda d: DeckElement(tuple(int(i) for i in d["images"])),
-    )
-)
-
-_codec(DeckReport, "deck-report")(
-    (
-        lambda o: {
-            "k": o.k,
-            "sample_count": o.sample_count,
-            "projection_ok": o.projection_ok,
-            "isometry_ok": o.isometry_ok,
-            "inverse_ok": o.inverse_ok,
-        },
-        lambda d: DeckReport(
-            k=int(d["k"]),
-            sample_count=int(d["sample_count"]),
-            projection_ok=bool(d["projection_ok"]),
-            isometry_ok=bool(d["isometry_ok"]),
-            inverse_ok=bool(d["inverse_ok"]),
-        ),
-    )
-)
-
-_codec(DeckGroupTable, "deck-group-table")(
-    (
-        lambda o: {
-            "k": o.k,
-            "elements": [encode(g) for g in o.elements],
-            "table": [list(row) for row in o.table],
-            "homomorphism_ok": o.homomorphism_ok,
-            "faithful_ok": o.faithful_ok,
-            "noncommuting_pair": None
-            if o.noncommuting_pair is None
-            else list(o.noncommuting_pair),
-        },
-        lambda d: DeckGroupTable(
-            k=int(d["k"]),
-            elements=tuple(decode(g) for g in d["elements"]),
-            table=tuple(tuple(int(i) for i in row) for row in d["table"]),
-            homomorphism_ok=bool(d["homomorphism_ok"]),
-            faithful_ok=bool(d["faithful_ok"]),
-            noncommuting_pair=None
-            if d["noncommuting_pair"] is None
-            else (int(d["noncommuting_pair"][0]), int(d["noncommuting_pair"][1])),
-        ),
-    )
-)
-
-_codec(RigidityVerdict, "rigidity-verdict")(
-    (
-        lambda o: {
-            "accepted": o.accepted,
-            "permutation": encode(o.permutation),
-            "moved_witness": None
-            if o.moved_witness is None
-            else [frac_str(o.moved_witness[0]), frac_str(o.moved_witness[1])],
-            "conclusion": o.conclusion,
-        },
-        lambda d: RigidityVerdict(
-            accepted=bool(d["accepted"]),
-            permutation=decode(d["permutation"]),
-            moved_witness=None
-            if d["moved_witness"] is None
-            else (parse_frac(d["moved_witness"][0]), parse_frac(d["moved_witness"][1])),
-            conclusion=d["conclusion"],
-        ),
-    )
-)
-
-_codec(LabeledLoop, "labeled-loop")(
-    (
-        lambda o: {"path": encode(o.path), "labels": _fr_pairs(o.labels)},
-        lambda d: LabeledLoop(path=decode(d["path"]), labels=_un_fr_pairs(d["labels"])),
-    )
-)
-
-_codec(Word, "word")(
-    (
-        lambda o: {"letters": [[int(i), int(s)] for i, s in o.letters]},
-        lambda d: Word(tuple((int(i), int(s)) for i, s in d["letters"])),
-    )
-)
-
-_codec(ReducedWord, "reduced-word")(
-    (
-        lambda o: {"letters": [[int(i), int(s)] for i, s in o.letters]},
-        lambda d: ReducedWord(tuple((int(i), int(s)) for i, s in d["letters"])),
-    )
-)
-
-_codec(ContractionStage, "contraction-stage")(
-    (
-        lambda o: {
-            "stage_kind": o.kind,
-            "field": encode(o.field),
-            "assignment": _fr_pairs(o.assignment),
-            "certificate": encode(o.certificate),
-            "removed": [frac_str(t) for t in o.removed],
-            "top": encode(o.top),
-            "top_labels": _fr_pairs(o.top_labels),
-        },
-        lambda d: ContractionStage(
-            kind=d["stage_kind"],
-            field=decode(d["field"]),
-            assignment=_un_fr_pairs(d["assignment"]),
-            certificate=decode(d["certificate"]),
-            removed=tuple(parse_frac(t) for t in d["removed"]),
-            top=decode(d["top"]),
-            top_labels=_un_fr_pairs(d["top_labels"]),
-        ),
-    )
-)
-
-_codec(ContractionCertificate, "contraction-certificate")(
-    (
-        lambda o: {
-            "loop": encode(o.loop),
-            "model": o.model,
-            "stages": [encode(s) for s in o.stages],
-            "basepoint": frac_str(o.basepoint),
-        },
-        lambda d: ContractionCertificate(
-            loop=decode(d["loop"]),
-            model=d["model"],
-            stages=tuple(decode(s) for s in d["stages"]),
-            basepoint=parse_frac(d["basepoint"]),
-        ),
-    )
-)
-
-# --- thickened ----------------------------------------------------------------
-
-_codec(ThickPoint, "thick-point")(
-    (
-        lambda o: {"base": encode(o.base), "t": frac_str(o.t)},
-        lambda d: ThickPoint(base=decode(d["base"]), t=parse_frac(d["t"])),
-    )
-)
-
-_codec(GridWitness, "grid-witness")(
-    (
-        lambda o: {"r": o.r, "theta": o.theta, "u": o.u, "v": o.v},
-        lambda d: GridWitness(
-            r=float(d["r"]), theta=float(d["theta"]), u=float(d["u"]), v=float(d["v"])
-        ),
-    )
-)
-
-_codec(ContinuityProbe, "continuity-probe")(
-    (
-        lambda o: {
-            "origin": o.origin,
-            "t": frac_str(o.t),
-            "declared": list(o.declared),
-            "limit_pos": list(o.limit_pos),
-            "limit_neg": list(o.limit_neg),
-            "oscillates": o.oscillates,
-            "discontinuous": o.discontinuous,
-        },
-        lambda d: ContinuityProbe(
-            origin=int(d["origin"]),
-            t=parse_frac(d["t"]),
-            declared=(float(d["declared"][0]), float(d["declared"][1])),
-            limit_pos=(float(d["limit_pos"][0]), float(d["limit_pos"][1])),
-            limit_neg=(float(d["limit_neg"][0]), float(d["limit_neg"][1])),
-            oscillates=bool(d["oscillates"]),
-            discontinuous=bool(d["discontinuous"]),
-        ),
-    )
-)
-
-_codec(VerdictRow, "verdict-row")(
-    (
-        lambda o: {"claim": o.claim, "holds": o.holds, "note": o.note},
-        lambda d: VerdictRow(claim=d["claim"], holds=bool(d["holds"]), note=d["note"]),
-    )
-)
-
-_codec(ThickAuditReport, "thick-audit-report")(
-    (
-        lambda o: {
-            "grid_n": o.grid_n,
-            "embedding": o.embedding,
-            "tolerance": o.tolerance,
-            "covered": o.covered,
-            "total": o.total,
-            "coverage": o.coverage,
-            "uncovered_count": o.uncovered_count,
-            "uncovered_sample": [encode(w) for w in o.uncovered_sample],
-            "lower_half_witness": None
-            if o.lower_half_witness is None
-            else encode(o.lower_half_witness),
-            "probes": [encode(p) for p in o.probes],
-            "rows": [encode(r) for r in o.rows],
-        },
-        lambda d: ThickAuditReport(
-            grid_n=int(d["grid_n"]),
-            embedding=d["embedding"],
-            tolerance=float(d["tolerance"]),
-            covered=int(d["covered"]),
-            total=int(d["total"]),
-            coverage=float(d["coverage"]),
-            uncovered_count=int(d["uncovered_count"]),
-            uncovered_sample=tuple(decode(w) for w in d["uncovered_sample"]),
-            lower_half_witness=None
-            if d["lower_half_witness"] is None
-            else decode(d["lower_half_witness"]),
-            probes=tuple(decode(p) for p in d["probes"]),
-            rows=tuple(decode(r) for r in d["rows"]),
-        ),
-    )
+register(
+    SpaceConfig, LabeledRep, Origin, Regular, RegularInterval, OriginChart, Ball,
+    InseparabilityRule, SeparationVerdict, MembershipRecord,
+    PlanePoint, BasePoint, EmbeddingReport,
+    PairWitness, EvenCoverFailure, OriginJoinPath, SectionWitness,
+    PLPath, LiftedPath, SegmentModulus, ContinuityVerdict, MonodromyObstruction,
+    HomotopyField, ZeroSegment, ZeroComponent, ZeroSetComplex, LiftsEnumerated, NoLift,
+    NonUniqueExistence, HomotopyLiftRecord,
+    DeckElement, DeckReport, DeckGroupTable, RigidityVerdict, LabeledLoop, Word,
+    ReducedWord, ContractionStage, ContractionCertificate,
+    ThickPoint, GridWitness, ContinuityProbe, VerdictRow, ThickAuditReport,
 )
 
 # --- plain-text formats ---------------------------------------------------------
@@ -801,12 +316,14 @@ def read_field(text: str) -> HomotopyField:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != PLFIELD_HEADER:
         raise ValueError(f"expected header {PLFIELD_HEADER!r}")
+    if len(lines) < 4:
+        raise ValueError("expected a dimension line and two break lines")
     ns, nt = (int(v) for v in lines[1].split())
     s_breaks = tuple(parse_frac(v) for v in lines[2].split())
     t_breaks = tuple(parse_frac(v) for v in lines[3].split())
     if len(s_breaks) != ns or len(t_breaks) != nt:
         raise ValueError("grid dimensions do not match the break lines")
-    rows = []
-    for ln in lines[4 : 4 + ns]:
-        rows.append(tuple(parse_frac(v) for v in ln.split()))
+    if len(lines) != 4 + ns:
+        raise ValueError(f"expected {ns} value rows, got {len(lines) - 4}")
+    rows = [tuple(parse_frac(v) for v in ln.split()) for ln in lines[4:]]
     return HomotopyField(s_breaks=s_breaks, t_breaks=t_breaks, values=tuple(rows))

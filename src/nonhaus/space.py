@@ -90,13 +90,6 @@ class Regular:
 CanonicalPoint = Union[Origin, Regular]
 
 
-def point_sort_key(p: CanonicalPoint) -> tuple:
-    """Deterministic total order: origins by index first, then regulars by coordinate."""
-    if isinstance(p, Origin):
-        return (0, p.index, Fraction(0))
-    return (1, 0, p.x)
-
-
 @dataclass(frozen=True)
 class RegularInterval:
     """Open coordinate interval whose closure avoids 0; contains no origin."""

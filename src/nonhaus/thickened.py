@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .embedding import EmbeddingSpec, embed_point, spiral_point
+from .embedding import EmbeddingSpec, spiral_point
 from .errors import GridTooCoarse, OriginCountOutOfRange
 from .lifting import PLPath, enumerate_lifts
 from .space import CanonicalPoint, Origin, Regular, SpaceConfig
@@ -55,13 +55,7 @@ def thick_project(p: ThickPoint, spec: EmbeddingSpec = EmbeddingSpec.MAIN_CURVE)
     t = float(p.t)
     if isinstance(p.base, Origin):
         return (t, 0.0)
-    if spec is EmbeddingSpec.MAIN_CURVE:
-        img = embed_point(p.base.x)
-        u, v = float(img.u), float(img.v)
-    else:
-        u, v = spiral_point(float(p.base.x))
-    norm = math.hypot(u, v)
-    return ((1 - t) * u + t * u / norm, (1 - t) * v + t * v / norm)
+    return _sweep(spec, float(p.base.x), t)
 
 
 def thick_fibre_z(k: int) -> frozenset[ThickPoint]:
@@ -190,6 +184,8 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     """
     if grid_n < 8:
         raise GridTooCoarse(f"grid must be at least 8x8, got {grid_n}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     solver = _preimage_main if spec is EmbeddingSpec.MAIN_CURVE else _preimage_spiral
     covered = 0
     total = 0

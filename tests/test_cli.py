@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from nonhaus import serialize
 from nonhaus.cli import main
 from nonhaus.lifting import bounce_path, make_merging_field
@@ -178,3 +180,20 @@ class TestOtherCommands:
         monkeypatch.setenv("NONHAUS_SEED", "12345")
         code, out, _ = run_cli(capsys, "deck", "--k", "2")
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--embedding", "spiral"],
+        ["lift", "--paper-constancy"],
+        ["homotopy", "--x0", "2"],
+        ["deck", "--model", "quotient"],
+        ["metric", "--x0", "2"],
+        ["render", "--json"],
+        ["thick", "--k", "3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_flag_a_subcommand_does_not_read_is_rejected(argv):
+    assert main(argv) == 2

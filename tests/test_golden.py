@@ -1,0 +1,63 @@
+"""Byte-for-byte golden outputs of every JSON-emitting subcommand.
+
+The files under ``tests/golden/`` pin the wire format that independent
+checkers read.  Each case reruns the CLI in-process and compares bytes.
+After a deliberate format change, regenerate them with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from nonhaus.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MODELS = ("quotient", "pseudometric")
+HOMOTOPY_VARIANTS = (
+    ("default", []),
+    ("constancy", ["--paper-constancy"]),
+    ("single-origin", ["--assign", "1/4=1,3/4=1"]),
+)
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = []
+    for k in (2, 3, 5):
+        for model in MODELS:
+            common = ["--k", str(k), "--model", model, "--json"]
+            cases.append((f"audit-k{k}-{model}.json", ["audit", *common]))
+            cases.append((f"lift-k{k}-{model}.json", ["lift", *common]))
+            for variant, extra in HOMOTOPY_VARIANTS:
+                cases.append((f"homotopy-{variant}-k{k}-{model}.json", ["homotopy", *common, *extra]))
+            cases.append((f"metric-k{k}-{model}.json", ["metric", *common]))
+        cases.append((f"deck-k{k}.json", ["deck", "--k", str(k), "--json"]))
+    for embedding in ("main", "spiral"):
+        cases.append(
+            (f"thick-{embedding}.json",
+             ["thick", "--grid-n", "32", "--embedding", embedding, "--json"])
+        )
+    for model in MODELS:
+        report = GOLDEN / f"audit-k2-{model}.json"
+        cases.append((f"check-k2-{model}.txt", ["audit", "--check", str(report)]))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_output_matches_golden(name, argv, tmp_path):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        if main([*argv, "--out", str(GOLDEN / name)]) != 0:
+            raise SystemExit(f"{' '.join(argv)} failed")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -209,3 +210,66 @@ class TestTextFormats:
             serialize.read_pl_path("plpath v2\n0/1 1/1\n")
         with pytest.raises(ValueError):
             serialize.read_field("plfield v2\n")
+
+
+# Every registered kind, pinned: adding, dropping or renaming one changes
+# the wire format that independent checkers read.
+KINDS = (
+    "ball", "base-point", "claim-record", "connected-preimage-record",
+    "continuity-probe", "continuity-verdict", "contraction-certificate",
+    "contraction-stage", "deck-element", "deck-group-table", "deck-report",
+    "embedding-report", "even-cover-failure", "grid-witness", "homotopy-field",
+    "homotopy-lift-record", "inseparability-rule", "labeled-loop", "labeled-rep",
+    "lifted-path", "lifts-enumerated", "loop-class-record", "membership-audit",
+    "membership-record", "monodromy-obstruction", "no-lift", "non-unique-existence",
+    "origin", "origin-chart", "origin-join-path", "pair-witness", "pl-path",
+    "plane-point", "reduced-word", "regular", "regular-interval", "report-document",
+    "rigidity-verdict", "section-witness", "segment-modulus", "separation-verdict",
+    "shrink-contraction-record", "space-config", "subgroup-gap-record",
+    "thick-audit-report", "thick-point", "verdict-row", "word", "zero-component",
+    "zero-segment", "zero-set-complex",
+)
+
+
+def _instances(obj, found: dict) -> None:
+    """Collect the first instance of every dataclass reachable from obj."""
+    if dataclasses.is_dataclass(obj):
+        found.setdefault(type(obj), obj)
+        for f in dataclasses.fields(obj):
+            _instances(getattr(obj, f.name), found)
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            _instances(v, found)
+
+
+class TestKindRegistry:
+    def test_registered_kinds_pinned(self):
+        assert len(KINDS) == 51
+        assert tuple(sorted(serialize._CLASSES)) == KINDS
+
+    def test_one_instance_of_every_kind_round_trips(self):
+        field = make_merging_field()
+        loop = probe_loop(1, 2)
+        lifts = enumerate_lifts(bounce_path(1), Regular(1), Q3)
+        roots = (
+            audit_mod.run_audit(Q2),
+            thick_audit(16, EmbeddingSpec.MAIN_CURVE),
+            embedding_checks(50, accumulation_n=20),
+            homotopy_lift_record(field, {Fraction(1, 4): 1, Fraction(3, 4): 1}, Q2, False),
+            extract_zero_set(field),
+            verify_lift_continuity(lifts[0], Q3),
+            deck_verify(DeckElement((2, 1))),
+            deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)),
+            crossing_word(loop),
+            LabeledRep(Fraction(1, 3), 2),
+            RegularInterval(Fraction(1, 2), Fraction(3, 2)),
+            SpaceConfig(3, TopologyModel.PSEUDOMETRIC),
+            ThickPoint(Origin(2), Fraction(1, 3)),
+            PlanePoint(Fraction(1, 2), Fraction(1, 2)),
+            BasePoint(Fraction(0)),
+        )
+        found: dict = {}
+        _instances(roots, found)
+        assert sorted(serialize._kind(cls) for cls in found) == list(KINDS)
+        for obj in found.values():
+            assert serialize.decode(serialize.encode(obj)) == obj
