@@ -1,10 +1,18 @@
 """Claims-audit table: every headline property of the construction, per model.
 
-Each row states a claim about the glued line or its projection and gives
-a verdict under both topology models.  Machine-checked verdicts carry a
-reference to an embedded certificate that can be re-derived from scratch;
-rows about frameworks outside the modelled scope (loop-space groupoids,
-stack atlases) are static and carry a citation note only.
+The table is declared once, in ``CLAIMS``.  Each row states a claim about
+the glued line or its projection and gives a verdict under both topology
+models.  Machine-checked verdicts carry a reference to an embedded
+certificate that can be re-derived from scratch; rows about frameworks
+outside the modelled scope (loop-space groupoids, stack atlases) are
+static and carry a citation note only.
+
+``run_audit`` builds the certificates and attaches the declared table.
+``recheck_report`` diffs a report's table against the declared one,
+re-derives every certificate, and requires each certificate to prove the
+verdict of every cell that cites it.  That verdict is read from the
+certificate's own fields by the claim's rules, which call none of the
+functions that produced the certificate.
 """
 
 from __future__ import annotations
@@ -12,13 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Optional
+from itertools import zip_longest
+from typing import Any, Callable, Optional
 
 from . import serialize
 from .errors import OriginCountOutOfRange, RecheckFailure
 from .lifting import (
     HomotopyLiftRecord,
     MonodromyObstruction,
+    NoLift,
     NonUniqueExistence,
     homotopy_lift_record,
     make_merging_field,
@@ -134,6 +144,9 @@ class LoopClassRecord:
     pseudometric_class: ReducedWord
     note: str
 
+    def word(self, model: TopologyModel) -> ReducedWord:
+        return self.quotient_class if model is TopologyModel.QUOTIENT else self.pseudometric_class
+
 
 @dataclass(frozen=True)
 class ShrinkContractionRecord:
@@ -161,6 +174,139 @@ class SubgroupGapRecord:
     trivial_subgroup_count: int
     deck_ref: str
     note: str
+
+
+# ---------------------------------------------------------------------------
+# The declared claims table
+
+# A claim's rules map each certificate kind that can decide it to a reader
+# (certificate, cell config) -> the verdict the certificate's own fields prove
+# in the cell's model, or None.
+Rules = dict[type, Callable[[Any, SpaceConfig], Optional[str]]]
+
+# Radii at which the checker samples basic opens around origins.
+_RADII = (
+    (Fraction(1), Fraction(1)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(5), Fraction(2, 7)),
+)
+
+
+def _shows(kind: type, verdict: str, model: Optional[TopologyModel] = None) -> Rules:
+    """A kind whose passing re-check alone proves the verdict (in one model, if given)."""
+    return {kind: lambda cert, cfg: verdict if model in (None, cfg.model) else None}
+
+
+def _separation(axiom: str) -> Rules:
+    def read(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
+        if v.holds:
+            # the origin pair is the only pair that can fail; a T2 witness proves T1 too
+            origins = all(isinstance(p, Origin) for p in v.pair)
+            return HOLDS if origins and v.axiom in (axiom, "T2") else None
+        # a rule alone shows that T2 fails; T1 fails only if no open around
+        # origin i avoids origin j
+        around_i = (basic_open(Origin(v.rule.i), eps, cfg) for pair in _RADII for eps in pair)
+        inseparable = all(open_contains(o, Origin(v.rule.j)) for o in around_i)
+        return FAILS if axiom == "T2" or inseparable else None
+
+    return {SeparationVerdict: read}
+
+
+def _membership(if_excluded: str, if_all_contained: str) -> Rules:
+    """Verdicts proved by an open excluding another origin, or by opens each containing all."""
+
+    def read(audit: MembershipAudit, cfg: SpaceConfig) -> Optional[str]:
+        listed = [{p.index: inside for p, inside in r.entries if isinstance(p, Origin)}
+                  for r in audit.records]
+        if any(False in inside.values() for inside in listed):
+            return if_excluded
+        if listed and all(set(inside) == set(range(1, cfg.k + 1)) for inside in listed):
+            return if_all_contained
+        return None
+
+    return {MembershipAudit: read}
+
+
+_LIFT_VERDICTS = {NoLift: FAILS, NonUniqueExistence: HOLDS_NON_UNIQUELY}
+_LIFT_OUTCOME: Rules = {HomotopyLiftRecord: lambda rec, cfg: _LIFT_VERDICTS.get(type(rec.result))}
+_PATH_LIFTS_FAIL = _shows(MonodromyObstruction, FAILS)
+# a loop that is not null-homotopic in the cell's model
+_LOOP_NOT_TRIVIAL: Rules = {
+    LoopClassRecord: lambda rec, cfg: FAILS if len(rec.word(cfg.model)) else None
+}
+
+# (claim id, statement, (quotient verdict, ref), (pseudometric verdict, ref), rules)
+CLAIMS = (
+    ("separation-t1", "any two distinct points each lie in a basic open avoiding the other",
+     (HOLDS, "separation-t1:quotient"), (FAILS, "separation-t1:pseudometric"), _separation("T1")),
+    ("separation-hausdorff", "any two distinct points have disjoint basic opens",
+     (FAILS, "separation-hausdorff:quotient"), (FAILS, "separation-hausdorff:pseudometric"),
+     _separation("T2")),
+    ("locally-euclidean-at-origins",
+     "each origin has a basic open collapsing bijectively onto a coordinate interval",
+     (HOLDS, "locally-euclidean:quotient"), (FAILS, "locally-euclidean:pseudometric"),
+     _membership(if_excluded=HOLDS, if_all_contained=FAILS)),
+    ("origin-filter-coincidence", "every basic open containing one origin contains all the others",
+     (FAILS, "origin-filter:quotient"), (HOLDS, "origin-filter:pseudometric"),
+     _membership(if_excluded=FAILS, if_all_contained=HOLDS)),
+    ("pi1-trivial", "every loop is null-homotopic",
+     (FAILS, "pi1-probe"), (HOLDS, "pi1-contraction:pseudometric"),
+     {**_LOOP_NOT_TRIVIAL, **_shows(ContractionCertificate, HOLDS)}),
+    ("contractible", "the whole space contracts to a point",
+     (FAILS, "pi1-probe"), (HOLDS, "contractible:pseudometric"),
+     {**_LOOP_NOT_TRIVIAL, **_shows(ShrinkContractionRecord, HOLDS, TopologyModel.PSEUDOMETRIC)}),
+    ("even-covering", "some window around the accumulation point is evenly covered",
+     (FAILS, "even-covering:quotient"), (FAILS, "even-covering:pseudometric"),
+     _shows(EvenCoverFailure, FAILS)),
+    ("branched-cover", "the projection splits small windows into disjoint local sheets",
+     (FAILS, "branched-cover:quotient"), (FAILS, "branched-cover:pseudometric"),
+     _shows(ConnectedPreimageRecord, FAILS)),
+    ("etale-separated",
+     "distinct germs of sections over the accumulation point are distinguishable",
+     (FAILS, "etale-separated:any"), (FAILS, "etale-separated:any"), _shows(SectionWitness, FAILS)),
+    ("unique-path-lifting", "a path and a start point determine at most one lift",
+     (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+    ("homotopy-lifting", "a homotopy extends any lift of its initial path",
+     (FAILS, "homotopy-lifting:quotient"),
+     (HOLDS_NON_UNIQUELY, "homotopy-lifting:pseudometric"), _LIFT_OUTCOME),
+    ("homotopy-lifting-origin-constancy",
+     "homotopy lifting under the rule that origin-valued maps are constant",
+     (FAILS, "homotopy-lifting:quotient"), (FAILS, "homotopy-lifting-constancy:pseudometric"),
+     _LIFT_OUTCOME),
+    ("monodromy-defined", "loops act on the fibre through lift endpoints",
+     (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+    ("deck-group-symmetric",
+     "deck transformations realize every origin permutation (order {order})",
+     (HOLDS, "deck-group:any"), (HOLDS, "deck-group:any"), _shows(DeckGroupTable, HOLDS)),
+    ("semicovering", "the projection is a local homeomorphism with unique continuous lifting",
+     (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+    ("subgroup-correspondence", "the projection arises from a subgroup of the base loop group",
+     (FAILS, "subgroup-correspondence:any"), (FAILS, "subgroup-correspondence:any"),
+     {SubgroupGapRecord: lambda rec, cfg: FAILS
+      if rec.deck_order > rec.trivial_subgroup_count else None}),
+    ("groupoid-covering",
+     "a covering functor of loop groupoids induces the projection "
+     "(static row: the loop-space topology on the groupoid is not modelled)",
+     (NOT_CHECKED, None), (NOT_CHECKED, None), {}),
+    ("stacky-cover",
+     "the projection is presented by a separated stack atlas "
+     "(static row: stack atlases are not modelled)",
+     (NOT_CHECKED, None), (NOT_CHECKED, None), {}),
+)
+
+
+def claim_table(k: int) -> tuple[ClaimRecord, ...]:
+    """The declared claims table for origin count k; the deck row names k!."""
+    order = math.factorial(k)
+    return tuple(
+        ClaimRecord(
+            claim_id=claim_id,
+            statement=statement.format(order=order),
+            verdicts=(("quotient", q[0]), ("pseudometric", p[0])),
+            certificate_refs=(("quotient", q[1]), ("pseudometric", p[1])),
+        )
+        for claim_id, statement, q, p, _ in CLAIMS
+    )
 
 
 def _scale(p: CanonicalPoint, u: Fraction) -> CanonicalPoint:
@@ -218,9 +364,9 @@ def _ball_membership(k: int) -> MembershipAudit:
 
 
 def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Fraction(1)) -> ReportDocument:
-    """Assemble the full claims table for origin count cfg.k.
+    """Build every certificate the claims table cites, for origin count cfg.k.
 
-    Verdicts are computed under both models so the table itself records
+    Certificates are built under both models so the table itself records
     every model split; ``cfg.model`` is echoed as the requested model.
     """
     if not 2 <= cfg.k <= 6:
@@ -230,72 +376,22 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     k = cfg.k
     quotient = SpaceConfig(k, TopologyModel.QUOTIENT)
     pseudo = SpaceConfig(k, TopologyModel.PSEUDOMETRIC)
+    field = make_merging_field()
+    assignment = {Fraction(1, 4): 1, Fraction(3, 4): 2}
     certs: dict[str, Any] = {}
-    claims: list[ClaimRecord] = []
-
-    def row(
-        claim_id: str,
-        statement: str,
-        verdict_q: str,
-        verdict_p: str,
-        ref_q: Optional[str],
-        ref_p: Optional[str],
-    ) -> None:
-        claims.append(
-            ClaimRecord(
-                claim_id=claim_id,
-                statement=statement,
-                verdicts=(("quotient", verdict_q), ("pseudometric", verdict_p)),
-                certificate_refs=(("quotient", ref_q), ("pseudometric", ref_p)),
-            )
+    for model_cfg, membership in ((quotient, _chart_membership(k)), (pseudo, _ball_membership(k))):
+        m = model_cfg.model.value
+        sep = {v.axiom: v for v in separation_report(model_cfg)}
+        certs[f"separation-t1:{m}"] = sep["T1"]
+        certs[f"separation-hausdorff:{m}"] = sep["T2"]
+        certs[f"locally-euclidean:{m}"] = membership
+        certs[f"origin-filter:{m}"] = membership
+        certs[f"even-covering:{m}"] = even_cover_certificate(eps, model_cfg)
+        certs[f"branched-cover:{m}"] = ConnectedPreimageRecord(
+            k=k, model=m, eps=eps, paths=tuple(preimage_connected_certificate(eps, model_cfg))
         )
-
-    sep_q = {v.axiom: v for v in separation_report(quotient)}
-    sep_p = {v.axiom: v for v in separation_report(pseudo)}
-
-    certs["separation-t1:quotient"] = sep_q["T1"]
-    certs["separation-t1:pseudometric"] = sep_p["T1"]
-    row(
-        "separation-t1",
-        "any two distinct points each lie in a basic open avoiding the other",
-        HOLDS if sep_q["T1"].holds else FAILS,
-        HOLDS if sep_p["T1"].holds else FAILS,
-        "separation-t1:quotient",
-        "separation-t1:pseudometric",
-    )
-
-    certs["separation-hausdorff:quotient"] = sep_q["T2"]
-    certs["separation-hausdorff:pseudometric"] = sep_p["T2"]
-    row(
-        "separation-hausdorff",
-        "any two distinct points have disjoint basic opens",
-        HOLDS if sep_q["T2"].holds else FAILS,
-        HOLDS if sep_p["T2"].holds else FAILS,
-        "separation-hausdorff:quotient",
-        "separation-hausdorff:pseudometric",
-    )
-
-    certs["locally-euclidean:quotient"] = _chart_membership(k)
-    certs["locally-euclidean:pseudometric"] = _ball_membership(k)
-    row(
-        "locally-euclidean-at-origins",
-        "each origin has a basic open collapsing bijectively onto a coordinate interval",
-        HOLDS,
-        FAILS,
-        "locally-euclidean:quotient",
-        "locally-euclidean:pseudometric",
-    )
-
-    certs["origin-filter:quotient"] = _chart_membership(k)
-    certs["origin-filter:pseudometric"] = _ball_membership(k)
-    row(
-        "origin-filter-coincidence",
-        "every basic open containing one origin contains all the others",
-        FAILS,
-        HOLDS,
-        "origin-filter:quotient",
-        "origin-filter:pseudometric",
-    )
+        certs[f"path-lifting:{m}"] = monodromy_verdict(x0, model_cfg)
+        certs[f"homotopy-lifting:{m}"] = homotopy_lift_record(field, assignment, model_cfg, False)
 
     probe = probe_loop(1, 2)
     certs["pi1-probe"] = LoopClassRecord(
@@ -306,127 +402,12 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         "reduced crossing word in the chart model and empty in the ball model",
     )
     certs["pi1-contraction:pseudometric"] = contract_loop(probe, pseudo)
-    pi1_q_trivial = len(loop_class(probe, quotient)) == 0
-    row(
-        "pi1-trivial",
-        "every loop is null-homotopic",
-        HOLDS if pi1_q_trivial else FAILS,
-        HOLDS,
-        "pi1-probe",
-        "pi1-contraction:pseudometric",
-    )
-
     certs["contractible:pseudometric"] = shrink_contraction_record(k)
-    row(
-        "contractible",
-        "the whole space contracts to a point",
-        FAILS,
-        HOLDS,
-        "pi1-probe",
-        "contractible:pseudometric",
-    )
-
-    certs["even-covering:quotient"] = even_cover_certificate(eps, quotient)
-    certs["even-covering:pseudometric"] = even_cover_certificate(eps, pseudo)
-    row(
-        "even-covering",
-        "some window around the accumulation point is evenly covered",
-        FAILS,
-        FAILS,
-        "even-covering:quotient",
-        "even-covering:pseudometric",
-    )
-
-    certs["branched-cover:quotient"] = ConnectedPreimageRecord(
-        k=k, model="quotient", eps=eps, paths=tuple(preimage_connected_certificate(eps, quotient))
-    )
-    certs["branched-cover:pseudometric"] = ConnectedPreimageRecord(
-        k=k, model="pseudometric", eps=eps, paths=tuple(preimage_connected_certificate(eps, pseudo))
-    )
-    row(
-        "branched-cover",
-        "the projection splits small windows into disjoint local sheets",
-        FAILS,
-        FAILS,
-        "branched-cover:quotient",
-        "branched-cover:pseudometric",
-    )
-
     certs["etale-separated:any"] = section_witness(eps, 1, 2, quotient)
-    row(
-        "etale-separated",
-        "distinct germs of sections over the accumulation point are distinguishable",
-        FAILS,
-        FAILS,
-        "etale-separated:any",
-        "etale-separated:any",
-    )
-
-    certs["path-lifting:quotient"] = monodromy_verdict(x0, quotient)
-    certs["path-lifting:pseudometric"] = monodromy_verdict(x0, pseudo)
-    row(
-        "unique-path-lifting",
-        "a path and a start point determine at most one lift",
-        FAILS,
-        FAILS,
-        "path-lifting:quotient",
-        "path-lifting:pseudometric",
-    )
-
-    field = make_merging_field()
-    assignment = {Fraction(1, 4): 1, Fraction(3, 4): 2}
-    certs["homotopy-lifting:quotient"] = homotopy_lift_record(field, assignment, quotient, False)
-    certs["homotopy-lifting:pseudometric"] = homotopy_lift_record(field, assignment, pseudo, False)
-    hl_p = certs["homotopy-lifting:pseudometric"].result
-    row(
-        "homotopy-lifting",
-        "a homotopy extends any lift of its initial path",
-        FAILS,
-        HOLDS_NON_UNIQUELY if isinstance(hl_p, NonUniqueExistence) else FAILS,
-        "homotopy-lifting:quotient",
-        "homotopy-lifting:pseudometric",
-    )
-
     certs["homotopy-lifting-constancy:pseudometric"] = homotopy_lift_record(
         field, assignment, pseudo, True
     )
-    row(
-        "homotopy-lifting-origin-constancy",
-        "homotopy lifting under the rule that origin-valued maps are constant",
-        FAILS,
-        FAILS,
-        "homotopy-lifting:quotient",
-        "homotopy-lifting-constancy:pseudometric",
-    )
-
-    row(
-        "monodromy-defined",
-        "loops act on the fibre through lift endpoints",
-        FAILS,
-        FAILS,
-        "path-lifting:quotient",
-        "path-lifting:pseudometric",
-    )
-
     certs["deck-group:any"] = deck_group(k)
-    row(
-        "deck-group-symmetric",
-        f"deck transformations realize every origin permutation (order {math.factorial(k)})",
-        HOLDS,
-        HOLDS,
-        "deck-group:any",
-        "deck-group:any",
-    )
-
-    row(
-        "semicovering",
-        "the projection is a local homeomorphism with unique continuous lifting",
-        FAILS,
-        FAILS,
-        "path-lifting:quotient",
-        "path-lifting:pseudometric",
-    )
-
     certs["subgroup-correspondence:any"] = SubgroupGapRecord(
         k=k,
         deck_order=math.factorial(k),
@@ -436,40 +417,11 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         "correspondence offers a single trivial cover; it cannot account for a "
         f"deck group of order {math.factorial(k)}",
     )
-    row(
-        "subgroup-correspondence",
-        "the projection arises from a subgroup of the base loop group",
-        FAILS,
-        FAILS,
-        "subgroup-correspondence:any",
-        "subgroup-correspondence:any",
-    )
-
-    row(
-        "groupoid-covering",
-        "a covering functor of loop groupoids induces the projection "
-        "(static row: the loop-space topology on the groupoid is not modelled)",
-        NOT_CHECKED,
-        NOT_CHECKED,
-        None,
-        None,
-    )
-
-    row(
-        "stacky-cover",
-        "the projection is presented by a separated stack atlas "
-        "(static row: stack atlases are not modelled)",
-        NOT_CHECKED,
-        NOT_CHECKED,
-        None,
-        None,
-    )
-
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         k=k,
         model=cfg.model.value,
-        claims=tuple(claims),
+        claims=claim_table(k),
         certificates=tuple(sorted(certs.items())),
     )
 
@@ -494,31 +446,22 @@ def _recheck_separation(v: SeparationVerdict, k: int) -> list[str]:
         return failures
     if v.rule is None:
         return [f"{v.axiom}: negative verdict without a rule"]
-    radii = (
-        (Fraction(1), Fraction(1)),
-        (Fraction(1, 2), Fraction(1, 3)),
-        (Fraction(5), Fraction(2, 7)),
-    )
+    if v.rule.i == v.rule.j or not (1 <= v.rule.i <= k and 1 <= v.rule.j <= k):
+        return [f"{v.axiom}: rule needs two distinct origins in 1..{k}"]
     for model in MODELS:
         cfg = SpaceConfig(k, model)
-        for e1, e2 in radii:
+        for e1, e2 in _RADII:
             pt = v.rule.common_point(e1, e2)
             oi = basic_open(Origin(v.rule.i), e1, cfg)
             oj = basic_open(Origin(v.rule.j), e2, cfg)
             if not (open_contains(oi, pt) and open_contains(oj, pt)):
-                failures.append(
-                    f"{v.axiom}: rule point {pt} escapes an open at radii ({e1}, {e2})"
-                )
+                failures.append(f"{v.axiom}: rule point {pt} escapes an open at radii ({e1}, {e2})")
     return failures
 
 
 def _recheck_loop_class(rec: LoopClassRecord, k: int) -> list[str]:
-    failures = []
-    if loop_class(rec.loop, SpaceConfig(k, TopologyModel.QUOTIENT)) != rec.quotient_class:
-        failures.append("quotient loop class does not reproduce")
-    if loop_class(rec.loop, SpaceConfig(k, TopologyModel.PSEUDOMETRIC)) != rec.pseudometric_class:
-        failures.append("pseudometric loop class does not reproduce")
-    return failures
+    return [f"{m.value} loop class does not reproduce"
+            for m in MODELS if loop_class(rec.loop, SpaceConfig(k, m)) != rec.word(m)]
 
 
 def _recheck_shrink(rec: ShrinkContractionRecord) -> list[str]:
@@ -538,55 +481,74 @@ def _recheck_shrink(rec: ShrinkContractionRecord) -> list[str]:
     return failures
 
 
+def _recheck_subgroup_gap(rec: SubgroupGapRecord, doc: ReportDocument) -> list[str]:
+    failures = []
+    if rec.deck_order != math.factorial(rec.k):
+        failures.append("deck order is not k!")
+    if rec.deck_ref not in dict(doc.certificates):
+        failures.append("dangling deck reference")
+    return failures
+
+
+# certificate type -> re-derivation of the certificate from its own fields
+_RECHECKS: dict[type, Callable[[Any, ReportDocument], list[str]]] = {
+    SeparationVerdict: lambda c, doc: _recheck_separation(c, doc.k),
+    MembershipAudit: lambda c, doc: [] if all(r.recheck() for r in c.records)
+    else ["membership mismatch"],
+    LoopClassRecord: lambda c, doc: _recheck_loop_class(c, doc.k),
+    ContractionCertificate: lambda c, doc: recheck_contraction(c, doc.k),
+    ShrinkContractionRecord: lambda c, doc: _recheck_shrink(c),
+    EvenCoverFailure: lambda c, doc: recheck_even_cover(c),
+    ConnectedPreimageRecord: lambda c, doc: recheck_origin_join(
+        list(c.paths), SpaceConfig(c.k, TopologyModel(c.model))
+    ),
+    SectionWitness: lambda c, doc: recheck_section_witness(c),
+    MonodromyObstruction: lambda c, doc: recheck_monodromy(c),
+    HomotopyLiftRecord: lambda c, doc: recheck_homotopy_record(c, doc.k),
+    DeckGroupTable: lambda c, doc: recheck_deck_group(c),
+    SubgroupGapRecord: _recheck_subgroup_gap,
+}
+
+
 def recheck_report(doc: ReportDocument) -> list[str]:
-    """Re-derive every embedded certificate; returns human-readable failures."""
-    failures: list[str] = []
+    """Check a report against the declared table; returns human-readable failures.
+
+    The claims must equal ``claim_table(doc.k)``, every certificate must
+    re-derive, and each checked cell's verdict must be the one its
+    certificate proves in that cell's model.
+    """
+    if not 2 <= doc.k <= 6:
+        return [f"k={doc.k} is outside the audited range 2..6"]
+    declared = claim_table(doc.k)
+    failures = [
+        f"claim {n}: row {got.claim_id if got else '(none)'} differs from the declared "
+        f"row {want.claim_id if want else '(none)'}"
+        for n, (got, want) in enumerate(zip_longest(doc.claims, declared), 1) if got != want
+    ]
+    cells = [(claim_id, m.value, verdict, ref, rules)
+             for claim_id, _, q, p, rules in CLAIMS for m, (verdict, ref) in zip(MODELS, (q, p))]
     certmap = dict(doc.certificates)
-    for claim in doc.claims:
-        for model, verdict in claim.verdicts:
-            ref = claim.certificate_ref(model)
-            if verdict in (HOLDS, FAILS, HOLDS_NON_UNIQUELY):
-                if ref is None:
-                    failures.append(f"{claim.claim_id}: checked verdict without certificate")
-                elif ref not in certmap:
-                    failures.append(f"{claim.claim_id}: dangling certificate reference {ref}")
-            elif ref is not None:
-                failures.append(f"{claim.claim_id}: static row carries a certificate")
+    cited = {cell[3] for cell in cells if cell[3] is not None}
+    failures += [f"{ref}: dangling certificate reference" for ref in sorted(cited - set(certmap))]
+    sound: dict[str, Any] = {}
     for ref, cert in doc.certificates:
-        sub: list[str]
-        if isinstance(cert, SeparationVerdict):
-            sub = _recheck_separation(cert, doc.k)
-        elif isinstance(cert, MembershipAudit):
-            sub = [] if all(r.recheck() for r in cert.records) else ["membership mismatch"]
-        elif isinstance(cert, LoopClassRecord):
-            sub = _recheck_loop_class(cert, doc.k)
-        elif isinstance(cert, ContractionCertificate):
-            sub = recheck_contraction(cert, doc.k)
-        elif isinstance(cert, ShrinkContractionRecord):
-            sub = _recheck_shrink(cert)
-        elif isinstance(cert, EvenCoverFailure):
-            sub = recheck_even_cover(cert)
-        elif isinstance(cert, ConnectedPreimageRecord):
-            sub = recheck_origin_join(
-                list(cert.paths), SpaceConfig(cert.k, TopologyModel(cert.model))
-            )
-        elif isinstance(cert, SectionWitness):
-            sub = recheck_section_witness(cert)
-        elif isinstance(cert, MonodromyObstruction):
-            sub = recheck_monodromy(cert)
-        elif isinstance(cert, HomotopyLiftRecord):
-            sub = recheck_homotopy_record(cert, doc.k)
-        elif isinstance(cert, DeckGroupTable):
-            sub = recheck_deck_group(cert)
-        elif isinstance(cert, SubgroupGapRecord):
-            sub = []
-            if cert.deck_order != math.factorial(cert.k):
-                sub.append("deck order is not k!")
-            if cert.deck_ref not in certmap:
-                sub.append("dangling deck reference")
-        else:
-            sub = [f"no re-check for certificate kind {type(cert).__name__}"]
+        recheck = _RECHECKS.get(type(cert))
+        sub = (recheck(cert, doc) if recheck
+               else [f"no re-check for certificate kind {type(cert).__name__}"])
         failures.extend(f"{ref}: {msg}" for msg in sub)
+        if not sub:
+            sound[ref] = cert
+    for claim_id, model, verdict, ref, rules in cells:
+        cert = sound.get(ref)
+        if cert is None:
+            continue  # a static cell, or a certificate already reported above
+        # a certificate that records its own k or model proves nothing outside them
+        in_scope = getattr(cert, "k", doc.k) == doc.k and getattr(cert, "model", model) == model
+        read = rules.get(type(cert)) if in_scope else None
+        proved = read(cert, SpaceConfig(doc.k, TopologyModel(model))) if read else None
+        if proved != verdict:
+            failures.append(f"{claim_id} ({model}): the table says {verdict} but {ref} "
+                            f"proves {proved or 'nothing'}")
     return failures
 
 
@@ -600,11 +562,6 @@ def ensure_report_valid(doc: ReportDocument) -> None:
 # Serialization of the document types
 
 serialize.register(
-    ClaimRecord,
-    ReportDocument,
-    MembershipAudit,
-    ConnectedPreimageRecord,
-    LoopClassRecord,
-    ShrinkContractionRecord,
-    SubgroupGapRecord,
+    ClaimRecord, ReportDocument, MembershipAudit, ConnectedPreimageRecord, LoopClassRecord,
+    ShrinkContractionRecord, SubgroupGapRecord,
 )

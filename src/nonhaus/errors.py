@@ -57,6 +57,10 @@ class ZeroPlateau2D(NonHausError):
     """A triangle of a homotopy field is identically zero."""
 
 
+class TooManyLifts(NonHausError):
+    """Lift enumeration would build more than lifting.MAX_LIFTS lifts."""
+
+
 class StartMismatch(NonHausError):
     """Start point does not project onto the path's initial value."""
 

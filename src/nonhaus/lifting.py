@@ -34,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     NonpositiveBasepoint,
     StartMismatch,
+    TooManyLifts,
     ZeroPlateau,
     ZeroPlateau2D,
 )
@@ -145,11 +146,16 @@ class LiftedPath:
         return Regular(self.base.eval(t))
 
 
+# Largest k^m that enumerate_lifts builds; every lift is built and verified.
+MAX_LIFTS = 4096
+
+
 def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> list[LiftedPath]:
     """All lifts of the path from the given start, in lexicographic origin order.
 
-    With m free zero times there are exactly k^m lifts.  A start over
-    coordinate 0 must be an origin and pins that zero time's choice.
+    With m free zero times there are exactly k^m lifts; more than MAX_LIFTS
+    raise TooManyLifts before any is built.  A start over coordinate 0 must
+    be an origin and pins that zero time's choice.
     """
     zts = zero_times(path)
     c0 = path.breakpoints[0][1]
@@ -164,6 +170,8 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
         if start != Regular(c0):
             raise StartMismatch(f"start {start} does not project onto coordinate {c0}")
     free = [t for t in zts if t not in pinned]
+    if cfg.k ** len(free) > MAX_LIFTS:
+        raise TooManyLifts(f"{cfg.k}^{len(free)} lifts exceed the limit of {MAX_LIFTS}")
     lifts = []
     for combo in itertools.product(range(1, cfg.k + 1), repeat=len(free)):
         choice = dict(pinned)
@@ -442,12 +450,6 @@ class ZeroSetComplex:
 
     segments: tuple[ZeroSegment, ...]
     components: tuple[ZeroComponent, ...]
-
-    def component_of_touch(self, s: Fraction) -> Optional[int]:
-        for comp in self.components:
-            if s in comp.bottom_touches:
-                return comp.index
-        return None
 
 
 class _UnionFind:

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 
 import pytest
 
+from nonhaus import cli
 from nonhaus.audit import (
     FAILS,
     HOLDS,
@@ -113,7 +115,54 @@ class TestAuditTable:
         }
 
 
+def _flip_even_covering(doc):
+    claim = next(c for c in doc["claims"] if c["claim_id"] == "even-covering")
+    claim["verdicts"] = [[model, HOLDS] for model, _ in claim["verdicts"]]
+
+
+def _drop_semicovering(doc):
+    doc["claims"] = [c for c in doc["claims"] if c["claim_id"] != "semicovering"]
+
+
+def _reverse_claims(doc):
+    doc["claims"].reverse()
+
+
+def _swap_homotopy_certificate(doc):
+    certs = dict(doc["certificates"])
+    certs["homotopy-lifting:pseudometric"] = certs["homotopy-lifting-constancy:pseudometric"]
+    doc["certificates"] = [[ref, certs[ref]] for ref, _ in doc["certificates"]]
+
+
+def _negative_quotient_t1(doc):
+    cert = dict(doc["certificates"])["separation-t1:quotient"]
+    cert.update(holds=False, opens=None, rule={"kind": "inseparability-rule", "i": 1, "j": 2})
+
+
 class TestRecheckFailures:
+    @pytest.mark.parametrize(
+        "tamper, named",
+        [
+            (_flip_even_covering, "even-covering"),
+            (_drop_semicovering, "semicovering"),
+            (_reverse_claims, "separation-t1"),
+            (_swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
+            (_negative_quotient_t1, "separation-t1:quotient"),
+        ],
+        ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
+             "negative-t1"],
+    )
+    def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
+        path = tmp_path / "report.json"
+        assert cli.main(["audit", "--k", "2", "--json", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["audit", "--check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("certificate re-check failed:") and named in err
+
     def test_tampered_loop_class(self, report):
         probe = report.certificate("pi1-probe")
         bad_probe = dataclasses.replace(

@@ -104,3 +104,10 @@ def test_plfield_extra_rows_rejected(capsys, tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
 def test_thick_tolerance_rejected(capsys, value):
     assert "tolerance" in rejected(capsys, "thick", "--grid-n", "8", f"--tolerance={value}")
+
+
+def test_lift_count_over_limit_rejected(capsys, tmp_path):
+    # 21 breakpoints of alternating sign: 20 zero times, 2^20 lifts at k = 2
+    path = tmp_path / "p.plpath"
+    path.write_text("plpath v1\n" + "".join(f"{i}/20 {(-1) ** i}/1\n" for i in range(21)))
+    assert "limit of 4096" in rejected(capsys, "lift", "--path", str(path), "--k", "2")
