@@ -32,6 +32,7 @@ from .embedding import BasePoint
 from .errors import (
     AssignmentDomainMismatch,
     IndexOutOfRange,
+    NonHausError,
     NonpositiveBasepoint,
     StartMismatch,
     TooManyLifts,
@@ -146,45 +147,39 @@ class LiftedPath:
         return Regular(self.base.eval(t))
 
 
-# Largest k^m that enumerate_lifts builds; every lift is built and verified.
+# Largest k^m that enumerate_lifts builds; each zero-time choice is verified
+# once and the lifts are built from the checked choices.
 MAX_LIFTS = 4096
 
 
 def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> list[LiftedPath]:
     """All lifts of the path from the given start, in lexicographic origin order.
 
-    With m free zero times there are exactly k^m lifts; more than MAX_LIFTS
-    raise TooManyLifts before any is built.  A start over coordinate 0 must
-    be an origin and pins that zero time's choice.
+    The lifts are the product of per-breakpoint choices, each checked once
+    by the rules of :func:`verify_lift_continuity`.  With m free zero times
+    there are exactly k^m lifts; more than MAX_LIFTS raise TooManyLifts
+    before any is built.  A start over coordinate 0 must be an origin and
+    pins that zero time's choice.
     """
-    zts = zero_times(path)
-    c0 = path.breakpoints[0][1]
-    pinned: dict[Fraction, int] = {}
+    free = len(zero_times(path))
+    pts = path.breakpoints
+    c0 = pts[0][1]
     if c0 == 0:
         if not isinstance(start, Origin):
             raise StartMismatch("path starts at coordinate 0; start must be an origin")
         if start.index > cfg.k:
             raise IndexOutOfRange(f"origin {start.index} not in 1..{cfg.k}")
-        pinned[Fraction(0)] = start.index
-    else:
-        if start != Regular(c0):
-            raise StartMismatch(f"start {start} does not project onto coordinate {c0}")
-    free = [t for t in zts if t not in pinned]
-    if cfg.k ** len(free) > MAX_LIFTS:
-        raise TooManyLifts(f"{cfg.k}^{len(free)} lifts exceed the limit of {MAX_LIFTS}")
-    lifts = []
-    for combo in itertools.product(range(1, cfg.k + 1), repeat=len(free)):
-        choice = dict(pinned)
-        choice.update(zip(free, combo))
-        values = tuple(
-            Origin(choice[t]) if x == 0 else Regular(x) for t, x in path.breakpoints
-        )
-        lift = LiftedPath(base=path, values=values)
-        verdict = verify_lift_continuity(lift, cfg)
-        if not verdict.ok:
-            raise AssertionError(f"constructed lift failed verification: {verdict.witness}")
-        lifts.append(lift)
-    return lifts
+        free -= 1
+    elif start != Regular(c0):
+        raise StartMismatch(f"start {start} does not project onto coordinate {c0}")
+    if cfg.k ** free > MAX_LIFTS:
+        raise TooManyLifts(f"{cfg.k}^{free} lifts exceed the limit of {MAX_LIFTS}")
+    origins = [Origin(i) for i in range(1, cfg.k + 1)]
+    candidates = [[Regular(x)] if x != 0 else [start] if idx == 0 else origins
+                  for idx, (_, x) in enumerate(pts)]
+    options = [[v for v in values if _breakpoint_fault(pts, idx, v, cfg) is None]
+               for idx, values in enumerate(candidates)]
+    return [LiftedPath(base=path, values=values) for values in itertools.product(*options)]
 
 
 @dataclass(frozen=True)
@@ -216,32 +211,44 @@ class ContinuityVerdict:
     note: str = ""
 
 
+def _breakpoint_fault(
+    pts: tuple[tuple[Fraction, Fraction], ...], idx: int, v: CanonicalPoint, cfg: SpaceConfig
+) -> Optional[str]:
+    """Why ``v`` cannot be a lift's value at breakpoint ``idx``; None if it can.
+
+    Lift validity is local: the value projects onto the coordinate, a
+    regular coordinate keeps its forced value, a zero time carries an origin
+    in 1..k and, in the chart model, the chart of that origin contains the
+    neighbouring breakpoint values.
+    """
+    t, x = pts[idx]
+    if project(v) != BasePoint(x):
+        return f"projection mismatch at t={t}: lift value {v} over coordinate {x}"
+    if x != 0:
+        return None if v == Regular(x) else f"regular part not forced at t={t}"
+    if not isinstance(v, Origin) or not 1 <= v.index <= cfg.k:
+        return f"zero time t={t} does not carry a valid origin"
+    if cfg.model is TopologyModel.QUOTIENT:
+        for nb in (pts[j][1] for j in (idx - 1, idx + 1) if 0 <= j < len(pts)):
+            if not open_contains(OriginChart(v.index, 2 * abs(nb)), Regular(nb)):
+                return f"chart of origin {v.index} misses approach value {nb}"
+    return None
+
+
 def verify_lift_continuity(lift: LiftedPath, cfg: SpaceConfig) -> ContinuityVerdict:
-    """Check projection exactness and produce the continuity modulus."""
+    """Check every breakpoint value by the local rules and produce the continuity modulus."""
     zero_times(lift.base)  # plateau inputs are rejected, not reported as verdicts
     pts = lift.base.breakpoints
     model = cfg.model.value
     if len(lift.values) != len(pts):
+        witness = "value list does not match breakpoints"
+    else:
+        faults = (_breakpoint_fault(pts, idx, v, cfg) for idx, v in enumerate(lift.values))
+        witness = next(filter(None, faults), None)
+    if witness is not None:
         return ContinuityVerdict(
-            ok=False, model=model, lipschitz=None, segments=(),
-            witness="value list does not match breakpoints",
+            ok=False, model=model, lipschitz=None, segments=(), witness=witness,
         )
-    for (t, x), v in zip(pts, lift.values):
-        if project(v) != BasePoint(x):
-            return ContinuityVerdict(
-                ok=False, model=model, lipschitz=None, segments=(),
-                witness=f"projection mismatch at t={t}: lift value {v} over coordinate {x}",
-            )
-        if x != 0 and v != Regular(x):
-            return ContinuityVerdict(
-                ok=False, model=model, lipschitz=None, segments=(),
-                witness=f"regular part not forced at t={t}",
-            )
-        if x == 0 and (not isinstance(v, Origin) or not 1 <= v.index <= cfg.k):
-            return ContinuityVerdict(
-                ok=False, model=model, lipschitz=None, segments=(),
-                witness=f"zero time t={t} does not carry a valid origin",
-            )
     segments = tuple(
         SegmentModulus(t0, t1, abs(x1 - x0) / (t1 - t0))
         for (t0, x0), (t1, x1) in zip(pts, pts[1:])
@@ -249,17 +256,6 @@ def verify_lift_continuity(lift: LiftedPath, cfg: SpaceConfig) -> ContinuityVerd
     lipschitz = max((s.slope_abs for s in segments), default=Fraction(0))
     note = "pseudometric pulls back to coordinate distance; per-segment bound is exact"
     if cfg.model is TopologyModel.QUOTIENT:
-        for idx, ((t, x), v) in enumerate(zip(pts, lift.values)):
-            if x != 0:
-                continue
-            neighbours = [pts[j][1] for j in (idx - 1, idx + 1) if 0 <= j < len(pts)]
-            assert isinstance(v, Origin)
-            for nb in neighbours:
-                if not open_contains(OriginChart(v.index, 2 * abs(nb)), Regular(nb)):
-                    return ContinuityVerdict(
-                        ok=False, model=model, lipschitz=lipschitz, segments=segments,
-                        witness=f"chart of origin {v.index} misses approach value {nb}",
-                    )
         note = (
             "zero times are isolated and the chart of the chosen origin contains all "
             "small regular points, so the origin choice is a limit of the regular part"
@@ -513,17 +509,11 @@ def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
     uf = _UnionFind()
     for seg in segments:
         uf.union(seg.a, seg.b)
-    roots: dict[Node, list[int]] = {}
-    order: list[Node] = []
+    roots: dict[Node, list[int]] = {}  # in the order of each component's first segment
     for idx, seg in enumerate(segments):
-        root = uf.find(seg.a)
-        if root not in roots:
-            roots[root] = []
-            order.append(root)
-        roots[root].append(idx)
+        roots.setdefault(uf.find(seg.a), []).append(idx)
     components = []
-    for comp_idx, root in enumerate(order):
-        members = roots[root]
+    for comp_idx, members in enumerate(roots.values()):
         touches = sorted(
             {
                 end[0]
@@ -628,8 +618,7 @@ def attempt_homotopy_lift(
                 constraints=tuple(sorted(assignment.items())),
                 note=_CONSTANCY_JUSTIFICATION,
             )
-        forced = distinct[0] if distinct else None
-        options = [forced] if forced is not None else list(range(1, cfg.k + 1))
+        options = distinct or list(range(1, cfg.k + 1))
         if complex_.components:
             assignments = tuple(
                 tuple((comp.index, origin) for comp in complex_.components)
@@ -689,9 +678,12 @@ def homotopy_lift_record(
 def recheck_homotopy_record(record: HomotopyLiftRecord, k: int) -> list[str]:
     """Re-run the component computation and compare with the recorded outcome."""
     cfg = SpaceConfig(k, TopologyModel(record.model))
-    result = attempt_homotopy_lift(
-        record.field, dict(record.assignment), cfg, record.paper_constancy
-    )
+    try:
+        result = attempt_homotopy_lift(
+            record.field, dict(record.assignment), cfg, record.paper_constancy
+        )
+    except NonHausError as exc:
+        return [f"recorded inputs are rejected: {exc}"]
     failures = []
     if result != record.result:
         failures.append("recomputed lifting outcome differs from the recorded one")

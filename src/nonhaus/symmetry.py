@@ -27,6 +27,7 @@ from typing import Optional
 
 from .errors import (
     IndexOutOfRange,
+    NonHausError,
     NotNullhomotopic,
     OriginCountOutOfRange,
     UnlabeledZeroTime,
@@ -191,10 +192,15 @@ def deck_group(k: int) -> DeckGroupTable:
 
 
 def recheck_deck_group(tbl: DeckGroupTable) -> list[str]:
-    failures: list[str] = []
-    if len(tbl.elements) != math.factorial(tbl.k):
-        failures.append(f"expected {math.factorial(tbl.k)} elements")
+    n = math.factorial(tbl.k)
     index = {g.images: i for i, g in enumerate(tbl.elements)}
+    # the shape is checked first, so the loop below can index every cell
+    if len(tbl.elements) != n or len(index) != n or any(g.k != tbl.k for g in tbl.elements):
+        return [f"expected {n} distinct elements of degree {tbl.k}"]
+    if (len(tbl.table) != n or any(len(row) != n for row in tbl.table)
+            or not 0 <= min(map(min, tbl.table)) <= max(map(max, tbl.table)) < n):
+        return [f"composition table is not {n} rows of {n} indices in 0..{n - 1}"]
+    failures: list[str] = []
     for i, g in enumerate(tbl.elements):
         for j, h in enumerate(tbl.elements):
             if tbl.table[i][j] != index[_compose_images(g.images, h.images)]:
@@ -518,11 +524,15 @@ def recheck_contraction(cert: ContractionCertificate, k: int) -> list[str]:
     for n, stage in enumerate(cert.stages):
         if stage.field.bottom_path() != current:
             failures.append(f"stage {n}: bottom edge does not chain from the previous stage")
-        result = attempt_homotopy_lift(stage.field, dict(stage.assignment), cfg, False)
-        if result != stage.certificate:
-            failures.append(f"stage {n}: recorded acceptance does not reproduce")
-        if isinstance(result, NoLift):
-            failures.append(f"stage {n}: stage is not accepted")
+        try:
+            result = attempt_homotopy_lift(stage.field, dict(stage.assignment), cfg, False)
+        except NonHausError as exc:
+            failures.append(f"stage {n}: recorded inputs are rejected: {exc}")
+        else:
+            if result != stage.certificate:
+                failures.append(f"stage {n}: recorded acceptance does not reproduce")
+            if isinstance(result, NoLift):
+                failures.append(f"stage {n}: stage is not accepted")
         if stage.top != stage.field.top_path():
             failures.append(f"stage {n}: recorded top path mismatch")
         current = stage.top

@@ -189,7 +189,10 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     solver = _preimage_main if spec is EmbeddingSpec.MAIN_CURVE else _preimage_spiral
     covered = 0
     total = 0
-    uncovered: list[GridWitness] = []
+    # uncovered points are counted, not kept: the report carries the first 16
+    # and the lower-half point nearest (0, -1/2), the first one on a tie
+    sample: list[GridWitness] = []
+    lower_witness, lower_key = None, None
     for a in range(1, grid_n):  # radius 0 excluded: punctured grid
         r = a / (grid_n - 1)
         for b in range(grid_n):
@@ -204,15 +207,14 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
                 ok = math.hypot(img[0] - target[0], img[1] - target[1]) <= tolerance
             if ok:
                 covered += 1
-            else:
-                uncovered.append(GridWitness(r=r, theta=theta, u=target[0], v=target[1]))
-    lower_witness = None
-    if uncovered:
-        lower_half = [w for w in uncovered if w.v < 0]
-        if lower_half:
-            lower_witness = min(
-                lower_half, key=lambda w: ((w.u - 0.0) ** 2 + (w.v + 0.5) ** 2, w.r, w.theta)
-            )
+                continue
+            u, v = target
+            if len(sample) < 16:
+                sample.append(GridWitness(r=r, theta=theta, u=u, v=v))
+            if v < 0:
+                key = ((u - 0.0) ** 2 + (v + 0.5) ** 2, r, theta)
+                if lower_key is None or key < lower_key:
+                    lower_key, lower_witness = key, GridWitness(r=r, theta=theta, u=u, v=v)
     probes = (_continuity_probe(1, Fraction(1, 2), spec),)
     rows = (
         VerdictRow(
@@ -238,8 +240,8 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
         covered=covered,
         total=total,
         coverage=covered / total,
-        uncovered_count=len(uncovered),
-        uncovered_sample=tuple(uncovered[:16]),
+        uncovered_count=total - covered,
+        uncovered_sample=tuple(sample),
         lower_half_witness=lower_witness,
         probes=probes,
         rows=rows,

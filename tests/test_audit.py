@@ -139,6 +139,20 @@ def _negative_quotient_t1(doc):
     cert.update(holds=False, opens=None, rule={"kind": "inseparability-rule", "i": 1, "j": 2})
 
 
+def _cut_deck_table(doc):
+    dict(doc["certificates"])["deck-group:any"]["table"] = [[0]]
+
+
+def _origin_9_homotopy_assignment(doc):
+    cert = dict(doc["certificates"])["homotopy-lifting:quotient"]
+    cert["assignment"][-1][1] = 9
+
+
+def _origin_9_stage_assignment(doc):
+    cert = dict(doc["certificates"])["pi1-contraction:pseudometric"]
+    cert["stages"][0]["assignment"][-1][1] = 9
+
+
 class TestRecheckFailures:
     @pytest.mark.parametrize(
         "tamper, named",
@@ -148,9 +162,12 @@ class TestRecheckFailures:
             (_reverse_claims, "separation-t1"),
             (_swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
             (_negative_quotient_t1, "separation-t1:quotient"),
+            (_cut_deck_table, "deck-group:any"),
+            (_origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
+            (_origin_9_stage_assignment, "pi1-contraction:pseudometric"),
         ],
         ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
-             "negative-t1"],
+             "negative-t1", "cut-deck-table", "origin-9-homotopy", "origin-9-stage"],
     )
     def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
         path = tmp_path / "report.json"

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_lifts, double_dip_path, triple_dip_path
+from conftest import brute_force_lifts, double_dip_path, random_fraction, triple_dip_path
+from nonhaus import lifting
 from nonhaus.errors import (
     AssignmentDomainMismatch,
     NonpositiveBasepoint,
@@ -30,6 +32,20 @@ from nonhaus.lifting import (
     zero_times,
 )  # noqa: F401  (zero_times used in edge-case tests)
 from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel
+
+
+def random_zero_path(rng: random.Random) -> PLPath:
+    """PL path with at most 6 zero times: touches and crossings at breakpoints,
+    crossings inside segments (split by PLPath), and sometimes a zero start."""
+    while True:
+        xs: list[Fraction] = []
+        for i in range(rng.randint(2, 12)):
+            zero_allowed = i == 0 or xs[-1] != 0  # no zero plateaus
+            zero = zero_allowed and rng.random() < 0.35
+            xs.append(Fraction(0) if zero else random_fraction(rng, 9, nonzero=True))
+        path = PLPath(tuple((Fraction(i, len(xs) - 1), x) for i, x in enumerate(xs)))
+        if len(zero_times(path)) <= 6:
+            return path
 
 
 class TestPLPath:
@@ -130,6 +146,38 @@ class TestEnumerateLifts:
                     t = t0 + (t1 - t0) * Fraction(j, 17)
                     assert project(lift.point_at(t)) == BasePoint(path.eval(t))
 
+    @pytest.mark.parametrize("model", list(TopologyModel))
+    def test_random_paths_against_oracle(self, model):
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(25):
+            path = random_zero_path(rng)
+            m = len(zero_times(path))
+            # the oracle verifies k^m whole lifts; keep each case small
+            cfg = SpaceConfig(rng.choice([k for k in (2, 3, 4) if k**m <= 256]), model)
+            c0 = path.breakpoints[0][1]
+            start = Origin(rng.randint(1, cfg.k)) if c0 == 0 else Regular(c0)
+            lifts = enumerate_lifts(path, start, cfg)
+            assert lifts == brute_force_lifts(path, start, cfg)
+            assert all(verify_lift_continuity(lift, cfg).ok for lift in lifts)
+            xs = [x for _, x in path.breakpoints]
+            seen |= {m, cfg.k}
+            seen |= {"zero start"} if c0 == 0 else set()
+            seen |= {"touch" for a, b, c in zip(xs, xs[1:], xs[2:]) if b == 0 and a * c > 0}
+            seen |= {"crossing" for a, b, c in zip(xs, xs[1:], xs[2:]) if b == 0 and a * c < 0}
+        assert {"zero start", "touch", "crossing", 6, 2, 3, 4} <= seen
+
+    def test_each_choice_checked_once(self, monkeypatch):
+        # no whole-lift verification: one check per candidate value, m*k
+        # origins plus one for each of the 4 other breakpoints
+        calls = []
+        check = lifting._breakpoint_fault
+        monkeypatch.setattr(lifting, "_breakpoint_fault", lambda *a: calls.append(a) or check(*a))
+        monkeypatch.setattr(lifting, "verify_lift_continuity", None)
+        lifts = enumerate_lifts(triple_dip_path(), Regular(1), SpaceConfig(3))
+        assert len(lifts) == 3**3
+        assert len(calls) == 3 * 3 + 4
+
 
 class TestContinuityVerdict:
     def test_bounce_modulus(self):
@@ -142,22 +190,23 @@ class TestContinuityVerdict:
                     assert verdict.ok
                     assert verdict.lipschitz == 2 * x0
 
-    def test_tampered_regular_value(self):
+    @pytest.mark.parametrize(
+        "tamper, witness",
+        [
+            # the start value over coordinate 1 replaced by the wrong point
+            (lambda v: (Regular(2),) + v[1:],
+             "projection mismatch at t=0: lift value Regular(x=Fraction(2, 1)) over coordinate 1"),
+            (lambda v: v[:1] + (Origin(7),) + v[2:], "zero time t=1/2 does not carry a valid origin"),
+            (lambda v: v[:-1], "value list does not match breakpoints"),
+        ],
+        ids=["regular-value", "origin-out-of-range", "value-count"],
+    )
+    def test_tampered_lift(self, tamper, witness):
         cfg = SpaceConfig(2)
         lift = enumerate_lifts(bounce_path(1), Regular(1), cfg)[0]
-        # replace the start value (over coordinate 1) with the wrong point
-        tampered = LiftedPath(base=lift.base, values=(Regular(2),) + lift.values[1:])
-        verdict = verify_lift_continuity(tampered, cfg)
+        verdict = verify_lift_continuity(LiftedPath(lift.base, tamper(lift.values)), cfg)
         assert not verdict.ok
-        assert "mismatch" in verdict.witness
-
-    def test_tampered_origin_out_of_range(self):
-        cfg = SpaceConfig(2)
-        lift = enumerate_lifts(bounce_path(1), Regular(1), cfg)[0]
-        values = list(lift.values)
-        values[1] = Origin(7)
-        verdict = verify_lift_continuity(LiftedPath(lift.base, tuple(values)), cfg)
-        assert not verdict.ok
+        assert (verdict.witness, verdict.lipschitz, verdict.segments) == (witness, None, ())
 
     def test_plateau_propagates(self):
         path = PLPath(
