@@ -12,7 +12,6 @@ every operation here is deterministic without it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -48,11 +47,12 @@ def _cfg(args: argparse.Namespace) -> SpaceConfig:
 
 
 def _emit(args: argparse.Namespace, text: str | bytes) -> None:
-    data = text.encode() if isinstance(text, str) else text
-    if args.out:
-        Path(args.out).write_bytes(data)
+    if not args.out:
+        sys.stdout.write(text if isinstance(text, str) else text.decode())
+    elif isinstance(text, str):
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
     else:
-        sys.stdout.write(data.decode())
+        Path(args.out).write_bytes(text)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -167,13 +167,10 @@ def _cmd_metric(args: argparse.Namespace) -> int:
         payload = {
             "kind": "metric-summary",
             "model": cfg.model.value,
-            "separation": [serialize.encode(v) for v in verdicts],
-            "distances": [
-                [serialize.encode(p), serialize.encode(q), serialize.frac_str(pseudo_dist(p, q))]
-                for p, q in samples
-            ],
+            "separation": verdicts,
+            "distances": [(p, q, serialize.frac_str(pseudo_dist(p, q))) for p, q in samples],
         }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(args, serialize.dumps(payload))
         return 0
     lines = [f"separation axioms (k={cfg.k}, model={cfg.model.value})"]
     for v in verdicts:

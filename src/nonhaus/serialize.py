@@ -20,6 +20,14 @@ is the tag.  Each field's JSON form follows its type hint:
 holds for all registered types, and malformed data raises ``ValueError``
 naming the class and field.
 
+:func:`encode` and :func:`decode` are the tree codec.  :func:`dumps` writes
+the JSON text itself, in one walk that builds no tree: its output is
+exactly the bytes of ``json.dumps(encode(x), sort_keys=True, indent=2)``
+plus a newline, and a registered object that occurs more than once (the
+base path every lift repeats, a shared ``Origin``) is encoded and written
+once for each depth it occurs at, not once per occurrence.  Plain lists
+and dicts with str keys may hold registered values.
+
 Text formats:
 
 * paths: header ``plpath v1``, then one ``t x`` rational pair per line;
@@ -36,7 +44,9 @@ import re
 import types
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .embedding import BasePoint, EmbeddingReport, PlanePoint
 from .lifting import (
@@ -101,15 +111,19 @@ def parse_frac(s: str) -> Fraction:
         raise ValueError(f"expected a rational string, got {s!r}") from None
 
 
-# A converter maps one field value to its JSON form or back; an encoder of
-# None means the value is written as it is.
+# A converter maps one field value to its JSON form or back.  An encoder of
+# None means the value is kept as it is: a scalar, or a nested value (a
+# registered dataclass, a bare Fraction, a tuple of them) that encode and
+# dumps walk into themselves.
 Converter = Callable[[Any], Any]
 
 _WIRE_RENAMES = {(ContractionStage, "kind"): "stage_kind"}
 
 _KINDS: dict[type, str] = {}  # registered dataclass -> kind
 _CLASSES: dict[str, type] = {}  # kind -> registered dataclass
-_CODECS: dict[type, tuple[Callable[[Any], dict], Callable[[dict], Any]]] = {}
+# registered dataclass -> (wire fields, decoder); a wire field is (name,
+# quoted name + ": ", getter, encoder), sorted by name, "kind" among them
+_CODECS: dict[type, tuple[tuple, Callable[[dict], Any]]] = {}
 
 
 def _kind(cls: type) -> str:
@@ -144,13 +158,13 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
     if isinstance(hint, type) and issubclass(hint, Enum):
         return (lambda v: v.value), hint
     if hint is Any:
-        return encode, decode
+        return None, decode
     if dataclasses.is_dataclass(hint):
-        return encode, _instance_of((hint,))
+        return None, _instance_of((hint,))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         enc, dec = _converters(args[0])
         return (
-            list if enc is None else (lambda v: list(map(enc, v))),
+            None if enc is None else (lambda v: list(map(enc, v))),
             lambda v: tuple(map(dec, _as_list(v))),
         )
     if origin is tuple:
@@ -158,7 +172,7 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
         encs = [(lambda v: v) if e is None else e for e, _ in pairs]
         decs = [d for _, d in pairs]
         return (
-            list if all(e is None for e, _ in pairs) else (lambda v: [e(x) for e, x in zip(encs, v)]),
+            None if all(e is None for e, _ in pairs) else (lambda v: [e(x) for e, x in zip(encs, v)]),
             lambda v: tuple(d(x) for d, x in zip(decs, _as_list(v, len(decs)))),
         )
     if origin in (Union, types.UnionType):
@@ -170,12 +184,12 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
                 lambda v: None if v is None else dec(v),
             )
         if all(dataclasses.is_dataclass(m) for m in members):
-            return encode, _instance_of(members)
+            return None, _instance_of(members)
     raise TypeError(f"no JSON form for type hint {hint!r}")
 
 
 def register(*classes: type) -> None:
-    """Register dataclasses with :func:`encode` and :func:`decode`.
+    """Register dataclasses with :func:`encode`, :func:`decode` and :func:`dumps`.
 
     Each codec is derived from the class's type hints on its first use, so
     importing the package evaluates no type hints.
@@ -185,35 +199,39 @@ def register(*classes: type) -> None:
         _CLASSES[_KINDS[cls]] = cls
 
 
-def _derive(cls: type) -> tuple[Callable[[Any], dict], Callable[[dict], Any]]:
-    """Build and keep cls's encoder and decoder from its field type hints."""
+def _codec(cls: type) -> Optional[tuple]:
+    """cls's codec, derived and kept on first use; None if cls is not registered."""
+    codec = _CODECS.get(cls)
+    if codec is None and cls in _KINDS:
+        codec = _derive(cls)
+    return codec
+
+
+def _derive(cls: type) -> tuple:
     hints = get_type_hints(cls)
-    fields = []
+    kind = _KINDS[cls]
+    wire_fields = [("kind", lambda obj: kind, None)]
+    decoders = []
     for f in dataclasses.fields(cls):
         wire = _WIRE_RENAMES.get((cls, f.name), f.name)
         if wire == "kind":
             raise TypeError(f"{cls.__name__}.kind collides with the kind tag")
-        fields.append((f.name, wire, *_converters(hints[f.name])))
-    codec = _CODECS[cls] = (_object_encoder(_KINDS[cls], fields), _object_decoder(cls, fields))
+        enc, dec = _converters(hints[f.name])
+        wire_fields.append((wire, attrgetter(f.name), enc))
+        decoders.append((f.name, wire, dec))
+    wire_fields.sort(key=lambda f: f[0])
+    codec = _CODECS[cls] = (
+        tuple((wire, _quote(wire) + ": ", get, enc) for wire, get, enc in wire_fields),
+        _object_decoder(cls, decoders),
+    )
     return codec
-
-
-def _object_encoder(kind: str, fields: list) -> Callable[[Any], dict]:
-    def enc(obj: Any) -> dict:
-        data = {"kind": kind}
-        for name, wire, conv, _ in fields:
-            value = getattr(obj, name)
-            data[wire] = value if conv is None else conv(value)
-        return data
-
-    return enc
 
 
 def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
     def dec(data: dict) -> Any:
         values = []
         try:
-            for name, wire, _, conv in fields:
+            for name, wire, conv in fields:
                 values.append(conv(data[wire]))
         except KeyError:
             raise ValueError(f"{cls.__name__}: missing field {wire!r}") from None
@@ -225,18 +243,19 @@ def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
 
 
 def encode(obj: Any) -> Any:
-    """Encode a registered value (or a primitive) into JSON-ready data."""
-    codec = _CODECS.get(type(obj))
-    if codec is None and type(obj) in _KINDS:
-        codec = _derive(type(obj))
+    """Encode a registered value, a primitive, or a list or dict of them, into JSON-ready data."""
+    codec = _codec(type(obj))
     if codec is not None:
-        return codec[0](obj)
+        return {wire: encode(get(obj) if enc is None else enc(get(obj)))
+                for wire, _, get, enc in codec[0]}
     if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
     if isinstance(obj, Fraction):
         return {"kind": "fraction", "value": frac_str(obj)}
     if isinstance(obj, (list, tuple)):
         return [encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {_str_key(k): encode(v) for k, v in obj.items()}
     raise TypeError(f"no codec registered for {type(obj).__name__}")
 
 
@@ -252,12 +271,128 @@ def decode(data: Any) -> Any:
     cls = _CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown kind {kind!r}")
-    return (_CODECS.get(cls) or _derive(cls))[1](data)
+    return _codec(cls)[1](data)
+
+
+# --- JSON text ------------------------------------------------------------------
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_INF = float("inf")
+
+
+def _str_key(key: Any) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+    return key
+
+
+def _scalar(v: Any) -> str:
+    """The text json.dumps gives a str, int, float, bool or None."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"no codec registered for {type(v).__name__}")
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text for an encoded or encodable value."""
-    return json.dumps(encode(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for an encodable value or already-encoded data.
+
+    The text is exactly ``json.dumps(encode(obj), sort_keys=True, indent=2)``
+    plus a newline, written in one walk over obj.  A registered object met
+    more than once at the same depth (the base path every lift repeats, a
+    shared ``Origin``) is encoded once; its text is joined on its second
+    meeting and reused from then on.  Nothing is kept between calls.
+    """
+    out: list[str] = []
+    # (id, depth) of a registered object -> the span of out its first
+    # writing filled, then, from its second meeting on, its text.  Every
+    # such object is reachable from obj, so no id is reused during the walk.
+    seen: dict[tuple[int, int], Any] = {}
+
+    def write(value: Any, depth: int) -> None:
+        cls = type(value)
+        if cls in _SCALARS:
+            out.append(_scalar(value))
+            return
+        codec = _codec(cls)
+        if codec is not None:
+            ref = (id(value), depth)
+            hit = seen.get(ref)
+            if hit is None:
+                start = len(out)
+                write_members(((key, get(value) if enc is None else enc(get(value)))
+                               for _, key, get, enc in codec[0]), depth)
+                seen[ref] = (start, len(out))
+            else:
+                if type(hit) is tuple:
+                    hit = seen[ref] = "".join(out[hit[0]:hit[1]])
+                out.append(hit)
+        elif isinstance(value, (list, tuple)):
+            if value:
+                write_list(value, depth)
+            else:
+                out.append("[]")
+        elif isinstance(value, dict):
+            if value:
+                write_members(((_quote(_str_key(k)) + ": ", value[k]) for k in sorted(value)),
+                              depth)
+            else:
+                out.append("{}")
+        elif isinstance(value, Fraction):
+            write({"kind": "fraction", "value": frac_str(value)}, depth)
+        else:
+            out.append(_scalar(value))
+
+    def write_members(members: Iterable[tuple[str, Any]], depth: int) -> None:
+        """A non-empty object from its (quoted key + ": ", value) pairs, in key order."""
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key, value in members:
+            if type(value) in _SCALARS:
+                out.append(sep + key + _scalar(value))
+            else:
+                out.append(sep + key)
+                write(value, depth + 1)
+            sep = "," + inner
+        out.append(inner[:-2] + "}")
+
+    def write_list(values: Any, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        kinds = set(map(type, values))
+        if kinds <= _SCALARS:  # a deck-table row, a field's rationals: one join
+            text = _quote if kinds == {str} else int.__repr__ if kinds == {int} else _scalar
+            out.append("[" + inner + ("," + inner).join(map(text, values)) + inner[:-2] + "]")
+            return
+        sep = "[" + inner
+        for value in values:
+            out.append(sep)
+            # inline the lookup of write(): the values of k^m lifts repeat
+            hit = seen.get((id(value), depth + 1))
+            if type(hit) is str:
+                out.append(hit)
+            else:
+                write(value, depth + 1)
+            sep = "," + inner
+        out.append(inner[:-2] + "]")
+
+    write(obj, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str) -> Any:

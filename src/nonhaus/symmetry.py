@@ -153,8 +153,12 @@ def _compose_images(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[h[i] - 1] for i in range(len(g)))
 
 
+# the k for which the k! x k! table is built and re-checked
+_TABLE_KS = range(2, 7)
+
+
 def deck_group(k: int) -> DeckGroupTable:
-    if not 2 <= k <= 6:
+    if k not in _TABLE_KS:
         raise OriginCountOutOfRange(f"group table supported for 2 <= k <= 6, got {k}")
     elements = tuple(DeckElement(perm) for perm in itertools.permutations(range(1, k + 1)))
     index = {g.images: i for i, g in enumerate(elements)}
@@ -192,6 +196,9 @@ def deck_group(k: int) -> DeckGroupTable:
 
 
 def recheck_deck_group(tbl: DeckGroupTable) -> list[str]:
+    # k comes from the report, so it is checked before factorial sees it
+    if type(tbl.k) is not int or tbl.k not in _TABLE_KS:
+        return [f"k={tbl.k!r} is outside the tabulated range 2..6"]
     n = math.factorial(tbl.k)
     index = {g.images: i for i, g in enumerate(tbl.elements)}
     # the shape is checked first, so the loop below can index every cell

@@ -143,6 +143,10 @@ def _cut_deck_table(doc):
     dict(doc["certificates"])["deck-group:any"]["table"] = [[0]]
 
 
+def _negative_deck_k(doc):
+    dict(doc["certificates"])["deck-group:any"]["k"] = -1
+
+
 def _origin_9_homotopy_assignment(doc):
     cert = dict(doc["certificates"])["homotopy-lifting:quotient"]
     cert["assignment"][-1][1] = 9
@@ -163,11 +167,13 @@ class TestRecheckFailures:
             (_swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
             (_negative_quotient_t1, "separation-t1:quotient"),
             (_cut_deck_table, "deck-group:any"),
+            (_negative_deck_k, "deck-group:any"),
             (_origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
             (_origin_9_stage_assignment, "pi1-contraction:pseudometric"),
         ],
         ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
-             "negative-t1", "cut-deck-table", "origin-9-homotopy", "origin-9-stage"],
+             "negative-t1", "cut-deck-table", "negative-deck-k", "origin-9-homotopy",
+             "origin-9-stage"],
     )
     def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
         path = tmp_path / "report.json"

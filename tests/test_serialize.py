@@ -1,12 +1,15 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nonhaus.audit as audit_mod
 from nonhaus import serialize
 from nonhaus.embedding import BasePoint, PlanePoint, embedding_checks
 from nonhaus.lifting import (
+    PLPath,
     bounce_path,
     enumerate_lifts,
     extract_zero_set,
@@ -242,34 +245,93 @@ def _instances(obj, found: dict) -> None:
             _instances(v, found)
 
 
+def _registry_roots() -> tuple:
+    """Roots that between them reach an instance of every registered kind."""
+    field = make_merging_field()
+    loop = probe_loop(1, 2)
+    lifts = enumerate_lifts(bounce_path(1), Regular(1), Q3)
+    return (
+        audit_mod.run_audit(Q2),
+        thick_audit(16, EmbeddingSpec.MAIN_CURVE),
+        embedding_checks(50, accumulation_n=20),
+        homotopy_lift_record(field, {Fraction(1, 4): 1, Fraction(3, 4): 1}, Q2, False),
+        extract_zero_set(field),
+        verify_lift_continuity(lifts[0], Q3),
+        deck_verify(DeckElement((2, 1))),
+        deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)),
+        crossing_word(loop),
+        LabeledRep(Fraction(1, 3), 2),
+        RegularInterval(Fraction(1, 2), Fraction(3, 2)),
+        SpaceConfig(3, TopologyModel.PSEUDOMETRIC),
+        ThickPoint(Origin(2), Fraction(1, 3)),
+        PlanePoint(Fraction(1, 2), Fraction(1, 2)),
+        BasePoint(Fraction(0)),
+    )
+
+
 class TestKindRegistry:
     def test_registered_kinds_pinned(self):
         assert len(KINDS) == 51
         assert tuple(sorted(serialize._CLASSES)) == KINDS
 
     def test_one_instance_of_every_kind_round_trips(self):
-        field = make_merging_field()
-        loop = probe_loop(1, 2)
-        lifts = enumerate_lifts(bounce_path(1), Regular(1), Q3)
-        roots = (
-            audit_mod.run_audit(Q2),
-            thick_audit(16, EmbeddingSpec.MAIN_CURVE),
-            embedding_checks(50, accumulation_n=20),
-            homotopy_lift_record(field, {Fraction(1, 4): 1, Fraction(3, 4): 1}, Q2, False),
-            extract_zero_set(field),
-            verify_lift_continuity(lifts[0], Q3),
-            deck_verify(DeckElement((2, 1))),
-            deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)),
-            crossing_word(loop),
-            LabeledRep(Fraction(1, 3), 2),
-            RegularInterval(Fraction(1, 2), Fraction(3, 2)),
-            SpaceConfig(3, TopologyModel.PSEUDOMETRIC),
-            ThickPoint(Origin(2), Fraction(1, 3)),
-            PlanePoint(Fraction(1, 2), Fraction(1, 2)),
-            BasePoint(Fraction(0)),
-        )
         found: dict = {}
-        _instances(roots, found)
+        _instances(_registry_roots(), found)
         assert sorted(serialize._kind(cls) for cls in found) == list(KINDS)
         for obj in found.values():
             assert serialize.decode(serialize.encode(obj)) == obj
+
+
+def reference_text(obj) -> str:
+    return json.dumps(serialize.encode(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _shared_base_lifts():
+    """256 lifts of one path with 8 touches, every lift holding the same base."""
+    pts = tuple((Fraction(i, 16), Fraction(i % 2 == 0)) for i in range(17))
+    lifts = enumerate_lifts(PLPath(pts), Regular(1), Q2)
+    assert len(lifts) == 256 and all(lift.base is lifts[0].base for lift in lifts)
+    return lifts
+
+
+_STRINGS = st.text(max_size=12) | st.sampled_from(
+    ['say "hi"', "back\\slash", "\x00\x07\n\t\x1f", "ünïcødé", "\u2028", "\U0001f600"]
+)
+_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_STRINGS, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """dumps writes exactly the text of json.dumps(encode(x), sort_keys=True, indent=2)."""
+
+    def test_every_registry_root(self):
+        for root in _registry_roots():
+            assert serialize.dumps(root) == reference_text(root)
+
+    def test_lifts_sharing_one_base(self):
+        lifts = _shared_base_lifts()
+        assert serialize.dumps(lifts) == reference_text(lifts)
+
+    def test_thick_reports_with_floats(self):
+        for spec in EmbeddingSpec:
+            report = thick_audit(16, spec)
+            assert serialize.dumps(report) == reference_text(report)
+
+    @given(_JSON_TREES)
+    def test_json_like_trees(self, tree):
+        assert serialize.dumps(tree) == reference_text(tree)
+
+    def test_no_text_kept_between_calls(self):
+        lifts = _shared_base_lifts()
+        first = serialize.dumps(lifts)
+        # the same objects again, at other depths and in other company
+        serialize.dumps({"lifts": lifts, "first": lifts[0]})
+        assert serialize.dumps(lifts) == first == reference_text(lifts)
+
+    def test_non_str_key_rejected(self):
+        with pytest.raises(TypeError):
+            serialize.dumps({1: "one"})
