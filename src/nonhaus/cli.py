@@ -4,15 +4,11 @@ Subcommands: audit, lift, homotopy, deck, metric, render, thick.  All
 output is deterministic: identical inputs give byte-identical JSON, text,
 and SVG.  Exit codes: 0 success, 2 invalid input, 3 when an embedded
 certificate fails its re-check.  Diagnostics go to stderr.
-
-The environment variable NONHAUS_SEED is accepted and currently unused:
-every operation here is deterministic without it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -231,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nonhaus",
         description="Exact model of the line with k glued origins: lift enumeration, "
         "failure certificates, deck group, and the claims audit.",
-        epilog="NONHAUS_SEED is accepted in the environment and currently unused.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.get("NONHAUS_SEED")  # reserved; accepted but unused
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

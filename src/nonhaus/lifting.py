@@ -23,10 +23,12 @@ lower-left to upper-right).  The zero set of such a field is an exact PL
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .embedding import BasePoint
 from .errors import (
@@ -340,9 +342,8 @@ class HomotopyField:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        s = tuple(Fraction(v) for v in self.s_breaks)
-        t = tuple(Fraction(v) for v in self.t_breaks)
-        vals = tuple(tuple(Fraction(v) for v in row) for row in self.values)
+        s, t = _fractions(self.s_breaks), _fractions(self.t_breaks)
+        vals = tuple(_fractions(row) for row in self.values)
         for breaks in (s, t):
             if len(breaks) < 2 or breaks[0] != 0 or breaks[-1] != 1:
                 raise ValueError("grid breaks must span [0, 1]")
@@ -353,10 +354,15 @@ class HomotopyField:
         object.__setattr__(self, "s_breaks", s)
         object.__setattr__(self, "t_breaks", t)
         object.__setattr__(self, "values", vals)
-        for tri in _triangles(self):
-            if all(v == 0 for _, v in tri):
-                corners = ", ".join(f"({p[0]}, {p[1]})" for p, _ in tri)
-                raise ZeroPlateau2D(f"triangle {corners} is identically zero")
+        # value signs for the plateau check and extract_zero_set (a numerator's sign)
+        signs = tuple(tuple([(n > 0) - (n < 0) for n in map(_numerator, row)]) for row in vals)
+        object.__setattr__(self, "_signs", signs)
+        for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
+            for b in range(len(t) - 1) if 0 in r0 and 0 in r1 else ():
+                for tri in _CELL_TRIANGLES:
+                    if not any(signs[a + da][b + db] for da, db in tri):
+                        corners = ", ".join(f"({s[a + da]}, {t[b + db]})" for da, db in tri)
+                        raise ZeroPlateau2D(f"triangle {corners} is identically zero")
 
     def value_at(self, s: Fraction, t: Fraction) -> Fraction:
         s, t = Fraction(s), Fraction(t)
@@ -378,30 +384,22 @@ class HomotopyField:
         return PLPath(tuple((s, self.values[a][-1]) for a, s in enumerate(self.s_breaks)))
 
 
+_numerator = operator.attrgetter("numerator")
+
+# A cell's lower then upper triangle: vertex offsets from its corner, in reading order.
+_CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
+def _fractions(values) -> tuple[Fraction, ...]:
+    """The values as Fractions; a value that already is one is kept as it is."""
+    return tuple([v if type(v) is Fraction else Fraction(v) for v in values])
+
+
 def _cell_index(breaks: tuple[Fraction, ...], v: Fraction) -> int:
+    """Index of the cell holding v; the last break belongs to the last cell."""
     if not breaks[0] <= v <= breaks[-1]:
         raise ValueError(f"{v} outside the grid")
-    for i in range(len(breaks) - 1):
-        if v < breaks[i + 1]:
-            return i
-    return len(breaks) - 2
-
-
-Node = tuple[Fraction, Fraction]
-Triangle = tuple[tuple[Node, Fraction], tuple[Node, Fraction], tuple[Node, Fraction]]
-
-
-def _triangles(field: HomotopyField) -> Iterator[Triangle]:
-    """All triangles in deterministic order: cells row by row, lower then upper."""
-    s, t, vals = field.s_breaks, field.t_breaks, field.values
-    for a in range(len(s) - 1):
-        for b in range(len(t) - 1):
-            n00, n10 = (s[a], t[b]), (s[a + 1], t[b])
-            n01, n11 = (s[a], t[b + 1]), (s[a + 1], t[b + 1])
-            v00, v10 = vals[a][b], vals[a + 1][b]
-            v01, v11 = vals[a][b + 1], vals[a + 1][b + 1]
-            yield ((n00, v00), (n10, v10), (n11, v11))
-            yield ((n00, v00), (n11, v11), (n01, v01))
+    return min(bisect.bisect_right(breaks, v), len(breaks) - 1) - 1
 
 
 def make_merging_field() -> HomotopyField:
@@ -423,6 +421,9 @@ def make_merging_field() -> HomotopyField:
     t_breaks = (Fraction(0), Fraction(1))
     values = tuple(tuple(f0[s] + t / 8 for t in t_breaks) for s in s_breaks)
     return HomotopyField(s_breaks=s_breaks, t_breaks=t_breaks, values=values)
+
+
+Node = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -448,23 +449,29 @@ class ZeroSetComplex:
     components: tuple[ZeroComponent, ...]
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
+# Endpoint names: grid vertex (a, b) is a * nt + b, in [0, n) for n vertices;
+# the crossing inside the edge between vertices p < q is (p + 1) * n + q.
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def _triangle_ends(n: int, corners: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """Endpoint names of one triangle's zero segment, or None; ``corners`` holds
+    (vertex name, sign) in reading order, which fixes the segment's orientation."""
+    zeros = [p for p, g in corners if g == 0]
+    if len(zeros) == 2:  # construction rejected three
+        return zeros[0], zeros[1]
+    if len(zeros) == 1:
+        (p, gp), (q, gq) = [c for c in corners if c[1] != 0]
+        return zeros[0], (_edge_name(n, p, q) if gp != gq else zeros[0])
+    signs = [g for _, g in corners]
+    if len(set(signs)) == 1:
+        return None
+    lone = next(p for p, g in corners if signs.count(g) == 1)
+    q0, q1 = (p for p, _ in corners if p != lone)
+    return _edge_name(n, lone, q0), _edge_name(n, lone, q1)
+
+
+def _edge_name(n: int, p: int, q: int) -> int:
+    return (min(p, q) + 1) * n + max(p, q)
 
 
 def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
@@ -473,59 +480,58 @@ def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
     return (p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1]))
 
 
-def _triangle_zero_segment(tri: Triangle) -> Optional[ZeroSegment]:
-    zeros = [p for p, v in tri if v == 0]
-    pos = [(p, v) for p, v in tri if v > 0]
-    neg = [(p, v) for p, v in tri if v < 0]
-    if len(zeros) == 3:
-        raise ZeroPlateau2D("triangle is identically zero")
-    if len(zeros) == 2:
-        return ZeroSegment(zeros[0], zeros[1])
-    if len(zeros) == 1:
-        if pos and neg:
-            q = _edge_zero(pos[0][0], pos[0][1], neg[0][0], neg[0][1])
-            return ZeroSegment(zeros[0], q)
-        return ZeroSegment(zeros[0], zeros[0])  # single touch point
-    if pos and neg:
-        single, others = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
-        a = _edge_zero(single[0], single[1], others[0][0], others[0][1])
-        b = _edge_zero(single[0], single[1], others[1][0], others[1][1])
-        return ZeroSegment(a, b)
-    return None
-
-
 def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
     """Per-triangle zero segments with exact endpoints, grouped into components.
 
-    Adjacent triangles share their zero crossings exactly, so identifying
-    equal endpoints with a union-find recovers the connected components of
-    the zero set; no tolerance is involved.
+    Triangles whose vertex signs are equal and nonzero are skipped on their
+    signs alone.  Each zero endpoint is identified by its grid position, a
+    vertex or the edge whose interior holds a crossing; triangles meet only
+    in shared vertices and edges, so a union-find over positions recovers
+    the components exactly.  Coordinates are built only for returned segments.
     """
-    segments: list[ZeroSegment] = []
-    for tri in _triangles(field):
-        seg = _triangle_zero_segment(tri)
-        if seg is not None:
-            segments.append(seg)
-    uf = _UnionFind()
-    for seg in segments:
-        uf.union(seg.a, seg.b)
-    roots: dict[Node, list[int]] = {}  # in the order of each component's first segment
-    for idx, seg in enumerate(segments):
-        roots.setdefault(uf.find(seg.a), []).append(idx)
-    components = []
-    for comp_idx, members in enumerate(roots.values()):
-        touches = sorted(
-            {
-                end[0]
-                for idx in members
-                for end in (segments[idx].a, segments[idx].b)
-                if end[1] == 0
-            }
-        )
-        components.append(
-            ZeroComponent(index=comp_idx, segments=tuple(members), bottom_touches=tuple(touches))
-        )
-    return ZeroSetComplex(segments=tuple(segments), components=tuple(components))
+    s, t, vals, signs = field.s_breaks, field.t_breaks, field.values, field._signs
+    nt, n = len(t), len(s) * len(t)
+    ends: list[tuple[int, int]] = []
+    for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
+        if r0 == r1 and 0 not in r0 and (1 not in r0 or -1 not in r0):
+            continue  # two rows of one nonzero sign
+        for b, (g00, g01, g10, g11) in enumerate(zip(r0, r0[1:], r1, r1[1:])):
+            if g00 == g01 == g10 == g11 != 0:
+                continue  # a cell of one nonzero sign
+            for tri in _CELL_TRIANGLES:
+                corners = [((a + da) * nt + b + db, signs[a + da][b + db]) for da, db in tri]
+                seg = _triangle_ends(n, corners)
+                if seg is not None:
+                    ends.append(seg)
+
+    def vertex(v: int) -> tuple[Node, Fraction]:
+        return (s[v // nt], t[v % nt]), vals[v // nt][v % nt]
+
+    def point(name: int) -> Node:
+        if name < n:
+            return vertex(name)[0]
+        return _edge_zero(*vertex(name // n - 1), *vertex(name % n))
+
+    points = {name: point(name) for name in {name for end in ends for name in end}}
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    for x, y in ends:
+        parent[find(y)] = find(x)
+    roots: dict[int, list[int]] = {}  # in the order of each component's first segment
+    for idx, (x, _) in enumerate(ends):
+        roots.setdefault(find(x), []).append(idx)
+    components = tuple(
+        ZeroComponent(index=comp_idx, segments=tuple(members), bottom_touches=tuple(sorted(
+            {p[0] for idx in members for p in map(points.get, ends[idx]) if p[1] == 0})))
+        for comp_idx, members in enumerate(roots.values())
+    )
+    segments = tuple(ZeroSegment(points[x], points[y]) for x, y in ends)
+    return ZeroSetComplex(segments=segments, components=components)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,20 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator, Optional
 
 import pytest
 
-from nonhaus.lifting import LiftedPath, PLPath, verify_lift_continuity, zero_times
+from nonhaus.lifting import (
+    HomotopyField,
+    LiftedPath,
+    PLPath,
+    ZeroComponent,
+    ZeroSegment,
+    ZeroSetComplex,
+    verify_lift_continuity,
+    zero_times,
+)
 from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel
 
 
@@ -79,3 +89,92 @@ def random_fraction(rng: random.Random, span: int = 1000, nonzero: bool = False)
     while nonzero and num == 0:
         num = rng.randint(-span, span)
     return Fraction(num, rng.randint(1, span))
+
+
+# ---------------------------------------------------------------------------
+# Reference zero-set engine: every triangle read with Fraction comparisons,
+# endpoints identified by exact coordinates.
+
+Node = tuple[Fraction, Fraction]
+Triangle = tuple[tuple[Node, Fraction], tuple[Node, Fraction], tuple[Node, Fraction]]
+
+
+def reference_triangles(s_breaks, t_breaks, values) -> Iterator[Triangle]:
+    """All triangles in deterministic order: cells row by row, lower then upper."""
+    s, t, vals = s_breaks, t_breaks, values
+    for a in range(len(s) - 1):
+        for b in range(len(t) - 1):
+            n00, n10 = (s[a], t[b]), (s[a + 1], t[b])
+            n01, n11 = (s[a], t[b + 1]), (s[a + 1], t[b + 1])
+            v00, v10 = vals[a][b], vals[a + 1][b]
+            v01, v11 = vals[a][b + 1], vals[a + 1][b + 1]
+            yield ((n00, v00), (n10, v10), (n11, v11))
+            yield ((n00, v00), (n11, v11), (n01, v01))
+
+
+def reference_plateau(s_breaks, t_breaks, values) -> Optional[str]:
+    """Message for the first identically zero triangle, or None."""
+    for tri in reference_triangles(s_breaks, t_breaks, values):
+        if all(v == 0 for _, v in tri):
+            corners = ", ".join(f"({p[0]}, {p[1]})" for p, _ in tri)
+            return f"triangle {corners} is identically zero"
+    return None
+
+
+def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
+    lam = vp / (vp - vq)
+    return (p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1]))
+
+
+def _triangle_zero_segment(tri: Triangle) -> Optional[ZeroSegment]:
+    zeros = [p for p, v in tri if v == 0]
+    pos = [(p, v) for p, v in tri if v > 0]
+    neg = [(p, v) for p, v in tri if v < 0]
+    assert len(zeros) < 3, "identically zero triangle"
+    if len(zeros) == 2:
+        return ZeroSegment(zeros[0], zeros[1])
+    if len(zeros) == 1:
+        if pos and neg:
+            return ZeroSegment(zeros[0], _edge_zero(pos[0][0], pos[0][1], neg[0][0], neg[0][1]))
+        return ZeroSegment(zeros[0], zeros[0])  # single touch point
+    if pos and neg:
+        single, others = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
+        a = _edge_zero(single[0], single[1], others[0][0], others[0][1])
+        b = _edge_zero(single[0], single[1], others[1][0], others[1][1])
+        return ZeroSegment(a, b)
+    return None
+
+
+def reference_zero_set(field: HomotopyField) -> ZeroSetComplex:
+    """Oracle for extract_zero_set: equal exact endpoints are the same point."""
+    segments = [
+        seg
+        for tri in reference_triangles(field.s_breaks, field.t_breaks, field.values)
+        if (seg := _triangle_zero_segment(tri)) is not None
+    ]
+    parent: dict[Node, Node] = {}
+
+    def find(x: Node) -> Node:
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for seg in segments:
+        ra, rb = find(seg.a), find(seg.b)
+        if ra != rb:
+            parent[rb] = ra
+    roots: dict[Node, list[int]] = {}  # in the order of each component's first segment
+    for idx, seg in enumerate(segments):
+        roots.setdefault(find(seg.a), []).append(idx)
+    components = tuple(
+        ZeroComponent(
+            index=comp_idx,
+            segments=tuple(members),
+            bottom_touches=tuple(sorted({
+                end[0] for idx in members for end in (segments[idx].a, segments[idx].b)
+                if end[1] == 0
+            })),
+        )
+        for comp_idx, members in enumerate(roots.values())
+    )
+    return ZeroSetComplex(segments=tuple(segments), components=components)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nonhaus import serialize
 from nonhaus.cli import main
@@ -111,3 +112,85 @@ def test_lift_count_over_limit_rejected(capsys, tmp_path):
     path = tmp_path / "p.plpath"
     path.write_text("plpath v1\n" + "".join(f"{i}/20 {(-1) ** i}/1\n" for i in range(21)))
     assert "limit of 4096" in rejected(capsys, "lift", "--path", str(path), "--k", "2")
+
+
+def plfield_2x2(rows: str) -> str:
+    return "plfield v1\n2 2\n0 1\n0 1\n" + rows.replace(" / ", "\n") + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows, triangle",
+    [("0 1 / 0 0", "(0, 0), (1, 0), (1, 1)"), ("0 0 / 1 0", "(0, 0), (1, 1), (0, 1)")],
+    ids=["lower", "upper"],
+)
+def test_plateau_triangle_named(capsys, tmp_path, rows, triangle):
+    path = tmp_path / "f.plfield"
+    path.write_text(plfield_2x2(rows))
+    line = rejected(capsys, "homotopy", "--field", str(path))
+    assert line == f"error: triangle {triangle} is identically zero"
+
+
+@pytest.mark.parametrize(
+    "rows, assign", [("1 0 / 1 0", ""), ("0 1 / -1 0", "0=1")], ids=["top-edge", "diagonal"]
+)
+def test_zero_edge_without_plateau_accepted(capsys, tmp_path, rows, assign):
+    path = tmp_path / "f.plfield"
+    path.write_text(plfield_2x2(rows))
+    code = main(["homotopy", "--field", str(path), "--assign", assign])
+    assert code == 0, capsys.readouterr().err
+
+
+_SMALL_RATIONALS = st.sampled_from(["0", "0", "0/5", "1", "-1", "1/2", "-2/3", "3", "-3", "5/4"])
+_BOTTOM_VALUES = st.sampled_from(["0", "1", "1/2", "3"])
+_BAD_TOKENS = st.sampled_from(["1/0", "x", "", "1/2/3", "nan", "1e400", "--1", "0x1"])
+
+
+@st.composite
+def plfield_texts(draw) -> tuple[str, str]:
+    """A plfield text, often malformed, and an --assign value for it."""
+    ns, nt = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    s_breaks = ["0"] + [f"{i}/{ns - 1}" for i in range(1, ns - 1)] + ["1"]
+    t_breaks = ["0"] + [f"{i}/{nt - 1}" for i in range(1, nt - 1)] + ["1"]
+    if draw(st.integers(0, 3)) == 0:  # all zero, so plateaus unless a replaced entry breaks them
+        rows = [["0"] * nt for _ in range(ns)]
+    else:  # a bottom edge of no negative value has its zero times at breaks
+        rows = [[draw(_BOTTOM_VALUES)] + [draw(_SMALL_RATIONALS) for _ in range(nt - 1)]
+                for _ in range(ns)]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, ns - 1)), draw(st.integers(0, nt - 1))
+        rows[a][b] = draw(st.one_of(_SMALL_RATIONALS, _BAD_TOKENS))
+    lines = ["plfield v1", f"{ns} {nt}", " ".join(s_breaks), " ".join(t_breaks)]
+    lines += [" ".join(row) for row in rows]
+    fault = draw(st.sampled_from(["none"] * 5 + ["extra row", "short row", "long row",
+                                              "missing row", "bad dims", "bad header"]))
+    if fault == "extra row":
+        lines.append(" ".join(rows[0]))
+    elif fault == "short row":
+        lines[4] = " ".join(rows[0][:-1])
+    elif fault == "long row":
+        lines[4] += " 1"
+    elif fault == "missing row":
+        lines.pop()
+    elif fault == "bad dims":
+        lines[1] = draw(st.sampled_from([f"{ns}", f"{ns} {nt} 1", f"{ns + 1} {nt}", "a b", "-1 2"]))
+    elif fault == "bad header":
+        lines[0] = "plfield v2"
+    bottom_zeros = [s for s, row in zip(s_breaks, rows) if row[0] == "0"]
+    assign = ",".join(f"{s}={draw(st.integers(1, 2))}" for s in bottom_zeros)
+    return "\n".join(lines) + "\n", draw(st.sampled_from([assign, assign, "", "1/4=1,3/4=2"]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plfield_texts(), st.sampled_from(["quotient", "pseudometric"]), st.booleans())
+def test_fuzzed_plfield_never_escapes(capsys, tmp_path, case, model, constancy):
+    text, assign = case
+    path = tmp_path / "f.plfield"
+    path.write_text(text)
+    argv = ["homotopy", "--field", str(path), "--model", model, "--assign", assign]
+    code = main(argv + ["--paper-constancy"] * constancy)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        assert "Traceback" not in err
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1, err

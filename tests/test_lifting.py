@@ -1,12 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_lifts, double_dip_path, random_fraction, triple_dip_path
+from conftest import (
+    brute_force_lifts,
+    double_dip_path,
+    random_fraction,
+    reference_plateau,
+    reference_triangles,
+    reference_zero_set,
+    triple_dip_path,
+)
 from nonhaus import lifting
 from nonhaus.errors import (
     AssignmentDomainMismatch,
+    NonHausError,
     NonpositiveBasepoint,
     StartMismatch,
     ZeroPlateau,
@@ -339,6 +349,140 @@ class TestZeroSet:
         assert comp.bottom_touches == (Fraction(1, 2),)
         for i in comp.segments:
             assert complex_.segments[i].a == complex_.segments[i].b
+
+
+class TestValueAt:
+    def test_every_break_pair_is_the_vertex_value(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            field = random_field(rng, style="signs")
+            for a, s in enumerate(field.s_breaks):
+                for b, t in enumerate(field.t_breaks):
+                    assert field.value_at(s, t) == field.values[a][b]
+
+    def test_off_grid(self):
+        field = make_merging_field()
+        for s, t in ((Fraction(-1, 8), 0), (0, Fraction(9, 8))):
+            with pytest.raises(ValueError, match="outside the grid"):
+                field.value_at(s, t)
+
+
+def random_breaks(rng: random.Random, count: int) -> tuple[Fraction, ...]:
+    den = rng.choice((5, 7, 12, 24))
+    inner = sorted(rng.sample(range(1, den), count - 2))
+    return (Fraction(0),) + tuple(Fraction(i, den) for i in inner) + (Fraction(1),)
+
+
+FIELD_STYLES = ("zeros", "signs", "well", "one-sign")
+
+
+def random_field(rng: random.Random, style: str = ""):
+    """A small field, or the plateau message when the draw has an all-zero triangle.
+
+    Styles: "zeros" puts a zero at about 40% of the vertices, "signs" draws
+    nonzero values of either sign, "well" is positive but for one interior
+    negative vertex, and "one-sign" has no zero set.
+    """
+    style = style or rng.choice(FIELD_STYLES)
+    ns, nt = rng.randint(2, 6), rng.randint(2, 6)
+    if style == "well":
+        ns, nt = max(ns, 3), max(nt, 3)
+    s_breaks, t_breaks = random_breaks(rng, ns), random_breaks(rng, nt)
+
+    def value(sign: int) -> Fraction:
+        return sign * Fraction(rng.randint(1, 3), rng.randint(1, 3))
+
+    if style == "zeros":
+        values = [[Fraction(0) if rng.random() < 0.4 else value(rng.choice((1, -1)))
+                   for _ in range(nt)] for _ in range(ns)]
+    elif style == "signs":
+        values = [[value(rng.choice((1, -1))) for _ in range(nt)] for _ in range(ns)]
+    else:
+        sign = rng.choice((1, -1))
+        values = [[value(sign) for _ in range(nt)] for _ in range(ns)]
+        if style == "well":
+            values[rng.randint(1, ns - 2)][rng.randint(1, nt - 2)] = value(-sign)
+    plateau = reference_plateau(s_breaks, t_breaks, values)
+    if plateau is not None:
+        with pytest.raises(ZeroPlateau2D) as exc:
+            HomotopyField(s_breaks, t_breaks, tuple(map(tuple, values)))
+        assert str(exc.value) == plateau
+        return plateau
+    return HomotopyField(s_breaks, t_breaks, tuple(map(tuple, values)))
+
+
+def field_cases(field: HomotopyField) -> set[str]:
+    """Which zero-set situations a field contains, read off its vertex values."""
+    vals = field.values
+    ns, nt = len(vals), len(vals[0])
+    cases = set()
+    if any(v == 0 for row in vals for v in row):
+        cases.add("zero vertex")
+    if any(row[0] == 0 for row in vals):
+        cases.add("zero vertex on the bottom edge")
+    for tri in reference_triangles(field.s_breaks, field.t_breaks, vals):
+        signs = [(v > 0) - (v < 0) for _, v in tri]
+        nonzero = [g for g in signs if g]
+        if len(nonzero) == 1:
+            cases.add("two-zero edge")
+        elif len(nonzero) == 2:
+            cases.add("single touch point" if nonzero[0] == nonzero[1]
+                      else "crossing through a vertex")
+    for a in range(ns - 1):
+        for b in range(nt - 1):
+            v00, v01, v10, v11 = vals[a][b], vals[a][b + 1], vals[a + 1][b], vals[a + 1][b + 1]
+            if v00 * v11 > 0 and v01 * v10 > 0 and v00 * v01 < 0:
+                cases.add("saddle")
+    neighbours = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
+    for a in range(1, ns - 1):
+        for b in range(1, nt - 1):
+            if all(vals[a][b] * vals[a + da][b + db] < 0 for da, db in neighbours):
+                cases.add("closed well")
+    if all(v > 0 for row in vals for v in row) or all(v < 0 for row in vals for v in row):
+        cases.add("no zero set")
+    return cases
+
+
+FIELD_CASES = {
+    "zero vertex", "zero vertex on the bottom edge", "two-zero edge", "single touch point",
+    "crossing through a vertex", "saddle", "closed well", "no zero set", "plateau",
+}
+
+
+def lift_outcome(field: HomotopyField, assignment: dict, cfg: SpaceConfig, constancy: bool):
+    try:
+        return attempt_homotopy_lift(field, assignment, cfg, constancy)
+    except NonHausError as exc:
+        return type(exc), str(exc)
+
+
+def test_zero_set_matches_reference_engine(monkeypatch):
+    """extract_zero_set against the Fraction-comparison oracle, and the lifting
+    outcomes computed from either, on seeded small fields."""
+    rng = random.Random(6)
+    seen: Counter = Counter()
+    for _ in range(300):
+        field = random_field(rng)
+        if isinstance(field, str):
+            seen["plateau"] += 1
+            continue
+        seen.update(field_cases(field))
+        complex_ = extract_zero_set(field)
+        assert complex_ == reference_zero_set(field)
+        try:
+            times = zero_times(field.bottom_path())
+        except ZeroPlateau:
+            times = []
+        assignment = {t: rng.randint(1, 3) for t in times}
+        for model in TopologyModel:
+            for constancy in (False, True):
+                cfg = SpaceConfig(3, model)
+                got = lift_outcome(field, assignment, cfg, constancy)
+                with monkeypatch.context() as m:
+                    m.setattr(lifting, "extract_zero_set", reference_zero_set)
+                    want = lift_outcome(field, assignment, cfg, constancy)
+                assert got == want
+    assert FIELD_CASES <= set(seen), FIELD_CASES - set(seen)
 
 
 class TestAttemptHomotopyLift:
