@@ -137,6 +137,33 @@ def _as_list(value: Any, length: Optional[int] = None) -> list:
     return value
 
 
+# each scalar slot takes only its own JSON type and how it is read: bool is
+# not an int, an int may stand for a float, and a Fraction travels as text
+_SCALAR_JSON = {int: ((int,), int), bool: ((bool,), bool), str: ((str,), str),
+                float: ((float, int), float), Fraction: ((str,), parse_frac)}
+
+
+def _strict(hint: type) -> Converter:
+    accepted, read = _SCALAR_JSON[hint]
+
+    def dec(value: Any) -> Any:
+        if type(value) not in accepted:
+            raise ValueError(f"expected {hint.__name__}, got {json.dumps(value)[:40]}")
+        return read(value)
+
+    return dec
+
+
+_rational = _strict(Fraction)
+
+
+def _int_tuple(value: Any) -> tuple[int, ...]:
+    # one C-level pass over the types, for rows of up to k! ints
+    if not set(map(type, _as_list(value))) <= {int}:
+        raise ValueError(f"expected a list of ints, got {json.dumps(value)[:40]}")
+    return tuple(value)
+
+
 def _instance_of(classes: tuple[type, ...]) -> Converter:
     def dec(value: Any) -> Any:
         obj = decode(value)
@@ -152,9 +179,9 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
     """(encoder, decoder) for values of one field type hint."""
     origin, args = get_origin(hint), get_args(hint)
     if hint is Fraction:
-        return frac_str, parse_frac
-    if hint in (int, str, bool, float):
-        return None, hint
+        return frac_str, _rational
+    if hint in _SCALAR_JSON:
+        return None, _strict(hint)
     if isinstance(hint, type) and issubclass(hint, Enum):
         return (lambda v: v.value), hint
     if hint is Any:
@@ -162,6 +189,8 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
     if dataclasses.is_dataclass(hint):
         return None, _instance_of((hint,))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if args[0] is int:
+            return None, _int_tuple
         enc, dec = _converters(args[0])
         return (
             None if enc is None else (lambda v: list(map(enc, v))),
@@ -267,7 +296,7 @@ def decode(data: Any) -> Any:
         return data
     kind = data.get("kind")
     if kind == "fraction":
-        return parse_frac(data.get("value"))
+        return _rational(data.get("value"))
     cls = _CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown kind {kind!r}")

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -134,7 +135,11 @@ def deck_verify(g: DeckElement, samples: Optional[list[CanonicalPoint]] = None) 
 class DeckGroupTable:
     """All k! deck elements with their composition table.
 
-    ``table[i][j]`` indexes the element elements[i] * elements[j].  The
+    ``table[i][j]`` indexes the element elements[i] * elements[j].  Each
+    row is built with one ``itemgetter`` per column element, applied to the
+    image tuple of elements[i] padded with a leading 0.  The re-check
+    composes each row again with its own 0-based getters and compares it
+    whole with the images the row names, without an index dict.  The
     homomorphism check confirms pointwise that applying elements[j] then
     elements[i] equals applying their composition; faithfulness holds
     because distinct permutations move some origin differently.
@@ -148,11 +153,6 @@ class DeckGroupTable:
     noncommuting_pair: Optional[tuple[int, int]]
 
 
-def _compose_images(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    # image tuple of g after h, composing raw tuples (hot path for k! x k! tables)
-    return tuple(g[h[i] - 1] for i in range(len(g)))
-
-
 # the k for which the k! x k! table is built and re-checked
 _TABLE_KS = range(2, 7)
 
@@ -162,8 +162,11 @@ def deck_group(k: int) -> DeckGroupTable:
         raise OriginCountOutOfRange(f"group table supported for 2 <= k <= 6, got {k}")
     elements = tuple(DeckElement(perm) for perm in itertools.permutations(range(1, k + 1)))
     index = {g.images: i for i, g in enumerate(elements)}
+    # itemgetter(*h.images) on (0,) + g.images gives the images of g * h
+    getters = [itemgetter(*h.images) for h in elements]
     table = tuple(
-        tuple(index[_compose_images(g.images, h.images)] for h in elements) for g in elements
+        tuple(map(index.__getitem__, [f(pg) for f in getters]))
+        for pg in [(0,) + g.images for g in elements]
     )
     samples = default_samples(k)
     if k <= 4:
@@ -177,14 +180,8 @@ def deck_group(k: int) -> DeckGroupTable:
         for p in samples
     )
     faithful_ok = len({g.images for g in elements}) == math.factorial(k)
-    noncommuting = None
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            if g.compose(h) != h.compose(g):
-                noncommuting = (i, j)
-                break
-        if noncommuting:
-            break
+    noncommuting = next(((i, j) for i, row in enumerate(table) for j, t in enumerate(row)
+                         if t != table[j][i]), None)
     return DeckGroupTable(
         k=k,
         elements=elements,
@@ -200,19 +197,32 @@ def recheck_deck_group(tbl: DeckGroupTable) -> list[str]:
     if type(tbl.k) is not int or tbl.k not in _TABLE_KS:
         return [f"k={tbl.k!r} is outside the tabulated range 2..6"]
     n = math.factorial(tbl.k)
-    index = {g.images: i for i, g in enumerate(tbl.elements)}
-    # the shape is checked first, so the loop below can index every cell
-    if len(tbl.elements) != n or len(index) != n or any(g.k != tbl.k for g in tbl.elements):
+    images = [g.images for g in tbl.elements]
+    # the shape and range are checked first: the row loop looks cells up
+    # by index, and a negative one would silently wrap
+    if len(images) != n or len(set(images)) != n or any(g.k != tbl.k for g in tbl.elements):
         return [f"expected {n} distinct elements of degree {tbl.k}"]
-    if (len(tbl.table) != n or any(len(row) != n for row in tbl.table)
-            or not 0 <= min(map(min, tbl.table)) <= max(map(max, tbl.table)) < n):
+    table = tbl.table
+    if (len(table) != n or any(len(row) != n for row in table)
+            or not 0 <= min(map(min, table)) <= max(map(max, table)) < n):
         return [f"composition table is not {n} rows of {n} indices in 0..{n - 1}"]
+    # itemgetter(h_1 - 1, ..., h_k - 1) on g.images gives the images of g * h
+    getters = [itemgetter(*[x - 1 for x in h]) for h in images]
+    for i, g in enumerate(images):
+        composed = [f(g) for f in getters]
+        named = list(map(images.__getitem__, table[i]))
+        if composed != named:
+            j = next(j for j, c in enumerate(composed) if c != named[j])
+            return [f"composition table wrong at ({i}, {j})"]
     failures: list[str] = []
-    for i, g in enumerate(tbl.elements):
-        for j, h in enumerate(tbl.elements):
-            if tbl.table[i][j] != index[_compose_images(g.images, h.images)]:
-                failures.append(f"composition table wrong at ({i}, {j})")
-                return failures
+    pair = tbl.noncommuting_pair
+    if tbl.k == 2:
+        if pair is not None:
+            failures.append(f"noncommuting pair {pair!r} recorded for the abelian group of k=2")
+    elif not (type(pair) is tuple and len(pair) == 2
+              and all(type(x) is int and 0 <= x < n for x in pair)
+              and table[pair[0]][pair[1]] != table[pair[1]][pair[0]]):
+        failures.append(f"noncommuting pair {pair!r} is not two indices whose products differ")
     if not (tbl.homomorphism_ok and tbl.faithful_ok):
         failures.append("recorded verification flags are not all set")
     return failures

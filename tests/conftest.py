@@ -178,3 +178,16 @@ def reference_zero_set(field: HomotopyField) -> ZeroSetComplex:
         for comp_idx, members in enumerate(roots.values())
     )
     return ZeroSetComplex(segments=tuple(segments), components=components)
+
+
+# ---------------------------------------------------------------------------
+# Reference deck table: every product composed one origin at a time and
+# looked up by its image tuple.
+
+
+def reference_deck_table(k: int) -> tuple[tuple[int, ...], ...]:
+    perms = list(itertools.permutations(range(1, k + 1)))
+    index = {g: i for i, g in enumerate(perms)}
+    return tuple(
+        tuple(index[tuple(g[h[i] - 1] for i in range(k))] for h in perms) for g in perms
+    )

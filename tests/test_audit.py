@@ -147,6 +147,10 @@ def _negative_deck_k(doc):
     dict(doc["certificates"])["deck-group:any"]["k"] = -1
 
 
+def _abelian_noncommuting_pair(doc):
+    dict(doc["certificates"])["deck-group:any"]["noncommuting_pair"] = [5, 9]
+
+
 def _origin_9_homotopy_assignment(doc):
     cert = dict(doc["certificates"])["homotopy-lifting:quotient"]
     cert["assignment"][-1][1] = 9
@@ -168,12 +172,13 @@ class TestRecheckFailures:
             (_negative_quotient_t1, "separation-t1:quotient"),
             (_cut_deck_table, "deck-group:any"),
             (_negative_deck_k, "deck-group:any"),
+            (_abelian_noncommuting_pair, "deck-group:any"),
             (_origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
             (_origin_9_stage_assignment, "pi1-contraction:pseudometric"),
         ],
         ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
-             "negative-t1", "cut-deck-table", "negative-deck-k", "origin-9-homotopy",
-             "origin-9-stage"],
+             "negative-t1", "cut-deck-table", "negative-deck-k", "abelian-noncommuting-pair",
+             "origin-9-homotopy", "origin-9-stage"],
     )
     def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
         path = tmp_path / "report.json"
@@ -185,6 +190,20 @@ class TestRecheckFailures:
         assert cli.main(["audit", "--check", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("certificate re-check failed:") and named in err
+
+    def test_commuting_pair_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert cli.main(["audit", "--k", "3", "--json", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        # element 0 is the identity, which commutes with element 1
+        dict(doc["certificates"])["deck-group:any"]["noncommuting_pair"] = [0, 1]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["audit", "--check", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "certificate re-check failed: deck-group:any: noncommuting pair (0, 1) "
+            "is not two indices whose products differ\n"
+        )
 
     def test_tampered_loop_class(self, report):
         probe = report.certificate("pi1-probe")

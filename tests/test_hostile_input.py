@@ -96,6 +96,67 @@ class TestZeroDenominators:
         rejected(capsys, *argv)
 
 
+def _deck(doc: dict) -> dict:
+    return dict(doc["certificates"])["deck-group:any"]
+
+
+def _even_cover(doc: dict) -> dict:
+    return dict(doc["certificates"])["even-covering:quotient"]
+
+
+class TestStrictScalars:
+    """Each scalar slot takes only its own JSON type; nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "tamper, named",
+        [
+            (lambda d: _deck(d).update(homomorphism_ok="no"), "DeckGroupTable.homomorphism_ok"),
+            (lambda d: _deck(d).update(k=2.9), "DeckGroupTable.k"),
+            (lambda d: _deck(d).update(k="2"), "DeckGroupTable.k"),
+            (lambda d: d.update(k="2"), "ReportDocument.k"),
+            (lambda d: _deck(d)["table"][0].__setitem__(0, 0.7), "DeckGroupTable.table"),
+            (lambda d: _deck(d)["table"][1].__setitem__(1, True), "DeckGroupTable.table"),
+            (lambda d: _even_cover(d).update(eps=1), "EvenCoverFailure.eps"),
+            (lambda d: _even_cover(d).update(eps=1.0), "EvenCoverFailure.eps"),
+            (lambda d: _even_cover(d).update(eps=True), "EvenCoverFailure.eps"),
+        ],
+        ids=["bool-as-string", "float-k", "string-k", "string-top-level-k", "float-cell",
+             "bool-cell", "int-rational", "float-rational", "bool-rational"],
+    )
+    def test_tampered_report(self, capsys, tmp_path, report, tamper, named):
+        tamper(report)
+        assert named in check_report(capsys, tmp_path, report)
+
+    @pytest.mark.parametrize("index", [True, 1.0, 2.5, "2", None])
+    def test_int_slot(self, index):
+        with pytest.raises(ValueError, match="Origin.index: expected int"):
+            serialize.decode({"kind": "origin", "index": index})
+
+    @pytest.mark.parametrize("holds", [0, 1, "true", None])
+    def test_bool_slot(self, holds):
+        with pytest.raises(ValueError, match="VerdictRow.holds: expected bool"):
+            serialize.decode({"kind": "verdict-row", "claim": "c", "holds": holds, "note": "n"})
+
+    @pytest.mark.parametrize("claim", [5, True, None, ["c"]])
+    def test_str_slot(self, claim):
+        with pytest.raises(ValueError, match="VerdictRow.claim: expected str"):
+            serialize.decode({"kind": "verdict-row", "claim": claim, "holds": True, "note": "n"})
+
+    @pytest.mark.parametrize("r", [True, "1.5", None])
+    def test_float_slot(self, r):
+        with pytest.raises(ValueError, match="GridWitness.r: expected float"):
+            serialize.decode({"kind": "grid-witness", "r": r, "theta": 0.5, "u": 0.0, "v": 0.0})
+
+    @pytest.mark.parametrize("value", [1, 0.5, True, None])
+    def test_bare_fraction(self, value):
+        with pytest.raises(ValueError, match="expected Fraction"):
+            serialize.decode({"kind": "fraction", "value": value})
+
+    def test_float_slot_takes_an_int(self):
+        w = serialize.decode({"kind": "grid-witness", "r": 1, "theta": 0.5, "u": 0.0, "v": 0.0})
+        assert type(w.r) is float and w.r == 1.0
+
+
 def test_plfield_extra_rows_rejected(capsys, tmp_path):
     path = tmp_path / "f.plfield"
     path.write_text(serialize.write_field(make_merging_field()) + "0/1 1/8\n")

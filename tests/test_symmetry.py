@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import reference_deck_table
 
 from nonhaus.errors import (
     IndexOutOfRange,
@@ -110,6 +113,17 @@ class TestDeckGroup:
         n = len(table.elements)
         assert all(0 <= entry < n for row in table.table for entry in row)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_table_matches_reference(self, k):
+        assert deck_group(k).table == reference_deck_table(k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_noncommuting_pair_is_first_in_row_major_order(self, k):
+        elements = deck_group(k).elements
+        first = next((i, j) for i, g in enumerate(elements) for j, h in enumerate(elements)
+                     if g.compose(h) != h.compose(g))
+        assert deck_group(k).noncommuting_pair == first
+
     def test_homomorphism_random_pairs(self):
         rng = random.Random(7)
         table = deck_group(5)
@@ -119,6 +133,63 @@ class TestDeckGroup:
             h = rng.choice(table.elements)
             for p in samples:
                 assert deck_apply(g, deck_apply(h, p)) == deck_apply(g.compose(h), p)
+
+
+def _with_cells(tbl, edits):
+    """tbl with table cells replaced: edits maps (i, j) to the new index."""
+    rows = [list(row) for row in tbl.table]
+    for (i, j), value in edits.items():
+        rows[i][j] = value
+    return dataclasses.replace(tbl, table=tuple(map(tuple, rows)))
+
+
+class TestRecheckDeckGroup:
+    def test_every_single_cell_edit_is_named(self):
+        tbl = deck_group(4)
+        n = len(tbl.elements)
+        for i in range(n):
+            for j in range(n):
+                wrong = (tbl.table[i][j] + 1 + (i * n + j) % (n - 1)) % n
+                bad = _with_cells(tbl, {(i, j): wrong})
+                assert recheck_deck_group(bad) == [f"composition table wrong at ({i}, {j})"]
+
+    def test_first_wrong_cell_in_row_major_order(self):
+        tbl = deck_group(4)
+        bad = _with_cells(tbl, {(5, 2): tbl.table[5][3], (3, 20): tbl.table[3][21]})
+        assert recheck_deck_group(bad) == ["composition table wrong at (3, 20)"]
+        bad = _with_cells(tbl, {(7, 9): tbl.table[7][8], (7, 4): tbl.table[7][5]})
+        assert recheck_deck_group(bad) == ["composition table wrong at (7, 4)"]
+
+    def test_negative_cell_fails_the_range_check(self):
+        tbl = deck_group(4)
+        # -1 would wrap to the last element; row 23 column 0 holds index 23
+        bad = _with_cells(tbl, {(23, 0): -1})
+        assert recheck_deck_group(bad) == ["composition table is not 24 rows of 24 indices in 0..23"]
+
+    def test_noncommuting_pair_for_abelian_k(self):
+        tbl = deck_group(2)
+        bad = dataclasses.replace(tbl, noncommuting_pair=(5, 9))
+        assert recheck_deck_group(bad) == [
+            "noncommuting pair (5, 9) recorded for the abelian group of k=2"
+        ]
+
+    @pytest.mark.parametrize("pair", [None, (0, 0), (0, 1), (1, 1), (0, 6), (-1, 2), (True, 2),
+                                      (1,), (1, 2, 3)])
+    def test_noncommuting_pair_rejected(self, pair):
+        # (0, 1): the identity commutes with everything; 6 is out of range for k=3
+        tbl = dataclasses.replace(deck_group(3), noncommuting_pair=pair)
+        assert recheck_deck_group(tbl) == [
+            f"noncommuting pair {pair!r} is not two indices whose products differ"
+        ]
+
+    def test_any_noncommuting_pair_accepted(self):
+        tbl = deck_group(3)
+        n = len(tbl.elements)
+        for i in range(n):
+            for j in range(n):
+                rec = dataclasses.replace(tbl, noncommuting_pair=(i, j))
+                commute = tbl.table[i][j] == tbl.table[j][i]
+                assert (recheck_deck_group(rec) == []) is not commute
 
 
 class TestDeckRigidity:
