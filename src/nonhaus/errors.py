@@ -81,6 +81,10 @@ class GridTooCoarse(NonHausError):
     """Sampling grid is too coarse for the audit."""
 
 
+class GridTooFine(NonHausError):
+    """Sampling grid is finer than thickened.MAX_GRID_N."""
+
+
 class IoFailure(NonHausError):
     """Writing an output artifact failed."""
 

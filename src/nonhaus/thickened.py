@@ -17,16 +17,19 @@ direction but still breaks continuity on the origin tubes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .embedding import EmbeddingSpec, spiral_point
-from .errors import GridTooCoarse, OriginCountOutOfRange
+from .errors import GridTooCoarse, GridTooFine, OriginCountOutOfRange
 from .lifting import PLPath, enumerate_lifts
 from .space import CanonicalPoint, Origin, Regular, SpaceConfig
 
 REL_TOL = 1e-9
+MAX_GRID_N = 4096  # thick_audit checks MAX_GRID_N * (MAX_GRID_N - 1) points at most
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def thick_project(p: ThickPoint, spec: EmbeddingSpec = EmbeddingSpec.MAIN_CURVE)
     t = float(p.t)
     if isinstance(p.base, Origin):
         return (t, 0.0)
-    return _sweep(spec, float(p.base.x), t)
+    return _sweep(*_curve(spec, float(p.base.x)), t)
 
 
 def thick_fibre_z(k: int) -> frozenset[ThickPoint]:
@@ -122,99 +125,132 @@ class ThickAuditReport:
     rows: tuple[VerdictRow, ...]
 
 
-def _preimage_main(r: float, theta: float) -> Optional[tuple[float, float]]:
+def _grid_witness(r: float, theta: float) -> GridWitness:
+    return GridWitness(r=r, theta=theta, u=r * math.cos(theta), v=r * math.sin(theta))
+
+
+def _curve(spec: EmbeddingSpec, x: float) -> tuple[float, float, float]:
+    """Floating-point curve point (u, v) of a nonzero coordinate, with its norm."""
+    if spec is EmbeddingSpec.MAIN_CURVE:
+        d = 1 + x * x
+        u, v = x / d, x * x / d
+    else:
+        u, v = spiral_point(x)
+    return u, v, math.hypot(u, v)
+
+
+def _sweep(u: float, v: float, norm: float, t: float) -> tuple[float, float]:
+    """Sweep image at tube parameter t of the curve point (u, v) of that norm."""
+    return ((1 - t) * u + t * u / norm, (1 - t) * v + t * v / norm)
+
+
+def _main_column(
+    radii: list[float], theta: float, cos: float, sin: float, tolerance: float
+) -> list[int]:
     """Closed-form preimage of (r, theta) under the main-curve sweep, if any.
 
     The main curve lies on the circle through the centre of radius 1/2
     around (0, 1/2): the point at direction theta has norm sin(theta), and
     x = tan(theta) is the unique coordinate with that direction.  The
     sweep reaches exactly the radii in [sin(theta), 1].
+
+    Returns the indices into ``radii`` of the column's uncovered points.
     """
-    if r == 0:
-        return (0.0, 0.0)  # covered by an origin at tube parameter 0
     if theta <= 0 or theta >= math.pi:
-        if abs(math.sin(theta)) < 1e-15 and math.cos(theta) > 0:
-            return (0.0, r)  # positive axis: origin ray convention
-        return None
+        if abs(sin) < 1e-15 and cos > 0:  # positive axis: origin ray convention, image (r, 0)
+            return [i for i, r in enumerate(radii)
+                    if not math.hypot(r - r * cos, 0.0 - r * sin) <= tolerance]
+        return list(range(len(radii)))
     if abs(theta - math.pi / 2) < 1e-15:
-        return None  # straight up is only approached in the limit
-    rho = math.sin(theta)
-    if r < rho:
-        return None
-    x = math.tan(theta)
-    t = (r - rho) / (1 - rho)
-    return (x, t)
+        return list(range(len(radii)))  # straight up is only approached in the limit
+    rho = sin
+    first = bisect_left(radii, rho)  # the rows with r < rho have no preimage
+    u, v, norm = _curve(EmbeddingSpec.MAIN_CURVE, math.tan(theta))
+    hypot = math.hypot
+    miss = list(range(first))
+    for i in range(first, len(radii)):
+        r = radii[i]
+        img = _sweep(u, v, norm, (r - rho) / (1 - rho))
+        if not hypot(img[0] - r * cos, img[1] - r * sin) <= tolerance:
+            miss.append(i)
+    return miss
 
 
-def _preimage_spiral(r: float, theta: float) -> Optional[tuple[float, float]]:
+def _spiral_column(
+    radii: list[float], needs: list[float], theta: float, cos: float, sin: float, tolerance: float
+) -> list[int]:
     """Closed-form preimage under the spiral sweep; every r > 0 is reachable.
 
     Choose x = 1/(theta + 2*pi*n) with n large enough that the spiral
     radius rho = x/(1+x) drops below r, then slide out along the tube.
+
+    ``needs[i]`` is (1 - r)/r for ``r = radii[i]``: rho <= r  <=>  1/x >= need.
+    The curve point is recomputed only where n changes down the column.
+    Returns the indices into ``radii`` of the column's uncovered points.
     """
-    if r == 0:
-        return (0.0, 0.0)
-    need = (1 - r) / r  # rho <= r  <=>  1/x >= need
-    n = max(1, math.ceil((need - theta) / (2 * math.pi)))
-    x = 1 / (theta + 2 * math.pi * n)
-    rho = x / (1 + x)
-    if rho > r:
-        return None
-    t = (r - rho) / (1 - rho)
-    return (x, t)
-
-
-def _sweep(spec: EmbeddingSpec, x: float, t: float) -> tuple[float, float]:
-    """Floating-point sweep image of a nonzero coordinate at tube parameter t."""
-    if spec is EmbeddingSpec.MAIN_CURVE:
-        d = 1 + x * x
-        u, v = x / d, x * x / d
-    else:
-        u, v = spiral_point(x)
-    norm = math.hypot(u, v)
-    return ((1 - t) * u + t * u / norm, (1 - t) * v + t * v / norm)
+    hypot, ceil, two_pi = math.hypot, math.ceil, 2 * math.pi
+    miss = []
+    last_n = None
+    for i, r in enumerate(radii):
+        n = ceil((needs[i] - theta) / two_pi)
+        if n < 1:
+            n = 1
+        if n != last_n:
+            last_n = n
+            x = 1 / (theta + 2 * math.pi * n)
+            rho = x / (1 + x)
+            u, v, norm = _curve(EmbeddingSpec.SPIRAL, x)
+        if rho > r:
+            miss.append(i)
+            continue
+        img = _sweep(u, v, norm, (r - rho) / (1 - rho))
+        if not hypot(img[0] - r * cos, img[1] - r * sin) <= tolerance:
+            miss.append(i)
+    return miss
 
 
 def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> ThickAuditReport:
     """Coverage of a polar grid plus continuity probes at the origin tubes.
 
-    A grid point counts as covered when a constructed preimage maps within
-    ``tolerance`` of it.  Coverage is reported over the punctured grid
-    (radius 0 excluded); the centre itself is hit by the origins at t = 0.
+    The punctured grid has radii a/(grid_n - 1) for 1 <= a < grid_n (radius 0
+    excluded; the centre is hit by the origins at t = 0) and directions
+    2*pi*b/grid_n for 0 <= b < grid_n.  A grid point counts as covered when
+    the closed-form preimage of its direction's column maps within
+    ``tolerance`` of it.  The grid is walked one direction at a time, with
+    that column's trigonometry and preimages computed once.  Uncovered points
+    are counted, not kept: the report carries the first 16 in row-major
+    order (by radius, then direction) and the lower-half point nearest
+    (0, -1/2), the smallest (distance, r, theta) on a tie.  ``grid_n`` must
+    lie in [8, MAX_GRID_N].
     """
     if grid_n < 8:
         raise GridTooCoarse(f"grid must be at least 8x8, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise GridTooFine(f"grid {grid_n} exceeds the limit of {MAX_GRID_N}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    solver = _preimage_main if spec is EmbeddingSpec.MAIN_CURVE else _preimage_spiral
+    radii = [a / (grid_n - 1) for a in range(1, grid_n)]
+    if spec is EmbeddingSpec.MAIN_CURVE:
+        column = partial(_main_column, radii)
+    else:
+        column = partial(_spiral_column, radii, [(1 - r) / r for r in radii])
     covered = 0
-    total = 0
-    # uncovered points are counted, not kept: the report carries the first 16
-    # and the lower-half point nearest (0, -1/2), the first one on a tie
-    sample: list[GridWitness] = []
+    sample: list[tuple[int, int, float]] = []  # (row, column, theta), row-major
     lower_witness, lower_key = None, None
-    for a in range(1, grid_n):  # radius 0 excluded: punctured grid
-        r = a / (grid_n - 1)
-        for b in range(grid_n):
-            theta = 2 * math.pi * b / grid_n
-            target = (r * math.cos(theta), r * math.sin(theta))
-            total += 1
-            pre = solver(r, theta)
-            ok = False
-            if pre is not None:
-                x, t = pre
-                img = (t, 0.0) if x == 0.0 else _sweep(spec, x, t)
-                ok = math.hypot(img[0] - target[0], img[1] - target[1]) <= tolerance
-            if ok:
-                covered += 1
-                continue
-            u, v = target
-            if len(sample) < 16:
-                sample.append(GridWitness(r=r, theta=theta, u=u, v=v))
-            if v < 0:
-                key = ((u - 0.0) ** 2 + (v + 0.5) ** 2, r, theta)
-                if lower_key is None or key < lower_key:
-                    lower_key, lower_witness = key, GridWitness(r=r, theta=theta, u=u, v=v)
+    for b in range(grid_n):
+        theta = 2 * math.pi * b / grid_n
+        cos, sin = math.cos(theta), math.sin(theta)
+        miss = column(theta, cos, sin, tolerance)
+        covered += len(radii) - len(miss)
+        sample = sorted(sample + [(i, b, theta) for i in miss[:16]])[:16]
+        if sin < 0 and miss:  # v = r * sin takes the sign of sin: the lower half
+            keys = [(radii[i] * cos - 0.0) ** 2 + (radii[i] * sin + 0.5) ** 2 for i in miss]
+            key = min(keys)
+            r = radii[miss[keys.index(key)]]  # the first minimum has the smallest r
+            if lower_key is None or (key, r, theta) < lower_key:
+                lower_key = (key, r, theta)
+                lower_witness = _grid_witness(r, theta)
+    total = grid_n * (grid_n - 1)
     probes = (_continuity_probe(1, Fraction(1, 2), spec),)
     rows = (
         VerdictRow(
@@ -241,7 +277,7 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
         total=total,
         coverage=covered / total,
         uncovered_count=total - covered,
-        uncovered_sample=tuple(sample),
+        uncovered_sample=tuple(_grid_witness(radii[i], theta) for i, _, theta in sample),
         lower_half_witness=lower_witness,
         probes=probes,
         rows=rows,
@@ -251,8 +287,8 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
 def _continuity_probe(origin: int, t: Fraction, spec: EmbeddingSpec) -> ContinuityProbe:
     declared = (float(t), 0.0)
     ns = [64, 128, 256, 512]
-    plus = [_sweep(spec, 1.0 / n, float(t)) for n in ns]
-    minus = [_sweep(spec, -1.0 / n, float(t)) for n in ns]
+    plus = [_sweep(*_curve(spec, 1.0 / n), float(t)) for n in ns]
+    minus = [_sweep(*_curve(spec, -1.0 / n), float(t)) for n in ns]
     limit_pos, limit_neg = plus[-1], minus[-1]
 
     def settled(seq: list[tuple[float, float]]) -> bool:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterator, Optional
 
 import pytest
 
+from nonhaus.embedding import EmbeddingSpec, spiral_point
 from nonhaus.lifting import (
     HomotopyField,
     LiftedPath,
@@ -20,6 +22,12 @@ from nonhaus.lifting import (
     zero_times,
 )
 from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel
+from nonhaus.thickened import (
+    GridWitness,
+    ThickAuditReport,
+    VerdictRow,
+    _continuity_probe,
+)
 
 
 @pytest.fixture
@@ -190,4 +198,113 @@ def reference_deck_table(k: int) -> tuple[tuple[int, ...], ...]:
     index = {g: i for i, g in enumerate(perms)}
     return tuple(
         tuple(index[tuple(g[h[i] - 1] for i in range(k))] for h in perms) for g in perms
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference thickened audit: the polar grid walked row by row, one closed-form
+# preimage and one sweep image per point.
+
+
+def _reference_preimage_main(r: float, theta: float) -> Optional[tuple[float, float]]:
+    if r == 0:
+        return (0.0, 0.0)
+    if theta <= 0 or theta >= math.pi:
+        if abs(math.sin(theta)) < 1e-15 and math.cos(theta) > 0:
+            return (0.0, r)
+        return None
+    if abs(theta - math.pi / 2) < 1e-15:
+        return None
+    rho = math.sin(theta)
+    if r < rho:
+        return None
+    x = math.tan(theta)
+    t = (r - rho) / (1 - rho)
+    return (x, t)
+
+
+def _reference_preimage_spiral(r: float, theta: float) -> Optional[tuple[float, float]]:
+    if r == 0:
+        return (0.0, 0.0)
+    need = (1 - r) / r
+    n = max(1, math.ceil((need - theta) / (2 * math.pi)))
+    x = 1 / (theta + 2 * math.pi * n)
+    rho = x / (1 + x)
+    if rho > r:
+        return None
+    t = (r - rho) / (1 - rho)
+    return (x, t)
+
+
+def _reference_sweep(spec: EmbeddingSpec, x: float, t: float) -> tuple[float, float]:
+    if spec is EmbeddingSpec.MAIN_CURVE:
+        d = 1 + x * x
+        u, v = x / d, x * x / d
+    else:
+        u, v = spiral_point(x)
+    norm = math.hypot(u, v)
+    return ((1 - t) * u + t * u / norm, (1 - t) * v + t * v / norm)
+
+
+def reference_thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float) -> ThickAuditReport:
+    """Oracle for thick_audit: every grid point in row-major order, first 16
+    uncovered points as the sample, strict running minimum for the witness."""
+    solver = (_reference_preimage_main if spec is EmbeddingSpec.MAIN_CURVE
+              else _reference_preimage_spiral)
+    covered = 0
+    total = 0
+    sample: list[GridWitness] = []
+    lower_witness, lower_key = None, None
+    for a in range(1, grid_n):
+        r = a / (grid_n - 1)
+        for b in range(grid_n):
+            theta = 2 * math.pi * b / grid_n
+            target = (r * math.cos(theta), r * math.sin(theta))
+            total += 1
+            pre = solver(r, theta)
+            ok = False
+            if pre is not None:
+                x, t = pre
+                img = (t, 0.0) if x == 0.0 else _reference_sweep(spec, x, t)
+                ok = math.hypot(img[0] - target[0], img[1] - target[1]) <= tolerance
+            if ok:
+                covered += 1
+                continue
+            u, v = target
+            if len(sample) < 16:
+                sample.append(GridWitness(r=r, theta=theta, u=u, v=v))
+            if v < 0:
+                key = ((u - 0.0) ** 2 + (v + 0.5) ** 2, r, theta)
+                if lower_key is None or key < lower_key:
+                    lower_key, lower_witness = key, GridWitness(r=r, theta=theta, u=u, v=v)
+    probes = (_continuity_probe(1, Fraction(1, 2), spec),)
+    rows = (
+        VerdictRow(
+            claim="sweep map covers the sampled disk grid",
+            holds=covered == total,
+            note=f"coverage {covered}/{total} on the punctured polar grid",
+        ),
+        VerdictRow(
+            claim="sweep map is continuous at the origin tubes",
+            holds=not any(p.discontinuous for p in probes),
+            note="two-sided approach along +-1/n at tube parameter 1/2",
+        ),
+        VerdictRow(
+            claim="fibre over the centre is the k origin tube points",
+            holds=True,
+            note="origins at tube parameter 0 map to the centre by the ray convention",
+        ),
+    )
+    return ThickAuditReport(
+        grid_n=grid_n,
+        embedding=spec.value,
+        tolerance=tolerance,
+        covered=covered,
+        total=total,
+        coverage=covered / total,
+        uncovered_count=total - covered,
+        uncovered_sample=tuple(sample),
+        lower_half_witness=lower_witness,
+        probes=probes,
+        rows=rows,
     )

@@ -7,8 +7,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nonhaus import serialize
+from nonhaus import serialize, thickened
 from nonhaus.cli import main
+from nonhaus.embedding import EmbeddingSpec
 from nonhaus.lifting import make_merging_field
 
 
@@ -173,6 +174,23 @@ def test_lift_count_over_limit_rejected(capsys, tmp_path):
     path = tmp_path / "p.plpath"
     path.write_text("plpath v1\n" + "".join(f"{i}/20 {(-1) ** i}/1\n" for i in range(21)))
     assert "limit of 4096" in rejected(capsys, "lift", "--path", str(path), "--k", "2")
+
+
+@pytest.mark.parametrize("grid_n", ["4097", "1000000000"])
+def test_thick_grid_over_limit_rejected(capsys, grid_n):
+    assert "limit of 4096" in rejected(capsys, "thick", "--grid-n", grid_n)
+
+
+def test_thick_grid_at_limit_passes_validation(monkeypatch):
+    class GridReached(Exception):
+        pass
+
+    def reached(*args):
+        raise GridReached
+
+    monkeypatch.setattr(thickened, "_main_column", reached)
+    with pytest.raises(GridReached):
+        thickened.thick_audit(thickened.MAX_GRID_N, EmbeddingSpec.MAIN_CURVE)
 
 
 def plfield_2x2(rows: str) -> str:

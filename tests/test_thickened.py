@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import double_dip_path, triple_dip_path
-from nonhaus.embedding import EmbeddingSpec
+from conftest import double_dip_path, reference_thick_audit, triple_dip_path
+from nonhaus import thickened
+from nonhaus.embedding import EmbeddingSpec, spiral_point
 from nonhaus.errors import GridTooCoarse, OriginCountOutOfRange
 from nonhaus.lifting import PLPath, bounce_path
 from nonhaus.space import Origin, Regular, SpaceConfig
@@ -128,3 +129,29 @@ class TestThickAudit:
         assert spiral["sweep map covers the sampled disk grid"]
         assert not main["sweep map is continuous at the origin tubes"]
         assert not spiral["sweep map is continuous at the origin tubes"]
+
+
+class TestColumnKernels:
+    """thick_audit against the row-major oracle, whole report compared."""
+
+    GRIDS = list(range(8, 65)) + [97, 128, 255]
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-6, 1e-3, 1.0])
+    @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
+    def test_matches_reference(self, spec, tolerance):
+        for grid_n in self.GRIDS:
+            got = thick_audit(grid_n, spec, tolerance)
+            assert got == reference_thick_audit(grid_n, spec, tolerance), grid_n
+
+    def test_spiral_point_reused_down_columns(self, monkeypatch):
+        calls = 0
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return spiral_point(x)
+
+        monkeypatch.setattr(thickened, "spiral_point", counting)
+        n = 256
+        thick_audit(n, EmbeddingSpec.SPIRAL)
+        assert 0 < calls < n * (n - 1) / 4
