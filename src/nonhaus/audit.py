@@ -65,6 +65,7 @@ from .space import (
     separation_report,
 )
 from .symmetry import (
+    _TABLE_KS,
     ContractionCertificate,
     DeckGroupTable,
     LabeledLoop,
@@ -369,7 +370,7 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     Certificates are built under both models so the table itself records
     every model split; ``cfg.model`` is echoed as the requested model.
     """
-    if not 2 <= cfg.k <= 6:
+    if cfg.k not in _TABLE_KS:
         # the deck table row needs the full group
         raise OriginCountOutOfRange(f"audit supports 2 <= k <= 6, got {cfg.k}")
     eps, x0 = Fraction(eps), Fraction(x0)
@@ -517,7 +518,7 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     re-derive, and each checked cell's verdict must be the one its
     certificate proves in that cell's model.
     """
-    if not 2 <= doc.k <= 6:
+    if doc.k not in _TABLE_KS:
         return [f"k={doc.k} is outside the audited range 2..6"]
     declared = claim_table(doc.k)
     failures = [

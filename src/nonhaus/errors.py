@@ -85,9 +85,5 @@ class GridTooFine(NonHausError):
     """Sampling grid is finer than thickened.MAX_GRID_N."""
 
 
-class IoFailure(NonHausError):
-    """Writing an output artifact failed."""
-
-
 class RecheckFailure(NonHausError):
     """An embedded certificate failed its own re-check."""

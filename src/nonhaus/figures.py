@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
-from .errors import IoFailure, OriginCountOutOfRange
+from .errors import OriginCountOutOfRange
 
 WIDTH, HEIGHT = 640, 400
 DISK_CENTER = (456.0, 200.0)
@@ -31,9 +30,6 @@ class SvgScene:
     """What to draw; geometry is a pure function of these fields."""
 
     k: int
-    show_branches: bool = True
-    show_curve: bool = True
-    show_projection: bool = True
     lift_x0: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
@@ -52,8 +48,8 @@ def _branch_y(scene: SvgScene, i: int) -> float:
     return 200.0 + (i - (scene.k + 1) / 2.0) * spread
 
 
-def render_figure(scene: SvgScene, out: Optional[Path] = None) -> bytes:
-    """Render the scene; write to ``out`` when given and return the bytes."""
+def render_figure(scene: SvgScene) -> bytes:
+    """Render the scene as ASCII SVG bytes."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'font-family="monospace" font-size="13">',
@@ -65,63 +61,60 @@ def render_figure(scene: SvgScene, out: Optional[Path] = None) -> bytes:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     cx, cy = DISK_CENTER
-    if scene.show_branches:
-        parts.append('<g class="branches">')
-        for i in range(1, scene.k + 1):
-            y = _branch_y(scene, i)
-            parts.append(
-                f'<line class="branch" x1="{_fmt(BRANCH_X0)}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(BRANCH_X1)}" y2="{_fmt(y)}" stroke="#d9a0b8" stroke-width="3"/>'
-            )
-            parts.append(
-                f'<circle class="origin" cx="{_fmt(BRANCH_X1)}" cy="{_fmt(y)}" r="4" '
-                f'fill="#c02040"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(BRANCH_X0 - 28)}" y="{_fmt(y + 4)}">b{i}</text>'
-            )
-            parts.append(
-                f'<text x="{_fmt(BRANCH_X1 + 8)}" y="{_fmt(y + 4)}">o{i}</text>'
-            )
-        parts.append("</g>")
-    if scene.show_curve:
-        parts.append('<g class="base">')
+    parts.append('<g class="branches">')
+    for i in range(1, scene.k + 1):
+        y = _branch_y(scene, i)
         parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(DISK_RADIUS)}" '
-            f'fill="none" stroke="#bbbbbb" stroke-dasharray="6 5"/>'
-        )
-        # image curve: the circle of radius 1/2 through the marked point,
-        # drawn with a gap at the accumulation point itself
-        r = DISK_RADIUS / 2
-        gap = 0.22
-        x0 = cx + r * math.sin(gap)
-        y0 = cy - r * (1 - math.cos(gap))
-        x1 = cx - r * math.sin(gap)
-        parts.append(
-            f'<path class="curve" d="M {_fmt(x0)} {_fmt(y0)} '
-            f'A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(x1)} {_fmt(y0)}" '
-            f'fill="none" stroke="#0f8b8d" stroke-width="3"/>'
+            f'<line class="branch" x1="{_fmt(BRANCH_X0)}" y1="{_fmt(y)}" '
+            f'x2="{_fmt(BRANCH_X1)}" y2="{_fmt(y)}" stroke="#d9a0b8" stroke-width="3"/>'
         )
         parts.append(
-            f'<circle class="zpoint" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" fill="#000000"/>'
+            f'<circle class="origin" cx="{_fmt(BRANCH_X1)}" cy="{_fmt(y)}" r="4" '
+            f'fill="#c02040"/>'
         )
-        parts.append(f'<text x="{_fmt(cx + 10)}" y="{_fmt(cy + 16)}">z</text>')
         parts.append(
-            f'<text x="{_fmt(cx - 60)}" y="{_fmt(cy - DISK_RADIUS - 10)}">image curve</text>'
+            f'<text x="{_fmt(BRANCH_X0 - 28)}" y="{_fmt(y + 4)}">b{i}</text>'
         )
-        parts.append("</g>")
-    if scene.show_projection:
-        parts.append('<g class="projection">')
-        for i in range(1, scene.k + 1):
-            y = _branch_y(scene, i)
-            parts.append(
-                f'<line class="proj" x1="{_fmt(BRANCH_X1 + 30)}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(cx - DISK_RADIUS - 10)}" y2="{_fmt(cy)}" '
-                f'stroke="#666666" marker-end="url(#arrow)"/>'
-            )
-        mid_y = _branch_y(scene, 1) - 18
-        parts.append(f'<text x="{_fmt(BRANCH_X1 + 44)}" y="{_fmt(mid_y)}">projection</text>')
-        parts.append("</g>")
+        parts.append(
+            f'<text x="{_fmt(BRANCH_X1 + 8)}" y="{_fmt(y + 4)}">o{i}</text>'
+        )
+    parts.append("</g>")
+    parts.append('<g class="base">')
+    parts.append(
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(DISK_RADIUS)}" '
+        f'fill="none" stroke="#bbbbbb" stroke-dasharray="6 5"/>'
+    )
+    # image curve: the circle of radius 1/2 through the marked point,
+    # drawn with a gap at the accumulation point itself
+    r = DISK_RADIUS / 2
+    gap = 0.22
+    x0 = cx + r * math.sin(gap)
+    y0 = cy - r * (1 - math.cos(gap))
+    x1 = cx - r * math.sin(gap)
+    parts.append(
+        f'<path class="curve" d="M {_fmt(x0)} {_fmt(y0)} '
+        f'A {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(x1)} {_fmt(y0)}" '
+        f'fill="none" stroke="#0f8b8d" stroke-width="3"/>'
+    )
+    parts.append(
+        f'<circle class="zpoint" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" fill="#000000"/>'
+    )
+    parts.append(f'<text x="{_fmt(cx + 10)}" y="{_fmt(cy + 16)}">z</text>')
+    parts.append(
+        f'<text x="{_fmt(cx - 60)}" y="{_fmt(cy - DISK_RADIUS - 10)}">image curve</text>'
+    )
+    parts.append("</g>")
+    parts.append('<g class="projection">')
+    for i in range(1, scene.k + 1):
+        y = _branch_y(scene, i)
+        parts.append(
+            f'<line class="proj" x1="{_fmt(BRANCH_X1 + 30)}" y1="{_fmt(y)}" '
+            f'x2="{_fmt(cx - DISK_RADIUS - 10)}" y2="{_fmt(cy)}" '
+            f'stroke="#666666" marker-end="url(#arrow)"/>'
+        )
+    mid_y = _branch_y(scene, 1) - 18
+    parts.append(f'<text x="{_fmt(BRANCH_X1 + 44)}" y="{_fmt(mid_y)}">projection</text>')
+    parts.append("</g>")
     if scene.lift_x0 is not None:
         parts.append('<g class="lifts">')
         sx = BRANCH_X0 + 104.0
@@ -143,10 +136,4 @@ def render_figure(scene: SvgScene, out: Optional[Path] = None) -> bytes:
         )
         parts.append("</g>")
     parts.append("</svg>")
-    data = ("\n".join(parts) + "\n").encode("ascii")
-    if out is not None:
-        try:
-            Path(out).write_bytes(data)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {out}: {exc}") from exc
-    return data
+    return ("\n".join(parts) + "\n").encode("ascii")

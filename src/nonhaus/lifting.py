@@ -607,51 +607,33 @@ def attempt_homotopy_lift(
     for origin in assignment.values():
         if not 1 <= origin <= cfg.k:
             raise IndexOutOfRange(f"origin {origin} not in 1..{cfg.k}")
-    complex_ = extract_zero_set(field)
-
-    if cfg.model is TopologyModel.PSEUDOMETRIC:
-        if not paper_constancy:
-            return NonUniqueExistence(
-                component_count=len(complex_.components),
-                count_formula=f"{cfg.k}^{len(complex_.components)} component-constant "
-                "assignments; arbitrary pointwise assignments lift as well",
-                note=_BALL_JUSTIFICATION,
-            )
-        distinct = sorted(set(assignment.values()))
-        if len(distinct) > 1:
-            return NoLift(
-                component=None,
-                constraints=tuple(sorted(assignment.items())),
-                note=_CONSTANCY_JUSTIFICATION,
-            )
-        options = distinct or list(range(1, cfg.k + 1))
-        if complex_.components:
-            assignments = tuple(
-                tuple((comp.index, origin) for comp in complex_.components)
-                for origin in options
-            )
-        else:
-            assignments = ((),)
-        return LiftsEnumerated(
-            assignments=assignments,
-            note=_CONSTANCY_JUSTIFICATION,
+    components = extract_zero_set(field).components
+    if cfg.model is TopologyModel.QUOTIENT:
+        note = _CHART_JUSTIFICATION
+        groups = [(comp.index, (comp,), tuple((s, assignment[s]) for s in comp.bottom_touches))
+                  for comp in components]
+    elif paper_constancy:
+        note = _CONSTANCY_JUSTIFICATION
+        groups = [(None, components, tuple(sorted(assignment.items())))] if components else []
+    else:
+        return NonUniqueExistence(
+            component_count=len(components),
+            count_formula=f"{cfg.k}^{len(components)} component-constant "
+            "assignments; arbitrary pointwise assignments lift as well",
+            note=_BALL_JUSTIFICATION,
         )
-
-    per_component: list[list[int]] = []
-    for comp in complex_.components:
-        constrained = sorted({assignment[s] for s in comp.bottom_touches})
+    # each group of components takes one origin: its single constrained one, or any
+    options = []
+    for index, comps, constraints in groups:
+        constrained = sorted({origin for _, origin in constraints})
         if len(constrained) > 1:
-            return NoLift(
-                component=comp.index,
-                constraints=tuple((s, assignment[s]) for s in comp.bottom_touches),
-                note=_CHART_JUSTIFICATION,
-            )
-        per_component.append(constrained if constrained else list(range(1, cfg.k + 1)))
+            return NoLift(component=index, constraints=constraints, note=note)
+        options.append([(comps, origin) for origin in constrained or range(1, cfg.k + 1)])
     assignments = tuple(
-        tuple((comp.index, origin) for comp, origin in zip(complex_.components, combo))
-        for combo in itertools.product(*per_component)
+        tuple((comp.index, origin) for comps, origin in combo for comp in comps)
+        for combo in itertools.product(*options)
     )
-    return LiftsEnumerated(assignments=assignments, note=_CHART_JUSTIFICATION)
+    return LiftsEnumerated(assignments=assignments, note=note)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ point and no tolerance anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -323,45 +323,27 @@ def separation_report(cfg: SpaceConfig) -> list[SeparationVerdict]:
     disjoint intervals and origin/regular pairs by a chart or ball plus an
     interval, in both models.
     """
-    o1, o2 = Origin(1), Origin(2)
-    rule = InseparabilityRule(1, 2)
-    verdicts: list[SeparationVerdict] = []
-    if cfg.model is TopologyModel.QUOTIENT:
-        charts = (OriginChart(1, Fraction(1)), OriginChart(2, Fraction(1)))
-        for axiom in ("T0", "T1"):
-            verdicts.append(
-                SeparationVerdict(
-                    axiom=axiom,
-                    holds=True,
-                    pair=(o1, o2),
-                    opens=charts,
-                    note="chart of each origin excludes the other; categories checked: "
-                    + ", ".join(_CATEGORIES),
-                )
-            )
-        verdicts.append(
-            SeparationVerdict(
-                axiom="T2",
-                holds=False,
-                pair=(o1, o2),
-                rule=rule,
-                note="charts of distinct origins always share small regular points",
-            )
-        )
-        return verdicts
-    for axiom in ("T0", "T1", "T2"):
-        verdicts.append(
-            SeparationVerdict(
-                axiom=axiom,
-                holds=False,
-                pair=(o1, o2),
-                rule=rule,
-                note="every ball containing one origin contains all of them "
-                "(the origin set has pseudometric diameter zero); categories checked: "
-                + ", ".join(_CATEGORIES),
-            )
-        )
-    return verdicts
+    categories = "categories checked: " + ", ".join(_CATEGORIES)
+    inseparable = SeparationVerdict(
+        axiom="T2",
+        holds=False,
+        pair=(Origin(1), Origin(2)),
+        rule=InseparabilityRule(1, 2),
+        note="every ball containing one origin contains all of them "
+        "(the origin set has pseudometric diameter zero); " + categories,
+    )
+    if cfg.model is TopologyModel.PSEUDOMETRIC:
+        return [replace(inseparable, axiom=axiom) for axiom in ("T0", "T1", "T2")]
+    charted = replace(
+        inseparable,
+        holds=True,
+        rule=None,
+        opens=(OriginChart(1, Fraction(1)), OriginChart(2, Fraction(1))),
+        note="chart of each origin excludes the other; " + categories,
+    )
+    shared = "charts of distinct origins always share small regular points"
+    return [replace(charted, axiom="T0"), replace(charted, axiom="T1"),
+            replace(inseparable, note=shared)]
 
 
 @dataclass(frozen=True)

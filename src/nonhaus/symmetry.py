@@ -419,27 +419,16 @@ def _stage_field(path: PLPath, new_values: dict[Fraction, Fraction]) -> Homotopy
     return HomotopyField(s_breaks=s_breaks, t_breaks=(Fraction(0), Fraction(1)), values=values)
 
 
-def _classify_zero(path: PLPath, t: Fraction) -> str:
+def _flanks(path: PLPath, t: Fraction) -> tuple[int, Fraction, Fraction]:
+    """Index of the breakpoint at t and the coordinates of its two neighbours."""
     pts = path.breakpoints
     idx = next(i for i, (bt, _) in enumerate(pts) if bt == t)
-    before, after = pts[idx - 1][1], pts[idx + 1][1]
-    return "crossing" if before * after < 0 else "touch"
+    return idx, pts[idx - 1][1], pts[idx + 1][1]
 
 
-def _remove_touch(path: PLPath, t: Fraction) -> dict[Fraction, Fraction]:
+def _remove_excursion(path: PLPath, ia: int, ib: int) -> dict[Fraction, Fraction]:
+    """Straighten the stretch of breakpoints ia..ib between its nonzero flanks."""
     pts = path.breakpoints
-    idx = next(i for i, (bt, _) in enumerate(pts) if bt == t)
-    before, after = pts[idx - 1][1], pts[idx + 1][1]
-    sign = 1 if before > 0 else -1
-    bump = min(abs(before), abs(after)) / 2
-    return {t: sign * bump}
-
-
-def _remove_excursion(path: PLPath, t_a: Fraction, t_b: Fraction) -> dict[Fraction, Fraction]:
-    """Straighten the stretch around [t_a, t_b] between its nonzero flanks."""
-    pts = path.breakpoints
-    ia = next(i for i, (bt, _) in enumerate(pts) if bt == t_a)
-    ib = next(i for i, (bt, _) in enumerate(pts) if bt == t_b)
     p, cp = pts[ia - 1]
     q, cq = pts[ib + 1]
     out = {}
@@ -459,38 +448,32 @@ def contract_loop(loop: LabeledLoop, cfg: SpaceConfig) -> ContractionCertificate
     reduction; in the ball model any adjacent pair may be merged.  A final
     straight-line stage with empty zero set reaches the constant loop.
     """
-    if len(loop_class(loop, cfg)) != 0:
-        raise NotNullhomotopic(
-            f"loop class {loop_class(loop, cfg).letters} is nonempty in {cfg.model.value}"
-        )
+    word = loop_class(loop, cfg)
+    if len(word) != 0:
+        raise NotNullhomotopic(f"loop class {word.letters} is nonempty in {cfg.model.value}")
     stages: list[ContractionStage] = []
-    path, labels = loop.path, loop.label_map()
-    while True:
+    path, labels, base = loop.path, loop.label_map(), loop.basepoint
+    kind = ""
+    while kind != "straighten":
         zts = zero_times(path)
+        flanks = {t: _flanks(path, t) for t in zts}
+        touches = [t for t in zts if flanks[t][1] * flanks[t][2] > 0]
         if not zts:
-            break
-        kinds = {t: _classify_zero(path, t) for t in zts}
-        touches = [t for t in zts if kinds[t] == "touch"]
-        if touches:
-            target = touches[0]
-            new_values = _remove_touch(path, target)
-            kind = "remove-touch"
-            removed = (target,)
+            kind, removed = "straighten", ()
+            new_values = {t: base for t, _ in path.breakpoints}
+        elif touches:
+            kind, removed = "remove-touch", (touches[0],)
+            _, before, after = flanks[touches[0]]
+            new_values = {touches[0]: (1 if before > 0 else -1) * min(abs(before), abs(after)) / 2}
         else:
-            crossings = zts
-            pair = None
+            pairs = zip(zts, zts[1:])
             if cfg.model is TopologyModel.QUOTIENT:
-                for t1, t2 in zip(crossings, crossings[1:]):
-                    if labels[t1] == labels[t2]:
-                        pair = (t1, t2)
-                        break
-            else:
-                pair = (crossings[0], crossings[1])
-            if pair is None:
+                pairs = (pair for pair in pairs if labels[pair[0]] == labels[pair[1]])
+            removed = next(pairs, None)
+            if removed is None:
                 raise NotNullhomotopic("no adjacent cancelling pair; word is reduced")
-            new_values = _remove_excursion(path, *pair)
             kind = "remove-crossing-pair"
-            removed = pair
+            new_values = _remove_excursion(path, flanks[removed[0]][0], flanks[removed[1]][0])
         field = _stage_field(path, new_values)
         assignment = {t: labels[t] for t in zts}
         certificate = attempt_homotopy_lift(field, assignment, cfg, paper_constancy=False)
@@ -499,7 +482,7 @@ def contract_loop(loop: LabeledLoop, cfg: SpaceConfig) -> ContractionCertificate
                 f"stage for {removed} rejected: component {certificate.component} "
                 f"meets constraints {certificate.constraints}"
             )
-        top = field.top_path()
+        path = field.top_path()
         labels = {t: i for t, i in labels.items() if t not in removed}
         stages.append(
             ContractionStage(
@@ -508,26 +491,10 @@ def contract_loop(loop: LabeledLoop, cfg: SpaceConfig) -> ContractionCertificate
                 assignment=tuple(sorted(assignment.items())),
                 certificate=certificate,
                 removed=removed,
-                top=top,
+                top=path,
                 top_labels=tuple(sorted(labels.items())),
             )
         )
-        path = top
-    base = loop.basepoint
-    final_values = {t: base for t, _ in path.breakpoints}
-    field = _stage_field(path, final_values)
-    certificate = attempt_homotopy_lift(field, {}, cfg, paper_constancy=False)
-    stages.append(
-        ContractionStage(
-            kind="straighten",
-            field=field,
-            assignment=(),
-            certificate=certificate,
-            removed=(),
-            top=field.top_path(),
-            top_labels=(),
-        )
-    )
     return ContractionCertificate(
         loop=loop, model=cfg.model.value, stages=tuple(stages), basepoint=base
     )

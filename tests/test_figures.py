@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonhaus.errors import IoFailure, OriginCountOutOfRange
+from nonhaus.errors import OriginCountOutOfRange
 from nonhaus.figures import SvgScene, render_figure
 
 
@@ -27,15 +27,6 @@ class TestRenderFigure:
     def test_k_validated(self):
         with pytest.raises(OriginCountOutOfRange):
             SvgScene(k=1)
-
-    def test_write_to_file(self, tmp_path):
-        out = tmp_path / "figure.svg"
-        data = render_figure(SvgScene(k=2), out)
-        assert out.read_bytes() == data
-
-    def test_unwritable_path(self, tmp_path):
-        with pytest.raises(IoFailure):
-            render_figure(SvgScene(k=2), tmp_path / "missing" / "figure.svg")
 
     def test_pure_ascii(self):
         render_figure(SvgScene(k=6)).decode("ascii")

@@ -273,3 +273,10 @@ def test_fuzzed_plfield_never_escapes(capsys, tmp_path, case, model, constancy):
     if code == 2:
         assert "Traceback" not in err
         assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1, err
+
+
+@pytest.mark.parametrize("argv", [["render"], ["audit", "--json"]], ids=["render", "audit-json"])
+def test_out_into_missing_directory_rejected(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    assert str(target) in rejected(capsys, *argv, "--out", str(target))
+    assert not target.parent.exists()

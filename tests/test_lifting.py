@@ -573,6 +573,53 @@ class TestAttemptHomotopyLift:
         assert comp_count == 1
         assert len(result.assignments) == quotient2.k
 
+    @staticmethod
+    def grid_field(rows: list[list[int]]) -> HomotopyField:
+        """Field on the uniform grid; rows[a][b] is the value at (a/(ns-1), b/(nt-1))."""
+        ns, nt = len(rows), len(rows[0])
+        return HomotopyField(
+            s_breaks=tuple(Fraction(a, ns - 1) for a in range(ns)),
+            t_breaks=tuple(Fraction(b, nt - 1) for b in range(nt)),
+            values=tuple(tuple(Fraction(v) for v in row) for row in rows),
+        )
+
+    def test_constancy_rule_single_origin_names_every_component(self):
+        # a bottom dip at s = 1/4 (crossings 1/8, 3/8) and an interior well at (3/4, 1/2)
+        field = self.grid_field([[1, 1, 1], [-1, 1, 1], [1, 1, 1], [1, -1, 1], [1, 1, 1]])
+        assert len(extract_zero_set(field).components) == 2
+        assignment = {Fraction(1, 8): 2, Fraction(3, 8): 2}
+        cfg = SpaceConfig(3, TopologyModel.PSEUDOMETRIC)
+        result = attempt_homotopy_lift(field, assignment, cfg, paper_constancy=True)
+        assert isinstance(result, LiftsEnumerated)
+        assert result.assignments == (((0, 2), (1, 2)),)
+        conflict = attempt_homotopy_lift(
+            field, {Fraction(1, 8): 2, Fraction(3, 8): 3}, cfg, paper_constancy=True
+        )
+        assert isinstance(conflict, NoLift)
+        assert conflict.component is None
+        assert conflict.constraints == ((Fraction(1, 8), 2), (Fraction(3, 8), 3))
+
+    def test_constancy_rule_empty_assignment(self):
+        cfg = SpaceConfig(3, TopologyModel.PSEUDOMETRIC)
+        # two interior wells, no bottom zero times: one assignment per origin
+        wells = self.grid_field([[1, 1, 1], [1, -1, 1], [1, 1, 1], [1, -1, 1], [1, 1, 1]])
+        result = attempt_homotopy_lift(wells, {}, cfg, paper_constancy=True)
+        assert result.assignments == tuple(((0, i), (1, i)) for i in (1, 2, 3))
+        # no zero set at all: the single empty assignment
+        positive = self.grid_field([[1, 2], [3, 1]])
+        result = attempt_homotopy_lift(positive, {}, cfg, paper_constancy=True)
+        assert result.assignments == ((),)
+        quotient = attempt_homotopy_lift(positive, {}, SpaceConfig(3, TopologyModel.QUOTIENT))
+        assert quotient.assignments == ((),)
+
+    def test_quotient_two_free_components_lexicographic(self):
+        cfg = SpaceConfig(3, TopologyModel.QUOTIENT)
+        wells = self.grid_field([[1, 1, 1], [1, -1, 1], [1, 1, 1], [1, -1, 1], [1, 1, 1]])
+        result = attempt_homotopy_lift(wells, {}, cfg)
+        assert result.assignments == tuple(
+            ((0, a), (1, b)) for a in (1, 2, 3) for b in (1, 2, 3)
+        )
+
     def test_record_recheck(self, quotient2, pseudo2):
         for cfg, constancy in ((quotient2, False), (pseudo2, False), (pseudo2, True)):
             record = homotopy_lift_record(self.field, self.conflict, cfg, constancy)

@@ -16,7 +16,7 @@ from nonhaus.errors import (
 )
 from nonhaus.lifting import LiftsEnumerated, NoLift, PLPath, attempt_homotopy_lift
 from nonhaus.projection import project
-from nonhaus.space import Origin, Regular, pseudo_dist
+from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel, pseudo_dist
 from nonhaus.symmetry import (
     DeckElement,
     LabeledLoop,
@@ -370,6 +370,32 @@ class TestContraction:
             "straighten",
         ]
         assert recheck_contraction(cert, quotient3.k) == []
+
+    @pytest.mark.parametrize("model", ["quotient", "pseudometric"])
+    def test_touch_and_two_pairs_stages(self, model):
+        # touch at 1/10 (label 3), then crossings down o1, up o2, down o2, up o1;
+        # the chart model cancels the inner same-origin pair first, the ball
+        # model the first two crossings
+        f = [Fraction(n, 10) for n in range(11)]
+        path = PLPath(tuple(zip(f, map(Fraction, (1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1)))))
+        labels = ((f[1], 3), (f[3], 1), (f[5], 2), (f[7], 2), (f[9], 1))
+        cfg = SpaceConfig(3, TopologyModel(model))
+        cert = contract_loop(LabeledLoop(path, labels), cfg)
+        crossings = labels[1:]
+        if model == "quotient":
+            first, second = (f[5], f[7]), (f[3], f[9])
+            after_first = ((f[3], 1), (f[9], 1))
+        else:
+            first, second = (f[3], f[5]), (f[7], f[9])
+            after_first = ((f[7], 2), (f[9], 1))
+        assert [(s.kind, s.removed, s.assignment, s.top_labels) for s in cert.stages] == [
+            ("remove-touch", (f[1],), labels, crossings),
+            ("remove-crossing-pair", first, crossings, after_first),
+            ("remove-crossing-pair", second, after_first, ()),
+            ("straighten", (), (), ()),
+        ]
+        assert all(x == 1 for _, x in cert.stages[-1].top.breakpoints)
+        assert recheck_contraction(cert, cfg.k) == []
 
     def test_stages_accepted_by_engine(self, quotient2):
         cert = contract_loop(probe_loop(2, 2), quotient2)
