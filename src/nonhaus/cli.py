@@ -103,8 +103,13 @@ def _parse_assignment(text: str) -> dict[Fraction, int]:
     if not text.strip():
         return out
     for part in text.split(","):
-        t, origin = part.split("=")
-        out[serialize.parse_frac(t.strip())] = int(origin)
+        pieces = part.split("=")
+        if len(pieces) != 2:
+            raise ValueError(f"--assign: expected 'time=origin', got {part.strip()!r}")
+        t = serialize.parse_frac(pieces[0].strip())
+        if t in out:
+            raise ValueError(f"--assign: time {t} is given more than once")
+        out[t] = int(pieces[1])
     return out
 
 
@@ -251,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom = subcommand("homotopy", _cmd_homotopy, "attempt a homotopy lift",
                        "--k", "--model", "--json", "--out")
     p_hom.add_argument("--paper-constancy", action="store_true",
-                       help="treat origin-valued maps as constant across the zero set")
+                       help="treat origin-valued maps as constant across the zero set "
+                       "(pseudometric model; the quotient model decides by its chart rule "
+                       "and gives the same outcome with or without this flag)")
     p_hom.add_argument("--field", help="read a 'plfield v1' file instead of the merging field")
     p_hom.add_argument("--dump-field", help="also write the field as 'plfield v1' to this file")
     p_hom.add_argument("--assign", default="1/4=1,3/4=2",

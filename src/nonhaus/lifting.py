@@ -475,9 +475,22 @@ def _edge_name(n: int, p: int, q: int) -> int:
 
 
 def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
-    """Exact zero of the affine function on the edge p-q (signs must differ)."""
-    lam = vp / (vp - vq)
-    return (p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1]))
+    """Exact zero of the affine function on the edge p-q (signs must differ).
+
+    With vp = a/b and vq = c/d the zero sits at lam = ad / (ad - cb) along
+    the edge, so a coordinate moving from x to y is (ad y - cb x) / (ad - cb):
+    one Fraction from integer cross-products, the same normalised value as
+    x + lam (y - x).  A coordinate the edge does not move along (on the
+    grid, one break object shared by both ends) is p's own; the formula
+    gives the same value for equal coordinates that are distinct objects.
+    """
+    wp, wq = vp.numerator * vq.denominator, vq.numerator * vp.denominator
+    return tuple([
+        x if x is y else Fraction(
+            wp * y.numerator * x.denominator - wq * x.numerator * y.denominator,
+            (wp - wq) * x.denominator * y.denominator)
+        for x, y in zip(p, q)
+    ])
 
 
 def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
@@ -595,7 +608,9 @@ def attempt_homotopy_lift(
 
     The regular part of any lift is forced; only the origin choices on the
     zero set are in question.  The assignment must be defined exactly on
-    the zero times of the bottom edge.
+    the zero times of the bottom edge.  ``paper_constancy`` applies the
+    constancy rule in the pseudometric model only; the quotient model
+    decides by its chart rule, and its outcome is the same either way.
     """
     bottom = field.bottom_path()
     zts = zero_times(bottom)

@@ -456,14 +456,41 @@ def write_pl_path(path: PLPath) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str, header: str) -> list[tuple[int, str]]:
+    """The non-blank lines after the header line, each with its line number."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].strip() != header:
+        raise ValueError(f"expected header {header!r}")
+    return lines[1:]
+
+
+# a line as write_pl_path and write_field emit it: single-space-separated
+# ASCII "n/d" tokens with a nonzero denominator
+_CANONICAL_LINE = re.compile(r"-?[0-9]+/0*[1-9][0-9]*(?: -?[0-9]+/0*[1-9][0-9]*)*")
+
+
+def _rationals(line: str) -> list[Fraction]:
+    """The rationals of one text line, as :func:`parse_frac` reads each token.
+
+    A canonical line becomes ints in one split and its Fractions are built
+    from (numerator, denominator) pairs; any other line (bare ints,
+    decimals, ``+1/2``, a zero denominator, tabs, non-ASCII digits) is read
+    token by token, so every value and error message is that of parse_frac.
+    """
+    if _CANONICAL_LINE.fullmatch(line):
+        ints = list(map(int, line.replace("/", " ").split()))
+        return list(map(Fraction, ints[::2], ints[1::2]))
+    return [parse_frac(v) for v in line.split()]
+
+
 def read_pl_path(text: str) -> PLPath:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != PLPATH_HEADER:
-        raise ValueError(f"expected header {PLPATH_HEADER!r}")
     pts = []
-    for ln in lines[1:]:
-        t, x = ln.split()
-        pts.append((parse_frac(t), parse_frac(x)))
+    for no, ln in _content_lines(text, PLPATH_HEADER):
+        pair = _rationals(ln)
+        if len(pair) != 2:
+            raise ValueError(f"plpath line {no}: expected two rationals 't x', "
+                             f"got {len(pair)}")
+        pts.append(pair)
     return PLPath(tuple(pts))
 
 
@@ -477,17 +504,25 @@ def write_field(field: HomotopyField) -> str:
 
 
 def read_field(text: str) -> HomotopyField:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != PLFIELD_HEADER:
-        raise ValueError(f"expected header {PLFIELD_HEADER!r}")
-    if len(lines) < 4:
+    """A field from its ``plfield v1`` text.
+
+    Every line of values goes through :func:`_rationals`: the rows
+    :func:`write_field` emits are read as int pairs, any other spelling
+    token by token, with the same exact values either way.
+    """
+    lines = _content_lines(text, PLFIELD_HEADER)
+    if len(lines) < 3:
         raise ValueError("expected a dimension line and two break lines")
-    ns, nt = (int(v) for v in lines[1].split())
-    s_breaks = tuple(parse_frac(v) for v in lines[2].split())
-    t_breaks = tuple(parse_frac(v) for v in lines[3].split())
+    no, dims = lines[0]
+    sizes = dims.split()
+    if len(sizes) != 2:
+        raise ValueError(f"plfield line {no}: expected the grid sizes 'ns nt', "
+                         f"got {len(sizes)}")
+    ns, nt = map(int, sizes)
+    s_breaks, t_breaks = (_rationals(ln) for _, ln in lines[1:3])
     if len(s_breaks) != ns or len(t_breaks) != nt:
         raise ValueError("grid dimensions do not match the break lines")
-    if len(lines) != 4 + ns:
-        raise ValueError(f"expected {ns} value rows, got {len(lines) - 4}")
-    rows = [tuple(parse_frac(v) for v in ln.split()) for ln in lines[4:]]
-    return HomotopyField(s_breaks=s_breaks, t_breaks=t_breaks, values=tuple(rows))
+    if len(lines) != 3 + ns:
+        raise ValueError(f"expected {ns} value rows, got {len(lines) - 3}")
+    rows = tuple(_rationals(ln) for _, ln in lines[3:])
+    return HomotopyField(s_breaks=s_breaks, t_breaks=t_breaks, values=rows)

@@ -97,6 +97,42 @@ class TestZeroDenominators:
         rejected(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ("1/4=1,1/4=2,3/4=2", "time 1/4 is given more than once"),
+        ("2/8=1,1/4=2,3/4=2", "time 1/4 is given more than once"),
+        ("1/4=1,3/4=2,", "expected 'time=origin', got ''"),
+        ("1/4=1,,3/4=2", "expected 'time=origin', got ''"),
+        ("1/4=1=2,3/4=2", "expected 'time=origin', got '1/4=1=2'"),
+    ],
+    ids=["repeated", "repeated-other-spelling", "trailing-comma", "empty-part", "two-signs"],
+)
+def test_assignment_rejected(capsys, assign, message):
+    assert rejected(capsys, "homotopy", "--assign", assign) == f"error: --assign: {message}"
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, message",
+    [
+        ("lift", "plpath v1\n0/1 1/1\n\n1/2 0/1 1/2\n1/1 1/1\n",
+         "plpath line 4: expected two rationals 't x', got 3"),
+        ("lift", "plpath v1\n0/1 1/1\n1/2\n1/1 1/1\n",
+         "plpath line 3: expected two rationals 't x', got 1"),
+        ("homotopy", "plfield v1\n2 2 1\n0 1\n0 1\n1 1\n1 1\n",
+         "plfield line 2: expected the grid sizes 'ns nt', got 3"),
+        ("homotopy", "plfield v1\n\n2\n0 1\n0 1\n1 1\n1 1\n",
+         "plfield line 3: expected the grid sizes 'ns nt', got 1"),
+    ],
+    ids=["plpath-three", "plpath-one", "plfield-dims-three", "plfield-dims-one"],
+)
+def test_text_format_line_named(capsys, tmp_path, subcommand, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--path" if subcommand == "lift" else "--field"
+    assert rejected(capsys, subcommand, flag, str(path)) == f"error: {message}"
+
+
 def _deck(doc: dict) -> dict:
     return dict(doc["certificates"])["deck-group:any"]
 

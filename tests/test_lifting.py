@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +30,7 @@ from nonhaus.lifting import (
     NoLift,
     NonUniqueExistence,
     PLPath,
+    ZeroSetComplex,
     attempt_homotopy_lift,
     bounce_path,
     enumerate_lifts,
@@ -456,6 +458,33 @@ def lift_outcome(field: HomotopyField, assignment: dict, cfg: SpaceConfig, const
         return type(exc), str(exc)
 
 
+def random_assignment(rng: random.Random, field: HomotopyField, k: int = 3) -> dict:
+    """A random origin for each zero time of the bottom edge (none on a zero plateau)."""
+    try:
+        times = zero_times(field.bottom_path())
+    except ZeroPlateau:
+        times = []
+    return {t: rng.randint(1, k) for t in times}
+
+
+def assert_matches_reference(field: HomotopyField, rng: random.Random,
+                             monkeypatch) -> ZeroSetComplex:
+    """extract_zero_set equals the oracle's complex, and every lifting outcome
+    is the one computed from the oracle's complex."""
+    complex_ = extract_zero_set(field)
+    assert complex_ == reference_zero_set(field)
+    assignment = random_assignment(rng, field)
+    for model in TopologyModel:
+        for constancy in (False, True):
+            cfg = SpaceConfig(3, model)
+            got = lift_outcome(field, assignment, cfg, constancy)
+            with monkeypatch.context() as m:
+                m.setattr(lifting, "extract_zero_set", reference_zero_set)
+                want = lift_outcome(field, assignment, cfg, constancy)
+            assert got == want
+    return complex_
+
+
 def test_zero_set_matches_reference_engine(monkeypatch):
     """extract_zero_set against the Fraction-comparison oracle, and the lifting
     outcomes computed from either, on seeded small fields."""
@@ -467,22 +496,64 @@ def test_zero_set_matches_reference_engine(monkeypatch):
             seen["plateau"] += 1
             continue
         seen.update(field_cases(field))
-        complex_ = extract_zero_set(field)
-        assert complex_ == reference_zero_set(field)
-        try:
-            times = zero_times(field.bottom_path())
-        except ZeroPlateau:
-            times = []
-        assignment = {t: rng.randint(1, 3) for t in times}
-        for model in TopologyModel:
-            for constancy in (False, True):
-                cfg = SpaceConfig(3, model)
-                got = lift_outcome(field, assignment, cfg, constancy)
-                with monkeypatch.context() as m:
-                    m.setattr(lifting, "extract_zero_set", reference_zero_set)
-                    want = lift_outcome(field, assignment, cfg, constancy)
-                assert got == want
+        assert_matches_reference(field, rng, monkeypatch)
     assert FIELD_CASES <= set(seen), FIELD_CASES - set(seen)
+
+
+def large_rational(rng: random.Random) -> Fraction:
+    """A nonzero value of either sign with coprime numerator and denominator of 13-40 digits."""
+    while True:
+        num, den = rng.randint(10**12, 10**40), rng.randint(10**12, 10**40)
+        if math.gcd(num, den) == 1:
+            return Fraction(rng.choice((1, -1)) * num, den)
+
+
+def test_zero_set_matches_reference_engine_on_large_rationals(monkeypatch):
+    """Crossing points from integer cross-products against the oracle's
+    Fraction arithmetic, with large coprime values and breaks of large
+    denominators; a zero at some vertices puts crossings through vertices too."""
+    rng = random.Random(11)
+    crossings = 0
+    for _ in range(120):
+        ns, nt = rng.randint(2, 6), rng.randint(2, 6)
+        s_breaks, t_breaks = (
+            (Fraction(0),) + tuple(Fraction(i, den) for i in sorted(rng.sample(range(1, den), n - 2)))
+            + (Fraction(1),)
+            for n, den in ((ns, rng.randint(10**9, 10**15)), (nt, rng.randint(10**9, 10**15)))
+        )
+        values = [[Fraction(0) if rng.random() < 0.1 else large_rational(rng) for _ in range(nt)]
+                  for _ in range(ns)]
+        if reference_plateau(s_breaks, t_breaks, values) is not None:
+            continue
+        field = HomotopyField(s_breaks, t_breaks, tuple(map(tuple, values)))
+        complex_ = assert_matches_reference(field, rng, monkeypatch)
+        crossings += sum(1 for seg in complex_.segments for p in (seg.a, seg.b)
+                         if p[0] not in s_breaks or p[1] not in t_breaks)
+    assert crossings > 1000
+
+
+def test_constancy_flag_has_no_effect_in_quotient_model():
+    """The quotient model decides by its chart rule, with or without the flag."""
+    rng = random.Random(9)
+    dips = HomotopyField(  # two bottom dips: zero times 1/8, 3/8, 5/8 and 7/8
+        s_breaks=tuple(Fraction(i, 4) for i in range(5)),
+        t_breaks=(Fraction(0), Fraction(1)),
+        values=tuple((Fraction(v), Fraction(3)) for v in (1, -1, 1, -1, 1)),
+    )
+    mixed = {Fraction(1, 8): 1, Fraction(3, 8): 1, Fraction(5, 8): 2, Fraction(7, 8): 2}
+    quotient2 = SpaceConfig(2, TopologyModel.QUOTIENT)
+    assert isinstance(attempt_homotopy_lift(dips, mixed, SpaceConfig(2, TopologyModel.PSEUDOMETRIC),
+                                            True), NoLift)
+    for constancy in (False, True):
+        result = attempt_homotopy_lift(dips, mixed, quotient2, constancy)
+        assert result.assignments == (((0, 1), (1, 2)),)
+    fields = [dips, make_merging_field()] + [random_field(rng) for _ in range(200)]
+    for field in (f for f in fields if not isinstance(f, str)):
+        for k in (2, 3):
+            cfg = SpaceConfig(k, TopologyModel.QUOTIENT)
+            assignment = random_assignment(rng, field, k)
+            assert lift_outcome(field, assignment, cfg, True) == \
+                lift_outcome(field, assignment, cfg, False)
 
 
 class TestAttemptHomotopyLift:

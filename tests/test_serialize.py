@@ -9,6 +9,7 @@ import nonhaus.audit as audit_mod
 from nonhaus import serialize
 from nonhaus.embedding import BasePoint, PlanePoint, embedding_checks
 from nonhaus.lifting import (
+    HomotopyField,
     PLPath,
     bounce_path,
     enumerate_lifts,
@@ -213,6 +214,75 @@ class TestTextFormats:
             serialize.read_pl_path("plpath v2\n0/1 1/1\n")
         with pytest.raises(ValueError):
             serialize.read_field("plfield v2\n")
+
+
+def outcome(read, text):
+    """What a reader returns, or the type name and text of what it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def oracle_line(line: str) -> list[Fraction]:
+    return [serialize.parse_frac(v) for v in line.split()]
+
+
+def oracle_read_field(text: str) -> HomotopyField:
+    """read_field with every value read token by token (dimensions and row count drawn right)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    s_breaks, t_breaks, *rows = (tuple(oracle_line(ln)) for ln in lines[2:])
+    return HomotopyField(s_breaks=s_breaks, t_breaks=t_breaks, values=tuple(rows))
+
+
+_CANONICAL_TOKENS = st.builds(
+    "{}/{}".format,
+    st.integers(-10**6, 10**6) | st.integers(-10**300, 10**300),
+    st.integers(1, 10**6) | st.integers(1, 10**300),
+)
+_OTHER_TOKENS = st.sampled_from([
+    "-0/5", "007/03", "2/4", "1/00", "+1/2", "1/-2", "1/0", "0.5", "1e3", "1_0/3", "7", "-7",
+    "\u0663/\u0664", "\uff13/\uff14", "x", "1/2/3", "9" * 4400 + "/7", "7/" + "9" * 4400,
+])
+_SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  "])
+
+
+@st.composite
+def value_lines(draw, count=None) -> str:
+    """A line of rationals: mostly canonical tokens, some other spellings and separators."""
+    tokens = draw(st.lists(_CANONICAL_TOKENS | _OTHER_TOKENS, min_size=count or 1,
+                           max_size=count or 6))
+    if draw(st.booleans()):
+        return " ".join(tokens)
+    return "".join(tok + draw(_SEPARATORS) for tok in tokens).rstrip(" ")
+
+
+@given(value_lines())
+def test_line_parser_matches_parse_frac(line):
+    got = outcome(serialize._rationals, line)
+    assert got == outcome(oracle_line, line)
+    if type(got) is list:
+        assert all(type(v) is Fraction for v in got)
+
+
+@st.composite
+def plfield_texts(draw) -> str:
+    ns, nt = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    zero = st.sampled_from(["0", "0/1", "-0/5", "0/7", "0.0", "00/3"])
+    one = st.sampled_from(["1", "1/1", "007/007", "2/2", "1.0", "+1/1"])
+    inner = st.sampled_from(["1/2", "1/3", "2/3", "0.5"])
+
+    def breaks(n):
+        return " ".join([draw(zero)] + [draw(inner) for _ in range(n - 2)] + [draw(one)])
+
+    lines = ["plfield v1", f"{ns} {nt}", breaks(ns), breaks(nt)]
+    lines += [draw(value_lines(nt)) for _ in range(ns)]
+    return "\n".join(lines) + "\n"
+
+
+@given(plfield_texts())
+def test_read_field_matches_token_oracle(text):
+    assert outcome(serialize.read_field, text) == outcome(oracle_read_field, text)
 
 
 # Every registered kind, pinned: adding, dropping or renaming one changes
