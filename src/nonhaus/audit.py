@@ -18,7 +18,7 @@ functions that produced the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, Callable, Optional
@@ -319,20 +319,24 @@ def _scale(p: CanonicalPoint, u: Fraction) -> CanonicalPoint:
 
 
 def shrink_contraction_record(k: int) -> ShrinkContractionRecord:
+    """The scaling contraction's samples and parameters, asserted ``ok``.
+
+    ``ok`` holds by construction, since |(1 - u)x - (1 - v)x| = |u - v| * |x|;
+    the producer runs no check of its own.  The claim is established by
+    ``_recheck_shrink``, which ``recheck_report`` runs on every report.
+    """
     samples: tuple[CanonicalPoint, ...] = tuple(Origin(i) for i in range(1, k + 1)) + (
         Regular(1),
         Regular(-1),
         Regular(Fraction(3, 7)),
     )
-    params = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    record = ShrinkContractionRecord(
+    return ShrinkContractionRecord(
         samples=samples,
-        params=params,
+        params=(Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)),
         ok=True,
         note="coordinate scaling is a pseudometric contraction to one origin; "
         "origin choices cost nothing in this model",
     )
-    return replace(record, ok=not _recheck_shrink(record))
 
 
 def _chart_membership(k: int) -> MembershipAudit:
@@ -466,14 +470,28 @@ def _recheck_loop_class(rec: LoopClassRecord, k: int) -> list[str]:
 
 
 def _recheck_shrink(rec: ShrinkContractionRecord) -> list[str]:
+    """Check both scaling identities on every sample and parameter, exactly.
+
+    For each sample p and parameters u, v: the distance between p scaled by
+    u and by v is |u - v| * |p|, and scaling shrinks the distance from p to
+    every sample q by the factor (1 - u).  Each scaled point, each unscaled
+    distance and each |u - v| is computed once; every identity is still
+    tested on the full grid through ``pseudo_dist``.
+    """
+    samples, params = rec.samples, rec.params
+    scaled = [[_scale(p, u) for u in params] for p in samples]
+    dist = [[pseudo_dist(p, q) for q in samples] for p in samples]
+    gaps = [[abs(u - v) for v in params] for u in params]
     failures = []
-    for p in rec.samples:
-        for u in rec.params:
-            for v in rec.params:
-                if pseudo_dist(_scale(p, u), _scale(p, v)) != abs(u - v) * abs(coord(p)):
+    for p, row, dist_p in zip(samples, scaled, dist):
+        size = abs(coord(p))
+        for b, (u, pu, gaps_u) in enumerate(zip(params, row, gaps)):
+            for v, pv, gap in zip(params, row, gaps_u):
+                if pseudo_dist(pu, pv) != gap * size:
                     failures.append(f"scaling modulus fails at {p}, ({u}, {v})")
-            for q in rec.samples:
-                if pseudo_dist(_scale(p, u), _scale(q, u)) != (1 - u) * pseudo_dist(p, q):
+            factor = 1 - u
+            for q, q_row, d in zip(samples, scaled, dist_p):
+                if pseudo_dist(pu, q_row[b]) != factor * d:
                     failures.append(f"shrink factor fails at ({p}, {q}), u={u}")
         if _scale(p, Fraction(0)) != p or _scale(p, Fraction(1)) != Origin(1):
             failures.append(f"endpoints of the contraction fail at {p}")
@@ -514,14 +532,21 @@ _RECHECKS: dict[type, Callable[[Any, ReportDocument], list[str]]] = {
 def recheck_report(doc: ReportDocument) -> list[str]:
     """Check a report against the declared table; returns human-readable failures.
 
-    The claims must equal ``claim_table(doc.k)``, every certificate must
-    re-derive, and each checked cell's verdict must be the one its
-    certificate proves in that cell's model.
+    The schema version must be this module's and the echoed model one of
+    ``MODELS``; the claims must equal ``claim_table(doc.k)``, every
+    certificate must re-derive, and each checked cell's verdict must be the
+    one its certificate proves in that cell's model.
     """
+    models = [m.value for m in MODELS]
+    failures = []
+    if doc.schema_version != SCHEMA_VERSION:
+        failures.append(f"schema_version {doc.schema_version!r} is not {SCHEMA_VERSION!r}")
+    if doc.model not in models:
+        failures.append(f"model {doc.model!r} is not one of {', '.join(models)}")
     if doc.k not in _TABLE_KS:
-        return [f"k={doc.k} is outside the audited range 2..6"]
+        return failures + [f"k={doc.k} is outside the audited range 2..6"]
     declared = claim_table(doc.k)
-    failures = [
+    failures += [
         f"claim {n}: row {got.claim_id if got else '(none)'} differs from the declared "
         f"row {want.claim_id if want else '(none)'}"
         for n, (got, want) in enumerate(zip_longest(doc.claims, declared), 1) if got != want

@@ -284,10 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, so importing the module stays cheap, and
+# reused by every later call: parse_args returns a fresh Namespace each time.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

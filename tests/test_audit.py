@@ -1,20 +1,23 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
-from nonhaus import cli
+from conftest import reference_recheck_shrink
+from nonhaus import audit, cli
 from nonhaus.audit import (
     FAILS,
     HOLDS,
     HOLDS_NON_UNIQUELY,
     NOT_CHECKED,
+    _recheck_shrink,
     recheck_report,
     run_audit,
     shrink_contraction_record,
 )
 from nonhaus.errors import OriginCountOutOfRange
-from nonhaus.space import SpaceConfig, TopologyModel
+from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel
 
 Q2 = SpaceConfig(2, TopologyModel.QUOTIENT)
 P2 = SpaceConfig(2, TopologyModel.PSEUDOMETRIC)
@@ -161,6 +164,18 @@ def _origin_9_stage_assignment(doc):
     cert["stages"][0]["assignment"][-1][1] = 9
 
 
+def _foreign_schema_version(doc):
+    doc["schema_version"] = "nonhaus-report/99"
+
+
+def _unknown_model(doc):
+    doc["model"] = "banana"
+
+
+def _capitalised_model(doc):
+    doc["model"] = "Quotient"
+
+
 class TestRecheckFailures:
     @pytest.mark.parametrize(
         "tamper, named",
@@ -175,10 +190,14 @@ class TestRecheckFailures:
             (_abelian_noncommuting_pair, "deck-group:any"),
             (_origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
             (_origin_9_stage_assignment, "pi1-contraction:pseudometric"),
+            (_foreign_schema_version, "schema_version 'nonhaus-report/99'"),
+            (_unknown_model, "model 'banana'"),
+            (_capitalised_model, "model 'Quotient'"),
         ],
         ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
              "negative-t1", "cut-deck-table", "negative-deck-k", "abelian-noncommuting-pair",
-             "origin-9-homotopy", "origin-9-stage"],
+             "origin-9-homotopy", "origin-9-stage", "foreign-schema-version", "unknown-model",
+             "capitalised-model"],
     )
     def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
         path = tmp_path / "report.json"
@@ -190,6 +209,17 @@ class TestRecheckFailures:
         assert cli.main(["audit", "--check", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("certificate re-check failed:") and named in err
+
+    def test_other_model_echo_passes(self, tmp_path, capsys):
+        # the model field echoes the request; the certificates cover both models
+        path = tmp_path / "report.json"
+        assert cli.main(["audit", "--k", "2", "--json", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["model"] = "pseudometric"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["audit", "--check", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("report ok:")
 
     def test_commuting_pair_exits_3(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -240,3 +270,54 @@ class TestRecheckFailures:
     def test_shrink_record(self):
         rec = shrink_contraction_record(3)
         assert rec.ok
+
+
+def _replace_sample(rec):
+    return dataclasses.replace(rec, samples=rec.samples[:-1] + (Regular(2),))
+
+
+def _change_param(rec):
+    # past u = 1 the factor (1 - u) is negative, so the shrink identity fails
+    return dataclasses.replace(rec, params=rec.params[:2] + (Fraction(3, 2),) + rec.params[3:])
+
+
+def _extra_origin_sample(rec):
+    return dataclasses.replace(rec, samples=rec.samples + (Origin(len(rec.samples) + 1),))
+
+
+def _duplicate_param(rec):
+    return dataclasses.replace(rec, params=rec.params + (rec.params[1],))
+
+
+def _not_ok(rec):
+    return dataclasses.replace(rec, ok=False)
+
+
+class TestShrinkRecheck:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_reference_on_real_record(self, k):
+        rec = shrink_contraction_record(k)
+        assert _recheck_shrink(rec) == reference_recheck_shrink(rec) == []
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_replace_sample, _change_param, _extra_origin_sample, _duplicate_param, _not_ok],
+    )
+    @pytest.mark.parametrize("k", (2, 5))
+    def test_matches_reference_on_tampered_record(self, k, tamper):
+        rec = tamper(shrink_contraction_record(k))
+        assert _recheck_shrink(rec) == reference_recheck_shrink(rec)
+
+    def test_tampered_records_fail(self):
+        rec = shrink_contraction_record(3)
+        failures = _recheck_shrink(_change_param(rec))
+        assert failures and all(f.startswith("shrink factor fails") for f in failures)
+        assert _recheck_shrink(_not_ok(rec)) == ["record is marked not ok"]
+
+    def test_shrink_record_built_without_checker(self, monkeypatch):
+        def refuse(rec):
+            raise AssertionError("the producer ran the checker")
+
+        monkeypatch.setattr(audit, "_recheck_shrink", refuse)
+        rec = shrink_contraction_record(3)
+        assert rec.ok and len(rec.samples) == 6 and len(rec.params) == 5

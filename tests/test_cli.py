@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nonhaus import serialize
+from nonhaus import cli, serialize
 from nonhaus.cli import main
 from nonhaus.lifting import bounce_path, make_merging_field
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *args):
@@ -197,3 +200,35 @@ class TestOtherCommands:
 )
 def test_flag_a_subcommand_does_not_read_is_rejected(argv):
     assert main(argv) == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for _ in range(10):
+            assert main(["deck", "--k", "2"]) == 0
+        assert len(built) == 1
+
+    def test_no_value_leaks_between_calls(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+
+        def golden_run(name, *args):
+            code, out, err = run_cli(capsys, *args)
+            assert (code, err) == (0, "")
+            assert out.encode() == (GOLDEN / name).read_bytes()
+
+        golden_run("audit-k3-quotient.json", "audit", "--k", "3", "--json")
+        code, _, err = run_cli(capsys, "lift", "--nope")
+        assert code == 2 and "unrecognized arguments: --nope" in err
+        code, reused_help, _ = run_cli(capsys, "lift", "--help")
+        assert code == 0 and reused_help.startswith("usage: nonhaus lift")
+        golden_run("homotopy-single-origin-k2-quotient.json",
+                   "homotopy", "--assign", "1/4=1,3/4=1", "--json")
+        golden_run("homotopy-default-k2-quotient.json", "homotopy", "--json")
+        golden_run("lift-k2-quotient.json", "lift", "--json")
+        # a freshly built parser prints the same help
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run_cli(capsys, "lift", "--help") == (0, reused_help, "")

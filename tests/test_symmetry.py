@@ -134,6 +134,22 @@ class TestDeckGroup:
             for p in samples:
                 assert deck_apply(g, deck_apply(h, p)) == deck_apply(g.compose(h), p)
 
+    @pytest.mark.parametrize("k, pairs", [(3, 36), (4, 576), (5, 100)])
+    def test_homomorphism_check_composes_each_pair_once(self, monkeypatch, k, pairs):
+        calls = []
+        compose = DeckElement.compose
+        monkeypatch.setattr(DeckElement, "compose",
+                            lambda g, h: calls.append(1) or compose(g, h))
+        assert deck_group(k).homomorphism_ok
+        assert len(calls) == pairs
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_wrong_compose_fails_the_homomorphism_check(self, monkeypatch, k):
+        monkeypatch.setattr(DeckElement, "compose", lambda g, h: g)
+        table = deck_group(k)
+        assert not table.homomorphism_ok
+        assert recheck_deck_group(table) == ["recorded verification flags are not all set"]
+
 
 def _with_cells(tbl, edits):
     """tbl with table cells replaced: edits maps (i, j) to the new index."""
