@@ -34,7 +34,7 @@ from .space import (
     pseudo_dist,
     separation_report,
 )
-from .symmetry import deck_group
+from .symmetry import deck_group, recheck_deck_group
 from .thickened import thick_audit
 
 
@@ -42,29 +42,31 @@ def _cfg(args: argparse.Namespace) -> SpaceConfig:
     return SpaceConfig(args.k, TopologyModel(args.model))
 
 
-def _emit(args: argparse.Namespace, text: str | bytes) -> None:
-    if not args.out:
-        sys.stdout.write(text if isinstance(text, str) else text.decode())
-    elif isinstance(text, str):
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
+def _emit(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="")
     else:
-        Path(args.out).write_bytes(text)
+        sys.stdout.write(text)
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _ensure(failures: list[str]) -> None:
+    """Raise RecheckFailure, which exits 3, naming every failure of a re-check."""
+    if failures:
+        raise RecheckFailure("; ".join(failures))
+
+
+def _cmd_audit(args: argparse.Namespace) -> str:
     if args.check:
         doc = serialize.loads(Path(args.check).read_text())
         if not isinstance(doc, audit_mod.ReportDocument):
             raise ValueError(f"{args.check} does not hold a report document")
-        audit_mod.ensure_report_valid(doc)
-        _emit(args, f"report ok: {len(doc.claims)} claims, "
-                    f"{len(doc.certificates)} certificates re-checked\n")
-        return 0
+        _ensure(audit_mod.recheck_report(doc))
+        return (f"report ok: {len(doc.claims)} claims, "
+                f"{len(doc.certificates)} certificates re-checked\n")
     doc = audit_mod.run_audit(_cfg(args), eps=args.eps, x0=args.x0)
-    audit_mod.ensure_report_valid(doc)
+    _ensure(audit_mod.recheck_report(doc))
     if args.json:
-        _emit(args, serialize.dumps(doc))
-        return 0
+        return serialize.dumps(doc)
     width = max(len(c.claim_id) for c in doc.claims)
     lines = [f"claims audit (k={doc.k}, requested model: {doc.model})"]
     for c in doc.claims:
@@ -72,11 +74,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         lines.append(f"{c.claim_id:<{width}}  quotient={v['quotient']:<20} "
                      f"pseudometric={v['pseudometric']}")
     lines.append(f"{len(doc.certificates)} certificates embedded; all re-checked")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_lift(args: argparse.Namespace) -> int:
+def _cmd_lift(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     if args.path:
         path = serialize.read_pl_path(Path(args.path).read_text())
@@ -88,14 +89,12 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     start = Origin(1) if c0 == 0 else Regular(c0)
     lifts = enumerate_lifts(path, start, cfg)
     if args.json:
-        _emit(args, serialize.dumps(list(lifts)))
-        return 0
+        return serialize.dumps(list(lifts))
     lines = [f"{len(lifts)} lifts (k={cfg.k}, model={cfg.model.value})"]
     for n, lift in enumerate(lifts):
         choices = ", ".join(f"t={t}: origin {i}" for t, i in lift.origin_choices())
         lines.append(f"lift {n}: {choices if choices else 'no zero times'}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _parse_assignment(text: str) -> dict[Fraction, int]:
@@ -113,7 +112,7 @@ def _parse_assignment(text: str) -> dict[Fraction, int]:
     return out
 
 
-def _cmd_homotopy(args: argparse.Namespace) -> int:
+def _cmd_homotopy(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     if args.field:
         field = serialize.read_field(Path(args.field).read_text())
@@ -124,8 +123,7 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
     assignment = _parse_assignment(args.assign)
     record = homotopy_lift_record(field, assignment, cfg, args.paper_constancy)
     if args.json:
-        _emit(args, serialize.dumps(record))
-        return 0
+        return serialize.dumps(record)
     result = record.result
     lines = [
         f"homotopy lifting (k={cfg.k}, model={cfg.model.value}, "
@@ -133,15 +131,14 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
         f"outcome: {type(result).__name__}",
         f"detail: {result!r}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_deck(args: argparse.Namespace) -> int:
+def _cmd_deck(args: argparse.Namespace) -> str:
     table = deck_group(args.k)
+    _ensure(recheck_deck_group(table))
     if args.json:
-        _emit(args, serialize.dumps(table))
-        return 0
+        return serialize.dumps(table)
     lines = [
         f"deck group for k={args.k}: order {len(table.elements)}",
         f"homomorphism check: {'pass' if table.homomorphism_ok else 'FAIL'}",
@@ -152,11 +149,10 @@ def _cmd_deck(args: argparse.Namespace) -> int:
         lines.append(
             f"non-commuting witness: {table.elements[i].images} and {table.elements[j].images}"
         )
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_metric(args: argparse.Namespace) -> int:
+def _cmd_metric(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     verdicts = separation_report(cfg)
     samples = [
@@ -171,8 +167,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
             "separation": verdicts,
             "distances": [(p, q, serialize.frac_str(pseudo_dist(p, q))) for p, q in samples],
         }
-        _emit(args, serialize.dumps(payload))
-        return 0
+        return serialize.dumps(payload)
     lines = [f"separation axioms (k={cfg.k}, model={cfg.model.value})"]
     for v in verdicts:
         lines.append(f"{v.axiom}: {'holds' if v.holds else 'fails'} ({v.note})")
@@ -180,22 +175,18 @@ def _cmd_metric(args: argparse.Namespace) -> int:
         lines.append(f"distance({p}, {q}) = {pseudo_dist(p, q)}")
     rep = labeled_dist(LabeledRep(1, 1), LabeledRep(2, 2), cfg.k)
     lines.append(f"representative-level distance of (1 on branch 1, 2 on branch 2) = {rep}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    scene = SvgScene(k=args.k, lift_x0=args.x0 if args.lifts else None)
-    data = render_figure(scene)
-    _emit(args, data)
-    return 0
+def _cmd_render(args: argparse.Namespace) -> str:
+    # the SVG is ASCII, so its text encodes to the same bytes
+    return render_figure(SvgScene(k=args.k, lift_x0=args.x0 if args.lifts else None)).decode()
 
 
-def _cmd_thick(args: argparse.Namespace) -> int:
+def _cmd_thick(args: argparse.Namespace) -> str:
     report = thick_audit(args.grid_n, EmbeddingSpec(args.embedding), args.tolerance)
     if args.json:
-        _emit(args, serialize.dumps(report))
-        return 0
+        return serialize.dumps(report)
     lines = [
         f"thickened audit (embedding={report.embedding}, grid={report.grid_n}, "
         f"tolerance={report.tolerance})",
@@ -212,8 +203,7 @@ def _cmd_thick(args: argparse.Namespace) -> int:
         )
     for r in report.rows:
         lines.append(f"{r.claim}: {'holds' if r.holds else 'fails'} ({r.note})")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # Flags shared by several subcommands; each subcommand names the ones it reads.
@@ -298,17 +288,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        _emit(args.out, args.handler(args))
+        return 0
     except RecheckFailure as exc:
         print(f"certificate re-check failed: {exc}", file=sys.stderr)
         return 3
     except (NonHausError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def run() -> int:
-    return main()
 
 
 if __name__ == "__main__":

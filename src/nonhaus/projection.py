@@ -98,11 +98,16 @@ _EVEN_COVER_CONCLUSION = (
 )
 
 
-def even_cover_certificate(eps: Fraction, cfg: SpaceConfig) -> EvenCoverFailure:
-    """Build the even-covering failure certificate for the window (-eps, eps)."""
+def _window(eps: Fraction) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise NonpositiveRadius(f"window radius must be positive, got {eps}")
+    return eps
+
+
+def even_cover_certificate(eps: Fraction, cfg: SpaceConfig) -> EvenCoverFailure:
+    """Build the even-covering failure certificate for the window (-eps, eps)."""
+    eps = _window(eps)
     origins = [Origin(i) for i in range(1, cfg.k + 1)]
     witnesses = []
     for a in range(len(origins)):
@@ -176,9 +181,7 @@ def preimage_connected_certificate(eps: Fraction, cfg: SpaceConfig) -> list[Orig
     the preimage of the window.  This witnesses that the preimage cannot
     split into disjoint sheets.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise NonpositiveRadius(f"window radius must be positive, got {eps}")
+    eps = _window(eps)
     via = Regular(eps / 2)
     paths = []
     for i in range(1, cfg.k):
@@ -237,9 +240,7 @@ class SectionWitness:
 
 def section_witness(eps: Fraction, i: int, j: int, cfg: SpaceConfig) -> SectionWitness:
     """Build the two-section witness; sampling points fixed at +-eps/2, +-eps/4."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise NonpositiveRadius(f"window radius must be positive, got {eps}")
+    eps = _window(eps)
     if i == j:
         raise EqualIndices("the two sections must pick distinct origins")
     for idx in (i, j):

@@ -164,6 +164,24 @@ def _origin_9_stage_assignment(doc):
     cert["stages"][0]["assignment"][-1][1] = 9
 
 
+def _shrink_record(doc):
+    return dict(doc["certificates"])["contractible:pseudometric"]
+
+
+def _empty_shrink_record(doc):
+    _shrink_record(doc).update(samples=[], params=[])
+
+
+def _shrink_without_origin_2(doc):
+    rec = _shrink_record(doc)
+    rec["samples"] = [p for p in rec["samples"] if p != {"kind": "origin", "index": 2}]
+
+
+def _shrink_without_param_1(doc):
+    rec = _shrink_record(doc)
+    rec["params"] = [u for u in rec["params"] if u != "1/1"]
+
+
 def _foreign_schema_version(doc):
     doc["schema_version"] = "nonhaus-report/99"
 
@@ -193,11 +211,15 @@ class TestRecheckFailures:
             (_foreign_schema_version, "schema_version 'nonhaus-report/99'"),
             (_unknown_model, "model 'banana'"),
             (_capitalised_model, "model 'Quotient'"),
+            (_empty_shrink_record, "contractible (pseudometric)"),
+            (_shrink_without_origin_2, "contractible (pseudometric)"),
+            (_shrink_without_param_1, "contractible (pseudometric)"),
         ],
         ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
              "negative-t1", "cut-deck-table", "negative-deck-k", "abelian-noncommuting-pair",
              "origin-9-homotopy", "origin-9-stage", "foreign-schema-version", "unknown-model",
-             "capitalised-model"],
+             "capitalised-model", "empty-shrink-record", "shrink-without-origin-2",
+             "shrink-without-param-1"],
     )
     def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
         path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from nonhaus import cli, serialize
 from nonhaus.cli import main
 from nonhaus.lifting import bounce_path, make_merging_field
+from nonhaus.symmetry import deck_group
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,6 +152,18 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "deck", "--k", "4")
         assert code == 0
         assert "order 24" in out
+
+    def test_deck_table_with_a_wrong_cell_exits_3(self, capsys, monkeypatch, tmp_path):
+        table = deck_group(3)
+        rows = [list(row) for row in table.table]
+        rows[2][4] = (rows[2][4] + 1) % len(rows)
+        bad = dataclasses.replace(table, table=tuple(map(tuple, rows)))
+        monkeypatch.setattr(cli, "deck_group", lambda k: bad)
+        out_file = tmp_path / "deck.json"
+        code, out, err = run_cli(capsys, "deck", "--k", "3", "--json", "--out", str(out_file))
+        assert code == 3
+        assert err == "certificate re-check failed: composition table wrong at (2, 4)\n"
+        assert out == "" and not out_file.exists()
 
     def test_metric_json(self, capsys):
         code, out, _ = run_cli(capsys, "metric", "--k", "2", "--model", "pseudometric", "--json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -212,6 +213,17 @@ def test_lift_count_over_limit_rejected(capsys, tmp_path):
     assert "limit of 4096" in rejected(capsys, "lift", "--path", str(path), "--k", "2")
 
 
+def test_homotopy_assignments_over_limit_rejected(capsys, tmp_path):
+    # two interior wells: two zero loops that meet no boundary, so 100^2 assignments
+    rows = ["1 1 1 1 1"] * 7
+    rows[2] = rows[4] = "1 1 -1 1 1"
+    path = tmp_path / "wells.plfield"
+    path.write_text("\n".join(["plfield v1", "7 5", "0 1/6 1/3 1/2 2/3 5/6 1",
+                               "0 1/4 1/2 3/4 1", *rows]) + "\n")
+    line = rejected(capsys, "homotopy", "--field", str(path), "--assign", "", "--k", "100")
+    assert line == "error: 100^2 assignments exceed the limit of 4096"
+
+
 @pytest.mark.parametrize("grid_n", ["4097", "1000000000"])
 def test_thick_grid_over_limit_rejected(capsys, grid_n):
     assert "limit of 4096" in rejected(capsys, "thick", "--grid-n", grid_n)
@@ -316,3 +328,95 @@ def test_out_into_missing_directory_rejected(capsys, tmp_path, argv):
     target = tmp_path / "missing" / "out"
     assert str(target) in rejected(capsys, *argv, "--out", str(target))
     assert not target.parent.exists()
+
+
+def escapes_nothing(capsys, argv: list[str]) -> None:
+    """Run the CLI: exit 0, 2 or 3, and an exit 2 writes exactly one error line."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1, err
+
+
+_PATH_VALUES = st.sampled_from(["0", "0", "0/1", "1", "-1", "1/2", "-2/3", "3/1", "-5/4", "7",
+                                "123456789012345678901234567890/7", "-98765432109876543210/3",
+                                "9" * 5000])
+
+
+@st.composite
+def plpath_texts(draw) -> str:
+    """A plpath text, often malformed: its zeros may form plateaus."""
+    m = draw(st.integers(2, 7))
+    times = ["0"] + [f"{i}/{m - 1}" for i in range(1, m - 1)] + ["1"]
+    rows = [[t, draw(_PATH_VALUES)] for t in times]
+    fault = draw(st.sampled_from(["none"] * 5 + ["bad token", "zero denominator", "no header",
+                                              "one value", "three values", "swapped times"]))
+    row = rows[draw(st.integers(0, m - 1))]
+    if fault == "bad token":
+        row[draw(st.integers(0, 1))] = draw(_BAD_TOKENS)
+    elif fault == "zero denominator":
+        row[draw(st.integers(0, 1))] = "1/0"
+    elif fault == "one value":
+        row.pop()
+    elif fault == "three values":
+        row.append(draw(_PATH_VALUES))
+    elif fault == "swapped times":
+        rows[0][0], rows[-1][0] = rows[-1][0], rows[0][0]
+    lines = ([] if fault == "no header" else ["plpath v1"]) + [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plpath_texts(), st.integers(2, 3), st.sampled_from(["quotient", "pseudometric"]))
+def test_fuzzed_plpath_never_escapes(capsys, tmp_path, text, k, model):
+    path = tmp_path / "p.plpath"
+    path.write_text(text)
+    escapes_nothing(capsys, ["lift", "--path", str(path), "--k", str(k), "--model", model])
+
+
+_REPORT_K2 = json.loads((Path(__file__).parent / "golden" / "audit-k2-quotient.json").read_text())
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+_LEAVES = list(_leaf_paths(_REPORT_K2))
+
+
+def _edited(value, edit: str):
+    """A leaf retyped, incremented or flipped."""
+    if edit == "retype":
+        return 0 if isinstance(value, str) else str(value)
+    if isinstance(value, bool) or value is None:
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1 if edit == "increment" else -value
+    num, sep, den = value.partition("/")
+    if sep and num.lstrip("-").isdigit():
+        return f"{int(num) + 1}/{den}" if edit == "increment" else f"{-int(num)}/{den}"
+    return value + "x" if edit == "increment" else value[::-1]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_LEAVES), st.sampled_from(["retype", "increment", "flip", "delete"]))
+def test_fuzzed_report_leaf_never_escapes(capsys, tmp_path, leaf, edit):
+    doc = json.loads(json.dumps(_REPORT_K2))
+    parent = doc
+    for key in leaf[:-1]:
+        parent = parent[key]
+    if edit == "delete":
+        del parent[leaf[-1]]
+    else:
+        parent[leaf[-1]] = _edited(parent[leaf[-1]], edit)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    escapes_nothing(capsys, ["audit", "--check", str(path)])

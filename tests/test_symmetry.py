@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import reference_deck_table
 
+from nonhaus import symmetry
 from nonhaus.errors import (
     IndexOutOfRange,
     NotNullhomotopic,
@@ -134,20 +135,25 @@ class TestDeckGroup:
             for p in samples:
                 assert deck_apply(g, deck_apply(h, p)) == deck_apply(g.compose(h), p)
 
-    @pytest.mark.parametrize("k, pairs", [(3, 36), (4, 576), (5, 100)])
-    def test_homomorphism_check_composes_each_pair_once(self, monkeypatch, k, pairs):
-        calls = []
-        compose = DeckElement.compose
-        monkeypatch.setattr(DeckElement, "compose",
-                            lambda g, h: calls.append(1) or compose(g, h))
-        assert deck_group(k).homomorphism_ok
-        assert len(calls) == pairs
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_deck_group_runs_no_pointwise_check(self, monkeypatch, k):
+        # the table is proved by its re-check alone, which composes by itemgetter
+        def forbidden(*args):
+            raise AssertionError("deck_group ran a pointwise check")
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_wrong_compose_fails_the_homomorphism_check(self, monkeypatch, k):
-        monkeypatch.setattr(DeckElement, "compose", lambda g, h: g)
+        monkeypatch.setattr(DeckElement, "compose", forbidden)
+        monkeypatch.setattr(symmetry, "deck_apply", forbidden)
         table = deck_group(k)
-        assert not table.homomorphism_ok
+        assert recheck_deck_group(table) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{"homomorphism_ok": False}, {"faithful_ok": False},
+         {"homomorphism_ok": False, "faithful_ok": False}],
+        ids=["homomorphism", "faithful", "both"],
+    )
+    def test_unset_flag_fails_the_recheck(self, flags):
+        table = dataclasses.replace(deck_group(3), **flags)
         assert recheck_deck_group(table) == ["recorded verification flags are not all set"]
 
 
