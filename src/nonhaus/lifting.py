@@ -45,11 +45,9 @@ from .projection import project
 from .space import (
     CanonicalPoint,
     Origin,
-    OriginChart,
     Regular,
     SpaceConfig,
     TopologyModel,
-    open_contains,
 )
 
 
@@ -179,8 +177,8 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
     origins = [Origin(i) for i in range(1, cfg.k + 1)]
     candidates = [[Regular(x)] if x != 0 else [start] if idx == 0 else origins
                   for idx, (_, x) in enumerate(pts)]
-    options = [[v for v in values if _breakpoint_fault(pts, idx, v, cfg) is None]
-               for idx, values in enumerate(candidates)]
+    options = [[v for v in values if _breakpoint_fault(t, x, v, cfg.k) is None]
+               for (t, x), values in zip(pts, candidates)]
     return [LiftedPath(base=path, values=values) for values in itertools.product(*options)]
 
 
@@ -213,27 +211,21 @@ class ContinuityVerdict:
     note: str = ""
 
 
-def _breakpoint_fault(
-    pts: tuple[tuple[Fraction, Fraction], ...], idx: int, v: CanonicalPoint, cfg: SpaceConfig
-) -> Optional[str]:
-    """Why ``v`` cannot be a lift's value at breakpoint ``idx``; None if it can.
+def _breakpoint_fault(t: Fraction, x: Fraction, v: CanonicalPoint, k: int) -> Optional[str]:
+    """Why ``v`` cannot be a lift's value at time t over coordinate x; None if it can.
 
     Lift validity is local: the value projects onto the coordinate, a
-    regular coordinate keeps its forced value, a zero time carries an origin
-    in 1..k and, in the chart model, the chart of that origin contains the
-    neighbouring breakpoint values.
+    regular coordinate keeps its forced value and a zero time carries an
+    origin in 1..k.  Neither model tests the neighbours: ``zero_times``
+    rejects plateaus first, so the path nears each zero time through regular
+    points, which enter every chart of the chosen origin.
     """
-    t, x = pts[idx]
     if project(v) != BasePoint(x):
         return f"projection mismatch at t={t}: lift value {v} over coordinate {x}"
     if x != 0:
         return None if v == Regular(x) else f"regular part not forced at t={t}"
-    if not isinstance(v, Origin) or not 1 <= v.index <= cfg.k:
+    if not isinstance(v, Origin) or not 1 <= v.index <= k:
         return f"zero time t={t} does not carry a valid origin"
-    if cfg.model is TopologyModel.QUOTIENT:
-        for nb in (pts[j][1] for j in (idx - 1, idx + 1) if 0 <= j < len(pts)):
-            if not open_contains(OriginChart(v.index, 2 * abs(nb)), Regular(nb)):
-                return f"chart of origin {v.index} misses approach value {nb}"
     return None
 
 
@@ -245,7 +237,7 @@ def verify_lift_continuity(lift: LiftedPath, cfg: SpaceConfig) -> ContinuityVerd
     if len(lift.values) != len(pts):
         witness = "value list does not match breakpoints"
     else:
-        faults = (_breakpoint_fault(pts, idx, v, cfg) for idx, v in enumerate(lift.values))
+        faults = (_breakpoint_fault(t, x, v, cfg.k) for (t, x), v in zip(pts, lift.values))
         witness = next(filter(None, faults), None)
     if witness is not None:
         return ContinuityVerdict(

@@ -157,9 +157,8 @@ def _main_column(
     Returns the indices into ``radii`` of the column's uncovered points.
     """
     if theta <= 0 or theta >= math.pi:
-        if abs(sin) < 1e-15 and cos > 0:  # positive axis: origin ray convention, image (r, 0)
-            return [i for i, r in enumerate(radii)
-                    if not math.hypot(r - r * cos, 0.0 - r * sin) <= tolerance]
+        if abs(sin) < 1e-15 and cos > 0:  # positive axis: the origin ray (t, 0) hits each (r, 0)
+            return []
         return list(range(len(radii)))
     if abs(theta - math.pi / 2) < 1e-15:
         return list(range(len(radii)))  # straight up is only approached in the limit

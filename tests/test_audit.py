@@ -11,13 +11,23 @@ from nonhaus.audit import (
     HOLDS,
     HOLDS_NON_UNIQUELY,
     NOT_CHECKED,
+    _recheck_separation,
     _recheck_shrink,
+    _recheck_subgroup_gap,
     recheck_report,
     run_audit,
     shrink_contraction_record,
 )
 from nonhaus.errors import OriginCountOutOfRange
-from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel
+from nonhaus.space import (
+    InseparabilityRule,
+    Origin,
+    OriginChart,
+    Regular,
+    SeparationVerdict,
+    SpaceConfig,
+    TopologyModel,
+)
 
 Q2 = SpaceConfig(2, TopologyModel.QUOTIENT)
 P2 = SpaceConfig(2, TopologyModel.PSEUDOMETRIC)
@@ -292,6 +302,70 @@ class TestRecheckFailures:
     def test_shrink_record(self):
         rec = shrink_contraction_record(3)
         assert rec.ok
+
+
+_ORIGINS = (Origin(1), Origin(2))
+
+
+def _chart(i):
+    return OriginChart(i, Fraction(1))
+
+
+class TestRecheckBranches:
+    """Each failure a tampered certificate can reach, named exactly."""
+
+    @pytest.mark.parametrize(
+        "verdict, failures",
+        [
+            (SeparationVerdict("T1", True, _ORIGINS),
+             ["T1: positive verdict without opens"]),
+            (SeparationVerdict("T1", True, _ORIGINS, opens=(_chart(2), _chart(2))),
+             ["T1: first open fails its containment pattern"]),
+            (SeparationVerdict("T1", True, _ORIGINS, opens=(_chart(1), _chart(1))),
+             ["T1: second open fails its containment pattern"]),
+            # each chart holds its own origin only, but both hold the small regular points
+            (SeparationVerdict("T2", True, _ORIGINS, opens=(_chart(1), _chart(2))),
+             ["T2: witness opens intersect"]),
+            (SeparationVerdict("T2", False, _ORIGINS),
+             ["T2: negative verdict without a rule"]),
+            (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(1, 1)),
+             ["T2: rule needs two distinct origins in 1..2"]),
+            (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(1, 3)),
+             ["T2: rule needs two distinct origins in 1..2"]),
+            (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(0, 2)),
+             ["T2: rule needs two distinct origins in 1..2"]),
+        ],
+        ids=["no-opens", "first-pattern", "second-pattern", "t2-opens-intersect", "no-rule",
+             "equal-rule-indices", "rule-index-above-k", "rule-index-0"],
+    )
+    def test_separation(self, verdict, failures):
+        assert _recheck_separation(verdict, 2) == failures
+
+    def test_separation_accepts_the_produced_verdicts(self, report):
+        for model in ("quotient", "pseudometric"):
+            for axiom in ("t1", "hausdorff"):
+                cert = report.certificate(f"separation-{axiom}:{model}")
+                assert _recheck_separation(cert, 2) == []
+
+    @pytest.mark.parametrize(
+        "changes, failures",
+        [({"deck_order": 3}, ["deck order is not k!"]),
+         ({"deck_ref": "deck-group:none"}, ["dangling deck reference"]),
+         ({"deck_order": 1, "deck_ref": "x"}, ["deck order is not k!", "dangling deck reference"])],
+        ids=["deck-order", "dangling-deck-ref", "both"],
+    )
+    def test_subgroup_gap(self, report, changes, failures):
+        rec = dataclasses.replace(report.certificate("subgroup-correspondence:any"), **changes)
+        assert _recheck_subgroup_gap(rec, report) == failures
+        certs = tuple((ref, rec if ref == "subgroup-correspondence:any" else c)
+                      for ref, c in report.certificates)
+        bad = dataclasses.replace(report, certificates=certs)
+        assert recheck_report(bad) == [f"subgroup-correspondence:any: {f}" for f in failures]
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 7, 120])
+    def test_report_k_outside_the_audited_range(self, report, k):
+        bad = dataclasses.replace(report, k=k)
+        assert recheck_report(bad) == [f"k={k} is outside the audited range 2..6"]
 
 
 def _replace_sample(rec):

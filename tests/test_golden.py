@@ -1,7 +1,8 @@
-"""Byte-for-byte golden outputs of every JSON-emitting subcommand.
+"""Byte-for-byte golden outputs of every subcommand: JSON, text and SVG.
 
 The files under ``tests/golden/`` pin the wire format that independent
-checkers read.  Each case reruns the CLI in-process and compares bytes.
+checkers read, and the text and SVG a user sees.  Each case reruns the
+CLI in-process and compares bytes.
 After a deliberate format change, regenerate them with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,20 +27,22 @@ HOMOTOPY_VARIANTS = (
 
 def _cases() -> list[tuple[str, list[str]]]:
     cases = []
+    runs = []  # (file stem, argv); each is pinned as JSON and as text
     for k in (2, 3, 5):
         for model in MODELS:
-            common = ["--k", str(k), "--model", model, "--json"]
-            cases.append((f"audit-k{k}-{model}.json", ["audit", *common]))
-            cases.append((f"lift-k{k}-{model}.json", ["lift", *common]))
+            common = ["--k", str(k), "--model", model]
+            runs.append((f"audit-k{k}-{model}", ["audit", *common]))
+            runs.append((f"lift-k{k}-{model}", ["lift", *common]))
             for variant, extra in HOMOTOPY_VARIANTS:
-                cases.append((f"homotopy-{variant}-k{k}-{model}.json", ["homotopy", *common, *extra]))
-            cases.append((f"metric-k{k}-{model}.json", ["metric", *common]))
-        cases.append((f"deck-k{k}.json", ["deck", "--k", str(k), "--json"]))
+                runs.append((f"homotopy-{variant}-k{k}-{model}", ["homotopy", *common, *extra]))
+            runs.append((f"metric-k{k}-{model}", ["metric", *common]))
+        runs.append((f"deck-k{k}", ["deck", "--k", str(k)]))
     for embedding in ("main", "spiral"):
-        cases.append(
-            (f"thick-{embedding}.json",
-             ["thick", "--grid-n", "32", "--embedding", embedding, "--json"])
-        )
+        runs.append((f"thick-{embedding}", ["thick", "--grid-n", "32", "--embedding", embedding]))
+    for stem, argv in runs:
+        cases.append((f"{stem}.json", [*argv, "--json"]))
+        cases.append((f"{stem}.txt", argv))
+    cases.append(("render-k3-lifts.svg", ["render", "--k", "3", "--lifts"]))
     for model in MODELS:
         report = GOLDEN / f"audit-k2-{model}.json"
         cases.append((f"check-k2-{model}.txt", ["audit", "--check", str(report)]))

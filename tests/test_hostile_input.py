@@ -201,6 +201,30 @@ def test_plfield_extra_rows_rejected(capsys, tmp_path):
     assert "value rows" in rejected(capsys, "homotopy", "--field", str(path))
 
 
+_GOLDEN_K2 = str(Path(__file__).parent / "golden" / "audit-k2-quotient.json")
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--k", "2"], "--k"), (["--k", "3"], "--k"), (["--model", "quotient"], "--model"),
+     (["--x0", "1"], "--x0"), (["--eps", "1/3"], "--eps"), (["--json"], "--json"),
+     (["--k", "2", "--json", "--eps", "1"], "--k, --eps, --json")],
+    ids=["k-default", "k", "model-default", "x0-default", "eps", "json", "three"],
+)
+def test_check_rejects_build_flags(capsys, tmp_path, flags, named):
+    # --check re-checks the stored report as it is; a build flag would be ignored
+    out = tmp_path / "out.txt"
+    line = rejected(capsys, "audit", "--check", _GOLDEN_K2, *flags, "--out", str(out))
+    assert line == f"error: audit --check takes no {named}"
+    assert not out.exists()
+
+
+def test_check_takes_out(capsys, tmp_path):
+    out = tmp_path / "out.txt"
+    assert main(["audit", "--check", _GOLDEN_K2, "--out", str(out)]) == 0
+    assert out.read_text() == "report ok: 18 claims, 23 certificates re-checked\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
 def test_thick_tolerance_rejected(capsys, value):
     assert "tolerance" in rejected(capsys, "thick", "--grid-n", "8", f"--tolerance={value}")

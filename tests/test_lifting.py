@@ -220,6 +220,27 @@ class TestContinuityVerdict:
         assert not verdict.ok
         assert (verdict.witness, verdict.lipschitz, verdict.segments) == (witness, None, ())
 
+    def test_models_give_the_same_verdict(self):
+        # the chart model reads no neighbour, so each verdict, valid or not, is the ball model's
+        rng = random.Random(13)
+        oks = Counter()
+        for _ in range(300):
+            path = random_zero_path(rng)
+            k = rng.choice([k for k in (2, 3, 4) if k ** len(zero_times(path)) <= 64])
+            c0 = path.breakpoints[0][1]
+            start = Origin(rng.randint(1, k)) if c0 == 0 else Regular(c0)
+            valid = rng.choice(enumerate_lifts(path, start, SpaceConfig(k))).values
+            idx = rng.randrange(len(valid))
+            wrong = rng.choice([Origin(rng.randint(1, k + 1)),
+                                Regular(random_fraction(rng, 9, nonzero=True))])
+            for values in (valid, valid[:idx] + (wrong,) + valid[idx + 1:]):
+                lift = LiftedPath(path, values)
+                quotient, pseudo = (verify_lift_continuity(lift, SpaceConfig(k, model))
+                                    for model in TopologyModel)
+                assert (quotient.ok, quotient.witness) == (pseudo.ok, pseudo.witness)
+                oks[quotient.ok] += 1
+        assert oks[True] > 300 and oks[False] > 100
+
     def test_plateau_propagates(self):
         path = PLPath(
             ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(1)))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from nonhaus.embedding import ACCUMULATION, BasePoint
 from nonhaus.errors import EqualIndices, IndexOutOfRange, NonpositiveRadius, SingularPoint
 from nonhaus.projection import (
+    OriginJoinPath,
     even_cover_certificate,
     fibre,
     preimage_connected_certificate,
@@ -109,6 +111,23 @@ class TestEvenCover:
         )
         assert recheck_even_cover(bad) != []
 
+    @pytest.mark.parametrize(
+        "fibre",
+        [(Origin(1), Origin(2)), (Origin(1), Origin(2), Origin(3), Origin(3)),
+         (Origin(1), Origin(2), Regular(1))],
+        ids=["origin-missing", "origin-repeated", "regular-point"],
+    )
+    def test_recheck_names_a_wrong_fibre(self, quotient3, fibre):
+        bad = dataclasses.replace(even_cover_certificate(1, quotient3), fibre=fibre)
+        assert recheck_even_cover(bad) == [
+            "fibre record does not match the fibre over the accumulation point"
+        ]
+
+    def test_recheck_counts_the_witnesses(self, quotient3):
+        cert = even_cover_certificate(1, quotient3)
+        bad = dataclasses.replace(cert, witnesses=cert.witnesses[1:])
+        assert recheck_even_cover(bad) == ["missing origin-pair witnesses"]
+
     def test_every_witness_within_window(self, quotient3):
         eps = Fraction(1, 3)
         cert = even_cover_certificate(eps, quotient3)
@@ -139,6 +158,32 @@ class TestPreimageConnected:
             preimage_connected_certificate(-1, quotient2)
 
 
+def _join(eps, *points):
+    times = [Fraction(n, len(points) - 1) for n in range(len(points))]
+    return OriginJoinPath(eps=Fraction(eps), breakpoints=tuple(zip(times, points)))
+
+
+class TestOriginJoinRecheck:
+    def test_produced_paths_pass(self, quotient3):
+        assert recheck_origin_join(preimage_connected_certificate(1, quotient3), quotient3) == []
+
+    @pytest.mark.parametrize(
+        "paths, failures",
+        [
+            ([_join(1, Regular(Fraction(1, 2)), Origin(2)), _join(1, Origin(2), Origin(3))],
+             ["path 0: endpoints are not origins"]),
+            ([_join(1, Origin(1), Origin(3)), _join(1, Origin(2), Origin(3))],
+             ["path 0: does not join consecutive origins"]),
+            ([_join(1, Origin(1), Origin(2)), _join(1, Origin(2), Regular(1), Origin(3))],
+             ["path 1: breakpoint at t=1/2 leaves the window preimage"]),
+            ([_join(1, Origin(1), Origin(2))], ["expected 2 joining paths, got 1"]),
+        ],
+        ids=["endpoint-not-origin", "not-consecutive", "leaves-window", "path-missing"],
+    )
+    def test_recheck_names_each_failure(self, quotient3, paths, failures):
+        assert recheck_origin_join(paths, quotient3) == failures
+
+
 class TestSectionWitness:
     def test_witness_structure(self, quotient2):
         w = section_witness(1, 1, 2, quotient2)
@@ -165,6 +210,21 @@ class TestSectionWitness:
     def test_index_out_of_range(self, quotient2):
         with pytest.raises(IndexOutOfRange):
             section_witness(1, 1, 3, quotient2)
+
+    def test_recheck_names_equal_indices(self, quotient2):
+        bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), j=1)
+        assert recheck_section_witness(bad) == [
+            "section indices coincide",
+            "sections fail to disagree at the accumulation point",
+            "recorded disagreement pair does not match the sections",
+        ]
+
+    def test_recheck_names_a_zero_sample(self, quotient2):
+        w = section_witness(1, 1, 2, quotient2)
+        bad = dataclasses.replace(w, samples=w.samples + (Fraction(0),))
+        assert recheck_section_witness(bad) == [
+            "sections disagree at coordinate 0 off the accumulation point"
+        ]
 
     def test_sections_project_back(self, quotient2):
         w = section_witness(1, 1, 2, quotient2)

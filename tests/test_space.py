@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_fraction
+from nonhaus.audit import _recheck_separation
 from nonhaus.errors import (
     BranchOutOfRange,
     IdenticalPoints,
@@ -221,6 +223,21 @@ class TestSeparation:
             OriginChart(1, Fraction(1, 2)),
             RegularInterval(Fraction(3, 4), Fraction(5, 4)),
         )
+
+    def test_random_pairs_pass_the_checker(self):
+        # separable runs no check of its own; the report's checker accepts every verdict
+        rng = random.Random(17)
+        for model in TopologyModel:
+            for k in range(2, 6):
+                cfg = SpaceConfig(k, model)
+                for _ in range(150):
+                    p, q = (Origin(rng.randint(1, k)) if rng.random() < 0.4
+                            else Regular(random_fraction(rng, 50, nonzero=True)) for _ in "pq")
+                    if p == q:
+                        continue
+                    verdict = separable(p, q, cfg)
+                    assert verdict.holds is not (isinstance(p, Origin) and isinstance(q, Origin))
+                    assert _recheck_separation(verdict, k) == []
 
     def test_identical_points_rejected(self, quotient2):
         with pytest.raises(IdenticalPoints):

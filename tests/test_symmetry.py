@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_deck_table
+from conftest import random_fraction, reference_deck_table
 
 from nonhaus import symmetry
 from nonhaus.errors import (
@@ -320,7 +320,52 @@ class TestLoopClass:
             assert len(loop_class(loop, cfg)) == 0
 
 
+def random_null_loop(rng: random.Random, cfg: SpaceConfig) -> LabeledLoop:
+    """A seeded loop with touches and crossings whose class is empty in cfg's model.
+
+    In the chart model the crossing labels nest like brackets, each matched
+    pair on one origin; in the ball model every label is drawn freely.
+    """
+    c0 = random_fraction(rng, 9, nonzero=True)
+    xs = [c0]
+    for _ in range(rng.randint(1, 9)):
+        zero = xs[-1] != 0 and rng.random() < 0.4  # no zero plateaus
+        xs.append(Fraction(0) if zero else random_fraction(rng, 9, nonzero=True))
+    xs.append(c0)
+    path = PLPath(tuple((Fraction(i, len(xs) - 1), x) for i, x in enumerate(xs)))
+    pts = path.breakpoints
+    zeros = [n for n, (_, x) in enumerate(pts) if x == 0]
+    crossings = [n for n in zeros if pts[n - 1][1] * pts[n + 1][1] < 0]
+    labels, open_labels = {}, []
+    for n in zeros:
+        if n in crossings and cfg.model is TopologyModel.QUOTIENT:
+            left = len(crossings) - crossings.index(n)
+            if open_labels and (left == len(open_labels) or rng.random() < 0.5):
+                labels[n] = open_labels.pop()
+                continue
+            labels[n] = rng.randint(1, cfg.k)
+            open_labels.append(labels[n])
+        else:
+            labels[n] = rng.randint(1, cfg.k)
+    return LabeledLoop(path, tuple((pts[n][0], i) for n, i in labels.items()))
+
+
 class TestContraction:
+    def test_random_null_loops_contract(self):
+        # contract_loop checks no stage; every stage it builds passes the re-check
+        rng = random.Random(23)
+        kinds = set()
+        for model in TopologyModel:
+            for k in (2, 3, 4):
+                cfg = SpaceConfig(k, model)
+                for _ in range(180):
+                    loop = random_null_loop(rng, cfg)
+                    assert len(loop_class(loop, cfg)) == 0
+                    cert = contract_loop(loop, cfg)
+                    assert recheck_contraction(cert, k) == []
+                    kinds |= {stage.kind for stage in cert.stages}
+        assert kinds == {"remove-touch", "remove-crossing-pair", "straighten"}
+
     def test_same_origin_loop_stages(self, quotient2):
         cert = contract_loop(probe_loop(1, 1), quotient2)
         kinds = [s.kind for s in cert.stages]
@@ -427,6 +472,35 @@ class TestContraction:
             )
             assert not isinstance(result, NoLift)
             assert result == stage.certificate
+
+    def test_recheck_names_a_broken_chain(self, quotient2):
+        cert = contract_loop(probe_loop(1, 1), quotient2)
+        deeper = PLPath(tuple((t, 2 * x if x < 0 else x) for t, x in cert.loop.path.breakpoints))
+        bad = dataclasses.replace(cert, loop=LabeledLoop(deeper, cert.loop.labels))
+        assert recheck_contraction(bad, 2) == [
+            "stage 0: bottom edge does not chain from the previous stage"
+        ]
+
+    def test_recheck_names_a_stage_that_is_not_accepted(self, quotient2):
+        # the same stage with the pair labelled by two origins: a true NoLift,
+        # which the stage's own re-check reproduces
+        cert = contract_loop(probe_loop(1, 1), quotient2)
+        stage = cert.stages[0]
+        assignment = ((Fraction(1, 4), 1), (Fraction(3, 4), 2))
+        nolift = attempt_homotopy_lift(stage.field, dict(assignment), quotient2, False)
+        assert isinstance(nolift, NoLift)
+        bad = dataclasses.replace(cert, loop=probe_loop(1, 2), stages=(
+            dataclasses.replace(stage, assignment=assignment, certificate=nolift),
+            *cert.stages[1:]))
+        assert recheck_contraction(bad, 2) == ["stage 0: stage is not accepted"]
+
+    def test_recheck_names_a_last_stage_that_is_not_constant(self, quotient2):
+        bump = PLPath(((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(1))))
+        cert = contract_loop(LabeledLoop(bump, ()), quotient2)
+        bad = dataclasses.replace(cert, stages=cert.stages[:-1])
+        assert recheck_contraction(bad, 2) == [
+            "final stage does not reach the constant loop at the basepoint"
+        ]
 
     def test_classifier_engine_consistency(self, quotient2, pseudo2):
         loops = [probe_loop(1, 1), probe_loop(1, 2), probe_loop(2, 1), probe_loop(2, 2)]
