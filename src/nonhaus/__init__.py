@@ -1,71 +1,1 @@
 """Exact model of the line with k glued origins and its projection audit."""
-
-from .audit import ClaimRecord, ReportDocument, recheck_report, run_audit
-from .embedding import (
-    ACCUMULATION,
-    BasePoint,
-    EmbeddingSpec,
-    PlanePoint,
-    embed_point,
-    embedding_checks,
-)
-from .errors import NonHausError
-from .figures import SvgScene, render_figure
-from .lifting import (
-    HomotopyField,
-    LiftedPath,
-    PLPath,
-    attempt_homotopy_lift,
-    bounce_path,
-    enumerate_lifts,
-    extract_zero_set,
-    make_merging_field,
-    monodromy_verdict,
-    verify_lift_continuity,
-    zero_times,
-)
-from .projection import (
-    even_cover_certificate,
-    fibre,
-    preimage_connected_certificate,
-    project,
-    regular_inverse,
-    section_witness,
-)
-from .space import (
-    Ball,
-    CanonicalPoint,
-    LabeledRep,
-    Origin,
-    OriginChart,
-    Regular,
-    RegularInterval,
-    SpaceConfig,
-    TopologyModel,
-    basic_open,
-    canonicalize,
-    converges_to,
-    coord,
-    labeled_dist,
-    open_contains,
-    pseudo_dist,
-    separable,
-    separation_report,
-)
-from .symmetry import (
-    DeckElement,
-    LabeledLoop,
-    Word,
-    contract_loop,
-    crossing_word,
-    deck_apply,
-    deck_group,
-    deck_rigidity,
-    deck_verify,
-    loop_class,
-    probe_loop,
-    reduce_word,
-)
-from .thickened import ThickPoint, thick_audit, thick_fibre_z, thick_lift_count, thick_project
-
-__version__ = "0.1.0"

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
-from . import serialize
 from .errors import OriginCountOutOfRange
 from .lifting import (
     HomotopyLiftRecord,
@@ -112,9 +111,9 @@ class ReportDocument:
     k: int
     model: str
     claims: tuple[ClaimRecord, ...]
-    certificates: tuple[tuple[str, Any], ...]
+    certificates: tuple[tuple[str, Certificate], ...]
 
-    def certificate(self, ref: str) -> Any:
+    def certificate(self, ref: str) -> Certificate:
         return dict(self.certificates)[ref]
 
 
@@ -527,6 +526,8 @@ _RECHECKS: dict[type, Callable[[Any, ReportDocument], list[str]]] = {
     DeckGroupTable: lambda c, doc: recheck_deck_group(c),
     SubgroupGapRecord: _recheck_subgroup_gap,
 }
+# the kinds a report may carry: exactly those with a re-check
+Certificate = Union[tuple(_RECHECKS)]
 
 
 def recheck_report(doc: ReportDocument) -> list[str]:
@@ -558,9 +559,7 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     failures += [f"{ref}: dangling certificate reference" for ref in sorted(cited - set(certmap))]
     sound: dict[str, Any] = {}
     for ref, cert in doc.certificates:
-        recheck = _RECHECKS.get(type(cert))
-        sub = (recheck(cert, doc) if recheck
-               else [f"no re-check for certificate kind {type(cert).__name__}"])
+        sub = _RECHECKS[type(cert)](cert, doc)
         failures.extend(f"{ref}: {msg}" for msg in sub)
         if not sub:
             sound[ref] = cert
@@ -576,12 +575,3 @@ def recheck_report(doc: ReportDocument) -> list[str]:
             failures.append(f"{claim_id} ({model}): the table says {verdict} but {ref} "
                             f"proves {proved or 'nothing'}")
     return failures
-
-
-# ---------------------------------------------------------------------------
-# Serialization of the document types
-
-serialize.register(
-    ClaimRecord, ReportDocument, MembershipAudit, ConnectedPreimageRecord, LoopClassRecord,
-    ShrinkContractionRecord, SubgroupGapRecord,
-)

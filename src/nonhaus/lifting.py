@@ -147,19 +147,20 @@ class LiftedPath:
         return Regular(self.base.eval(t))
 
 
-# Largest k^m that enumerate_lifts builds or attempt_homotopy_lift lists; each
-# choice is checked once and the lifts are built from the checked choices.
+# Largest k^m that enumerate_lifts builds or attempt_homotopy_lift lists; the
+# count is known from the choices, so it is checked before any is built.
 MAX_LIFTS = 4096
 
 
 def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> list[LiftedPath]:
     """All lifts of the path from the given start, in lexicographic origin order.
 
-    The lifts are the product of per-breakpoint choices, each checked once
-    by the rules of :func:`verify_lift_continuity`.  With m free zero times
-    there are exactly k^m lifts; more than MAX_LIFTS raise TooManyLifts
-    before any is built.  A start over coordinate 0 must be an origin and
-    pins that zero time's choice.
+    The lifts are the product of per-breakpoint choices: Regular(x) off the
+    zero times, the start at t = 0 and each origin 1..k at any other zero
+    time, all valid by the rules of :func:`verify_lift_continuity`.  With m
+    free zero times there are exactly k^m lifts; more than MAX_LIFTS raise
+    TooManyLifts before any is built.  A start over coordinate 0 must be an
+    origin in 1..k and pins that zero time's choice.
     """
     free = len(zero_times(path))
     pts = path.breakpoints
@@ -175,10 +176,8 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
     if cfg.k ** free > MAX_LIFTS:
         raise TooManyLifts(f"{cfg.k}^{free} lifts exceed the limit of {MAX_LIFTS}")
     origins = [Origin(i) for i in range(1, cfg.k + 1)]
-    candidates = [[Regular(x)] if x != 0 else [start] if idx == 0 else origins
-                  for idx, (_, x) in enumerate(pts)]
-    options = [[v for v in values if _breakpoint_fault(t, x, v, cfg.k) is None]
-               for (t, x), values in zip(pts, candidates)]
+    options = [[Regular(x)] if x != 0 else [start] if idx == 0 else origins
+               for idx, (_, x) in enumerate(pts)]
     return [LiftedPath(base=path, values=values) for values in itertools.product(*options)]
 
 
@@ -214,17 +213,15 @@ class ContinuityVerdict:
 def _breakpoint_fault(t: Fraction, x: Fraction, v: CanonicalPoint, k: int) -> Optional[str]:
     """Why ``v`` cannot be a lift's value at time t over coordinate x; None if it can.
 
-    Lift validity is local: the value projects onto the coordinate, a
-    regular coordinate keeps its forced value and a zero time carries an
-    origin in 1..k.  Neither model tests the neighbours: ``zero_times``
+    Lift validity is local: the value projects onto the coordinate, which
+    forces Regular(x) over x != 0 and an origin over 0, and that origin is
+    one of 1..k.  Neither model tests the neighbours: ``zero_times``
     rejects plateaus first, so the path nears each zero time through regular
     points, which enter every chart of the chosen origin.
     """
     if project(v) != BasePoint(x):
         return f"projection mismatch at t={t}: lift value {v} over coordinate {x}"
-    if x != 0:
-        return None if v == Regular(x) else f"regular part not forced at t={t}"
-    if not isinstance(v, Origin) or not 1 <= v.index <= k:
+    if x == 0 and v.index > k:
         return f"zero time t={t} does not carry a valid origin"
     return None
 

@@ -12,13 +12,12 @@ is the tag.  Each field's JSON form follows its type hint:
 * an ``Enum``: its value;
 * ``tuple[X, ...]`` and fixed ``tuple[X, Y, ...]``: a JSON list;
 * ``Optional[X]``: ``null`` or the form of X;
-* a dataclass, a union of dataclasses, or ``Any``: the nested
-  ``kind``-tagged object (a bare ``Fraction`` in an ``Any`` slot is
-  ``{"kind": "fraction", "value": "n/d"}``).
+* a dataclass or a union of dataclasses: the nested ``kind``-tagged object.
 
-:func:`decode` rebuilds the original dataclass, ``decode(encode(x)) == x``
-holds for all registered types, and malformed data raises ``ValueError``
-naming the class and field.
+This module lists every wire kind, in ``_KINDS``; no other module adds
+one.  :func:`decode` rebuilds the original dataclass,
+``decode(encode(x)) == x`` holds for all registered types, and malformed
+data raises ``ValueError`` naming the class and field.
 
 :func:`encode` and :func:`decode` are the tree codec.  :func:`dumps` writes
 the JSON text itself, in one walk that builds no tree: its output is
@@ -26,7 +25,8 @@ exactly the bytes of ``json.dumps(encode(x), sort_keys=True, indent=2)``
 plus a newline, and a registered object that occurs more than once (the
 base path every lift repeats, a shared ``Origin``) is encoded and written
 once for each depth it occurs at, not once per occurrence.  Plain lists
-and dicts with str keys may hold registered values.
+and dicts with str keys may hold registered values, and a bare
+``Fraction`` there is ``{"kind": "fraction", "value": "n/d"}``.
 
 Text formats:
 
@@ -48,6 +48,15 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
+from .audit import (
+    ClaimRecord,
+    ConnectedPreimageRecord,
+    LoopClassRecord,
+    MembershipAudit,
+    ReportDocument,
+    ShrinkContractionRecord,
+    SubgroupGapRecord,
+)
 from .embedding import BasePoint, EmbeddingReport, PlanePoint
 from .lifting import (
     ContinuityVerdict,
@@ -113,14 +122,12 @@ def parse_frac(s: str) -> Fraction:
 
 # A converter maps one field value to its JSON form or back.  An encoder of
 # None means the value is kept as it is: a scalar, or a nested value (a
-# registered dataclass, a bare Fraction, a tuple of them) that encode and
-# dumps walk into themselves.
+# registered dataclass, a tuple of them) that encode and dumps walk into
+# themselves.
 Converter = Callable[[Any], Any]
 
 _WIRE_RENAMES = {(ContractionStage, "kind"): "stage_kind"}
 
-_KINDS: dict[type, str] = {}  # registered dataclass -> kind
-_CLASSES: dict[str, type] = {}  # kind -> registered dataclass
 # registered dataclass -> (wire fields, decoder); a wire field is (name,
 # quoted name + ": ", getter, encoder), sorted by name, "kind" among them
 _CODECS: dict[type, tuple[tuple, Callable[[dict], Any]]] = {}
@@ -128,6 +135,26 @@ _CODECS: dict[type, tuple[tuple, Callable[[dict], Any]]] = {}
 
 def _kind(cls: type) -> str:
     return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "-", cls.__name__).lower()
+
+
+# Every wire kind: registered dataclass -> kind, and back.  Each codec is
+# derived from its class's type hints on first use, so importing this
+# module evaluates no type hints.
+_KINDS: dict[type, str] = {cls: _kind(cls) for cls in (
+    SpaceConfig, LabeledRep, Origin, Regular, RegularInterval, OriginChart, Ball,
+    InseparabilityRule, SeparationVerdict, MembershipRecord,
+    PlanePoint, BasePoint, EmbeddingReport,
+    PairWitness, EvenCoverFailure, OriginJoinPath, SectionWitness,
+    PLPath, LiftedPath, SegmentModulus, ContinuityVerdict, MonodromyObstruction,
+    HomotopyField, ZeroSegment, ZeroComponent, ZeroSetComplex, LiftsEnumerated, NoLift,
+    NonUniqueExistence, HomotopyLiftRecord,
+    DeckElement, DeckReport, DeckGroupTable, RigidityVerdict, LabeledLoop, Word,
+    ReducedWord, ContractionStage, ContractionCertificate,
+    ThickPoint, GridWitness, ContinuityProbe, VerdictRow, ThickAuditReport,
+    ClaimRecord, ReportDocument, MembershipAudit, ConnectedPreimageRecord, LoopClassRecord,
+    ShrinkContractionRecord, SubgroupGapRecord,
+)}
+_CLASSES: dict[str, type] = {kind: cls for cls, kind in _KINDS.items()}
 
 
 def _as_list(value: Any, length: Optional[int] = None) -> list:
@@ -184,8 +211,6 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
         return None, _strict(hint)
     if isinstance(hint, type) and issubclass(hint, Enum):
         return (lambda v: v.value), hint
-    if hint is Any:
-        return None, decode
     if dataclasses.is_dataclass(hint):
         return None, _instance_of((hint,))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -215,17 +240,6 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
         if all(dataclasses.is_dataclass(m) for m in members):
             return None, _instance_of(members)
     raise TypeError(f"no JSON form for type hint {hint!r}")
-
-
-def register(*classes: type) -> None:
-    """Register dataclasses with :func:`encode`, :func:`decode` and :func:`dumps`.
-
-    Each codec is derived from the class's type hints on its first use, so
-    importing the package evaluates no type hints.
-    """
-    for cls in classes:
-        _KINDS[cls] = _kind(cls)
-        _CLASSES[_KINDS[cls]] = cls
 
 
 def _codec(cls: type) -> Optional[tuple]:
@@ -430,19 +444,6 @@ def loads(text: str) -> Any:
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
-
-register(
-    SpaceConfig, LabeledRep, Origin, Regular, RegularInterval, OriginChart, Ball,
-    InseparabilityRule, SeparationVerdict, MembershipRecord,
-    PlanePoint, BasePoint, EmbeddingReport,
-    PairWitness, EvenCoverFailure, OriginJoinPath, SectionWitness,
-    PLPath, LiftedPath, SegmentModulus, ContinuityVerdict, MonodromyObstruction,
-    HomotopyField, ZeroSegment, ZeroComponent, ZeroSetComplex, LiftsEnumerated, NoLift,
-    NonUniqueExistence, HomotopyLiftRecord,
-    DeckElement, DeckReport, DeckGroupTable, RigidityVerdict, LabeledLoop, Word,
-    ReducedWord, ContractionStage, ContractionCertificate,
-    ThickPoint, GridWitness, ContinuityProbe, VerdictRow, ThickAuditReport,
-)
 
 # --- plain-text formats ---------------------------------------------------------
 

@@ -28,7 +28,6 @@ from .errors import GridTooCoarse, GridTooFine, OriginCountOutOfRange
 from .lifting import PLPath, enumerate_lifts
 from .space import CanonicalPoint, Origin, Regular, SpaceConfig
 
-REL_TOL = 1e-9
 MAX_GRID_N = 4096  # thick_audit checks MAX_GRID_N * (MAX_GRID_N - 1) points at most
 
 

@@ -195,6 +195,32 @@ class TestStrictScalars:
         assert type(w.r) is float and w.r == 1.0
 
 
+class TestCertificateSlot:
+    """A report certificate is of a kind with a re-check, or the report is malformed."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"kind": "origin", "index": 1},
+         {"kind": "pl-path", "breakpoints": [["0/1", "1/1"], ["1/1", "1/1"]]},
+         {"kind": "fraction", "value": "1/2"}],
+        ids=["origin", "pl-path", "bare-fraction"],
+    )
+    def test_kind_without_recheck_is_malformed(self, capsys, tmp_path, report, value):
+        report["certificates"][0][1] = value
+        line = check_report(capsys, tmp_path, report)
+        assert line.startswith("error: ReportDocument.certificates: expected ")
+
+    def test_other_certificate_kind_fails_recheck(self, capsys, tmp_path, report):
+        certs = dict(report["certificates"])
+        report["certificates"] = [[ref, certs["pi1-probe"] if ref == "deck-group:any" else cert]
+                                  for ref, cert in report["certificates"]]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(report))
+        assert main(["audit", "--check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("certificate re-check failed:") and "deck-group:any" in err
+
+
 def test_plfield_extra_rows_rejected(capsys, tmp_path):
     path = tmp_path / "f.plfield"
     path.write_text(serialize.write_field(make_merging_field()) + "0/1 1/8\n")

@@ -179,16 +179,16 @@ class TestEnumerateLifts:
             seen |= {"crossing" for a, b, c in zip(xs, xs[1:], xs[2:]) if b == 0 and a * c < 0}
         assert {"zero start", "touch", "crossing", 6, 2, 3, 4} <= seen
 
-    def test_each_choice_checked_once(self, monkeypatch):
-        # no whole-lift verification: one check per candidate value, m*k
-        # origins plus one for each of the 4 other breakpoints
+    def test_choices_not_checked(self, monkeypatch):
+        # every candidate value passes the local rules by construction, so
+        # enumeration runs neither the per-value check nor whole-lift verification
         calls = []
         check = lifting._breakpoint_fault
         monkeypatch.setattr(lifting, "_breakpoint_fault", lambda *a: calls.append(a) or check(*a))
         monkeypatch.setattr(lifting, "verify_lift_continuity", None)
         lifts = enumerate_lifts(triple_dip_path(), Regular(1), SpaceConfig(3))
         assert len(lifts) == 3**3
-        assert len(calls) == 3 * 3 + 4
+        assert calls == []
 
 
 class TestContinuityVerdict:

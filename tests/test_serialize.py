@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -285,6 +289,10 @@ def test_read_field_matches_token_oracle(text):
     assert outcome(serialize.read_field, text) == outcome(oracle_read_field, text)
 
 
+# a child interpreter that imports this checkout's package
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(serialize.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
 # Every registered kind, pinned: adding, dropping or renaming one changes
 # the wire format that independent checkers read.
 KINDS = (
@@ -350,6 +358,22 @@ class TestKindRegistry:
         assert sorted(serialize._kind(cls) for cls in found) == list(KINDS)
         for obj in found.values():
             assert serialize.decode(serialize.encode(obj)) == obj
+
+    def test_serialize_alone_decodes_every_report(self):
+        # a fresh interpreter: the registry must not depend on what else was imported
+        script = (
+            "import pathlib, sys\n"
+            "import nonhaus.serialize as s\n"
+            "for p in sorted(pathlib.Path(sys.argv[1]).glob('audit-*.json')):\n"
+            "    assert type(s.loads(p.read_text())).__name__ == 'ReportDocument', p\n"
+        )
+        golden = Path(__file__).parent / "golden"
+        assert len(list(golden.glob("audit-*.json"))) == 6
+        subprocess.run([sys.executable, "-c", script, str(golden)], check=True, env=_SRC_ENV)
+
+    def test_audit_does_not_import_serialize(self):
+        script = "import sys, nonhaus.audit; sys.exit('nonhaus.serialize' in sys.modules)"
+        subprocess.run([sys.executable, "-c", script], check=True, env=_SRC_ENV)
 
 
 def reference_text(obj) -> str:

@@ -10,13 +10,14 @@ from nonhaus.errors import GridTooCoarse, OriginCountOutOfRange
 from nonhaus.lifting import PLPath, bounce_path
 from nonhaus.space import Origin, Regular, SpaceConfig
 from nonhaus.thickened import (
-    REL_TOL as REL,
     ThickPoint,
     thick_audit,
     thick_fibre_z,
     thick_lift_count,
     thick_project,
 )
+
+REL = 1e-9  # relative norm tolerance of the float images
 
 
 def close(p, q, tol=REL):
