@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, Callable, Optional, Union
 
-from .errors import OriginCountOutOfRange
+from .errors import NonHausError
 from .lifting import (
     HomotopyLiftRecord,
     MonodromyObstruction,
@@ -385,7 +385,7 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     """
     if cfg.k not in _TABLE_KS:
         # the deck table row needs the full group
-        raise OriginCountOutOfRange(f"audit supports 2 <= k <= 6, got {cfg.k}")
+        raise NonHausError(f"audit supports 2 <= k <= 6, got {cfg.k}")
     eps, x0 = Fraction(eps), Fraction(x0)
     k = cfg.k
     quotient = SpaceConfig(k, TopologyModel.QUOTIENT)

@@ -184,7 +184,7 @@ def _cmd_metric(args: argparse.Namespace) -> str:
 
 def _cmd_render(args: argparse.Namespace) -> str:
     # the SVG is ASCII, so its text encodes to the same bytes
-    return render_figure(SvgScene(k=args.k, lift_x0=args.x0 if args.lifts else None)).decode()
+    return render_figure(SvgScene(k=args.k, lifts=args.lifts)).decode()
 
 
 def _cmd_thick(args: argparse.Namespace) -> str:
@@ -247,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(**dict.fromkeys(_BUILD_FLAGS))
 
     p_lift = subcommand("lift", _cmd_lift, "enumerate lifts of a path",
-                        "--k", "--model", "--x0", "--json", "--out")
-    p_lift.add_argument("--path", help="read a 'plpath v1' file instead of the bounce path")
+                        "--k", "--model", "--json", "--out")
+    start = p_lift.add_mutually_exclusive_group()
+    start.add_argument("--x0", **SHARED_FLAGS["--x0"])
+    start.add_argument("--path", help="read a 'plpath v1' file instead of the bounce path")
     p_lift.add_argument("--dump-path", help="also write the path as 'plpath v1' to this file")
 
     p_hom = subcommand("homotopy", _cmd_homotopy, "attempt a homotopy lift",
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                "--k", "--model", "--json", "--out")
 
     p_render = subcommand("render", _cmd_render, "render the scene as deterministic SVG",
-                          "--k", "--x0", "--out")
+                          "--k", "--out")
     p_render.add_argument("--lifts", action="store_true", help="annotate the bounce-path lifts")
 
     p_thick = subcommand("thick", _cmd_thick, "audit the radially thickened variant",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InexactSpiral, ZeroCoordinate
+from .errors import NonHausError
 
 
 class EmbeddingSpec(Enum):
@@ -68,9 +68,9 @@ def embed_point(x: Fraction, spec: EmbeddingSpec = EmbeddingSpec.MAIN_CURVE) -> 
     """Exact planar image of a nonzero coordinate under the main curve."""
     x = Fraction(x)
     if x == 0:
-        raise ZeroCoordinate("the accumulation point is not on the curve")
+        raise NonHausError("the accumulation point is not on the curve")
     if spec is not EmbeddingSpec.MAIN_CURVE:
-        raise InexactSpiral("the spiral embedding has no exact rational values")
+        raise NonHausError("the spiral embedding has no exact rational values")
     d = 1 + x * x
     return PlanePoint(x / d, x * x / d)
 
@@ -78,7 +78,7 @@ def embed_point(x: Fraction, spec: EmbeddingSpec = EmbeddingSpec.MAIN_CURVE) -> 
 def spiral_point(x: float) -> tuple[float, float]:
     """Floating-point spiral image; sweeps every direction as x -> 0."""
     if x == 0:
-        raise ZeroCoordinate("the accumulation point is not on the curve")
+        raise NonHausError("the accumulation point is not on the curve")
     rho = abs(x) / (1 + abs(x))
     return (rho * math.cos(1 / x), rho * math.sin(1 / x))
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
-from .errors import OriginCountOutOfRange
+from .errors import NonHausError
 
 WIDTH, HEIGHT = 640, 400
 DISK_CENTER = (456.0, 200.0)
@@ -30,13 +28,11 @@ class SvgScene:
     """What to draw; geometry is a pure function of these fields."""
 
     k: int
-    lift_x0: Optional[Fraction] = None
+    lifts: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise OriginCountOutOfRange(f"need at least 2 branches, got k={self.k}")
-        if self.lift_x0 is not None:
-            object.__setattr__(self, "lift_x0", Fraction(self.lift_x0))
+            raise NonHausError(f"need at least 2 branches, got k={self.k}")
 
 
 def _fmt(v: float) -> str:
@@ -115,7 +111,7 @@ def render_figure(scene: SvgScene) -> bytes:
     mid_y = _branch_y(scene, 1) - 18
     parts.append(f'<text x="{_fmt(BRANCH_X1 + 44)}" y="{_fmt(mid_y)}">projection</text>')
     parts.append("</g>")
-    if scene.lift_x0 is not None:
+    if scene.lifts:
         parts.append('<g class="lifts">')
         sx = BRANCH_X0 + 104.0
         sy = _branch_y(scene, 1) - 26

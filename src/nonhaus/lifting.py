@@ -31,16 +31,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .embedding import BasePoint
-from .errors import (
-    AssignmentDomainMismatch,
-    IndexOutOfRange,
-    NonHausError,
-    NonpositiveBasepoint,
-    StartMismatch,
-    TooManyLifts,
-    ZeroPlateau,
-    ZeroPlateau2D,
-)
+from .errors import NonHausError
 from .projection import project
 from .space import (
     CanonicalPoint,
@@ -59,7 +50,7 @@ class PLPath:
     opposite signs is split at its interior root, so after construction
     the coordinate vanishes only at breakpoints.  Plateaus at zero are not
     rejected here; operations that need isolated zero times raise
-    ``ZeroPlateau`` when they meet one.
+    NonHausError when they meet one.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -102,7 +93,7 @@ def zero_times(path: PLPath) -> list[Fraction]:
     for idx, (t, x) in enumerate(pts):
         if x == 0:
             if idx + 1 < len(pts) and pts[idx + 1][1] == 0:
-                raise ZeroPlateau(f"coordinate stays 0 on [{t}, {pts[idx + 1][0]}]")
+                raise NonHausError(f"coordinate stays 0 on [{t}, {pts[idx + 1][0]}]")
             times.append(t)
     return times
 
@@ -111,7 +102,7 @@ def bounce_path(x0: Fraction) -> PLPath:
     """Path from x0 through coordinate 0 at t = 1/2 and back to x0."""
     x0 = Fraction(x0)
     if x0 <= 0:
-        raise NonpositiveBasepoint(f"basepoint must be positive, got {x0}")
+        raise NonHausError(f"basepoint must be positive, got {x0}")
     return PLPath(((Fraction(0), x0), (Fraction(1, 2), Fraction(0)), (Fraction(1), x0)))
 
 
@@ -159,7 +150,7 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
     zero times, the start at t = 0 and each origin 1..k at any other zero
     time, all valid by the rules of :func:`verify_lift_continuity`.  With m
     free zero times there are exactly k^m lifts; more than MAX_LIFTS raise
-    TooManyLifts before any is built.  A start over coordinate 0 must be an
+    NonHausError before any is built.  A start over coordinate 0 must be an
     origin in 1..k and pins that zero time's choice.
     """
     free = len(zero_times(path))
@@ -167,14 +158,14 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
     c0 = pts[0][1]
     if c0 == 0:
         if not isinstance(start, Origin):
-            raise StartMismatch("path starts at coordinate 0; start must be an origin")
+            raise NonHausError("path starts at coordinate 0; start must be an origin")
         if start.index > cfg.k:
-            raise IndexOutOfRange(f"origin {start.index} not in 1..{cfg.k}")
+            raise NonHausError(f"origin {start.index} not in 1..{cfg.k}")
         free -= 1
     elif start != Regular(c0):
-        raise StartMismatch(f"start {start} does not project onto coordinate {c0}")
+        raise NonHausError(f"start {start} does not project onto coordinate {c0}")
     if cfg.k ** free > MAX_LIFTS:
-        raise TooManyLifts(f"{cfg.k}^{free} lifts exceed the limit of {MAX_LIFTS}")
+        raise NonHausError(f"{cfg.k}^{free} lifts exceed the limit of {MAX_LIFTS}")
     origins = [Origin(i) for i in range(1, cfg.k + 1)]
     options = [[Regular(x)] if x != 0 else [start] if idx == 0 else origins
                for idx, (_, x) in enumerate(pts)]
@@ -351,7 +342,7 @@ class HomotopyField:
                 for tri in _CELL_TRIANGLES:
                     if not any(signs[a + da][b + db] for da, db in tri):
                         corners = ", ".join(f"({s[a + da]}, {t[b + db]})" for da, db in tri)
-                        raise ZeroPlateau2D(f"triangle {corners} is identically zero")
+                        raise NonHausError(f"triangle {corners} is identically zero")
 
     def value_at(self, s: Fraction, t: Fraction) -> Fraction:
         s, t = Fraction(s), Fraction(t)
@@ -600,18 +591,16 @@ def attempt_homotopy_lift(
     the zero times of the bottom edge.  ``paper_constancy`` applies the
     constancy rule in the pseudometric model only; the quotient model
     decides by its chart rule, and its outcome is the same either way.
-    More than MAX_LIFTS assignments raise TooManyLifts before any is built.
+    More than MAX_LIFTS assignments raise NonHausError before any is built.
     """
     bottom = field.bottom_path()
     zts = zero_times(bottom)
     assignment = {Fraction(t): int(i) for t, i in bottom_assignment.items()}
     if set(assignment) != set(zts):
-        raise AssignmentDomainMismatch(
-            f"assignment domain {sorted(assignment)} != zero times {zts}"
-        )
+        raise NonHausError(f"assignment domain {sorted(assignment)} != zero times {zts}")
     for origin in assignment.values():
         if not 1 <= origin <= cfg.k:
-            raise IndexOutOfRange(f"origin {origin} not in 1..{cfg.k}")
+            raise NonHausError(f"origin {origin} not in 1..{cfg.k}")
     components = extract_zero_set(field).components
     if cfg.model is TopologyModel.QUOTIENT:
         note = _CHART_JUSTIFICATION
@@ -636,7 +625,7 @@ def attempt_homotopy_lift(
         options.append([(comps, origin) for origin in constrained or range(1, cfg.k + 1)])
     free = sum(len(group) > 1 for group in options)
     if cfg.k ** free > MAX_LIFTS:
-        raise TooManyLifts(f"{cfg.k}^{free} assignments exceed the limit of {MAX_LIFTS}")
+        raise NonHausError(f"{cfg.k}^{free} assignments exceed the limit of {MAX_LIFTS}")
     assignments = tuple(
         tuple((comp.index, origin) for comps, origin in combo for comp in comps)
         for combo in itertools.product(*options)

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import ACCUMULATION, BasePoint
-from .errors import (
-    EqualIndices,
-    IndexOutOfRange,
-    NonpositiveRadius,
-    SingularPoint,
-)
+from .errors import NonHausError
 from .space import (
     BasicOpen,
     CanonicalPoint,
@@ -50,7 +45,7 @@ def fibre(y: BasePoint, cfg: SpaceConfig) -> frozenset[CanonicalPoint]:
 def regular_inverse(y: BasePoint) -> CanonicalPoint:
     """The unique preimage over the regular locus."""
     if y.is_accumulation:
-        raise SingularPoint("the fibre over the accumulation point has more than one point")
+        raise NonHausError("the fibre over the accumulation point has more than one point")
     return Regular(y.x)
 
 
@@ -101,7 +96,7 @@ _EVEN_COVER_CONCLUSION = (
 def _window(eps: Fraction) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
-        raise NonpositiveRadius(f"window radius must be positive, got {eps}")
+        raise NonHausError(f"window radius must be positive, got {eps}")
     return eps
 
 
@@ -242,10 +237,10 @@ def section_witness(eps: Fraction, i: int, j: int, cfg: SpaceConfig) -> SectionW
     """Build the two-section witness; sampling points fixed at +-eps/2, +-eps/4."""
     eps = _window(eps)
     if i == j:
-        raise EqualIndices("the two sections must pick distinct origins")
+        raise NonHausError("the two sections must pick distinct origins")
     for idx in (i, j):
         if not 1 <= idx <= cfg.k:
-            raise IndexOutOfRange(f"origin {idx} not in 1..{cfg.k}")
+            raise NonHausError(f"origin {idx} not in 1..{cfg.k}")
     samples = (-eps / 2, -eps / 4, eps / 4, eps / 2)
     return SectionWitness(
         i=i,

@@ -25,8 +25,7 @@ exactly the bytes of ``json.dumps(encode(x), sort_keys=True, indent=2)``
 plus a newline, and a registered object that occurs more than once (the
 base path every lift repeats, a shared ``Origin``) is encoded and written
 once for each depth it occurs at, not once per occurrence.  Plain lists
-and dicts with str keys may hold registered values, and a bare
-``Fraction`` there is ``{"kind": "fraction", "value": "n/d"}``.
+and dicts with str keys may hold registered values.
 
 Text formats:
 
@@ -293,8 +292,6 @@ def encode(obj: Any) -> Any:
                 for wire, _, get, enc in codec[0]}
     if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
-    if isinstance(obj, Fraction):
-        return {"kind": "fraction", "value": frac_str(obj)}
     if isinstance(obj, (list, tuple)):
         return [encode(v) for v in obj]
     if isinstance(obj, dict):
@@ -309,8 +306,6 @@ def decode(data: Any) -> Any:
     if not isinstance(data, dict):
         return data
     kind = data.get("kind")
-    if kind == "fraction":
-        return _rational(data.get("value"))
     cls = _CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -396,8 +391,6 @@ def dumps(obj: Any) -> str:
                               depth)
             else:
                 out.append("{}")
-        elif isinstance(value, Fraction):
-            write({"kind": "fraction", "value": frac_str(value)}, depth)
         else:
             out.append(_scalar(value))
 

@@ -22,15 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    BranchOutOfRange,
-    IdenticalPoints,
-    IndexOutOfRange,
-    NonpositiveRadius,
-    OriginCountOutOfRange,
-    UnsupportedSequenceForm,
-    ZeroCoordinate,
-)
+from .errors import NonHausError
 
 
 class TopologyModel(Enum):
@@ -49,7 +41,7 @@ class SpaceConfig:
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise OriginCountOutOfRange(f"need at least 2 origins, got k={self.k}")
+            raise NonHausError(f"need at least 2 origins, got k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class Origin:
 
     def __post_init__(self) -> None:
         if self.index < 1:
-            raise IndexOutOfRange(f"origin index must be >= 1, got {self.index}")
+            raise NonHausError(f"origin index must be >= 1, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ class Regular:
     def __post_init__(self) -> None:
         x = Fraction(self.x)
         if x == 0:
-            raise ZeroCoordinate("regular points have nonzero coordinate")
+            raise NonHausError("regular points have nonzero coordinate")
         object.__setattr__(self, "x", x)
 
 
@@ -102,9 +94,9 @@ class RegularInterval:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not a < b:
-            raise NonpositiveRadius(f"empty interval ({a}, {b})")
+            raise NonHausError(f"empty interval ({a}, {b})")
         if a <= 0 <= b:
-            raise ZeroCoordinate("interval closure must avoid 0")
+            raise NonHausError("interval closure must avoid 0")
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,9 @@ class OriginChart:
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
         if self.index < 1:
-            raise IndexOutOfRange(f"origin index must be >= 1, got {self.index}")
+            raise NonHausError(f"origin index must be >= 1, got {self.index}")
         if self.eps <= 0:
-            raise NonpositiveRadius(f"chart radius must be positive, got {self.eps}")
+            raise NonHausError(f"chart radius must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ class Ball:
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
         if self.eps <= 0:
-            raise NonpositiveRadius(f"ball radius must be positive, got {self.eps}")
+            raise NonHausError(f"ball radius must be positive, got {self.eps}")
 
 
 BasicOpen = Union[RegularInterval, OriginChart, Ball]
@@ -141,7 +133,7 @@ BasicOpen = Union[RegularInterval, OriginChart, Ball]
 def canonicalize(rep: LabeledRep, k: int) -> CanonicalPoint:
     """Collapse a labeled representative: nonzero points drop the label."""
     if not 1 <= rep.branch <= k:
-        raise BranchOutOfRange(f"branch {rep.branch} not in 1..{k}")
+        raise NonHausError(f"branch {rep.branch} not in 1..{k}")
     if rep.x == 0:
         return Origin(rep.branch)
     return Regular(rep.x)
@@ -173,7 +165,7 @@ def labeled_dist(a: LabeledRep, b: LabeledRep, k: int) -> Fraction:
     """
     for rep in (a, b):
         if not 1 <= rep.branch <= k:
-            raise BranchOutOfRange(f"branch {rep.branch} not in 1..{k}")
+            raise NonHausError(f"branch {rep.branch} not in 1..{k}")
     if a.branch == b.branch:
         return abs(a.x - b.x)
     return abs(a.x) + abs(b.x)
@@ -188,12 +180,12 @@ def basic_open(p: CanonicalPoint, eps: Fraction, cfg: SpaceConfig) -> BasicOpen:
     """
     eps = Fraction(eps)
     if eps <= 0:
-        raise NonpositiveRadius(f"radius must be positive, got {eps}")
+        raise NonHausError(f"radius must be positive, got {eps}")
     if isinstance(p, Regular):
         r = min(eps, abs(p.x) / 2)
         return RegularInterval(p.x - r, p.x + r)
     if p.index > cfg.k:
-        raise IndexOutOfRange(f"origin {p.index} not in 1..{cfg.k}")
+        raise NonHausError(f"origin {p.index} not in 1..{cfg.k}")
     if cfg.model is TopologyModel.QUOTIENT:
         return OriginChart(p.index, eps)
     return Ball(p, eps)
@@ -265,7 +257,7 @@ class InseparabilityRule:
     def common_point(self, eps1: Fraction, eps2: Fraction) -> Regular:
         eps1, eps2 = Fraction(eps1), Fraction(eps2)
         if eps1 <= 0 or eps2 <= 0:
-            raise NonpositiveRadius("rule radii must be positive")
+            raise NonHausError("rule radii must be positive")
         return Regular(min(eps1, eps2) / 2)
 
 
@@ -290,7 +282,7 @@ class SeparationVerdict:
 def separable(p: CanonicalPoint, q: CanonicalPoint, cfg: SpaceConfig) -> SeparationVerdict:
     """Try to separate two distinct points by disjoint basic opens (T2 sense)."""
     if p == q:
-        raise IdenticalPoints(f"{p} given twice")
+        raise NonHausError(f"{p} given twice")
     if isinstance(p, Origin) and isinstance(q, Origin):
         return SeparationVerdict(
             axiom="T2",
@@ -374,13 +366,11 @@ class SequenceSpec:
         if self.kind is SequenceKind.SHIFTED and self.c < 0:
             q = -1 / self.c
             if q.denominator == 1 and q >= 1:
-                raise UnsupportedSequenceForm(
-                    f"c = {self.c} makes a term land on coordinate 0"
-                )
+                raise NonHausError(f"c = {self.c} makes a term land on coordinate 0")
 
     def term(self, n: int) -> Fraction:
         if n < 1:
-            raise UnsupportedSequenceForm("terms are indexed from 1")
+            raise NonHausError("terms are indexed from 1")
         if self.kind is SequenceKind.HARMONIC:
             return Fraction(1, n)
         if self.kind is SequenceKind.SHIFTED:
@@ -414,5 +404,5 @@ def converges_to(seq: SequenceSpec, p: CanonicalPoint, cfg: SpaceConfig) -> bool
     if isinstance(p, Regular):
         return limit == p.x
     if p.index > cfg.k:
-        raise IndexOutOfRange(f"origin {p.index} not in 1..{cfg.k}")
+        raise NonHausError(f"origin {p.index} not in 1..{cfg.k}")
     return limit == 0

@@ -25,12 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import (
-    IndexOutOfRange,
-    NotNullhomotopic,
-    OriginCountOutOfRange,
-    UnlabeledZeroTime,
-)
+from .errors import NonHausError
 from .lifting import (
     HomotopyField,
     HomotopyLiftRecord,
@@ -61,7 +56,7 @@ class DeckElement:
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(int(i) for i in self.images))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise IndexOutOfRange(f"{self.images} is not a permutation of 1..{len(self.images)}")
+            raise NonHausError(f"{self.images} is not a permutation of 1..{len(self.images)}")
 
     @property
     def k(self) -> int:
@@ -69,13 +64,13 @@ class DeckElement:
 
     def apply(self, i: int) -> int:
         if not 1 <= i <= self.k:
-            raise IndexOutOfRange(f"origin {i} not in 1..{self.k}")
+            raise NonHausError(f"origin {i} not in 1..{self.k}")
         return self.images[i - 1]
 
     def compose(self, other: "DeckElement") -> "DeckElement":
         """self after other: (self * other)(i) = self(other(i))."""
         if self.k != other.k:
-            raise IndexOutOfRange("cannot compose permutations of different degree")
+            raise NonHausError("cannot compose permutations of different degree")
         return DeckElement(tuple(self.apply(other.apply(i)) for i in range(1, self.k + 1)))
 
     def inverse(self) -> "DeckElement":
@@ -159,7 +154,7 @@ def deck_group(k: int) -> DeckGroupTable:
     proved by :func:`recheck_deck_group`, which ``audit`` and ``deck`` run.
     """
     if k not in _TABLE_KS:
-        raise OriginCountOutOfRange(f"group table supported for 2 <= k <= 6, got {k}")
+        raise NonHausError(f"group table supported for 2 <= k <= 6, got {k}")
     elements = tuple(DeckElement(perm) for perm in itertools.permutations(range(1, k + 1)))
     index = {g.images: i for i, g in enumerate(elements)}
     # itemgetter(*h.images) on (0,) + g.images gives the images of g * h
@@ -286,7 +281,7 @@ class LabeledLoop:
         have = [t for t, _ in labels]
         if have != zts:
             missing = sorted(set(zts) - set(have))
-            raise UnlabeledZeroTime(
+            raise NonHausError(
                 f"labels {have} do not match zero times {zts}"
                 + (f"; missing {missing}" if missing else "")
             )
@@ -437,7 +432,7 @@ def contract_loop(loop: LabeledLoop, cfg: SpaceConfig) -> ContractionCertificate
     """
     word = loop_class(loop, cfg)
     if len(word) != 0:
-        raise NotNullhomotopic(f"loop class {word.letters} is nonempty in {cfg.model.value}")
+        raise NonHausError(f"loop class {word.letters} is nonempty in {cfg.model.value}")
     stages: list[ContractionStage] = []
     path, labels, base = loop.path, loop.label_map(), loop.basepoint
     kind = ""

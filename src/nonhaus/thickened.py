@@ -24,7 +24,7 @@ from functools import partial
 from typing import Optional
 
 from .embedding import EmbeddingSpec, spiral_point
-from .errors import GridTooCoarse, GridTooFine, OriginCountOutOfRange
+from .errors import NonHausError
 from .lifting import PLPath, enumerate_lifts
 from .space import CanonicalPoint, Origin, Regular, SpaceConfig
 
@@ -63,7 +63,7 @@ def thick_project(p: ThickPoint, spec: EmbeddingSpec = EmbeddingSpec.MAIN_CURVE)
 def thick_fibre_z(k: int) -> frozenset[ThickPoint]:
     """Fibre over the disk centre: the k origins at tube parameter 0."""
     if k < 2:
-        raise OriginCountOutOfRange(f"need at least 2 origins, got k={k}")
+        raise NonHausError(f"need at least 2 origins, got k={k}")
     return frozenset(ThickPoint(Origin(i), Fraction(0)) for i in range(1, k + 1))
 
 
@@ -222,9 +222,9 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     lie in [8, MAX_GRID_N].
     """
     if grid_n < 8:
-        raise GridTooCoarse(f"grid must be at least 8x8, got {grid_n}")
+        raise NonHausError(f"grid must be at least 8x8, got {grid_n}")
     if grid_n > MAX_GRID_N:
-        raise GridTooFine(f"grid {grid_n} exceeds the limit of {MAX_GRID_N}")
+        raise NonHausError(f"grid {grid_n} exceeds the limit of {MAX_GRID_N}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     radii = [a / (grid_n - 1) for a in range(1, grid_n)]

@@ -331,6 +331,6 @@ def test_13_serialization_determinism():
         assert serialize.loads(text) == cert
 
     assert serialize.dumps(run_audit(q2)) == serialize.dumps(run_audit(q2))
-    scene = SvgScene(k=3, lift_x0=Fraction(1))
+    scene = SvgScene(k=3, lifts=True)
     assert render_figure(scene) == render_figure(scene)
     passed(13, "JSON round-trips losslessly; JSON and SVG are byte-identical")

@@ -18,7 +18,7 @@ from nonhaus.audit import (
     run_audit,
     shrink_contraction_record,
 )
-from nonhaus.errors import OriginCountOutOfRange
+from nonhaus.errors import NonHausError
 from nonhaus.space import (
     InseparabilityRule,
     Origin,
@@ -117,7 +117,7 @@ class TestAuditTable:
         assert recheck_report(report) == []
 
     def test_k_validated(self):
-        with pytest.raises(OriginCountOutOfRange):
+        with pytest.raises(NonHausError, match="audit supports 2 <= k <= 6, got 7"):
             run_audit(SpaceConfig(7))
 
     def test_pseudometric_run_matches(self):

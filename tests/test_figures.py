@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from nonhaus.errors import OriginCountOutOfRange
+from nonhaus.errors import NonHausError
 from nonhaus.figures import SvgScene, render_figure
 
 
@@ -17,15 +15,15 @@ class TestRenderFigure:
 
     def test_byte_identical(self):
         assert render_figure(SvgScene(k=3)) == render_figure(SvgScene(k=3))
-        scene = SvgScene(k=4, lift_x0=Fraction(1))
+        scene = SvgScene(k=4, lifts=True)
         assert render_figure(scene) == render_figure(scene)
 
     def test_lift_annotations(self):
-        data = render_figure(SvgScene(k=3, lift_x0=Fraction(1))).decode()
+        data = render_figure(SvgScene(k=3, lifts=True)).decode()
         assert data.count('class="lift"') == 3
 
     def test_k_validated(self):
-        with pytest.raises(OriginCountOutOfRange):
+        with pytest.raises(NonHausError, match="need at least 2 branches, got k=1"):
             SvgScene(k=1)
 
     def test_pure_ascii(self):

@@ -84,18 +84,18 @@ class TestZeroDenominators:
         assert "zero denominator" in rejected(capsys, "homotopy", "--field", str(path))
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["audit", "--eps", "1/0"],
-            ["audit", "--x0", "1/0"],
-            ["lift", "--x0", "1/0"],
-            ["render", "--x0", "1/0"],
-            ["homotopy", "--assign", "1/0=1,3/4=2"],
+            (["audit", "--eps", "1/0"], "argument --eps: invalid parse_frac value: '1/0'"),
+            (["audit", "--x0", "1/0"], "argument --x0: invalid parse_frac value: '1/0'"),
+            (["lift", "--x0", "1/0"], "argument --x0: invalid parse_frac value: '1/0'"),
+            (["render", "--x0", "1/0"], "unrecognized arguments: --x0 1/0"),
+            (["homotopy", "--assign", "1/0=1,3/4=2"], "error: zero denominator in '1/0'"),
         ],
         ids=["audit-eps", "audit-x0", "lift-x0", "render-x0", "homotopy-assign"],
     )
-    def test_cli_rationals(self, capsys, argv):
-        rejected(capsys, *argv)
+    def test_cli_rationals(self, capsys, argv, message):
+        assert message in rejected(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +187,7 @@ class TestStrictScalars:
 
     @pytest.mark.parametrize("value", [1, 0.5, True, None])
     def test_bare_fraction(self, value):
-        with pytest.raises(ValueError, match="expected Fraction"):
+        with pytest.raises(ValueError, match="unknown kind 'fraction'"):
             serialize.decode({"kind": "fraction", "value": value})
 
     def test_float_slot_takes_an_int(self):
@@ -199,16 +199,16 @@ class TestCertificateSlot:
     """A report certificate is of a kind with a re-check, or the report is malformed."""
 
     @pytest.mark.parametrize(
-        "value",
-        [{"kind": "origin", "index": 1},
-         {"kind": "pl-path", "breakpoints": [["0/1", "1/1"], ["1/1", "1/1"]]},
-         {"kind": "fraction", "value": "1/2"}],
+        "value, message",
+        [({"kind": "origin", "index": 1}, "expected "),
+         ({"kind": "pl-path", "breakpoints": [["0/1", "1/1"], ["1/1", "1/1"]]}, "expected "),
+         ({"kind": "fraction", "value": "1/2"}, "unknown kind 'fraction'")],
         ids=["origin", "pl-path", "bare-fraction"],
     )
-    def test_kind_without_recheck_is_malformed(self, capsys, tmp_path, report, value):
+    def test_kind_without_recheck_is_malformed(self, capsys, tmp_path, report, value, message):
         report["certificates"][0][1] = value
         line = check_report(capsys, tmp_path, report)
-        assert line.startswith("error: ReportDocument.certificates: expected ")
+        assert line.startswith("error: ReportDocument.certificates: " + message)
 
     def test_other_certificate_kind_fails_recheck(self, capsys, tmp_path, report):
         certs = dict(report["certificates"])
@@ -470,3 +470,76 @@ def test_fuzzed_report_leaf_never_escapes(capsys, tmp_path, leaf, edit):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     escapes_nothing(capsys, ["audit", "--check", str(path)])
+
+
+def _report_with(ref: str, leaf: tuple, value) -> str:
+    """The k=2 golden report as JSON text, with one leaf of one certificate replaced."""
+    doc = json.loads(json.dumps(_REPORT_K2))
+    node = dict(doc["certificates"])[ref]
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    return json.dumps(doc)
+
+
+_PLATEAU_PATH = "plpath v1\n0/1 1/1\n1/4 0/1\n1/2 0/1\n1/1 1/1\n"
+_CHECK = ["audit", "--check", "{file}"]
+
+
+# The exact line each domain check a subcommand reaches sends to stderr; "{file}"
+# in argv names a file holding the case's text.  The plateau-triangle and
+# assignment-limit lines are pinned by their own tests above.
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (["audit", "--k", "7"], None, "error: audit supports 2 <= k <= 6, got 7"),
+        (["deck", "--k", "7"], None, "error: group table supported for 2 <= k <= 6, got 7"),
+        (["lift", "--k", "1"], None, "error: need at least 2 origins, got k=1"),
+        (["render", "--k", "1"], None, "error: need at least 2 branches, got k=1"),
+        (["audit", "--eps", "0"], None, "error: window radius must be positive, got 0"),
+        (["lift", "--x0", "0"], None, "error: basepoint must be positive, got 0"),
+        (["lift", "--k", "4097"], None, "error: 4097^1 lifts exceed the limit of 4096"),
+        (["lift", "--path", "{file}"], _PLATEAU_PATH, "error: coordinate stays 0 on [1/4, 1/2]"),
+        (["lift", "--path", "{file}", "--x0", "3"], _PLATEAU_PATH,
+         "nonhaus lift: error: argument --x0: not allowed with argument --path"),
+        (["homotopy", "--assign", "1/4=3,3/4=1"], None, "error: origin 3 not in 1..2"),
+        (["homotopy", "--assign", "1/4=1"], None,
+         "error: assignment domain [Fraction(1, 4)] != zero times "
+         "[Fraction(1, 4), Fraction(3, 4)]"),
+        (["thick", "--grid-n", "7"], None, "error: grid must be at least 8x8, got 7"),
+        (["thick", "--grid-n", "4097"], None, "error: grid 4097 exceeds the limit of 4096"),
+        (_CHECK, _report_with("branched-cover:pseudometric",
+                              ("paths", 0, "breakpoints", 0, 1, "index"), 0),
+         "error: origin index must be >= 1, got 0"),
+        (_CHECK, _report_with("branched-cover:pseudometric", ("k",), 1),
+         "error: need at least 2 origins, got k=1"),
+        (_CHECK, _report_with("contractible:pseudometric", ("samples", 3, "x"), "0/1"),
+         "error: regular points have nonzero coordinate"),
+        (_CHECK, _report_with("pi1-contraction:pseudometric", ("loop", "labels", 0, 0), "1/2"),
+         "error: labels [Fraction(1, 2), Fraction(3, 4)] do not match zero times "
+         "[Fraction(1, 4), Fraction(3, 4)]; missing [Fraction(1, 4)]"),
+        (_CHECK, _report_with("pi1-contraction:pseudometric",
+                              ("loop", "path", "breakpoints", 2, 1), "0/1"),
+         "error: coordinate stays 0 on [1/4, 1/2]"),
+        (_CHECK, _report_with("deck-group:any", ("elements", 0, "images", 0), 2),
+         "error: (2, 2) is not a permutation of 1..2"),
+        (_CHECK, _report_with("even-covering:pseudometric", ("eps",), "-1/1"),
+         "error: rule radii must be positive"),
+        (_CHECK, _report_with("locally-euclidean:pseudometric", ("records", 1, "open", "eps"),
+                              "-1/2"),
+         "error: ball radius must be positive, got -1/2"),
+        (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "eps"),
+                              "-1/1"),
+         "error: chart radius must be positive, got -1"),
+    ],
+    ids=["audit-k", "deck-k", "lift-k", "render-k", "audit-eps", "lift-x0", "lift-limit",
+         "lift-plateau", "lift-path-and-x0", "homotopy-origin", "homotopy-domain",
+         "thick-coarse", "thick-fine", "check-origin-index", "check-k", "check-regular-zero",
+         "check-labels", "check-plateau", "check-permutation", "check-rule-radius",
+         "check-ball-radius", "check-chart-radius"],
+)
+def test_domain_error_line(capsys, tmp_path, argv, text, line):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert rejected(capsys, *(str(path) if a == "{file}" else a for a in argv)) == line

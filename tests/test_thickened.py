@@ -6,7 +6,7 @@ import pytest
 from conftest import double_dip_path, reference_thick_audit, triple_dip_path
 from nonhaus import thickened
 from nonhaus.embedding import EmbeddingSpec, spiral_point
-from nonhaus.errors import GridTooCoarse, OriginCountOutOfRange
+from nonhaus.errors import NonHausError
 from nonhaus.lifting import PLPath, bounce_path
 from nonhaus.space import Origin, Regular, SpaceConfig
 from nonhaus.thickened import (
@@ -63,7 +63,7 @@ class TestThickFibre:
             assert thick_project(p) == (0.0, 0.0)
 
     def test_k_validated(self):
-        with pytest.raises(OriginCountOutOfRange):
+        with pytest.raises(NonHausError, match="need at least 2 origins, got k=1"):
             thick_fibre_z(1)
 
 
@@ -115,7 +115,7 @@ class TestThickAudit:
         assert report.probes[0].discontinuous
 
     def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(NonHausError, match="grid must be at least 8x8, got 4"):
             thick_audit(4, EmbeddingSpec.MAIN_CURVE)
 
     def test_determinism(self):
