@@ -60,9 +60,7 @@ def _cmd_audit(args: argparse.Namespace) -> str:
         given = [f"--{dest}" for dest in _BUILD_FLAGS if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"audit --check takes no {', '.join(given)}")
-        doc = serialize.loads(Path(args.check).read_text())
-        if not isinstance(doc, audit_mod.ReportDocument):
-            raise ValueError(f"{args.check} does not hold a report document")
+        doc = serialize.loads(Path(args.check).read_text(), audit_mod.ReportDocument)
         _ensure(audit_mod.recheck_report(doc))
         return (f"report ok: {len(doc.claims)} claims, "
                 f"{len(doc.certificates)} certificates re-checked\n")

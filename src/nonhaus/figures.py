@@ -33,6 +33,8 @@ class SvgScene:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise NonHausError(f"need at least 2 branches, got k={self.k}")
+        if self.k > len(PALETTE):  # past one colour per branch the branches overlap
+            raise NonHausError(f"at most {len(PALETTE)} branches can be drawn, got k={self.k}")
 
 
 def _fmt(v: float) -> str:

@@ -98,6 +98,10 @@ def zero_times(path: PLPath) -> list[Fraction]:
     return times
 
 
+def times_str(times: list[Fraction]) -> str:
+    return f"[{', '.join(map(str, times))}]"
+
+
 def bounce_path(x0: Fraction) -> PLPath:
     """Path from x0 through coordinate 0 at t = 1/2 and back to x0."""
     x0 = Fraction(x0)
@@ -597,7 +601,8 @@ def attempt_homotopy_lift(
     zts = zero_times(bottom)
     assignment = {Fraction(t): int(i) for t, i in bottom_assignment.items()}
     if set(assignment) != set(zts):
-        raise NonHausError(f"assignment domain {sorted(assignment)} != zero times {zts}")
+        raise NonHausError(f"assignment domain {times_str(sorted(assignment))} "
+                           f"!= zero times {times_str(zts)}")
     for origin in assignment.values():
         if not 1 <= origin <= cfg.k:
             raise NonHausError(f"origin {origin} not in 1..{cfg.k}")

@@ -1,31 +1,33 @@
 """Lossless JSON and plain-text interchange for every certificate type.
 
-Wire rule.  A registered dataclass is a JSON object whose ``"kind"`` is
-the class name in kebab-case (``PLPath`` -> ``"pl-path"``) and which has
-one key per dataclass field, named after the field.  The one rename is
-``ContractionStage.kind``, written as ``"stage_kind"`` because ``"kind"``
-is the tag.  Each field's JSON form follows its type hint:
+Wire rule.  A dataclass is a JSON object whose ``"kind"`` is the class
+name in kebab-case (``PLPath`` -> ``"pl-path"``) and which has one key per
+dataclass field, named after the field unless the field's metadata names
+its ``"wire"`` key (``ContractionStage.kind`` is written as
+``"stage_kind"``, because ``"kind"`` is the tag).  Each field's JSON form
+follows its type hint:
 
 * ``Fraction``: a ``"numerator/denominator"`` string, never a float;
 * ``int``, ``str``, ``bool``, ``float``: the JSON scalar (floats occur
   only in the thickened report);
-* an ``Enum``: its value;
 * ``tuple[X, ...]`` and fixed ``tuple[X, Y, ...]``: a JSON list;
 * ``Optional[X]``: ``null`` or the form of X;
 * a dataclass or a union of dataclasses: the nested ``kind``-tagged object.
 
-This module lists every wire kind, in ``_KINDS``; no other module adds
-one.  :func:`decode` rebuilds the original dataclass,
-``decode(encode(x)) == x`` holds for all registered types, and malformed
-data raises ``ValueError`` naming the class and field.
+There is no list of kinds and no ``Enum`` form.  The reader names the root
+type (``loads(text, ReportDocument)``), and each slot's type hint names
+the kinds it accepts, so the dataclasses alone state the vocabulary.
+:func:`decode` rebuilds the original dataclass, ``decode(encode(x),
+type(x)) == x`` holds for every type with a JSON form, and malformed data
+raises ``ValueError`` naming the class and field.
 
 :func:`encode` and :func:`decode` are the tree codec.  :func:`dumps` writes
 the JSON text itself, in one walk that builds no tree: its output is
 exactly the bytes of ``json.dumps(encode(x), sort_keys=True, indent=2)``
-plus a newline, and a registered object that occurs more than once (the
+plus a newline, and a dataclass instance that occurs more than once (the
 base path every lift repeats, a shared ``Origin``) is encoded and written
 once for each depth it occurs at, not once per occurrence.  Plain lists
-and dicts with str keys may hold registered values.
+and dicts with str keys may hold dataclass values.
 
 Text formats:
 
@@ -41,68 +43,12 @@ import dataclasses
 import json
 import re
 import types
-from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
-from .audit import (
-    ClaimRecord,
-    ConnectedPreimageRecord,
-    LoopClassRecord,
-    MembershipAudit,
-    ReportDocument,
-    ShrinkContractionRecord,
-    SubgroupGapRecord,
-)
-from .embedding import BasePoint, EmbeddingReport, PlanePoint
-from .lifting import (
-    ContinuityVerdict,
-    HomotopyField,
-    HomotopyLiftRecord,
-    LiftedPath,
-    LiftsEnumerated,
-    MonodromyObstruction,
-    NoLift,
-    NonUniqueExistence,
-    PLPath,
-    SegmentModulus,
-    ZeroComponent,
-    ZeroSegment,
-    ZeroSetComplex,
-)
-from .projection import EvenCoverFailure, OriginJoinPath, PairWitness, SectionWitness
-from .space import (
-    Ball,
-    InseparabilityRule,
-    LabeledRep,
-    MembershipRecord,
-    Origin,
-    OriginChart,
-    Regular,
-    RegularInterval,
-    SeparationVerdict,
-    SpaceConfig,
-)
-from .symmetry import (
-    ContractionCertificate,
-    ContractionStage,
-    DeckElement,
-    DeckGroupTable,
-    DeckReport,
-    LabeledLoop,
-    ReducedWord,
-    RigidityVerdict,
-    Word,
-)
-from .thickened import (
-    ContinuityProbe,
-    GridWitness,
-    ThickAuditReport,
-    ThickPoint,
-    VerdictRow,
-)
+from .lifting import HomotopyField, PLPath
 
 
 def frac_str(x: Fraction) -> str:
@@ -121,39 +67,17 @@ def parse_frac(s: str) -> Fraction:
 
 # A converter maps one field value to its JSON form or back.  An encoder of
 # None means the value is kept as it is: a scalar, or a nested value (a
-# registered dataclass, a tuple of them) that encode and dumps walk into
-# themselves.
+# dataclass, a tuple of them) that encode and dumps walk into themselves.
 Converter = Callable[[Any], Any]
 
-_WIRE_RENAMES = {(ContractionStage, "kind"): "stage_kind"}
-
-# registered dataclass -> (wire fields, decoder); a wire field is (name,
-# quoted name + ": ", getter, encoder), sorted by name, "kind" among them
-_CODECS: dict[type, tuple[tuple, Callable[[dict], Any]]] = {}
+# type met -> None, or for a dataclass (wire fields, decoder), derived from its
+# type hints on first use, so importing this module evaluates none; a wire field
+# is (name, quoted name + ": ", getter, encoder), sorted by name, "kind" among them
+_CODECS: dict[type, Optional[tuple[tuple, Callable[[dict], Any]]]] = {}
 
 
 def _kind(cls: type) -> str:
     return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "-", cls.__name__).lower()
-
-
-# Every wire kind: registered dataclass -> kind, and back.  Each codec is
-# derived from its class's type hints on first use, so importing this
-# module evaluates no type hints.
-_KINDS: dict[type, str] = {cls: _kind(cls) for cls in (
-    SpaceConfig, LabeledRep, Origin, Regular, RegularInterval, OriginChart, Ball,
-    InseparabilityRule, SeparationVerdict, MembershipRecord,
-    PlanePoint, BasePoint, EmbeddingReport,
-    PairWitness, EvenCoverFailure, OriginJoinPath, SectionWitness,
-    PLPath, LiftedPath, SegmentModulus, ContinuityVerdict, MonodromyObstruction,
-    HomotopyField, ZeroSegment, ZeroComponent, ZeroSetComplex, LiftsEnumerated, NoLift,
-    NonUniqueExistence, HomotopyLiftRecord,
-    DeckElement, DeckReport, DeckGroupTable, RigidityVerdict, LabeledLoop, Word,
-    ReducedWord, ContractionStage, ContractionCertificate,
-    ThickPoint, GridWitness, ContinuityProbe, VerdictRow, ThickAuditReport,
-    ClaimRecord, ReportDocument, MembershipAudit, ConnectedPreimageRecord, LoopClassRecord,
-    ShrinkContractionRecord, SubgroupGapRecord,
-)}
-_CLASSES: dict[str, type] = {kind: cls for cls, kind in _KINDS.items()}
 
 
 def _as_list(value: Any, length: Optional[int] = None) -> list:
@@ -180,9 +104,6 @@ def _strict(hint: type) -> Converter:
     return dec
 
 
-_rational = _strict(Fraction)
-
-
 def _int_tuple(value: Any) -> tuple[int, ...]:
     # one C-level pass over the types, for rows of up to k! ints
     if not set(map(type, _as_list(value))) <= {int}:
@@ -191,12 +112,16 @@ def _int_tuple(value: Any) -> tuple[int, ...]:
 
 
 def _instance_of(classes: tuple[type, ...]) -> Converter:
+    """Decoder of an object of one of classes, by its kind; other values are read no further."""
+    by_kind = {_kind(c): c for c in classes}
+    names = " or ".join(c.__name__ for c in classes)
+
     def dec(value: Any) -> Any:
-        obj = decode(value)
-        if not isinstance(obj, classes):
-            names = " or ".join(c.__name__ for c in classes)
+        kind = value.get("kind") if type(value) is dict else None
+        cls = by_kind.get(kind) if type(kind) is str else None
+        if cls is None:
             raise ValueError(f"expected {names}, got {json.dumps(value)[:40]}")
-        return obj
+        return _codec(cls)[1](value)
 
     return dec
 
@@ -204,12 +129,8 @@ def _instance_of(classes: tuple[type, ...]) -> Converter:
 def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
     """(encoder, decoder) for values of one field type hint."""
     origin, args = get_origin(hint), get_args(hint)
-    if hint is Fraction:
-        return frac_str, _rational
     if hint in _SCALAR_JSON:
-        return None, _strict(hint)
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return (lambda v: v.value), hint
+        return (frac_str if hint is Fraction else None), _strict(hint)
     if dataclasses.is_dataclass(hint):
         return None, _instance_of((hint,))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -242,31 +163,30 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
 
 
 def _codec(cls: type) -> Optional[tuple]:
-    """cls's codec, derived and kept on first use; None if cls is not registered."""
-    codec = _CODECS.get(cls)
-    if codec is None and cls in _KINDS:
-        codec = _derive(cls)
+    """cls's codec, derived and kept on first use; None if cls is not a dataclass."""
+    codec = _CODECS.get(cls, False)
+    if codec is False:
+        codec = _CODECS[cls] = _derive(cls) if dataclasses.is_dataclass(cls) else None
     return codec
 
 
 def _derive(cls: type) -> tuple:
     hints = get_type_hints(cls)
-    kind = _KINDS[cls]
+    kind = _kind(cls)
     wire_fields = [("kind", lambda obj: kind, None)]
     decoders = []
     for f in dataclasses.fields(cls):
-        wire = _WIRE_RENAMES.get((cls, f.name), f.name)
+        wire = f.metadata.get("wire", f.name)
         if wire == "kind":
             raise TypeError(f"{cls.__name__}.kind collides with the kind tag")
         enc, dec = _converters(hints[f.name])
         wire_fields.append((wire, attrgetter(f.name), enc))
         decoders.append((f.name, wire, dec))
     wire_fields.sort(key=lambda f: f[0])
-    codec = _CODECS[cls] = (
+    return (
         tuple((wire, _quote(wire) + ": ", get, enc) for wire, get, enc in wire_fields),
         _object_decoder(cls, decoders),
     )
-    return codec
 
 
 def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
@@ -285,7 +205,7 @@ def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
 
 
 def encode(obj: Any) -> Any:
-    """Encode a registered value, a primitive, or a list or dict of them, into JSON-ready data."""
+    """Encode a dataclass, a primitive, or a list or dict of them, into JSON-ready data."""
     codec = _codec(type(obj))
     if codec is not None:
         return {wire: encode(get(obj) if enc is None else enc(get(obj)))
@@ -296,20 +216,12 @@ def encode(obj: Any) -> Any:
         return [encode(v) for v in obj]
     if isinstance(obj, dict):
         return {_str_key(k): encode(v) for k, v in obj.items()}
-    raise TypeError(f"no codec registered for {type(obj).__name__}")
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
-def decode(data: Any) -> Any:
-    """Inverse of :func:`encode`."""
-    if isinstance(data, list):
-        return [decode(v) for v in data]
-    if not isinstance(data, dict):
-        return data
-    kind = data.get("kind")
-    cls = _CLASSES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return _codec(cls)[1](data)
+def decode(data: Any, hint: Any) -> Any:
+    """Inverse of :func:`encode`: the value of type hint ``hint`` that data encodes."""
+    return _converters(hint)[1](data)
 
 
 # --- JSON text ------------------------------------------------------------------
@@ -344,20 +256,20 @@ def _scalar(v: Any) -> str:
         if v == -_INF:
             return "-Infinity"
         return float.__repr__(v)
-    raise TypeError(f"no codec registered for {type(v).__name__}")
+    raise TypeError(f"no JSON form for {type(v).__name__}")
 
 
 def dumps(obj: Any) -> str:
     """Deterministic JSON text for an encodable value or already-encoded data.
 
     The text is exactly ``json.dumps(encode(obj), sort_keys=True, indent=2)``
-    plus a newline, written in one walk over obj.  A registered object met
+    plus a newline, written in one walk over obj.  A dataclass instance met
     more than once at the same depth (the base path every lift repeats, a
     shared ``Origin``) is encoded once; its text is joined on its second
     meeting and reused from then on.  Nothing is kept between calls.
     """
     out: list[str] = []
-    # (id, depth) of a registered object -> the span of out its first
+    # (id, depth) of a dataclass instance -> the span of out its first
     # writing filled, then, from its second meeting on, its text.  Every
     # such object is reachable from obj, so no id is reused during the walk.
     seen: dict[tuple[int, int], Any] = {}
@@ -431,9 +343,10 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def loads(text: str) -> Any:
+def loads(text: str, hint: Any) -> Any:
+    """The value of type hint ``hint`` that the JSON text encodes."""
     try:
-        return decode(json.loads(text))
+        return decode(json.loads(text), hint)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 

@@ -18,6 +18,7 @@ homotopy, each stage accepted by the homotopy-lifting engine.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .lifting import (
     PLPath,
     attempt_homotopy_lift,
     recheck_homotopy_record,
+    times_str,
     zero_times,
 )
 from .projection import project
@@ -282,8 +284,8 @@ class LabeledLoop:
         if have != zts:
             missing = sorted(set(zts) - set(have))
             raise NonHausError(
-                f"labels {have} do not match zero times {zts}"
-                + (f"; missing {missing}" if missing else "")
+                f"labels {times_str(have)} do not match zero times {times_str(zts)}"
+                + (f"; missing {times_str(missing)}" if missing else "")
             )
 
     def label_map(self) -> dict[Fraction, int]:
@@ -371,7 +373,8 @@ def loop_class(loop: LabeledLoop, cfg: SpaceConfig) -> ReducedWord:
 class ContractionStage:
     """One homotopy stage: a field, its boundary assignment, and the acceptance."""
 
-    kind: str  # "remove-touch" | "remove-crossing-pair" | "straighten"
+    # "remove-touch" | "remove-crossing-pair" | "straighten"; "kind" on the wire is the tag
+    kind: str = dataclasses.field(metadata={"wire": "stage_kind"})
     field: HomotopyField
     assignment: tuple[tuple[Fraction, int], ...]
     certificate: LiftCertificate

@@ -328,7 +328,7 @@ def test_13_serialization_determinism():
     ]
     for cert in certificates:
         text = serialize.dumps(cert)
-        assert serialize.loads(text) == cert
+        assert serialize.loads(text, type(cert)) == cert
 
     assert serialize.dumps(run_audit(q2)) == serialize.dumps(run_audit(q2))
     scene = SvgScene(k=3, lifts=True)

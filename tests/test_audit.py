@@ -192,6 +192,23 @@ def _shrink_without_param_1(doc):
     rec["params"] = [u for u in rec["params"] if u != "1/1"]
 
 
+def _subgroup_record(doc):
+    return dict(doc["certificates"])["subgroup-correspondence:any"]
+
+
+def _monodromy_lifts(doc):
+    return dict(doc["certificates"])["path-lifting:quotient"]["lifts"]
+
+
+def _repeated_lift(doc):
+    lifts = _monodromy_lifts(doc)
+    lifts[1] = lifts[0]
+
+
+def _moved_lift_start(doc):
+    _monodromy_lifts(doc)[1]["values"][0] = {"kind": "regular", "x": "2/1"}
+
+
 def _foreign_schema_version(doc):
     doc["schema_version"] = "nonhaus-report/99"
 
@@ -224,12 +241,21 @@ class TestRecheckFailures:
             (_empty_shrink_record, "contractible (pseudometric)"),
             (_shrink_without_origin_2, "contractible (pseudometric)"),
             (_shrink_without_param_1, "contractible (pseudometric)"),
+            (lambda d: _subgroup_record(d).update(trivial_subgroup_count=-1),
+             "subgroup-correspondence:any: trivial subgroup count -1 is not 1"),
+            (lambda d: _subgroup_record(d).update(trivial_subgroup_count=0),
+             "subgroup-correspondence:any: trivial subgroup count 0 is not 1"),
+            (lambda d: _subgroup_record(d).update(deck_ref="pi1-probe"),
+             "subgroup-correspondence:any: deck reference 'pi1-probe' names no deck table"),
+            (_repeated_lift, "path-lifting:quotient: lifts are not pairwise distinct"),
+            (_moved_lift_start, "path-lifting:quotient: lifts do not share a start point"),
         ],
         ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
              "negative-t1", "cut-deck-table", "negative-deck-k", "abelian-noncommuting-pair",
              "origin-9-homotopy", "origin-9-stage", "foreign-schema-version", "unknown-model",
              "capitalised-model", "empty-shrink-record", "shrink-without-origin-2",
-             "shrink-without-param-1"],
+             "shrink-without-param-1", "negative-subgroup-count", "zero-subgroup-count",
+             "subgroup-deck-ref-to-probe", "repeated-lift", "moved-lift-start"],
     )
     def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
         path = tmp_path / "report.json"
@@ -350,9 +376,15 @@ class TestRecheckBranches:
     @pytest.mark.parametrize(
         "changes, failures",
         [({"deck_order": 3}, ["deck order is not k!"]),
-         ({"deck_ref": "deck-group:none"}, ["dangling deck reference"]),
-         ({"deck_order": 1, "deck_ref": "x"}, ["deck order is not k!", "dangling deck reference"])],
-        ids=["deck-order", "dangling-deck-ref", "both"],
+         ({"deck_ref": "deck-group:none"},
+          ["deck reference 'deck-group:none' names no deck table of k=2"]),
+         ({"deck_order": 1, "deck_ref": "x"},
+          ["deck order is not k!", "deck reference 'x' names no deck table of k=2"]),
+         ({"trivial_subgroup_count": 2}, ["trivial subgroup count 2 is not 1"]),
+         ({"deck_ref": "pi1-probe"}, ["deck reference 'pi1-probe' names no deck table of k=2"]),
+         ({"k": 3, "deck_order": 6}, ["deck reference 'deck-group:any' names no deck table of k=3"])],
+        ids=["deck-order", "dangling-deck-ref", "both", "subgroup-count", "deck-ref-to-probe",
+             "deck-ref-to-other-k"],
     )
     def test_subgroup_gap(self, report, changes, failures):
         rec = dataclasses.replace(report.certificate("subgroup-correspondence:any"), **changes)

@@ -7,7 +7,8 @@ import pytest
 
 from nonhaus import cli, serialize
 from nonhaus.cli import main
-from nonhaus.lifting import bounce_path, make_merging_field
+from nonhaus.audit import ReportDocument
+from nonhaus.lifting import HomotopyLiftRecord, LiftedPath, bounce_path, make_merging_field
 from nonhaus.symmetry import deck_group
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,7 +24,7 @@ class TestLift:
     def test_three_lifts_json(self, capsys):
         code, out, _ = run_cli(capsys, "lift", "--k", "3", "--x0", "1", "--json")
         assert code == 0
-        lifts = serialize.loads(out)
+        lifts = serialize.loads(out, tuple[LiftedPath, ...])
         assert len(lifts) == 3
 
     def test_invalid_k_exits_2(self, capsys):
@@ -56,7 +57,7 @@ class TestAudit:
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "--k", "2", "--model", "quotient", "--json")
         assert code == 0
-        doc = serialize.loads(out)
+        doc = serialize.loads(out, ReportDocument)
         assert doc.k == 2 and doc.model == "quotient"
 
     def test_text_report(self, capsys):
@@ -79,7 +80,7 @@ class TestAudit:
         f.write_text('{"kind": "origin", "index": 1}')
         code, _, err = run_cli(capsys, "audit", "--check", str(f))
         assert code == 2
-        assert "report document" in err
+        assert err == 'error: expected ReportDocument, got {"kind": "origin", "index": 1}\n'
 
     def test_check_malformed_json_exits_2(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
@@ -133,7 +134,7 @@ class TestHomotopy:
             capsys, "homotopy", "--field", str(f), "--model", "pseudometric", "--json"
         )
         assert code == 0
-        record = serialize.loads(out)
+        record = serialize.loads(out, HomotopyLiftRecord)
         assert record.model == "pseudometric"
 
     def test_dump_field_round_trips(self, capsys, tmp_path):

@@ -615,7 +615,7 @@ class TestAttemptHomotopyLift:
         assert result.assignments == (((0, 1),),)
 
     def test_assignment_domain_mismatch(self, quotient2):
-        with pytest.raises(NonHausError, match=r"domain \[Fraction\(1, 4\)\] != zero times"):
+        with pytest.raises(NonHausError, match=r"domain \[1/4\] != zero times \[1/4, 3/4\]$"):
             attempt_homotopy_lift(self.field, {Fraction(1, 4): 1}, quotient2)
 
     def test_component_oracle_confirms_conflict(self, quotient2):

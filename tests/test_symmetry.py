@@ -256,7 +256,7 @@ class TestCrossingWords:
 
     def test_unlabeled_zero_time(self):
         path = probe_loop(1, 2).path
-        with pytest.raises(NonHausError, match=r"zero times .*; missing \[Fraction\(3, 4\)\]"):
+        with pytest.raises(NonHausError, match=r"zero times \[1/4, 3/4\]; missing \[3/4\]$"):
             LabeledLoop(path, ((Fraction(1, 4), 1),))
 
 
