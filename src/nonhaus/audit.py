@@ -516,7 +516,7 @@ _RECHECKS: dict[type, Callable[[Any, ReportDocument], list[str]]] = {
     ShrinkContractionRecord: lambda c, doc: _recheck_shrink(c),
     EvenCoverFailure: lambda c, doc: recheck_even_cover(c),
     ConnectedPreimageRecord: lambda c, doc: recheck_origin_join(
-        list(c.paths), SpaceConfig(c.k, TopologyModel(c.model))
+        list(c.paths), SpaceConfig(c.k, TopologyModel(c.model)), c.eps
     ),
     SectionWitness: lambda c, doc: recheck_section_witness(c),
     MonodromyObstruction: lambda c, doc: recheck_monodromy(c),

@@ -25,6 +25,7 @@ from .lifting import (
     make_merging_field,
 )
 from .space import (
+    MetricSummary,
     Origin,
     Regular,
     SpaceConfig,
@@ -163,13 +164,8 @@ def _cmd_metric(args: argparse.Namespace) -> str:
         (Regular(3), Regular(5)),
     ]
     if args.json:
-        payload = {
-            "kind": "metric-summary",
-            "model": cfg.model.value,
-            "separation": verdicts,
-            "distances": [(p, q, serialize.frac_str(pseudo_dist(p, q))) for p, q in samples],
-        }
-        return serialize.dumps(payload)
+        distances = tuple((p, q, pseudo_dist(p, q)) for p, q in samples)
+        return serialize.dumps(MetricSummary(cfg.model.value, tuple(verdicts), distances))
     lines = [f"separation axioms (k={cfg.k}, model={cfg.model.value})"]
     for v in verdicts:
         lines.append(f"{v.axiom}: {'holds' if v.holds else 'fails'} ({v.note})")

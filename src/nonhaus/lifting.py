@@ -177,32 +177,11 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
 
 
 @dataclass(frozen=True)
-class SegmentModulus:
-    """Exact Lipschitz record of one segment: distance scales by |slope|."""
-
-    t0: Fraction
-    t1: Fraction
-    slope_abs: Fraction
-
-
-@dataclass(frozen=True)
 class ContinuityVerdict:
-    """Result of lift verification with its continuity modulus.
-
-    In the ball model the pseudometric pulls back to the coordinate
-    distance, so each segment is exactly Lipschitz with constant |slope|.
-    In the chart model the verdict additionally records that each zero
-    time is isolated and that the chart of the chosen origin contains the
-    approaching regular points, so the single-point origin choice is a
-    limit of the regular part.
-    """
+    """Result of lift verification: ``ok``, or the first value that breaks the local rules."""
 
     ok: bool
-    model: str
-    lipschitz: Optional[Fraction]
-    segments: tuple[SegmentModulus, ...]
     witness: Optional[str] = None
-    note: str = ""
 
 
 def _breakpoint_fault(t: Fraction, x: Fraction, v: CanonicalPoint, k: int) -> Optional[str]:
@@ -222,33 +201,15 @@ def _breakpoint_fault(t: Fraction, x: Fraction, v: CanonicalPoint, k: int) -> Op
 
 
 def verify_lift_continuity(lift: LiftedPath, cfg: SpaceConfig) -> ContinuityVerdict:
-    """Check every breakpoint value by the local rules and produce the continuity modulus."""
+    """Check every breakpoint value by the local rules of :func:`_breakpoint_fault`."""
     zero_times(lift.base)  # plateau inputs are rejected, not reported as verdicts
     pts = lift.base.breakpoints
-    model = cfg.model.value
     if len(lift.values) != len(pts):
         witness = "value list does not match breakpoints"
     else:
         faults = (_breakpoint_fault(t, x, v, cfg.k) for (t, x), v in zip(pts, lift.values))
         witness = next(filter(None, faults), None)
-    if witness is not None:
-        return ContinuityVerdict(
-            ok=False, model=model, lipschitz=None, segments=(), witness=witness,
-        )
-    segments = tuple(
-        SegmentModulus(t0, t1, abs(x1 - x0) / (t1 - t0))
-        for (t0, x0), (t1, x1) in zip(pts, pts[1:])
-    )
-    lipschitz = max((s.slope_abs for s in segments), default=Fraction(0))
-    note = "pseudometric pulls back to coordinate distance; per-segment bound is exact"
-    if cfg.model is TopologyModel.QUOTIENT:
-        note = (
-            "zero times are isolated and the chart of the chosen origin contains all "
-            "small regular points, so the origin choice is a limit of the regular part"
-        )
-    return ContinuityVerdict(
-        ok=True, model=model, lipschitz=lipschitz, segments=segments, note=note,
-    )
+    return ContinuityVerdict(ok=witness is None, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -319,6 +280,8 @@ class HomotopyField:
     its upper-right corner; the field is affine on every triangle and
     continuous by shared vertex values.  A triangle whose three vertex
     values vanish is rejected: its zero set would be two-dimensional.
+    Breaks and values are kept as given, so they must be exact rationals
+    (``Fraction`` or ``int``), as :func:`~nonhaus.serialize.read_field` builds them.
     """
 
     s_breaks: tuple[Fraction, ...]
@@ -326,8 +289,8 @@ class HomotopyField:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        s, t = _fractions(self.s_breaks), _fractions(self.t_breaks)
-        vals = tuple(_fractions(row) for row in self.values)
+        s, t = tuple(self.s_breaks), tuple(self.t_breaks)
+        vals = tuple(map(tuple, self.values))
         for breaks in (s, t):
             if len(breaks) < 2 or breaks[0] != 0 or breaks[-1] != 1:
                 raise ValueError("grid breaks must span [0, 1]")
@@ -372,11 +335,6 @@ _numerator = operator.attrgetter("numerator")
 
 # A cell's lower then upper triangle: vertex offsets from its corner, in reading order.
 _CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
-
-
-def _fractions(values) -> tuple[Fraction, ...]:
-    """The values as Fractions; a value that already is one is kept as it is."""
-    return tuple([v if type(v) is Fraction else Fraction(v) for v in values])
 
 
 def _cell_index(breaks: tuple[Fraction, ...], v: Fraction) -> int:

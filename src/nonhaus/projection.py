@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .embedding import ACCUMULATION, BasePoint
 from .errors import NonHausError
@@ -129,21 +130,28 @@ def even_cover_certificate(eps: Fraction, cfg: SpaceConfig) -> EvenCoverFailure:
 
 
 def recheck_even_cover(cert: EvenCoverFailure) -> list[str]:
-    """Re-derive every component of the certificate; returns failure messages."""
+    """Re-derive every component of the certificate; returns failure messages.
+
+    The witnesses must be the origin pairs i < j in order, each with a rule
+    naming its own pair and opens containing its own origins; the common
+    point the rule gives at radius eps is then inside the window.
+    """
     failures: list[str] = []
     cfg = SpaceConfig(cert.k, TopologyModel(cert.model))
     expected_fibre = fibre(ACCUMULATION, cfg)
     if frozenset(cert.fibre) != expected_fibre or len(cert.fibre) != cert.k:
         failures.append("fibre record does not match the fibre over the accumulation point")
-    if len(cert.witnesses) != cert.k * (cert.k - 1) // 2:
-        failures.append("missing origin-pair witnesses")
+    if [(w.i, w.j) for w in cert.witnesses] != list(combinations(range(1, cert.k + 1), 2)):
+        return failures + [f"witnesses are not the origin pairs i < j of 1..{cert.k} in order"]
     for w in cert.witnesses:
+        if (w.rule.i, w.rule.j) != (w.i, w.j):
+            failures.append(f"witness ({w.i},{w.j}): rule names origins {w.rule.i} and {w.rule.j}")
+        if not (open_contains(w.open_i, Origin(w.i)) and open_contains(w.open_j, Origin(w.j))):
+            failures.append(f"witness ({w.i},{w.j}): an open misses its own origin")
         if w.common != w.rule.common_point(cert.eps, cert.eps):
             failures.append(f"witness ({w.i},{w.j}): common point disagrees with the rule")
         if not (open_contains(w.open_i, w.common) and open_contains(w.open_j, w.common)):
             failures.append(f"witness ({w.i},{w.j}): common point escapes one of the opens")
-        if not abs(coord(w.common)) < cert.eps:
-            failures.append(f"witness ({w.i},{w.j}): common point projects outside the window")
     return failures
 
 
@@ -193,20 +201,17 @@ def preimage_connected_certificate(eps: Fraction, cfg: SpaceConfig) -> list[Orig
     return paths
 
 
-def recheck_origin_join(paths: list[OriginJoinPath], cfg: SpaceConfig) -> list[str]:
+def recheck_origin_join(paths: list[OriginJoinPath], cfg: SpaceConfig, eps: Fraction) -> list[str]:
+    """Path n must join origin n+1 to origin n+2 inside the window (-eps, eps) of the record."""
     failures: list[str] = []
+    if [(p.start, p.end) for p in paths] != [(Origin(i), Origin(i + 1)) for i in range(1, cfg.k)]:
+        failures.append(f"paths do not join origins 1..{cfg.k} consecutively, in order")
     for n, path in enumerate(paths):
-        if not (isinstance(path.start, Origin) and isinstance(path.end, Origin)):
-            failures.append(f"path {n}: endpoints are not origins")
-            continue
-        if path.start.index + 1 != path.end.index:
-            failures.append(f"path {n}: does not join consecutive origins")
+        if path.eps != eps:
+            failures.append(f"path {n}: window radius {path.eps} is not the record's {eps}")
         for t, p in path.breakpoints:
-            if not abs(coord(p)) < path.eps:
+            if not abs(coord(p)) < eps:
                 failures.append(f"path {n}: breakpoint at t={t} leaves the window preimage")
-    expected = cfg.k - 1
-    if len(paths) != expected:
-        failures.append(f"expected {expected} joining paths, got {len(paths)}")
     return failures
 
 
@@ -262,8 +267,6 @@ def recheck_section_witness(w: SectionWitness) -> list[str]:
         if vi != vj:
             failures.append(f"sections disagree at coordinate {x} off the accumulation point")
     vi, vj = w.section_value(w.i, ACCUMULATION), w.section_value(w.j, ACCUMULATION)
-    if vi == vj:
-        failures.append("sections fail to disagree at the accumulation point")
     if w.disagreement != (vi, vj):
         failures.append("recorded disagreement pair does not match the sections")
     return failures

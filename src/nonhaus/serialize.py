@@ -2,10 +2,8 @@
 
 Wire rule.  A dataclass is a JSON object whose ``"kind"`` is the class
 name in kebab-case (``PLPath`` -> ``"pl-path"``) and which has one key per
-dataclass field, named after the field unless the field's metadata names
-its ``"wire"`` key (``ContractionStage.kind`` is written as
-``"stage_kind"``, because ``"kind"`` is the tag).  Each field's JSON form
-follows its type hint:
+dataclass field, named after the field.  Each field's JSON form follows
+its type hint:
 
 * ``Fraction``: a ``"numerator/denominator"`` string, never a float;
 * ``int``, ``str``, ``bool``, ``float``: the JSON scalar (floats occur
@@ -26,8 +24,8 @@ the JSON text itself, in one walk that builds no tree: its output is
 exactly the bytes of ``json.dumps(encode(x), sort_keys=True, indent=2)``
 plus a newline, and a dataclass instance that occurs more than once (the
 base path every lift repeats, a shared ``Origin``) is encoded and written
-once for each depth it occurs at, not once per occurrence.  Plain lists
-and dicts with str keys may hold dataclass values.
+once for each depth it occurs at, not once per occurrence.  A plain list
+may hold dataclass values; a dict has no JSON form.
 
 Text formats:
 
@@ -61,8 +59,6 @@ def parse_frac(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-    except TypeError:
-        raise ValueError(f"expected a rational string, got {s!r}") from None
 
 
 # A converter maps one field value to its JSON form or back.  An encoder of
@@ -176,15 +172,14 @@ def _derive(cls: type) -> tuple:
     wire_fields = [("kind", lambda obj: kind, None)]
     decoders = []
     for f in dataclasses.fields(cls):
-        wire = f.metadata.get("wire", f.name)
-        if wire == "kind":
+        if f.name == "kind":
             raise TypeError(f"{cls.__name__}.kind collides with the kind tag")
         enc, dec = _converters(hints[f.name])
-        wire_fields.append((wire, attrgetter(f.name), enc))
-        decoders.append((f.name, wire, dec))
+        wire_fields.append((f.name, attrgetter(f.name), enc))
+        decoders.append((f.name, dec))
     wire_fields.sort(key=lambda f: f[0])
     return (
-        tuple((wire, _quote(wire) + ": ", get, enc) for wire, get, enc in wire_fields),
+        tuple((name, _quote(name) + ": ", get, enc) for name, get, enc in wire_fields),
         _object_decoder(cls, decoders),
     )
 
@@ -193,10 +188,10 @@ def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
     def dec(data: dict) -> Any:
         values = []
         try:
-            for name, wire, conv in fields:
-                values.append(conv(data[wire]))
+            for name, conv in fields:
+                values.append(conv(data[name]))
         except KeyError:
-            raise ValueError(f"{cls.__name__}: missing field {wire!r}") from None
+            raise ValueError(f"{cls.__name__}: missing field {name!r}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
         return cls(*values)
@@ -205,7 +200,7 @@ def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
 
 
 def encode(obj: Any) -> Any:
-    """Encode a dataclass, a primitive, or a list or dict of them, into JSON-ready data."""
+    """Encode a dataclass, a primitive, or a list of them, into JSON-ready data."""
     codec = _codec(type(obj))
     if codec is not None:
         return {wire: encode(get(obj) if enc is None else enc(get(obj)))
@@ -214,8 +209,6 @@ def encode(obj: Any) -> Any:
         return obj
     if isinstance(obj, (list, tuple)):
         return [encode(v) for v in obj]
-    if isinstance(obj, dict):
-        return {_str_key(k): encode(v) for k, v in obj.items()}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -228,12 +221,6 @@ def decode(data: Any, hint: Any) -> Any:
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INF = float("inf")
-
-
-def _str_key(key: Any) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-    return key
 
 
 def _scalar(v: Any) -> str:
@@ -260,7 +247,7 @@ def _scalar(v: Any) -> str:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text for an encodable value or already-encoded data.
+    """Deterministic JSON text for a dataclass, a primitive, or a list of them.
 
     The text is exactly ``json.dumps(encode(obj), sort_keys=True, indent=2)``
     plus a newline, written in one walk over obj.  A dataclass instance met
@@ -297,12 +284,6 @@ def dumps(obj: Any) -> str:
                 write_list(value, depth)
             else:
                 out.append("[]")
-        elif isinstance(value, dict):
-            if value:
-                write_members(((_quote(_str_key(k)) + ": ", value[k]) for k in sorted(value)),
-                              depth)
-            else:
-                out.append("{}")
         else:
             out.append(_scalar(value))
 

@@ -337,6 +337,15 @@ def separation_report(cfg: SpaceConfig) -> list[SeparationVerdict]:
 
 
 @dataclass(frozen=True)
+class MetricSummary:
+    """What ``metric --json`` writes: one model's separation verdicts and sample distances."""
+
+    model: str
+    separation: tuple[SeparationVerdict, ...]
+    distances: tuple[tuple[CanonicalPoint, CanonicalPoint, Fraction], ...]
+
+
+@dataclass(frozen=True)
 class MembershipRecord:
     """A basic open together with recorded membership outcomes, re-checkable."""
 

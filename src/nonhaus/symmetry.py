@@ -18,7 +18,6 @@ homotopy, each stage accepted by the homotopy-lifting engine.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -373,8 +372,7 @@ def loop_class(loop: LabeledLoop, cfg: SpaceConfig) -> ReducedWord:
 class ContractionStage:
     """One homotopy stage: a field, its boundary assignment, and the acceptance."""
 
-    # "remove-touch" | "remove-crossing-pair" | "straighten"; "kind" on the wire is the tag
-    kind: str = dataclasses.field(metadata={"wire": "stage_kind"})
+    stage_kind: str  # "remove-touch" | "remove-crossing-pair" | "straighten"
     field: HomotopyField
     assignment: tuple[tuple[Fraction, int], ...]
     certificate: LiftCertificate
@@ -464,7 +462,7 @@ def contract_loop(loop: LabeledLoop, cfg: SpaceConfig) -> ContractionCertificate
         labels = {t: i for t, i in labels.items() if t not in removed}
         stages.append(
             ContractionStage(
-                kind=kind,
+                stage_kind=kind,
                 field=field,
                 assignment=tuple(sorted(assignment.items())),
                 certificate=certificate,

@@ -20,6 +20,7 @@ from nonhaus.audit import (
 )
 from nonhaus.errors import NonHausError
 from nonhaus.space import (
+    Ball,
     InseparabilityRule,
     Origin,
     OriginChart,
@@ -221,52 +222,156 @@ def _capitalised_model(doc):
     doc["model"] = "Quotient"
 
 
-class TestRecheckFailures:
-    @pytest.mark.parametrize(
-        "tamper, named",
-        [
-            (_flip_even_covering, "even-covering"),
-            (_drop_semicovering, "semicovering"),
-            (_reverse_claims, "separation-t1"),
-            (_swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
-            (_negative_quotient_t1, "separation-t1:quotient"),
-            (_cut_deck_table, "deck-group:any"),
-            (_negative_deck_k, "deck-group:any"),
-            (_abelian_noncommuting_pair, "deck-group:any"),
-            (_origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
-            (_origin_9_stage_assignment, "pi1-contraction:pseudometric"),
-            (_foreign_schema_version, "schema_version 'nonhaus-report/99'"),
-            (_unknown_model, "model 'banana'"),
-            (_capitalised_model, "model 'Quotient'"),
-            (_empty_shrink_record, "contractible (pseudometric)"),
-            (_shrink_without_origin_2, "contractible (pseudometric)"),
-            (_shrink_without_param_1, "contractible (pseudometric)"),
-            (lambda d: _subgroup_record(d).update(trivial_subgroup_count=-1),
-             "subgroup-correspondence:any: trivial subgroup count -1 is not 1"),
-            (lambda d: _subgroup_record(d).update(trivial_subgroup_count=0),
-             "subgroup-correspondence:any: trivial subgroup count 0 is not 1"),
-            (lambda d: _subgroup_record(d).update(deck_ref="pi1-probe"),
-             "subgroup-correspondence:any: deck reference 'pi1-probe' names no deck table"),
-            (_repeated_lift, "path-lifting:quotient: lifts are not pairwise distinct"),
-            (_moved_lift_start, "path-lifting:quotient: lifts do not share a start point"),
-        ],
-        ids=["flipped-verdicts", "dropped-row", "reversed-rows", "swapped-certificate",
-             "negative-t1", "cut-deck-table", "negative-deck-k", "abelian-noncommuting-pair",
-             "origin-9-homotopy", "origin-9-stage", "foreign-schema-version", "unknown-model",
-             "capitalised-model", "empty-shrink-record", "shrink-without-origin-2",
-             "shrink-without-param-1", "negative-subgroup-count", "zero-subgroup-count",
-             "subgroup-deck-ref-to-probe", "repeated-lift", "moved-lift-start"],
+def _certificate(doc, ref):
+    return dict(doc["certificates"])[ref]
+
+
+def _far_join_paths(doc):
+    for path in _certificate(doc, "branched-cover:quotient")["paths"]:
+        path["eps"] = "1000/1"
+        path["breakpoints"][1][1] = {"kind": "regular", "x": "500/1"}
+
+
+def _repeated_join_path(doc):
+    cert = _certificate(doc, "branched-cover:quotient")
+    cert["paths"] = [cert["paths"][0]] * 2
+
+
+def _repeated_pair_witness(doc):
+    cert = _certificate(doc, "even-covering:quotient")
+    cert["witnesses"] = [cert["witnesses"][0]] * 3
+
+
+def _foreign_pair_rule(doc):
+    _certificate(doc, "even-covering:quotient")["witnesses"][0]["rule"].update(i=7, j=9)
+
+
+def _open_of_origin_3(doc):
+    _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"]["index"] = 3
+
+
+def _t0_verdict_in_t1_cell(doc):
+    _certificate(doc, "separation-t1:quotient")["axiom"] = "T0"
+
+
+def _origin_regular_pair_in_t1_cell(doc):
+    _certificate(doc, "separation-t1:quotient").update(
+        pair=[{"kind": "origin", "index": 1}, {"kind": "regular", "x": "1/2"}],
+        opens=[{"kind": "origin-chart", "index": 1, "eps": "1/4"},
+               {"kind": "regular-interval", "a": "1/4", "b": "3/4"}],
     )
-    def test_tampered_report_exits_3(self, tmp_path, capsys, tamper, named):
+
+
+def _ball_record_without_origin_k(doc):
+    record = _certificate(doc, "locally-euclidean:pseudometric")["records"][0]
+    record["entries"] = record["entries"][:-1]
+
+
+def _even_cover_of_other_model(doc):
+    _certificate(doc, "even-covering:quotient")["model"] = "pseudometric"
+
+
+def _lift_over_other_path(doc):
+    _monodromy_lifts(doc)[1]["base"]["breakpoints"][1][0] = "1/4"
+
+
+def _lift_through_origin_k_plus_1(doc):
+    _monodromy_lifts(doc)[1]["values"][1]["index"] = 4
+
+
+def _deck_table_of_k_7(doc):
+    _certificate(doc, "deck-group:any")["k"] = 7
+
+
+def _identity_twice(doc):
+    cert = _certificate(doc, "deck-group:any")
+    cert["elements"] = [cert["elements"][0]] * 2
+    cert["table"] = [[0, 0], [0, 0]]
+
+
+_FAILED = "certificate re-check failed: "
+_PROVES_NOTHING = "{}: the table says {} but {} proves nothing"
+
+# (id, k, tamper, what stderr names); a name starting with _FAILED is the exact line
+_TAMPERS = [
+    ("flipped-verdicts", 2, _flip_even_covering, "even-covering"),
+    ("dropped-row", 2, _drop_semicovering, "semicovering"),
+    ("reversed-rows", 2, _reverse_claims, "separation-t1"),
+    ("swapped-certificate", 2, _swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
+    ("negative-t1", 2, _negative_quotient_t1, "separation-t1:quotient"),
+    ("cut-deck-table", 2, _cut_deck_table, "deck-group:any"),
+    ("negative-deck-k", 2, _negative_deck_k, "deck-group:any"),
+    ("abelian-noncommuting-pair", 2, _abelian_noncommuting_pair, "deck-group:any"),
+    ("origin-9-homotopy", 2, _origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
+    ("origin-9-stage", 2, _origin_9_stage_assignment, "pi1-contraction:pseudometric"),
+    ("foreign-schema-version", 2, _foreign_schema_version, "schema_version 'nonhaus-report/99'"),
+    ("unknown-model", 2, _unknown_model, "model 'banana'"),
+    ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
+    ("empty-shrink-record", 2, _empty_shrink_record, "contractible (pseudometric)"),
+    ("shrink-without-origin-2", 2, _shrink_without_origin_2, "contractible (pseudometric)"),
+    ("shrink-without-param-1", 2, _shrink_without_param_1, "contractible (pseudometric)"),
+    ("negative-subgroup-count", 2,
+     lambda d: _subgroup_record(d).update(trivial_subgroup_count=-1),
+     "subgroup-correspondence:any: trivial subgroup count -1 is not 1"),
+    ("zero-subgroup-count", 2,
+     lambda d: _subgroup_record(d).update(trivial_subgroup_count=0),
+     "subgroup-correspondence:any: trivial subgroup count 0 is not 1"),
+    ("subgroup-deck-ref-to-probe", 2,
+     lambda d: _subgroup_record(d).update(deck_ref="pi1-probe"),
+     "subgroup-correspondence:any: deck reference 'pi1-probe' names no deck table"),
+    ("repeated-lift", 2, _repeated_lift, "path-lifting:quotient: lifts are not pairwise distinct"),
+    ("moved-lift-start", 2, _moved_lift_start,
+     "path-lifting:quotient: lifts do not share a start point"),
+    ("far-join-paths", 3, _far_join_paths, _FAILED + "; ".join(
+        f"branched-cover:quotient: path {n}: {msg}" for n in (0, 1) for msg in (
+            "window radius 1000 is not the record's 1",
+            "breakpoint at t=1/2 leaves the window preimage"))),
+    ("repeated-join-path", 3, _repeated_join_path,
+     _FAILED + "branched-cover:quotient: paths do not join origins 1..3 consecutively, in order"),
+    ("repeated-pair-witness", 3, _repeated_pair_witness,
+     _FAILED + "even-covering:quotient: witnesses are not the origin pairs i < j of 1..3 in order"),
+    ("foreign-pair-rule", 3, _foreign_pair_rule,
+     _FAILED + "even-covering:quotient: witness (1,2): rule names origins 7 and 9"),
+    ("open-of-origin-3", 3, _open_of_origin_3,
+     _FAILED + "even-covering:quotient: witness (1,2): an open misses its own origin"),
+    ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _FAILED + _PROVES_NOTHING.format(
+        "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
+    ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell,
+     _FAILED + _PROVES_NOTHING.format(
+         "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
+    ("ball-record-without-origin-k", 3, _ball_record_without_origin_k,
+     _FAILED + _PROVES_NOTHING.format("locally-euclidean-at-origins (pseudometric)", "fails",
+                                      "locally-euclidean:pseudometric")),
+    ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + _PROVES_NOTHING.format(
+        "even-covering (quotient)", "fails", "even-covering:quotient")),
+    ("lift-over-other-path", 3, _lift_over_other_path,
+     _FAILED + "path-lifting:quotient: lift 1 is over a different path"),
+    ("lift-through-origin-k-plus-1", 3, _lift_through_origin_k_plus_1,
+     _FAILED + "path-lifting:quotient: lift 1 fails verification"),
+    ("deck-table-of-k-7", 3, _deck_table_of_k_7,
+     _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6; "
+     "subgroup-correspondence:any: deck reference 'deck-group:any' names no deck table of k=3"),
+    ("identity-twice", 2, _identity_twice,
+     _FAILED + "deck-group:any: expected 2 distinct elements of degree 2"),
+]
+
+
+class TestRecheckFailures:
+    @pytest.mark.parametrize("k, tamper, named", [t[1:] for t in _TAMPERS],
+                             ids=[t[0] for t in _TAMPERS])
+    def test_tampered_report_exits_3(self, tmp_path, capsys, k, tamper, named):
         path = tmp_path / "report.json"
-        assert cli.main(["audit", "--k", "2", "--json", "--out", str(path)]) == 0
+        assert cli.main(["audit", "--k", str(k), "--json", "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
         tamper(doc)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["audit", "--check", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("certificate re-check failed:") and named in err
+        if named.startswith(_FAILED):
+            assert err == named + "\n"
+        else:
+            assert err.startswith(_FAILED) and named in err
 
     def test_other_model_echo_passes(self, tmp_path, capsys):
         # the model field echoes the request; the certificates cover both models
@@ -349,6 +454,11 @@ class TestRecheckBranches:
              ["T1: first open fails its containment pattern"]),
             (SeparationVerdict("T1", True, _ORIGINS, opens=(_chart(1), _chart(1))),
              ["T1: second open fails its containment pattern"]),
+            # a ball around an origin holds both origins
+            (SeparationVerdict("T1", True, _ORIGINS, opens=(Ball(Origin(1), 1), _chart(2))),
+             ["T1: first open fails its containment pattern"]),
+            (SeparationVerdict("T1", True, _ORIGINS, opens=(_chart(1), Ball(Origin(2), 1))),
+             ["T1: second open fails its containment pattern"]),
             # each chart holds its own origin only, but both hold the small regular points
             (SeparationVerdict("T2", True, _ORIGINS, opens=(_chart(1), _chart(2))),
              ["T2: witness opens intersect"]),
@@ -361,7 +471,8 @@ class TestRecheckBranches:
             (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(0, 2)),
              ["T2: rule needs two distinct origins in 1..2"]),
         ],
-        ids=["no-opens", "first-pattern", "second-pattern", "t2-opens-intersect", "no-rule",
+        ids=["no-opens", "first-pattern", "second-pattern", "first-holds-both",
+             "second-holds-both", "t2-opens-intersect", "no-rule",
              "equal-rule-indices", "rule-index-above-k", "rule-index-0"],
     )
     def test_separation(self, verdict, failures):

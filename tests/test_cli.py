@@ -9,6 +9,7 @@ from nonhaus import cli, serialize
 from nonhaus.cli import main
 from nonhaus.audit import ReportDocument
 from nonhaus.lifting import HomotopyLiftRecord, LiftedPath, bounce_path, make_merging_field
+from nonhaus.space import MetricSummary
 from nonhaus.symmetry import deck_group
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -169,8 +170,10 @@ class TestOtherCommands:
     def test_metric_json(self, capsys):
         code, out, _ = run_cli(capsys, "metric", "--k", "2", "--model", "pseudometric", "--json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["model"] == "pseudometric"
+        summary = serialize.loads(out, MetricSummary)
+        assert summary.model == "pseudometric"
+        assert [v.holds for v in summary.separation] == [False, False, False]
+        assert [d for _, _, d in summary.distances] == [0, Fraction(1, 2), 2]
 
     def test_render_file(self, capsys, tmp_path):
         out_file = tmp_path / "scene.svg"

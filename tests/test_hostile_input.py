@@ -491,6 +491,7 @@ def _report_with(ref: str, leaf: tuple, value) -> str:
 
 _PLATEAU_PATH = "plpath v1\n0/1 1/1\n1/4 0/1\n1/2 0/1\n1/1 1/1\n"
 _CHECK = ["audit", "--check", "{file}"]
+_FIELD = ["homotopy", "--field", "{file}"]
 
 
 # The exact line each domain check a subcommand reaches sends to stderr; "{file}"
@@ -537,12 +538,35 @@ _CHECK = ["audit", "--check", "{file}"]
         (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "eps"),
                               "-1/1"),
          "error: chart radius must be positive, got -1"),
+        (["lift", "--path", "{file}"], "0/1 1/1\n1/1 1/1\n", "error: expected header 'plpath v1'"),
+        (_FIELD, "2 2\n0/1 1/1\n0/1 1/1\n1/1 1/1\n1/1 1/1\n",
+         "error: expected header 'plfield v1'"),
+        (["lift", "--path", "{file}"], "plpath v1\n0/1 1/1\n",
+         "error: a path needs at least two breakpoints"),
+        (_FIELD, "plfield v1\n2 2\n0/1 1/1\n",
+         "error: expected a dimension line and two break lines"),
+        (_FIELD, "plfield v1\n2 2\n0/1 1/2 1/1\n0/1 1/1\n1/1 1/1\n1/1 1/1\n",
+         "error: grid dimensions do not match the break lines"),
+        (_FIELD, "plfield v1\n2 2\n0/1 1/2\n0/1 1/1\n1/1 1/1\n1/1 1/1\n",
+         "error: grid breaks must span [0, 1]"),
+        (_FIELD, "plfield v1\n4 2\n0/1 1/2 1/4 1/1\n0/1 1/1\n" + "1/1 1/1\n" * 4,
+         "error: grid breaks must be strictly increasing"),
+        (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "index"), 0),
+         "error: origin index must be >= 1, got 0"),
+        (_CHECK, _report_with("pi1-probe", ("loop", "path", "breakpoints", 4, 1), "2/1"),
+         "error: ReportDocument.certificates: LoopClassRecord.loop: "
+         "loop must start and end at one nonzero coordinate"),
+        (_CHECK, _report_with("pi1-probe", ("quotient_class", "letters"), [[1, 1], [1, -1]]),
+         "error: ReportDocument.certificates: LoopClassRecord.quotient_class: "
+         "adjacent cancelling pair at origin 1"),
     ],
     ids=["audit-k", "deck-k", "lift-k", "render-k", "render-k-max", "audit-eps", "lift-x0",
          "lift-limit", "lift-plateau", "lift-path-and-x0", "homotopy-origin", "homotopy-domain",
          "thick-coarse", "thick-fine", "check-origin-index", "check-k", "check-regular-zero",
          "check-labels", "check-plateau", "check-permutation", "check-rule-radius",
-         "check-ball-radius", "check-chart-radius"],
+         "check-ball-radius", "check-chart-radius", "path-no-header", "field-no-header",
+         "path-one-line", "field-two-lines", "field-break-count", "field-break-span",
+         "field-break-order", "check-chart-index", "check-open-loop", "check-cancelling-pair"],
 )
 def test_domain_error_line(capsys, tmp_path, argv, text, line):
     path = tmp_path / "input.txt"

@@ -19,8 +19,10 @@ from nonhaus.projection import (
     section_witness,
 )
 from nonhaus.space import (
+    InseparabilityRule,
     LabeledRep,
     Origin,
+    OriginChart,
     Regular,
     SpaceConfig,
     TopologyModel,
@@ -76,6 +78,9 @@ class TestProjection:
         assert project(regular_inverse(y)) == y
 
 
+_NOT_PAIRS = "witnesses are not the origin pairs i < j of 1..3 in order"
+
+
 class TestEvenCover:
     def test_witness_point(self, quotient2):
         cert = even_cover_certificate(1, quotient2)
@@ -126,7 +131,34 @@ class TestEvenCover:
     def test_recheck_counts_the_witnesses(self, quotient3):
         cert = even_cover_certificate(1, quotient3)
         bad = dataclasses.replace(cert, witnesses=cert.witnesses[1:])
-        assert recheck_even_cover(bad) == ["missing origin-pair witnesses"]
+        assert recheck_even_cover(bad) == [_NOT_PAIRS]
+
+    @pytest.mark.parametrize(
+        "pick", [lambda ws: ws[:1] * 3, lambda ws: ws[::-1]], ids=["one-pair-repeated", "reversed"]
+    )
+    def test_recheck_requires_each_pair_once_in_order(self, quotient3, pick):
+        cert = even_cover_certificate(1, quotient3)
+        bad = dataclasses.replace(cert, witnesses=pick(cert.witnesses))
+        assert recheck_even_cover(bad) == [_NOT_PAIRS]
+
+    @pytest.mark.parametrize(
+        "changes, failure",
+        [({"rule": InseparabilityRule(7, 9)}, "witness (1,2): rule names origins 7 and 9"),
+         ({"open_i": OriginChart(3, Fraction(1))}, "witness (1,2): an open misses its own origin"),
+         ({"open_j": OriginChart(1, Fraction(1))}, "witness (1,2): an open misses its own origin"),
+         # inside both opens and the window, but not the rule's point at radius eps
+         ({"common": Regular(Fraction(1, 4))},
+          "witness (1,2): common point disagrees with the rule"),
+         ({"open_j": OriginChart(2, Fraction(1, 4))},
+          "witness (1,2): common point escapes one of the opens")],
+        ids=["foreign-rule", "open-i-of-origin-3", "open-j-of-origin-1", "common-off-the-rule",
+             "open-j-too-small"],
+    )
+    def test_recheck_ties_each_witness_to_its_pair(self, quotient3, changes, failure):
+        cert = even_cover_certificate(1, quotient3)
+        first = dataclasses.replace(cert.witnesses[0], **changes)
+        bad = dataclasses.replace(cert, witnesses=(first,) + cert.witnesses[1:])
+        assert recheck_even_cover(bad) == [failure]
 
     def test_every_witness_within_window(self, quotient3):
         eps = Fraction(1, 3)
@@ -145,13 +177,13 @@ class TestPreimageConnected:
         assert times_points[0][1] == Origin(1)
         assert times_points[1][1] == Regular(Fraction(1, 2))
         assert times_points[2][1] == Origin(2)
-        assert recheck_origin_join(paths, quotient2) == []
+        assert recheck_origin_join(paths, quotient2, Fraction(1)) == []
 
     def test_three_origins_chained(self, quotient3):
         paths = preimage_connected_certificate(1, quotient3)
         assert len(paths) == 2
         assert all(p.breakpoints[1][1] == Regular(Fraction(1, 2)) for p in paths)
-        assert recheck_origin_join(paths, quotient3) == []
+        assert recheck_origin_join(paths, quotient3, Fraction(1)) == []
 
     def test_negative_radius(self, quotient2):
         with pytest.raises(NonHausError, match="window radius must be positive, got -1"):
@@ -163,25 +195,35 @@ def _join(eps, *points):
     return OriginJoinPath(eps=Fraction(eps), breakpoints=tuple(zip(times, points)))
 
 
+_NOT_CHAINED = "paths do not join origins 1..3 consecutively, in order"
+
+
 class TestOriginJoinRecheck:
     def test_produced_paths_pass(self, quotient3):
-        assert recheck_origin_join(preimage_connected_certificate(1, quotient3), quotient3) == []
+        paths = preimage_connected_certificate(1, quotient3)
+        assert recheck_origin_join(paths, quotient3, Fraction(1)) == []
 
     @pytest.mark.parametrize(
         "paths, failures",
         [
             ([_join(1, Regular(Fraction(1, 2)), Origin(2)), _join(1, Origin(2), Origin(3))],
-             ["path 0: endpoints are not origins"]),
-            ([_join(1, Origin(1), Origin(3)), _join(1, Origin(2), Origin(3))],
-             ["path 0: does not join consecutive origins"]),
+             [_NOT_CHAINED]),
+            ([_join(1, Origin(1), Origin(3)), _join(1, Origin(2), Origin(3))], [_NOT_CHAINED]),
             ([_join(1, Origin(1), Origin(2)), _join(1, Origin(2), Regular(1), Origin(3))],
              ["path 1: breakpoint at t=1/2 leaves the window preimage"]),
-            ([_join(1, Origin(1), Origin(2))], ["expected 2 joining paths, got 1"]),
+            ([_join(1, Origin(1), Origin(2))], [_NOT_CHAINED]),
+            ([_join(1, Origin(1), Origin(2))] * 2, [_NOT_CHAINED]),
+            ([_join(1, Origin(2), Origin(3)), _join(1, Origin(1), Origin(2))], [_NOT_CHAINED]),
+            # the window is the record's: a path cannot widen its own
+            ([_join(1, Origin(1), Origin(2)), _join(4, Origin(2), Regular(2), Origin(3))],
+             ["path 1: window radius 4 is not the record's 1",
+              "path 1: breakpoint at t=1/2 leaves the window preimage"]),
         ],
-        ids=["endpoint-not-origin", "not-consecutive", "leaves-window", "path-missing"],
+        ids=["endpoint-not-origin", "not-consecutive", "leaves-window", "path-missing",
+             "one-path-repeated", "out-of-order", "own-wider-window"],
     )
     def test_recheck_names_each_failure(self, quotient3, paths, failures):
-        assert recheck_origin_join(paths, quotient3) == failures
+        assert recheck_origin_join(paths, quotient3, Fraction(1)) == failures
 
 
 class TestSectionWitness:
@@ -215,7 +257,6 @@ class TestSectionWitness:
         bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), j=1)
         assert recheck_section_witness(bad) == [
             "section indices coincide",
-            "sections fail to disagree at the accumulation point",
             "recorded disagreement pair does not match the sections",
         ]
 

@@ -32,6 +32,7 @@ from nonhaus.projection import (
 from nonhaus.space import (
     Ball,
     LabeledRep,
+    MetricSummary,
     Origin,
     OriginChart,
     Regular,
@@ -293,20 +294,19 @@ def test_read_field_matches_token_oracle(text):
 _SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(Path(serialize.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
-# Every kind reachable by type hints from the two report roots, pinned: adding,
+# Every kind reachable by type hints from the three output roots, pinned: adding,
 # dropping or renaming one changes the wire format that independent checkers
-# read.  Every JSON output of the CLI is made of these kinds, apart from the
-# plain "metric-summary" dict that `metric --json` wraps them in.
+# read.  Every JSON output of the CLI is made of these kinds.
 KINDS = (
     "ball", "claim-record", "connected-preimage-record", "continuity-probe",
     "contraction-certificate", "contraction-stage", "deck-element", "deck-group-table",
     "even-cover-failure", "grid-witness", "homotopy-field", "homotopy-lift-record",
     "inseparability-rule", "labeled-loop", "lifted-path", "lifts-enumerated",
-    "loop-class-record", "membership-audit", "membership-record", "monodromy-obstruction",
-    "no-lift", "non-unique-existence", "origin", "origin-chart", "origin-join-path",
-    "pair-witness", "pl-path", "reduced-word", "regular", "regular-interval",
-    "report-document", "section-witness", "separation-verdict", "shrink-contraction-record",
-    "subgroup-gap-record", "thick-audit-report", "verdict-row",
+    "loop-class-record", "membership-audit", "membership-record", "metric-summary",
+    "monodromy-obstruction", "no-lift", "non-unique-existence", "origin", "origin-chart",
+    "origin-join-path", "pair-witness", "pl-path", "reduced-word", "regular",
+    "regular-interval", "report-document", "section-witness", "separation-verdict",
+    "shrink-contraction-record", "subgroup-gap-record", "thick-audit-report", "verdict-row",
 )
 
 
@@ -347,6 +347,8 @@ def _roots() -> tuple:
         verify_lift_continuity(lifts[0], Q3),
         deck_verify(DeckElement((2, 1))),
         deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)),
+        MetricSummary("quotient", tuple(separation_report(Q3)),
+                      ((Origin(1), Regular(Fraction(-1, 2)), Fraction(1, 2)),)),
         crossing_word(loop),
         LabeledRep(Fraction(1, 3), 2),
         RegularInterval(Fraction(1, 2), Fraction(3, 2)),
@@ -361,7 +363,8 @@ class TestKindRegistry:
         found: set = set()
         _hinted_classes(audit_mod.ReportDocument, found)
         _hinted_classes(ThickAuditReport, found)
-        assert len(KINDS) == 37
+        _hinted_classes(MetricSummary, found)
+        assert len(KINDS) == 38
         assert tuple(sorted(serialize._kind(cls) for cls in found)) == KINDS
 
     def test_golden_outputs_hold_only_pinned_kinds(self):
@@ -374,7 +377,14 @@ class TestKindRegistry:
 
         golden = Path(__file__).parent / "golden"
         seen = {k for p in golden.glob("*.json") for k in kinds(json.loads(p.read_text()))}
-        assert seen - {"metric-summary"} <= set(KINDS)
+        assert seen <= set(KINDS)
+
+    def test_metric_goldens_read_back(self):
+        golden = sorted((Path(__file__).parent / "golden").glob("metric-*.json"))
+        assert len(golden) == 6
+        for path in golden:
+            summary = serialize.loads(path.read_text(), MetricSummary)
+            assert serialize.dumps(summary) == path.read_text()
 
     def test_one_instance_of_every_kind_round_trips(self):
         found: dict = {}
@@ -430,7 +440,7 @@ _STRINGS = st.text(max_size=12) | st.sampled_from(
 _FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
 _JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS,
-    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_STRINGS, inner, max_size=6),
+    lambda inner: st.lists(inner, max_size=6),
     max_leaves=40,
 )
 
@@ -459,9 +469,14 @@ class TestWriter:
         lifts = _shared_base_lifts()
         first = serialize.dumps(lifts)
         # the same objects again, at other depths and in other company
-        serialize.dumps({"lifts": lifts, "first": lifts[0]})
+        serialize.dumps([lifts, [lifts[0]]])
         assert serialize.dumps(lifts) == first == reference_text(lifts)
 
-    def test_non_str_key_rejected(self):
-        with pytest.raises(TypeError):
-            serialize.dumps({1: "one"})
+    @pytest.mark.parametrize("value", [{"a": 1}, {}, [Regular(1), {"kind": "regular"}]],
+                             ids=["dict", "empty-dict", "dict-in-list"])
+    def test_dict_rejected(self, value):
+        # every output is a typed value; a dict has no JSON form
+        with pytest.raises(TypeError, match="^no JSON form for dict$"):
+            serialize.dumps(value)
+        with pytest.raises(TypeError, match="^no JSON form for dict$"):
+            serialize.encode(value)

@@ -358,12 +358,12 @@ class TestContraction:
                     assert len(loop_class(loop, cfg)) == 0
                     cert = contract_loop(loop, cfg)
                     assert recheck_contraction(cert, k) == []
-                    kinds |= {stage.kind for stage in cert.stages}
+                    kinds |= {stage.stage_kind for stage in cert.stages}
         assert kinds == {"remove-touch", "remove-crossing-pair", "straighten"}
 
     def test_same_origin_loop_stages(self, quotient2):
         cert = contract_loop(probe_loop(1, 1), quotient2)
-        kinds = [s.kind for s in cert.stages]
+        kinds = [s.stage_kind for s in cert.stages]
         assert kinds == ["remove-crossing-pair", "straighten"]
         first = cert.stages[0].certificate
         assert isinstance(first, LiftsEnumerated)
@@ -382,7 +382,7 @@ class TestContraction:
     def test_loop_avoiding_zero_single_stage(self, quotient2):
         path = PLPath(((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(1))))
         cert = contract_loop(LabeledLoop(path, ()), quotient2)
-        assert [s.kind for s in cert.stages] == ["straighten"]
+        assert [s.stage_kind for s in cert.stages] == ["straighten"]
         from nonhaus.lifting import extract_zero_set
 
         assert extract_zero_set(cert.stages[0].field).segments == ()
@@ -397,7 +397,7 @@ class TestContraction:
         )
         loop = LabeledLoop(path, ((Fraction(1, 2), 2),))
         cert = contract_loop(loop, quotient2)
-        assert [s.kind for s in cert.stages] == ["remove-touch", "straighten"]
+        assert [s.stage_kind for s in cert.stages] == ["remove-touch", "straighten"]
         assert recheck_contraction(cert, quotient2.k) == []
 
     def test_nested_word_contracts(self, quotient3):
@@ -426,7 +426,7 @@ class TestContraction:
         )
         assert len(loop_class(loop, quotient3)) == 0
         cert = contract_loop(loop, quotient3)
-        assert [s.kind for s in cert.stages] == [
+        assert [s.stage_kind for s in cert.stages] == [
             "remove-crossing-pair",
             "remove-crossing-pair",
             "straighten",
@@ -450,7 +450,7 @@ class TestContraction:
         else:
             first, second = (f[3], f[5]), (f[7], f[9])
             after_first = ((f[7], 2), (f[9], 1))
-        assert [(s.kind, s.removed, s.assignment, s.top_labels) for s in cert.stages] == [
+        assert [(s.stage_kind, s.removed, s.assignment, s.top_labels) for s in cert.stages] == [
             ("remove-touch", (f[1],), labels, crossings),
             ("remove-crossing-pair", first, crossings, after_first),
             ("remove-crossing-pair", second, after_first, ()),
@@ -488,6 +488,18 @@ class TestContraction:
             dataclasses.replace(stage, assignment=assignment, certificate=nolift),
             *cert.stages[1:]))
         assert recheck_contraction(bad, 2) == ["stage 0: stage is not accepted"]
+
+    def test_recheck_names_a_recorded_top_that_is_not_the_field_top(self, quotient2):
+        # the last top path, still constant at the basepoint, recorded with fewer breakpoints
+        cert = contract_loop(probe_loop(1, 1), quotient2)
+        last = cert.stages[-1]
+        constant = PLPath(((Fraction(0), cert.basepoint), (Fraction(1), cert.basepoint)))
+        assert last.top != constant
+        bad = dataclasses.replace(cert, stages=cert.stages[:-1] + (
+            dataclasses.replace(last, top=constant),))
+        assert recheck_contraction(bad, 2) == [
+            f"stage {len(cert.stages) - 1}: recorded top path mismatch"
+        ]
 
     def test_recheck_names_a_last_stage_that_is_not_constant(self, quotient2):
         bump = PLPath(((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(2)), (Fraction(1), Fraction(1))))
