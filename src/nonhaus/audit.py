@@ -12,7 +12,10 @@ static and carry a citation note only.
 re-derives every certificate, and requires each certificate to prove the
 verdict of every cell that cites it.  That verdict is read from the
 certificate's own fields by the claim's rules, which call none of the
-functions that produced the certificate.
+functions that produced the certificate.  Several cells may cite one
+certificate: both membership rows cite ``membership:{model}``,
+``pi1-trivial`` and ``contractible`` share their proofs, and the deck
+table proves both the symmetry row and the subgroup row.
 """
 
 from __future__ import annotations
@@ -64,19 +67,16 @@ from .space import (
 )
 from .symmetry import (
     _TABLE_KS,
-    ContractionCertificate,
     DeckGroupTable,
     LabeledLoop,
     ReducedWord,
-    contract_loop,
     deck_group,
     loop_class,
     probe_loop,
-    recheck_contraction,
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/1"
+SCHEMA_VERSION = "nonhaus-report/2"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -118,10 +118,15 @@ class ReportDocument:
 
 @dataclass(frozen=True)
 class MembershipAudit:
-    """Several membership records supporting one verdict."""
+    """Several membership records supporting the two membership rows of one model.
+
+    In the quotient model the chart around one origin contains no other
+    origin and collapses onto the coordinate interval; in the pseudometric
+    model every ball around an origin contains all origins, since their
+    pairwise distance is zero.
+    """
 
     records: tuple[MembershipRecord, ...]
-    note: str
 
 
 @dataclass(frozen=True)
@@ -136,12 +141,16 @@ class ConnectedPreimageRecord:
 
 @dataclass(frozen=True)
 class LoopClassRecord:
-    """Classification of one probe loop under both models (the model split)."""
+    """Classification of one probe loop under both models (the model split).
+
+    The probe runs down through origin 1 and up through origin 2; its class
+    is the reduced crossing word in the chart model and empty in the ball
+    model.
+    """
 
     loop: LabeledLoop
     quotient_class: ReducedWord
     pseudometric_class: ReducedWord
-    note: str
 
     def word(self, model: TopologyModel) -> ReducedWord:
         return self.quotient_class if model is TopologyModel.QUOTIENT else self.pseudometric_class
@@ -155,24 +164,11 @@ class ShrinkContractionRecord:
     origin at u = 1.  On samples, distance to the start scales exactly
     like |u - v| * |coordinate| and distances between points shrink by the
     factor (1 - u); both identities are exact, so the contraction is
-    continuous for the pseudometric.
+    continuous for the pseudometric, where origin choices cost nothing.
     """
 
     samples: tuple[CanonicalPoint, ...]
     params: tuple[Fraction, ...]
-    ok: bool
-    note: str
-
-
-@dataclass(frozen=True)
-class SubgroupGapRecord:
-    """Deck order k! against the single subgroup of a trivial loop group."""
-
-    k: int
-    deck_order: int
-    trivial_subgroup_count: int
-    deck_ref: str
-    note: str
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +240,10 @@ def _shrink_proves(rec: ShrinkContractionRecord, cfg: SpaceConfig) -> Optional[s
     return HOLDS if spans and cfg.model is TopologyModel.PSEUDOMETRIC else None
 
 
+# a space that contracts has every loop null-homotopic, so one record proves both rows
+_CONTRACTS: Rules = {**_LOOP_NOT_TRIVIAL, ShrinkContractionRecord: _shrink_proves}
+
+
 # (claim id, statement, (quotient verdict, ref), (pseudometric verdict, ref), rules)
 CLAIMS = (
     ("separation-t1", "any two distinct points each lie in a basic open avoiding the other",
@@ -253,17 +253,15 @@ CLAIMS = (
      _separation("T2")),
     ("locally-euclidean-at-origins",
      "each origin has a basic open collapsing bijectively onto a coordinate interval",
-     (HOLDS, "locally-euclidean:quotient"), (FAILS, "locally-euclidean:pseudometric"),
+     (HOLDS, "membership:quotient"), (FAILS, "membership:pseudometric"),
      _membership(if_excluded=HOLDS, if_all_contained=FAILS)),
     ("origin-filter-coincidence", "every basic open containing one origin contains all the others",
-     (FAILS, "origin-filter:quotient"), (HOLDS, "origin-filter:pseudometric"),
+     (FAILS, "membership:quotient"), (HOLDS, "membership:pseudometric"),
      _membership(if_excluded=FAILS, if_all_contained=HOLDS)),
     ("pi1-trivial", "every loop is null-homotopic",
-     (FAILS, "pi1-probe"), (HOLDS, "pi1-contraction:pseudometric"),
-     {**_LOOP_NOT_TRIVIAL, **_shows(ContractionCertificate, HOLDS)}),
+     (FAILS, "pi1-probe"), (HOLDS, "contractible:pseudometric"), _CONTRACTS),
     ("contractible", "the whole space contracts to a point",
-     (FAILS, "pi1-probe"), (HOLDS, "contractible:pseudometric"),
-     {**_LOOP_NOT_TRIVIAL, ShrinkContractionRecord: _shrink_proves}),
+     (FAILS, "pi1-probe"), (HOLDS, "contractible:pseudometric"), _CONTRACTS),
     ("even-covering", "some window around the accumulation point is evenly covered",
      (FAILS, "even-covering:quotient"), (FAILS, "even-covering:pseudometric"),
      _shows(EvenCoverFailure, FAILS)),
@@ -289,10 +287,12 @@ CLAIMS = (
      (HOLDS, "deck-group:any"), (HOLDS, "deck-group:any"), _shows(DeckGroupTable, HOLDS)),
     ("semicovering", "the projection is a local homeomorphism with unique continuous lifting",
      (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+    # the base curve component is simply connected, so its loop group is trivial
+    # and has one subgroup: the classical correspondence offers a single cover,
+    # which cannot account for a deck group of more than one element
     ("subgroup-correspondence", "the projection arises from a subgroup of the base loop group",
-     (FAILS, "subgroup-correspondence:any"), (FAILS, "subgroup-correspondence:any"),
-     {SubgroupGapRecord: lambda rec, cfg: FAILS
-      if rec.deck_order > rec.trivial_subgroup_count else None}),
+     (FAILS, "deck-group:any"), (FAILS, "deck-group:any"),
+     {DeckGroupTable: lambda table, cfg: FAILS if len(table.elements) > 1 else None}),
     ("groupoid-covering",
      "a covering functor of loop groupoids induces the projection "
      "(static row: the loop-space topology on the groupoid is not modelled)",
@@ -327,11 +327,10 @@ def _scale(p: CanonicalPoint, u: Fraction) -> CanonicalPoint:
 
 
 def shrink_contraction_record(k: int) -> ShrinkContractionRecord:
-    """The scaling contraction's samples and parameters, asserted ``ok``.
+    """The scaling contraction's samples and parameters.
 
-    ``ok`` holds by construction, since |(1 - u)x - (1 - v)x| = |u - v| * |x|;
-    the producer runs no check of its own.  The claim is established by
-    ``_recheck_shrink``, which ``recheck_report`` runs on every report.
+    The producer runs no check of its own.  The contraction is established
+    by ``_recheck_shrink``, which ``recheck_report`` runs on every report.
     """
     samples: tuple[CanonicalPoint, ...] = tuple(Origin(i) for i in range(1, k + 1)) + (
         Regular(1),
@@ -341,9 +340,6 @@ def shrink_contraction_record(k: int) -> ShrinkContractionRecord:
     return ShrinkContractionRecord(
         samples=samples,
         params=(Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)),
-        ok=True,
-        note="coordinate scaling is a pseudometric contraction to one origin; "
-        "origin choices cost nothing in this model",
     )
 
 
@@ -351,29 +347,15 @@ def _chart_membership(k: int) -> MembershipAudit:
     chart = OriginChart(1, Fraction(1))
     entries = [(Origin(1), True)] + [(Origin(i), False) for i in range(2, k + 1)]
     entries += [(Regular(Fraction(1, 2)), True), (Regular(Fraction(-1, 2)), True), (Regular(2), False)]
-    return MembershipAudit(
-        records=(MembershipRecord(open=chart, entries=tuple(entries), note=""),),
-        note="the chart around one origin contains no other origin and collapses "
-        "onto the coordinate interval",
-    )
+    return MembershipAudit(records=(MembershipRecord(open=chart, entries=tuple(entries)),))
 
 
 def _ball_membership(k: int) -> MembershipAudit:
-    records = []
-    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 7)):
-        entries = tuple((Origin(i), True) for i in range(1, k + 1))
-        records.append(
-            MembershipRecord(
-                open=Ball(Origin(1), eps),
-                entries=entries,
-                note=f"radius {eps}",
-            )
-        )
-    return MembershipAudit(
-        records=tuple(records),
-        note="every ball around an origin contains all origins: their pairwise "
-        "pseudometric distance is zero",
-    )
+    entries = tuple((Origin(i), True) for i in range(1, k + 1))
+    return MembershipAudit(records=tuple(
+        MembershipRecord(open=Ball(Origin(1), eps), entries=entries)
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 7))
+    ))
 
 
 def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Fraction(1)) -> ReportDocument:
@@ -397,8 +379,7 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         sep = {v.axiom: v for v in separation_report(model_cfg)}
         certs[f"separation-t1:{m}"] = sep["T1"]
         certs[f"separation-hausdorff:{m}"] = sep["T2"]
-        certs[f"locally-euclidean:{m}"] = membership
-        certs[f"origin-filter:{m}"] = membership
+        certs[f"membership:{m}"] = membership
         certs[f"even-covering:{m}"] = even_cover_certificate(eps, model_cfg)
         certs[f"branched-cover:{m}"] = ConnectedPreimageRecord(
             k=k, model=m, eps=eps, paths=tuple(preimage_connected_certificate(eps, model_cfg))
@@ -411,25 +392,13 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         loop=probe,
         quotient_class=loop_class(probe, quotient),
         pseudometric_class=loop_class(probe, pseudo),
-        note="down through origin 1, up through origin 2; the class is the "
-        "reduced crossing word in the chart model and empty in the ball model",
     )
-    certs["pi1-contraction:pseudometric"] = contract_loop(probe, pseudo)
     certs["contractible:pseudometric"] = shrink_contraction_record(k)
     certs["etale-separated:any"] = section_witness(eps, 1, 2, quotient)
     certs["homotopy-lifting-constancy:pseudometric"] = homotopy_lift_record(
         field, assignment, pseudo, True
     )
     certs["deck-group:any"] = deck_group(k)
-    certs["subgroup-correspondence:any"] = SubgroupGapRecord(
-        k=k,
-        deck_order=math.factorial(k),
-        trivial_subgroup_count=1,
-        deck_ref="deck-group:any",
-        note="the base curve component is simply connected, so the classical "
-        "correspondence offers a single trivial cover; it cannot account for a "
-        f"deck group of order {math.factorial(k)}",
-    )
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         k=k,
@@ -489,40 +458,25 @@ def _recheck_shrink(rec: ShrinkContractionRecord) -> list[str]:
             for q, q_row, d in zip(samples, scaled, dist_p):
                 if pseudo_dist(pu, q_row[b]) != factor * d:
                     failures.append(f"shrink factor fails at ({p}, {q}), u={u}")
-    if not rec.ok:
-        failures.append("record is marked not ok")
     return failures
 
 
-def _recheck_subgroup_gap(rec: SubgroupGapRecord, doc: ReportDocument) -> list[str]:
-    failures = []
-    if rec.deck_order != math.factorial(rec.k):
-        failures.append("deck order is not k!")
-    if rec.trivial_subgroup_count != 1:
-        failures.append(f"trivial subgroup count {rec.trivial_subgroup_count} is not 1")
-    deck = dict(doc.certificates).get(rec.deck_ref)
-    if not (isinstance(deck, DeckGroupTable) and deck.k == rec.k):
-        failures.append(f"deck reference {rec.deck_ref!r} names no deck table of k={rec.k}")
-    return failures
-
-
-# certificate type -> re-derivation of the certificate from its own fields
-_RECHECKS: dict[type, Callable[[Any, ReportDocument], list[str]]] = {
-    SeparationVerdict: lambda c, doc: _recheck_separation(c, doc.k),
-    MembershipAudit: lambda c, doc: [] if all(r.recheck() for r in c.records)
+# certificate type -> re-derivation of the certificate from its own fields and
+# the report's k
+_RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
+    SeparationVerdict: _recheck_separation,
+    MembershipAudit: lambda c, k: [] if all(r.recheck() for r in c.records)
     else ["membership mismatch"],
-    LoopClassRecord: lambda c, doc: _recheck_loop_class(c, doc.k),
-    ContractionCertificate: lambda c, doc: recheck_contraction(c, doc.k),
-    ShrinkContractionRecord: lambda c, doc: _recheck_shrink(c),
-    EvenCoverFailure: lambda c, doc: recheck_even_cover(c),
-    ConnectedPreimageRecord: lambda c, doc: recheck_origin_join(
+    LoopClassRecord: _recheck_loop_class,
+    ShrinkContractionRecord: lambda c, k: _recheck_shrink(c),
+    EvenCoverFailure: lambda c, k: recheck_even_cover(c),
+    ConnectedPreimageRecord: lambda c, k: recheck_origin_join(
         list(c.paths), SpaceConfig(c.k, TopologyModel(c.model)), c.eps
     ),
-    SectionWitness: lambda c, doc: recheck_section_witness(c),
-    MonodromyObstruction: lambda c, doc: recheck_monodromy(c),
-    HomotopyLiftRecord: lambda c, doc: recheck_homotopy_record(c, doc.k),
-    DeckGroupTable: lambda c, doc: recheck_deck_group(c),
-    SubgroupGapRecord: _recheck_subgroup_gap,
+    SectionWitness: lambda c, k: recheck_section_witness(c),
+    MonodromyObstruction: lambda c, k: recheck_monodromy(c),
+    HomotopyLiftRecord: recheck_homotopy_record,
+    DeckGroupTable: lambda c, k: recheck_deck_group(c),
 }
 # the kinds a report may carry: exactly those with a re-check
 Certificate = Union[tuple(_RECHECKS)]
@@ -534,7 +488,8 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     The schema version must be this module's and the echoed model one of
     ``MODELS``; the claims must equal ``claim_table(doc.k)``, every
     certificate must re-derive, and each checked cell's verdict must be the
-    one its certificate proves in that cell's model.
+    one its certificate proves in that cell's model.  A certificate cited by
+    several cells is re-checked once and must prove each of their verdicts.
     """
     models = [m.value for m in MODELS]
     failures = []
@@ -557,7 +512,7 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     failures += [f"{ref}: dangling certificate reference" for ref in sorted(cited - set(certmap))]
     sound: dict[str, Any] = {}
     for ref, cert in doc.certificates:
-        sub = _RECHECKS[type(cert)](cert, doc)
+        sub = _RECHECKS[type(cert)](cert, doc.k)
         failures.extend(f"{ref}: {msg}" for msg in sub)
         if not sub:
             sound[ref] = cert

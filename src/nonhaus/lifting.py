@@ -217,7 +217,9 @@ class MonodromyObstruction:
     """k distinct lifts of one loop from one start point.
 
     A fibre action by loops needs unique lifting; this certificate shows
-    the prerequisite failing on the bounce path.
+    the prerequisite failing on the bounce path: all recorded lifts share
+    their start point and project onto the same path, yet differ at a zero
+    time.
     """
 
     k: int
@@ -225,13 +227,6 @@ class MonodromyObstruction:
     x0: Fraction
     path: PLPath
     lifts: tuple[LiftedPath, ...]
-    statement: str
-
-
-_MONODROMY_STATEMENT = (
-    "all recorded lifts share their start point and project onto the same path, yet "
-    "differ at a zero time; no fibre action by loops can be defined without unique lifting"
-)
 
 
 def monodromy_verdict(x0: Fraction, cfg: SpaceConfig) -> MonodromyObstruction:
@@ -243,7 +238,6 @@ def monodromy_verdict(x0: Fraction, cfg: SpaceConfig) -> MonodromyObstruction:
         x0=Fraction(x0),
         path=path,
         lifts=tuple(lifts),
-        statement=_MONODROMY_STATEMENT,
     )
 
 

@@ -6,7 +6,7 @@ over the regular locus; the whole failure of the covering axioms happens
 over the accumulation point, whose fibre is the full origin set.
 
 Certificates produced here are plain data: each can be re-checked from
-scratch with :func:`nonhaus.space.open_contains` and :func:`fibre`.
+scratch with :func:`nonhaus.space.basic_open` and :func:`fibre`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .space import (
     TopologyModel,
     basic_open,
     coord,
-    open_contains,
 )
 
 
@@ -70,11 +69,11 @@ class PairWitness:
 class EvenCoverFailure:
     """Certificate that no window around the accumulation point is evenly covered.
 
-    The three-step conclusion mirrors the fibre/inseparability argument:
-    the full fibre sits inside the preimage of the window; pairwise
-    inseparability forces any disjoint open family to put all origins in
-    one member; that member then contains k preimages of one base point,
-    so no member maps injectively onto the window.
+    The argument runs in three steps: the full fibre sits inside the
+    preimage of the window; pairwise inseparability forces any disjoint
+    open family to put all origins in one member; that member then contains
+    k preimages of one base point, so no member maps injectively onto the
+    window.
     """
 
     k: int
@@ -82,16 +81,6 @@ class EvenCoverFailure:
     eps: Fraction
     fibre: tuple[CanonicalPoint, ...]
     witnesses: tuple[PairWitness, ...]
-    conclusion: tuple[str, str, str]
-
-
-_EVEN_COVER_CONCLUSION = (
-    "the fibre over the accumulation point has k points, all inside the preimage of the window",
-    "for every origin pair, the recorded common point lies in both basic opens, so no disjoint "
-    "open family can split the origins between members",
-    "the member containing the origins contains k preimages of the accumulation point, so it "
-    "cannot map injectively onto the window",
-)
 
 
 def _window(eps: Fraction) -> Fraction:
@@ -125,7 +114,6 @@ def even_cover_certificate(eps: Fraction, cfg: SpaceConfig) -> EvenCoverFailure:
         eps=eps,
         fibre=tuple(origins),
         witnesses=tuple(witnesses),
-        conclusion=_EVEN_COVER_CONCLUSION,
     )
 
 
@@ -133,8 +121,11 @@ def recheck_even_cover(cert: EvenCoverFailure) -> list[str]:
     """Re-derive every component of the certificate; returns failure messages.
 
     The witnesses must be the origin pairs i < j in order, each with a rule
-    naming its own pair and opens containing its own origins; the common
-    point the rule gives at radius eps is then inside the window.
+    naming its own pair, the common point that rule gives at radius eps, and
+    the basic opens of its own origins at radius eps in the certificate's
+    model.  Those opens come from :func:`~nonhaus.space.basic_open`, not
+    from the producer, and the rule's common point eps/2 lies in both of
+    them at any positive eps, so it is inside the window.
     """
     failures: list[str] = []
     cfg = SpaceConfig(cert.k, TopologyModel(cert.model))
@@ -146,12 +137,12 @@ def recheck_even_cover(cert: EvenCoverFailure) -> list[str]:
     for w in cert.witnesses:
         if (w.rule.i, w.rule.j) != (w.i, w.j):
             failures.append(f"witness ({w.i},{w.j}): rule names origins {w.rule.i} and {w.rule.j}")
-        if not (open_contains(w.open_i, Origin(w.i)) and open_contains(w.open_j, Origin(w.j))):
-            failures.append(f"witness ({w.i},{w.j}): an open misses its own origin")
         if w.common != w.rule.common_point(cert.eps, cert.eps):
             failures.append(f"witness ({w.i},{w.j}): common point disagrees with the rule")
-        if not (open_contains(w.open_i, w.common) and open_contains(w.open_j, w.common)):
-            failures.append(f"witness ({w.i},{w.j}): common point escapes one of the opens")
+        opens = (basic_open(Origin(w.i), cert.eps, cfg), basic_open(Origin(w.j), cert.eps, cfg))
+        if (w.open_i, w.open_j) != opens:
+            failures.append(f"witness ({w.i},{w.j}): opens are not the basic opens "
+                            f"of origins {w.i} and {w.j} at radius {cert.eps}")
     return failures
 
 
@@ -229,7 +220,6 @@ class SectionWitness:
     j: int
     eps: Fraction
     samples: tuple[Fraction, ...]
-    agreement_locus: str
     disagreement: tuple[CanonicalPoint, CanonicalPoint]
 
     def section_value(self, which: int, y: BasePoint) -> CanonicalPoint:
@@ -252,7 +242,6 @@ def section_witness(eps: Fraction, i: int, j: int, cfg: SpaceConfig) -> SectionW
         j=j,
         eps=eps,
         samples=samples,
-        agreement_locus=f"every nonzero coordinate of the window (-{eps}, {eps})",
         disagreement=(Origin(i), Origin(j)),
     )
 

@@ -351,7 +351,6 @@ class MembershipRecord:
 
     open: BasicOpen
     entries: tuple[tuple[CanonicalPoint, bool], ...]
-    note: str = ""
 
     def recheck(self) -> bool:
         return all(open_contains(self.open, p) == expect for p, expect in self.entries)

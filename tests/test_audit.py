@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import reference_recheck_shrink
-from nonhaus import audit, cli
+from nonhaus import audit, cli, serialize
 from nonhaus.audit import (
+    CLAIMS,
     FAILS,
     HOLDS,
     HOLDS_NON_UNIQUELY,
     NOT_CHECKED,
     _recheck_separation,
     _recheck_shrink,
-    _recheck_subgroup_gap,
+    _shrink_proves,
     recheck_report,
     run_audit,
     shrink_contraction_record,
@@ -28,6 +29,13 @@ from nonhaus.space import (
     SeparationVerdict,
     SpaceConfig,
     TopologyModel,
+)
+from nonhaus.symmetry import (
+    ContractionCertificate,
+    contract_loop,
+    deck_group,
+    probe_loop,
+    recheck_contraction,
 )
 
 Q2 = SpaceConfig(2, TopologyModel.QUOTIENT)
@@ -170,11 +178,6 @@ def _origin_9_homotopy_assignment(doc):
     cert["assignment"][-1][1] = 9
 
 
-def _origin_9_stage_assignment(doc):
-    cert = dict(doc["certificates"])["pi1-contraction:pseudometric"]
-    cert["stages"][0]["assignment"][-1][1] = 9
-
-
 def _shrink_record(doc):
     return dict(doc["certificates"])["contractible:pseudometric"]
 
@@ -193,8 +196,9 @@ def _shrink_without_param_1(doc):
     rec["params"] = [u for u in rec["params"] if u != "1/1"]
 
 
-def _subgroup_record(doc):
-    return dict(doc["certificates"])["subgroup-correspondence:any"]
+def _subgroup_cites_probe(doc):
+    claim = next(c for c in doc["claims"] if c["claim_id"] == "subgroup-correspondence")
+    claim["certificate_refs"] = [[model, "pi1-probe"] for model, _ in claim["certificate_refs"]]
 
 
 def _monodromy_lifts(doc):
@@ -250,6 +254,15 @@ def _open_of_origin_3(doc):
     _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"]["index"] = 3
 
 
+def _ball_as_chart(doc):
+    _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"] = {
+        "kind": "ball", "center": {"kind": "origin", "index": 1}, "eps": "1/1"}
+
+
+def _wide_chart(doc):
+    _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"]["eps"] = "5/1"
+
+
 def _t0_verdict_in_t1_cell(doc):
     _certificate(doc, "separation-t1:quotient")["axiom"] = "T0"
 
@@ -263,12 +276,16 @@ def _origin_regular_pair_in_t1_cell(doc):
 
 
 def _ball_record_without_origin_k(doc):
-    record = _certificate(doc, "locally-euclidean:pseudometric")["records"][0]
+    record = _certificate(doc, "membership:pseudometric")["records"][0]
     record["entries"] = record["entries"][:-1]
 
 
 def _even_cover_of_other_model(doc):
     _certificate(doc, "even-covering:quotient")["model"] = "pseudometric"
+
+
+def _join_record_of_other_model(doc):
+    _certificate(doc, "branched-cover:quotient")["model"] = "pseudometric"
 
 
 def _lift_over_other_path(doc):
@@ -291,6 +308,8 @@ def _identity_twice(doc):
 
 _FAILED = "certificate re-check failed: "
 _PROVES_NOTHING = "{}: the table says {} but {} proves nothing"
+_NOT_BASIC_OPENS = (_FAILED + "even-covering:quotient: witness (1,2): opens are not the basic "
+                    "opens of origins 1 and 2 at radius 1")
 
 # (id, k, tamper, what stderr names); a name starting with _FAILED is the exact line
 _TAMPERS = [
@@ -303,22 +322,15 @@ _TAMPERS = [
     ("negative-deck-k", 2, _negative_deck_k, "deck-group:any"),
     ("abelian-noncommuting-pair", 2, _abelian_noncommuting_pair, "deck-group:any"),
     ("origin-9-homotopy", 2, _origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
-    ("origin-9-stage", 2, _origin_9_stage_assignment, "pi1-contraction:pseudometric"),
     ("foreign-schema-version", 2, _foreign_schema_version, "schema_version 'nonhaus-report/99'"),
     ("unknown-model", 2, _unknown_model, "model 'banana'"),
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
     ("empty-shrink-record", 2, _empty_shrink_record, "contractible (pseudometric)"),
     ("shrink-without-origin-2", 2, _shrink_without_origin_2, "contractible (pseudometric)"),
     ("shrink-without-param-1", 2, _shrink_without_param_1, "contractible (pseudometric)"),
-    ("negative-subgroup-count", 2,
-     lambda d: _subgroup_record(d).update(trivial_subgroup_count=-1),
-     "subgroup-correspondence:any: trivial subgroup count -1 is not 1"),
-    ("zero-subgroup-count", 2,
-     lambda d: _subgroup_record(d).update(trivial_subgroup_count=0),
-     "subgroup-correspondence:any: trivial subgroup count 0 is not 1"),
-    ("subgroup-deck-ref-to-probe", 2,
-     lambda d: _subgroup_record(d).update(deck_ref="pi1-probe"),
-     "subgroup-correspondence:any: deck reference 'pi1-probe' names no deck table"),
+    ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
+     _FAILED + "claim 16: row subgroup-correspondence differs from the declared row "
+     "subgroup-correspondence"),
     ("repeated-lift", 2, _repeated_lift, "path-lifting:quotient: lifts are not pairwise distinct"),
     ("moved-lift-start", 2, _moved_lift_start,
      "path-lifting:quotient: lifts do not share a start point"),
@@ -332,25 +344,33 @@ _TAMPERS = [
      _FAILED + "even-covering:quotient: witnesses are not the origin pairs i < j of 1..3 in order"),
     ("foreign-pair-rule", 3, _foreign_pair_rule,
      _FAILED + "even-covering:quotient: witness (1,2): rule names origins 7 and 9"),
-    ("open-of-origin-3", 3, _open_of_origin_3,
-     _FAILED + "even-covering:quotient: witness (1,2): an open misses its own origin"),
+    ("open-of-origin-3", 3, _open_of_origin_3, _NOT_BASIC_OPENS),
+    ("ball-as-chart", 3, _ball_as_chart, _NOT_BASIC_OPENS),
+    ("wide-chart", 3, _wide_chart, _NOT_BASIC_OPENS),
     ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _FAILED + _PROVES_NOTHING.format(
         "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
     ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell,
      _FAILED + _PROVES_NOTHING.format(
          "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
-    ("ball-record-without-origin-k", 3, _ball_record_without_origin_k,
-     _FAILED + _PROVES_NOTHING.format("locally-euclidean-at-origins (pseudometric)", "fails",
-                                      "locally-euclidean:pseudometric")),
-    ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + _PROVES_NOTHING.format(
-        "even-covering (quotient)", "fails", "even-covering:quotient")),
+    # both membership rows cite the one record
+    ("ball-record-without-origin-k", 3, _ball_record_without_origin_k, _FAILED + "; ".join((
+        _PROVES_NOTHING.format("locally-euclidean-at-origins (pseudometric)", "fails",
+                               "membership:pseudometric"),
+        _PROVES_NOTHING.format("origin-filter-coincidence (pseudometric)", "holds",
+                               "membership:pseudometric")))),
+    # the charts are no basic opens of the pseudometric model
+    ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + "; ".join(
+        f"even-covering:quotient: witness ({i},{j}): opens are not the basic opens of "
+        f"origins {i} and {j} at radius 1" for i, j in ((1, 2), (1, 3), (2, 3)))),
+    ("join-record-of-other-model", 3, _join_record_of_other_model,
+     _FAILED + _PROVES_NOTHING.format("branched-cover (quotient)", "fails",
+                                      "branched-cover:quotient")),
     ("lift-over-other-path", 3, _lift_over_other_path,
      _FAILED + "path-lifting:quotient: lift 1 is over a different path"),
     ("lift-through-origin-k-plus-1", 3, _lift_through_origin_k_plus_1,
      _FAILED + "path-lifting:quotient: lift 1 fails verification"),
     ("deck-table-of-k-7", 3, _deck_table_of_k_7,
-     _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6; "
-     "subgroup-correspondence:any: deck reference 'deck-group:any' names no deck table of k=3"),
+     _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
     ("identity-twice", 2, _identity_twice,
      _FAILED + "deck-group:any: expected 2 distinct elements of degree 2"),
 ]
@@ -432,10 +452,56 @@ class TestRecheckFailures:
 
     def test_shrink_record(self):
         rec = shrink_contraction_record(3)
-        assert rec.ok
+        assert _shrink_proves(rec, SpaceConfig(3, TopologyModel.PSEUDOMETRIC)) == HOLDS
+        assert _shrink_proves(rec, SpaceConfig(3, TopologyModel.QUOTIENT)) is None
+
+    def test_membership_cited_once_per_model(self, report):
+        cells = {claim.claim_id: claim.certificate_refs for claim in report.claims}
+        assert cells["locally-euclidean-at-origins"] == cells["origin-filter-coincidence"] == (
+            ("quotient", "membership:quotient"), ("pseudometric", "membership:pseudometric"))
+        assert [ref for ref, _ in report.certificates if ref.startswith("membership:")] == [
+            "membership:pseudometric", "membership:quotient"]
+        assert len(report.certificates) == 19
+
+    def test_contraction_stage_with_origin_9(self):
+        # the report carries no contraction; the library certificate still re-checks alone
+        doc = json.loads(serialize.dumps(contract_loop(probe_loop(1, 2), P2)))
+        doc["stages"][0]["assignment"][-1][1] = 9
+        cert = serialize.loads(json.dumps(doc), ContractionCertificate)
+        assert recheck_contraction(cert, 2) == [
+            "stage 0: recorded inputs are rejected: origin 9 not in 1..2"]
 
 
 _ORIGINS = (Origin(1), Origin(2))
+_SUBGROUP_ROW_DIFFERS = ("claim 16: row subgroup-correspondence differs from the declared row "
+                         "subgroup-correspondence")
+
+
+def _with_certificate(doc, ref, cert):
+    """doc with certificate ref replaced by cert, or dropped if cert is None."""
+    certs = tuple((r, cert if r == ref else c) for r, c in doc.certificates)
+    return dataclasses.replace(doc, certificates=tuple((r, c) for r, c in certs if c is not None))
+
+
+def _identity_only(doc):
+    table = doc.certificate("deck-group:any")
+    return _with_certificate(doc, "deck-group:any", dataclasses.replace(
+        table, elements=table.elements[:1], table=((0,),)))
+
+
+def _without_deck_table(doc):
+    return _with_certificate(doc, "deck-group:any", None)
+
+
+def _deck_table_of_k_3(doc):
+    return _with_certificate(doc, "deck-group:any", deck_group(3))
+
+
+def _subgroup_citing(doc, ref):
+    claims = tuple(
+        dataclasses.replace(c, certificate_refs=tuple((m, ref) for m, _ in c.certificate_refs))
+        if c.claim_id == "subgroup-correspondence" else c for c in doc.claims)
+    return dataclasses.replace(doc, claims=claims)
 
 
 def _chart(i):
@@ -485,25 +551,32 @@ class TestRecheckBranches:
                 assert _recheck_separation(cert, 2) == []
 
     @pytest.mark.parametrize(
-        "changes, failures",
-        [({"deck_order": 3}, ["deck order is not k!"]),
-         ({"deck_ref": "deck-group:none"},
-          ["deck reference 'deck-group:none' names no deck table of k=2"]),
-         ({"deck_order": 1, "deck_ref": "x"},
-          ["deck order is not k!", "deck reference 'x' names no deck table of k=2"]),
-         ({"trivial_subgroup_count": 2}, ["trivial subgroup count 2 is not 1"]),
-         ({"deck_ref": "pi1-probe"}, ["deck reference 'pi1-probe' names no deck table of k=2"]),
-         ({"k": 3, "deck_order": 6}, ["deck reference 'deck-group:any' names no deck table of k=3"])],
-        ids=["deck-order", "dangling-deck-ref", "both", "subgroup-count", "deck-ref-to-probe",
+        "tamper, failures",
+        [(_identity_only, ["deck-group:any: expected 2 distinct elements of degree 2"]),
+         (_without_deck_table, ["deck-group:any: dangling certificate reference"]),
+         (lambda doc: _identity_only(_subgroup_citing(doc, "pi1-probe")),
+          [_SUBGROUP_ROW_DIFFERS, "deck-group:any: expected 2 distinct elements of degree 2"]),
+         (lambda doc: _subgroup_citing(doc, "pi1-probe"), [_SUBGROUP_ROW_DIFFERS]),
+         (_deck_table_of_k_3, [_PROVES_NOTHING.format(f"{claim} ({model})", verdict,
+                                                      "deck-group:any")
+                               for claim, verdict in (("deck-group-symmetric", HOLDS),
+                                                      ("subgroup-correspondence", FAILS))
+                               for model in ("quotient", "pseudometric")])],
+        ids=["deck-order", "dangling-deck-ref", "both", "deck-ref-to-probe",
              "deck-ref-to-other-k"],
     )
-    def test_subgroup_gap(self, report, changes, failures):
-        rec = dataclasses.replace(report.certificate("subgroup-correspondence:any"), **changes)
-        assert _recheck_subgroup_gap(rec, report) == failures
-        certs = tuple((ref, rec if ref == "subgroup-correspondence:any" else c)
-                      for ref, c in report.certificates)
-        bad = dataclasses.replace(report, certificates=certs)
-        assert recheck_report(bad) == [f"subgroup-correspondence:any: {f}" for f in failures]
+    def test_subgroup_gap(self, report, tamper, failures):
+        assert recheck_report(tamper(report)) == failures
+
+    @pytest.mark.parametrize("k", (2, 3, 5))
+    def test_subgroup_rule_reads_the_deck_order(self, k):
+        rules = next(c[-1] for c in CLAIMS if c[0] == "subgroup-correspondence")
+        cfg = SpaceConfig(k, TopologyModel.QUOTIENT)
+        table = deck_group(k)
+        assert rules[type(table)](table, cfg) == FAILS
+        # a trivial deck group is the one cover the single subgroup offers
+        trivial = dataclasses.replace(table, elements=table.elements[:1], table=((0,),))
+        assert rules[type(table)](trivial, cfg) is None
 
     @pytest.mark.parametrize("k", [-1, 0, 1, 7, 120])
     def test_report_k_outside_the_audited_range(self, report, k):
@@ -528,10 +601,6 @@ def _duplicate_param(rec):
     return dataclasses.replace(rec, params=rec.params + (rec.params[1],))
 
 
-def _not_ok(rec):
-    return dataclasses.replace(rec, ok=False)
-
-
 class TestShrinkRecheck:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_matches_reference_on_real_record(self, k):
@@ -540,7 +609,7 @@ class TestShrinkRecheck:
 
     @pytest.mark.parametrize(
         "tamper",
-        [_replace_sample, _change_param, _extra_origin_sample, _duplicate_param, _not_ok],
+        [_replace_sample, _change_param, _extra_origin_sample, _duplicate_param],
     )
     @pytest.mark.parametrize("k", (2, 5))
     def test_matches_reference_on_tampered_record(self, k, tamper):
@@ -551,7 +620,6 @@ class TestShrinkRecheck:
         rec = shrink_contraction_record(3)
         failures = _recheck_shrink(_change_param(rec))
         assert failures and all(f.startswith("shrink factor fails") for f in failures)
-        assert _recheck_shrink(_not_ok(rec)) == ["record is marked not ok"]
 
     def test_shrink_record_built_without_checker(self, monkeypatch):
         def refuse(rec):
@@ -559,4 +627,4 @@ class TestShrinkRecheck:
 
         monkeypatch.setattr(audit, "_recheck_shrink", refuse)
         rec = shrink_contraction_record(3)
-        assert rec.ok and len(rec.samples) == 6 and len(rec.params) == 5
+        assert len(rec.samples) == 6 and len(rec.params) == 5

@@ -255,7 +255,7 @@ def test_check_rejects_build_flags(capsys, tmp_path, flags, named):
 def test_check_takes_out(capsys, tmp_path):
     out = tmp_path / "out.txt"
     assert main(["audit", "--check", _GOLDEN_K2, "--out", str(out)]) == 0
-    assert out.read_text() == "report ok: 18 claims, 23 certificates re-checked\n"
+    assert out.read_text() == "report ok: 18 claims, 19 certificates re-checked\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
@@ -462,10 +462,12 @@ def _edited(value, edit: str):
     return value + "x" if edit == "increment" else value[::-1]
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(_LEAVES), st.sampled_from(["retype", "increment", "flip", "delete"]))
-def test_fuzzed_report_leaf_never_escapes(capsys, tmp_path, leaf, edit):
+# the single-leaf edits; tools/sweep.py applies every one of them to every leaf
+_EDITS = ("retype", "increment", "flip", "delete")
+
+
+def _tampered_report(leaf: tuple, edit: str) -> dict:
+    """The k=2 golden report with one leaf edited, or deleted."""
     doc = json.loads(json.dumps(_REPORT_K2))
     parent = doc
     for key in leaf[:-1]:
@@ -474,8 +476,15 @@ def test_fuzzed_report_leaf_never_escapes(capsys, tmp_path, leaf, edit):
         del parent[leaf[-1]]
     else:
         parent[leaf[-1]] = _edited(parent[leaf[-1]], edit)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_LEAVES), st.sampled_from(_EDITS))
+def test_fuzzed_report_leaf_never_escapes(capsys, tmp_path, leaf, edit):
     path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_tampered_report(leaf, edit)))
     escapes_nothing(capsys, ["audit", "--check", str(path)])
 
 
@@ -523,17 +532,17 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "error: need at least 2 origins, got k=1"),
         (_CHECK, _report_with("contractible:pseudometric", ("samples", 3, "x"), "0/1"),
          "error: regular points have nonzero coordinate"),
-        (_CHECK, _report_with("pi1-contraction:pseudometric", ("loop", "labels", 0, 0), "1/2"),
+        (_CHECK, _report_with("pi1-probe", ("loop", "labels", 0, 0), "1/2"),
          "error: labels [1/2, 3/4] do not match zero times [1/4, 3/4]; missing [1/4]"),
-        (_CHECK, _report_with("pi1-contraction:pseudometric",
-                              ("loop", "path", "breakpoints", 2, 1), "0/1"),
+        (_CHECK, _report_with("pi1-probe", ("loop", "path", "breakpoints", 2, 1), "0/1"),
          "error: coordinate stays 0 on [1/4, 1/2]"),
         (_CHECK, _report_with("deck-group:any", ("elements", 0, "images", 0), 2),
          "error: (2, 2) is not a permutation of 1..2"),
         (_CHECK, _report_with("even-covering:pseudometric", ("eps",), "-1/1"),
          "error: rule radii must be positive"),
-        (_CHECK, _report_with("locally-euclidean:pseudometric", ("records", 1, "open", "eps"),
-                              "-1/2"),
+        (_CHECK, _report_with("even-covering:quotient", ("eps",), "0/1"),
+         "error: rule radii must be positive"),
+        (_CHECK, _report_with("membership:pseudometric", ("records", 1, "open", "eps"), "-1/2"),
          "error: ball radius must be positive, got -1/2"),
         (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "eps"),
                               "-1/1"),
@@ -564,6 +573,7 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "lift-limit", "lift-plateau", "lift-path-and-x0", "homotopy-origin", "homotopy-domain",
          "thick-coarse", "thick-fine", "check-origin-index", "check-k", "check-regular-zero",
          "check-labels", "check-plateau", "check-permutation", "check-rule-radius",
+         "check-rule-radius-zero",
          "check-ball-radius", "check-chart-radius", "path-no-header", "field-no-header",
          "path-one-line", "field-two-lines", "field-break-count", "field-break-span",
          "field-break-order", "check-chart-index", "check-open-loop", "check-cancelling-pair"],

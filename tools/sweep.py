@@ -1,0 +1,124 @@
+"""Single-leaf tamper sweep of the k=2 golden report, with a ratchet on its known gaps.
+
+Every leaf of ``tests/golden/audit-k2-quotient.json`` is edited in each of
+the four ways of ``test_fuzzed_report_leaf_never_escapes`` in
+``tests/test_hostile_input.py`` (retyped, incremented, flipped, deleted), one
+edit at a time, and each edited report goes through ``nonhaus audit --check``
+in process.  The script prints how many edits end in each exit code, and the
+accepted edits (exit 0) that change a value, counted by the (kind, field) of
+the object they change.
+
+This is a ratchet, not an allowlist of harmless edits: ``KNOWN_GAPS`` holds
+the accepted value-changing edits of the checker as it stands, and each one
+is a gap to close, not a witness judged sound.  The script exits 1 if any
+edit exits 1 (an uncaught exception), if an accepted value-changing edit
+lands on a (kind, field) that the table does not list, or if a count rises
+above its entry.  A change that closes gaps lowers or deletes their entries,
+so that they cannot reopen.
+
+Usage, from the repository root (about 12 s)::
+
+    python tools/sweep.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from nonhaus.cli import main as cli_main  # noqa: E402
+from test_hostile_input import _EDITS, _LEAVES, _REPORT_K2, _tampered_report  # noqa: E402
+
+# (kind, field) -> accepted value-changing edits of the checker as it stands
+KNOWN_GAPS: dict[tuple[str, str], int] = {
+    ("ball", "eps"): 3,
+    ("homotopy-field", "values"): 38,
+    ("homotopy-lift-record", "assignment"): 1,
+    ("homotopy-lift-record", "paper_constancy"): 2,
+    ("monodromy-obstruction", "x0"): 4,
+    ("origin", "index"): 10,
+    ("origin-chart", "eps"): 3,
+    ("origin-join-path", "breakpoints"): 10,
+    ("regular", "x"): 11,
+    ("section-witness", "eps"): 2,
+    ("section-witness", "samples"): 10,
+    ("separation-verdict", "axiom"): 6,
+    ("separation-verdict", "note"): 8,
+    ("shrink-contraction-record", "params"): 9,
+}
+
+
+def _site(doc: dict, leaf: tuple) -> tuple[str, str]:
+    """(kind, field) of the innermost kind-tagged object on the path to leaf."""
+    node, site = doc, ("report-document", str(leaf[0]))
+    for key in leaf:
+        if isinstance(node, dict) and "kind" in node:
+            site = (node["kind"], str(key))
+        node = node[key]
+    return site
+
+
+def _exit_code(path: Path, doc: dict) -> tuple[int, str]:
+    """The exit code of ``audit --check`` on doc, and the uncaught exception if any."""
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli_main(["audit", "--check", str(path)]), ""
+        except Exception as exc:  # a traceback: the process would exit 1
+            return 1, f"{type(exc).__name__}: {exc}"
+
+
+def sweep() -> tuple[Counter, Counter, list[str]]:
+    """Exit-code counts, accepted value-changing edits by site, and the exit-1 edits."""
+    original = json.dumps(_REPORT_K2, sort_keys=True)
+    codes: Counter = Counter()
+    gaps: Counter = Counter()
+    crashes = []
+    with tempfile.TemporaryDirectory(prefix="nonhaus-sweep-") as tmp:
+        path = Path(tmp) / "tampered.json"
+        for leaf in _LEAVES:
+            for edit in _EDITS:
+                doc = _tampered_report(leaf, edit)
+                code, exc = _exit_code(path, doc)
+                codes[code] += 1
+                if code == 1:
+                    crashes.append(f"{edit} {list(leaf)}: {exc}")
+                if code == 0 and json.dumps(doc, sort_keys=True) != original:
+                    gaps[_site(_REPORT_K2, leaf)] += 1
+    return codes, gaps, crashes
+
+
+def main() -> int:
+    codes, gaps, crashes = sweep()
+    print(f"{sum(codes.values())} edits of {len(_LEAVES)} leaves; exit codes: "
+          + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items())))
+    print(f"{sum(gaps.values())} accepted edits change a value "
+          f"(known gaps: {sum(KNOWN_GAPS.values())})")
+    faults = [f"exit 1: {c}" for c in crashes]
+    for site in sorted(gaps.keys() | KNOWN_GAPS.keys()):
+        n, known = gaps[site], KNOWN_GAPS.get(site)
+        mark = ""
+        if known is None:
+            mark = "  NEW"
+            faults.append(f"new gap {site}: {n}")
+        elif n > known:
+            mark = f"  ABOVE {known}"
+            faults.append(f"gap {site}: {n} above its entry {known}")
+        elif n < known:
+            mark = f"  below {known}: lower the entry"
+        print(f"  {site[0]}.{site[1]}: {n}{mark}")
+    for fault in faults:
+        print(f"FAIL {fault}")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
