@@ -76,7 +76,7 @@ from .symmetry import (
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/2"
+SCHEMA_VERSION = "nonhaus-report/3"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -198,11 +198,11 @@ def _separation(axiom: str) -> Rules:
             # the origin pair is the only pair that can fail; a T2 witness proves T1 too
             origins = all(isinstance(p, Origin) for p in v.pair)
             return HOLDS if origins and v.axiom in (axiom, "T2") else None
-        # a rule alone shows that T2 fails; T1 fails only if no open around
-        # origin i avoids origin j
+        # a negative verdict proves its own axiom only: a rule alone shows that
+        # T2 fails, and T1 fails only if no open around origin i avoids origin j
         around_i = (basic_open(Origin(v.rule.i), eps, cfg) for pair in _RADII for eps in pair)
         inseparable = all(open_contains(o, Origin(v.rule.j)) for o in around_i)
-        return FAILS if axiom == "T2" or inseparable else None
+        return FAILS if v.axiom == axiom and (axiom == "T2" or inseparable) else None
 
     return {SeparationVerdict: read}
 
@@ -486,10 +486,12 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     """Check a report against the declared table; returns human-readable failures.
 
     The schema version must be this module's and the echoed model one of
-    ``MODELS``; the claims must equal ``claim_table(doc.k)``, every
-    certificate must re-derive, and each checked cell's verdict must be the
-    one its certificate proves in that cell's model.  A certificate cited by
-    several cells is re-checked once and must prove each of their verdicts.
+    ``MODELS``; the claims must equal ``claim_table(doc.k)``; the
+    certificates must be exactly the refs that ``CLAIMS`` cites, each once
+    and in sorted order; every certificate must re-derive, and each checked
+    cell's verdict must be the one its certificate proves in that cell's
+    model.  A certificate cited by several cells is re-checked once and must
+    prove each of their verdicts.
     """
     models = [m.value for m in MODELS]
     failures = []
@@ -507,9 +509,12 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     ]
     cells = [(claim_id, m.value, verdict, ref, rules)
              for claim_id, _, q, p, rules in CLAIMS for m, (verdict, ref) in zip(MODELS, (q, p))]
-    certmap = dict(doc.certificates)
-    cited = {cell[3] for cell in cells if cell[3] is not None}
-    failures += [f"{ref}: dangling certificate reference" for ref in sorted(cited - set(certmap))]
+    cited = sorted({cell[3] for cell in cells if cell[3] is not None})
+    refs = (ref for ref, _ in doc.certificates)
+    failures += [
+        f"certificate {n}: ref {got or '(none)'} differs from the cited ref {want or '(none)'}"
+        for n, (got, want) in enumerate(zip_longest(refs, cited), 1) if got != want
+    ][:1]  # the first difference; an inserted or missing ref shifts every later one
     sound: dict[str, Any] = {}
     for ref, cert in doc.certificates:
         sub = _RECHECKS[type(cert)](cert, doc.k)

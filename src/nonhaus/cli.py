@@ -19,6 +19,8 @@ from .errors import NonHausError, RecheckFailure
 from .figures import SvgScene, render_figure
 from .embedding import EmbeddingSpec
 from .lifting import (
+    LiftsEnumerated,
+    NoLift,
     bounce_path,
     enumerate_lifts,
     homotopy_lift_record,
@@ -128,13 +130,25 @@ def _cmd_homotopy(args: argparse.Namespace) -> str:
     if args.json:
         return serialize.dumps(record)
     result = record.result
+    if isinstance(result, NoLift):
+        component = "all" if result.component is None else result.component
+        detail = f"component={component} constraints={_pairs(result.constraints)}"
+    elif isinstance(result, LiftsEnumerated):
+        detail = "assignments=" + ";".join(map(_pairs, result.assignments))
+    else:
+        detail = f"component_count={result.component_count}"
     lines = [
         f"homotopy lifting (k={cfg.k}, model={cfg.model.value}, "
         f"constancy-rule={'on' if args.paper_constancy else 'off'})",
         f"outcome: {type(result).__name__}",
-        f"detail: {result!r}",
+        f"detail: {detail}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _pairs(pairs) -> str:
+    """(time or component, origin) pairs in the ``--assign`` form ``t=i,...``."""
+    return ",".join(f"{a}={i}" for a, i in pairs)
 
 
 def _cmd_deck(args: argparse.Namespace) -> str:
@@ -168,7 +182,7 @@ def _cmd_metric(args: argparse.Namespace) -> str:
         return serialize.dumps(MetricSummary(cfg.model.value, tuple(verdicts), distances))
     lines = [f"separation axioms (k={cfg.k}, model={cfg.model.value})"]
     for v in verdicts:
-        lines.append(f"{v.axiom}: {'holds' if v.holds else 'fails'} ({v.note})")
+        lines.append(f"{v.axiom}: {'holds' if v.holds else 'fails'}")
     for p, q in samples:
         lines.append(f"distance({p}, {q}) = {pseudo_dist(p, q)}")
     rep = labeled_dist(LabeledRep(1, 1), LabeledRep(2, 2), cfg.k)
@@ -200,7 +214,7 @@ def _cmd_thick(args: argparse.Namespace) -> str:
             f" -> {'discontinuous' if p.discontinuous else 'continuous'}"
         )
     for r in report.rows:
-        lines.append(f"{r.claim}: {'holds' if r.holds else 'fails'} ({r.note})")
+        lines.append(f"{r.claim}: {'holds' if r.holds else 'fails'}")
     return "\n".join(lines) + "\n"
 
 

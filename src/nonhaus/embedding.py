@@ -85,7 +85,13 @@ def spiral_point(x: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Exact sample-level checks of the main-curve embedding."""
+    """Exact sample-level checks of the main-curve embedding.
+
+    Injectivity also holds beyond the samples: equal second coordinates
+    force x^2 = y^2, hence y = +-x; equal first coordinates then rule out
+    y = -x unless x = 0, which is excluded; so images agree only for equal
+    coordinates.
+    """
 
     sample_count: int
     identity_ok: bool  # ||image||^2 * (1 + x^2) == x^2 on every sample
@@ -94,17 +100,10 @@ class EmbeddingReport:
     accumulation_n: int
     bounded_ok: bool  # ||image||^2 < 1 on every sample
     catalog: tuple[Fraction, ...]
-    derivation: str
 
 
 _SAMPLE_SEED = 9
 _CATALOG = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2))
-
-_INJECTIVITY_DERIVATION = (
-    "equal second coordinates force x^2 = y^2, hence y = +-x; equal first "
-    "coordinates then rule out y = -x unless x = 0, which is excluded; "
-    "so images agree only for equal coordinates"
-)
 
 
 def sample_coordinates(count: int, seed: int = _SAMPLE_SEED) -> list[Fraction]:
@@ -149,5 +148,4 @@ def embedding_checks(sample_count: int, accumulation_n: int = 1000) -> Embedding
         accumulation_n=accumulation_n,
         bounded_ok=bounded_ok,
         catalog=_CATALOG,
-        derivation=_INJECTIVITY_DERIVATION,
     )

@@ -219,12 +219,11 @@ class MonodromyObstruction:
     A fibre action by loops needs unique lifting; this certificate shows
     the prerequisite failing on the bounce path: all recorded lifts share
     their start point and project onto the same path, yet differ at a zero
-    time.
+    time.  The basepoint is the path's start.
     """
 
     k: int
     model: str
-    x0: Fraction
     path: PLPath
     lifts: tuple[LiftedPath, ...]
 
@@ -235,7 +234,6 @@ def monodromy_verdict(x0: Fraction, cfg: SpaceConfig) -> MonodromyObstruction:
     return MonodromyObstruction(
         k=cfg.k,
         model=cfg.model.value,
-        x0=Fraction(x0),
         path=path,
         lifts=tuple(lifts),
     )
@@ -489,10 +487,15 @@ def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
 
 @dataclass(frozen=True)
 class LiftsEnumerated:
-    """All admissible per-component origin assignments, lexicographically."""
+    """All admissible per-component origin assignments, lexicographically.
+
+    In the quotient model the chart of one origin contains no other origin,
+    so a continuous origin assignment is constant along every connected
+    zero component; under the constancy rule it is constant across the
+    whole zero set.
+    """
 
     assignments: tuple[tuple[tuple[int, int], ...], ...]  # ((component, origin), ...)
-    note: str
 
 
 @dataclass(frozen=True)
@@ -500,38 +503,30 @@ class NoLift:
     """Conflict certificate: one component meets incompatible boundary origins.
 
     ``component`` indexes the zero-set component carrying the conflict;
-    None marks the global-constancy rule, which treats the whole zero set
-    as one component.
+    None marks the global-constancy rule, which treats any origin-valued
+    map as constant across the whole zero set, as one component.  Either
+    way the assignment must be constant where the conflict sits, so the
+    incompatible boundary origins leave no lift.
     """
 
     component: Optional[int]
     constraints: tuple[tuple[Fraction, int], ...]
-    note: str
 
 
 @dataclass(frozen=True)
 class NonUniqueExistence:
-    """Ball-model outcome: lifts exist and are wildly non-unique."""
+    """Ball-model outcome: lifts exist and are wildly non-unique.
+
+    The origin set has pseudometric diameter zero, so every pointwise
+    origin assignment on the zero set yields a continuous lift: the k^c
+    component-constant assignments over ``component_count`` = c
+    components, and arbitrary pointwise assignments as well.
+    """
 
     component_count: int
-    count_formula: str
-    note: str
 
 
 LiftCertificate = Union[LiftsEnumerated, NoLift, NonUniqueExistence]
-
-_CHART_JUSTIFICATION = (
-    "the chart of one origin contains no other origin, so a continuous origin "
-    "assignment is constant along every connected zero component"
-)
-_BALL_JUSTIFICATION = (
-    "the origin set has pseudometric diameter zero, so every pointwise origin "
-    "assignment on the zero set yields a continuous lift"
-)
-_CONSTANCY_JUSTIFICATION = (
-    "the constancy rule treats any origin-valued map as constant across the whole "
-    "zero set, so incompatible boundary origins leave no lift"
-)
 
 
 def attempt_homotopy_lift(
@@ -560,25 +555,18 @@ def attempt_homotopy_lift(
             raise NonHausError(f"origin {origin} not in 1..{cfg.k}")
     components = extract_zero_set(field).components
     if cfg.model is TopologyModel.QUOTIENT:
-        note = _CHART_JUSTIFICATION
         groups = [(comp.index, (comp,), tuple((s, assignment[s]) for s in comp.bottom_touches))
                   for comp in components]
     elif paper_constancy:
-        note = _CONSTANCY_JUSTIFICATION
         groups = [(None, components, tuple(sorted(assignment.items())))] if components else []
     else:
-        return NonUniqueExistence(
-            component_count=len(components),
-            count_formula=f"{cfg.k}^{len(components)} component-constant "
-            "assignments; arbitrary pointwise assignments lift as well",
-            note=_BALL_JUSTIFICATION,
-        )
+        return NonUniqueExistence(component_count=len(components))
     # each group of components takes one origin: its single constrained one, or any
     options = []
     for index, comps, constraints in groups:
         constrained = sorted({origin for _, origin in constraints})
         if len(constrained) > 1:
-            return NoLift(component=index, constraints=constraints, note=note)
+            return NoLift(component=index, constraints=constraints)
         options.append([(comps, origin) for origin in constrained or range(1, cfg.k + 1)])
     free = sum(len(group) > 1 for group in options)
     if cfg.k ** free > MAX_LIFTS:
@@ -587,7 +575,7 @@ def attempt_homotopy_lift(
         tuple((comp.index, origin) for comps, origin in combo for comp in comps)
         for combo in itertools.product(*options)
     )
-    return LiftsEnumerated(assignments=assignments, note=note)
+    return LiftsEnumerated(assignments=assignments)
 
 
 @dataclass(frozen=True)

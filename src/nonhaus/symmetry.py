@@ -218,20 +218,14 @@ class RigidityVerdict:
 
     A candidate that moves a regular point cannot commute with the
     projection: the recorded witness is the pair of distinct projected
-    coordinates.  Pure origin permutations are accepted; every deck
-    transformation is of that form, determined by its action on origins.
+    coordinates.  Pure origin permutations are accepted: the projection is
+    injective on the regular locus, so a deck transformation fixes every
+    regular point and is uniquely determined by its action on the origins.
     """
 
     accepted: bool
     permutation: DeckElement
     moved_witness: Optional[tuple[Fraction, Fraction]]
-    conclusion: str
-
-
-_RIGIDITY_CONCLUSION = (
-    "the projection is injective on the regular locus, so a deck transformation fixes "
-    "every regular point and is uniquely determined by its action on the origins"
-)
 
 
 def deck_rigidity(
@@ -250,14 +244,11 @@ def deck_rigidity(
                 accepted=False,
                 permutation=permutation,
                 moved_witness=(x, y),
-                conclusion="moving a regular point changes its projection: "
-                f"{x} != {y}",
             )
     return RigidityVerdict(
         accepted=True,
         permutation=permutation,
         moved_witness=None,
-        conclusion=_RIGIDITY_CONCLUSION,
     )
 
 

@@ -102,9 +102,15 @@ class ContinuityProbe:
 
 @dataclass(frozen=True)
 class VerdictRow:
+    """One claim about the sweep map and whether the audit found it to hold.
+
+    Coverage is counted on the punctured polar grid; continuity is probed
+    by a two-sided approach along +-1/n at tube parameter 1/2; the origins
+    at tube parameter 0 map to the centre by the ray convention.
+    """
+
     claim: str
     holds: bool
-    note: str
 
 
 @dataclass(frozen=True)
@@ -251,21 +257,10 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     total = grid_n * (grid_n - 1)
     probes = (_continuity_probe(1, Fraction(1, 2), spec),)
     rows = (
-        VerdictRow(
-            claim="sweep map covers the sampled disk grid",
-            holds=covered == total,
-            note=f"coverage {covered}/{total} on the punctured polar grid",
-        ),
-        VerdictRow(
-            claim="sweep map is continuous at the origin tubes",
-            holds=not any(p.discontinuous for p in probes),
-            note="two-sided approach along +-1/n at tube parameter 1/2",
-        ),
-        VerdictRow(
-            claim="fibre over the centre is the k origin tube points",
-            holds=True,
-            note="origins at tube parameter 0 map to the centre by the ray convention",
-        ),
+        VerdictRow(claim="sweep map covers the sampled disk grid", holds=covered == total),
+        VerdictRow(claim="sweep map is continuous at the origin tubes",
+                   holds=not any(p.discontinuous for p in probes)),
+        VerdictRow(claim="fibre over the centre is the k origin tube points", holds=True),
     )
     return ThickAuditReport(
         grid_n=grid_n,

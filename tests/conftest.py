@@ -300,21 +300,10 @@ def reference_thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float) ->
                     lower_key, lower_witness = key, GridWitness(r=r, theta=theta, u=u, v=v)
     probes = (_continuity_probe(1, Fraction(1, 2), spec),)
     rows = (
-        VerdictRow(
-            claim="sweep map covers the sampled disk grid",
-            holds=covered == total,
-            note=f"coverage {covered}/{total} on the punctured polar grid",
-        ),
-        VerdictRow(
-            claim="sweep map is continuous at the origin tubes",
-            holds=not any(p.discontinuous for p in probes),
-            note="two-sided approach along +-1/n at tube parameter 1/2",
-        ),
-        VerdictRow(
-            claim="fibre over the centre is the k origin tube points",
-            holds=True,
-            note="origins at tube parameter 0 map to the centre by the ray convention",
-        ),
+        VerdictRow(claim="sweep map covers the sampled disk grid", holds=covered == total),
+        VerdictRow(claim="sweep map is continuous at the origin tubes",
+                   holds=not any(p.discontinuous for p in probes)),
+        VerdictRow(claim="fibre over the centre is the k origin tube points", holds=True),
     )
     return ThickAuditReport(
         grid_n=grid_n,

@@ -300,6 +300,20 @@ def _deck_table_of_k_7(doc):
     _certificate(doc, "deck-group:any")["k"] = 7
 
 
+def _uncited_probe_copy(doc):
+    doc["certificates"].append(["uncited:any", _certificate(doc, "pi1-probe")])
+
+
+def _deck_table_twice(doc):
+    n = [ref for ref, _ in doc["certificates"]].index("deck-group:any")
+    doc["certificates"].insert(n, doc["certificates"][n])
+
+
+def _negative_verdicts_relabelled(doc):
+    _certificate(doc, "separation-hausdorff:quotient")["axiom"] = "T1"
+    _certificate(doc, "separation-t1:pseudometric")["axiom"] = "T0"
+
+
 def _identity_twice(doc):
     cert = _certificate(doc, "deck-group:any")
     cert["elements"] = [cert["elements"][0]] * 2
@@ -371,6 +385,17 @@ _TAMPERS = [
      _FAILED + "path-lifting:quotient: lift 1 fails verification"),
     ("deck-table-of-k-7", 3, _deck_table_of_k_7,
      _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
+    # the certificates are exactly the cited refs, each once, in sorted order
+    ("uncited-probe-copy", 2, _uncited_probe_copy,
+     _FAILED + "certificate 20: ref uncited:any differs from the cited ref (none)"),
+    ("deck-table-twice", 2, _deck_table_twice,
+     _FAILED + "certificate 5: ref deck-group:any differs from the cited ref etale-separated:any"),
+    # a negative verdict proves its own axiom only
+    ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join((
+        _PROVES_NOTHING.format("separation-t1 (pseudometric)", "fails",
+                               "separation-t1:pseudometric"),
+        _PROVES_NOTHING.format("separation-hausdorff (quotient)", "fails",
+                               "separation-hausdorff:quotient")))),
     ("identity-twice", 2, _identity_twice,
      _FAILED + "deck-group:any: expected 2 distinct elements of degree 2"),
 ]
@@ -448,7 +473,15 @@ class TestRecheckFailures:
     def test_dangling_reference(self, report):
         certs = tuple((ref, c) for ref, c in report.certificates if ref != "pi1-probe")
         bad = dataclasses.replace(report, certificates=certs)
-        assert any("dangling" in f for f in recheck_report(bad))
+        assert recheck_report(bad) == [
+            "certificate 15: ref separation-hausdorff:pseudometric differs from the cited "
+            "ref pi1-probe"]
+
+    def test_certificates_in_another_order(self, report):
+        bad = dataclasses.replace(report, certificates=report.certificates[::-1])
+        assert recheck_report(bad) == [
+            "certificate 1: ref separation-t1:quotient differs from the cited "
+            "ref branched-cover:pseudometric"]
 
     def test_shrink_record(self):
         rec = shrink_contraction_record(3)
@@ -553,7 +586,8 @@ class TestRecheckBranches:
     @pytest.mark.parametrize(
         "tamper, failures",
         [(_identity_only, ["deck-group:any: expected 2 distinct elements of degree 2"]),
-         (_without_deck_table, ["deck-group:any: dangling certificate reference"]),
+         (_without_deck_table, ["certificate 4: ref etale-separated:any differs from the "
+                                "cited ref deck-group:any"]),
          (lambda doc: _identity_only(_subgroup_citing(doc, "pi1-probe")),
           [_SUBGROUP_ROW_DIFFERS, "deck-group:any: expected 2 distinct elements of degree 2"]),
          (lambda doc: _subgroup_citing(doc, "pi1-probe"), [_SUBGROUP_ROW_DIFFERS]),
@@ -620,6 +654,7 @@ class TestShrinkRecheck:
         rec = shrink_contraction_record(3)
         failures = _recheck_shrink(_change_param(rec))
         assert failures and all(f.startswith("shrink factor fails") for f in failures)
+        assert failures[0] == "shrink factor fails at (origin 1, regular 1), u=3/2"
 
     def test_shrink_record_built_without_checker(self, monkeypatch):
         def refuse(rec):

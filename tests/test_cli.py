@@ -8,7 +8,13 @@ import pytest
 from nonhaus import cli, serialize
 from nonhaus.cli import main
 from nonhaus.audit import ReportDocument
-from nonhaus.lifting import HomotopyLiftRecord, LiftedPath, bounce_path, make_merging_field
+from nonhaus.lifting import (
+    HomotopyField,
+    HomotopyLiftRecord,
+    LiftedPath,
+    bounce_path,
+    make_merging_field,
+)
 from nonhaus.space import MetricSummary
 from nonhaus.symmetry import deck_group
 
@@ -143,6 +149,23 @@ class TestHomotopy:
         code, _, _ = run_cli(capsys, "homotopy", "--k", "2", "--dump-field", str(dump))
         assert code == 0
         assert serialize.read_field(dump.read_text()) == make_merging_field()
+
+    def test_free_components_list_every_assignment(self, capsys, tmp_path):
+        # two interior wells and no bottom zero: each well takes either origin
+        rows = [[1, 1, 1], [1, -1, 1], [1, 1, 1], [1, -1, 1], [1, 1, 1]]
+        field = HomotopyField(
+            s_breaks=tuple(Fraction(a, 4) for a in range(5)),
+            t_breaks=(Fraction(0), Fraction(1, 2), Fraction(1)),
+            values=tuple(tuple(map(Fraction, row)) for row in rows),
+        )
+        f = tmp_path / "wells.plfield"
+        f.write_text(serialize.write_field(field))
+        code, out, _ = run_cli(capsys, "homotopy", "--field", str(f), "--assign", "")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "outcome: LiftsEnumerated",
+            "detail: assignments=0=1,1=1;0=1,1=2;0=2,1=1;0=2,1=2",
+        ]
 
     def test_bad_assignment_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "homotopy", "--assign", "1/4=1")

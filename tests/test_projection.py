@@ -264,7 +264,15 @@ class TestSectionWitness:
         w = section_witness(1, 1, 2, quotient2)
         bad = dataclasses.replace(w, samples=w.samples + (Fraction(0),))
         assert recheck_section_witness(bad) == [
-            "sections disagree at coordinate 0 off the accumulation point"
+            "sample 0 is outside the punctured window 0 < |x| < 1"
+        ]
+
+    @pytest.mark.parametrize("sample", [Fraction(1), Fraction(-3, 2)], ids=["edge", "beyond"])
+    def test_recheck_names_a_sample_outside_the_window(self, quotient2, sample):
+        w = section_witness(1, 1, 2, quotient2)
+        bad = dataclasses.replace(w, samples=(sample,) + w.samples)
+        assert recheck_section_witness(bad) == [
+            f"sample {sample} is outside the punctured window 0 < |x| < 1"
         ]
 
     def test_sections_project_back(self, quotient2):

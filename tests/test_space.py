@@ -234,8 +234,10 @@ class TestSeparation:
                     assert _recheck_separation(verdict, k) == []
 
     def test_identical_points_rejected(self, quotient2):
-        with pytest.raises(NonHausError, match="given twice"):
+        with pytest.raises(NonHausError, match="^origin 1 given twice$"):
             separable(Origin(1), Origin(1), quotient2)
+        with pytest.raises(NonHausError, match="^regular 1/2 given twice$"):
+            separable(Regular(Fraction(1, 2)), Regular(Fraction(1, 2)), quotient2)
 
     @given(nonzero_fractions, nonzero_fractions)
     def test_separable_witness_verified(self, x, y):

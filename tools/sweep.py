@@ -43,15 +43,12 @@ KNOWN_GAPS: dict[tuple[str, str], int] = {
     ("homotopy-field", "values"): 38,
     ("homotopy-lift-record", "assignment"): 1,
     ("homotopy-lift-record", "paper_constancy"): 2,
-    ("monodromy-obstruction", "x0"): 4,
     ("origin", "index"): 10,
     ("origin-chart", "eps"): 3,
     ("origin-join-path", "breakpoints"): 10,
     ("regular", "x"): 11,
-    ("section-witness", "eps"): 2,
-    ("section-witness", "samples"): 10,
-    ("separation-verdict", "axiom"): 6,
-    ("separation-verdict", "note"): 8,
+    ("section-witness", "eps"): 1,
+    ("section-witness", "samples"): 9,
     ("shrink-contraction-record", "params"): 9,
 }
 
