@@ -147,8 +147,8 @@ def _cmd_homotopy(args: argparse.Namespace) -> str:
 
 
 def _pairs(pairs) -> str:
-    """(time or component, origin) pairs in the ``--assign`` form ``t=i,...``."""
-    return ",".join(f"{a}={i}" for a, i in pairs)
+    """(time or component, origin) pairs in the ``--assign`` form ``t=i,...``, or ``(empty)``."""
+    return ",".join(f"{a}={i}" for a, i in pairs) or "(empty)"
 
 
 def _cmd_deck(args: argparse.Namespace) -> str:

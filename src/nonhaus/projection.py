@@ -248,7 +248,7 @@ def section_witness(eps: Fraction, i: int, j: int, cfg: SpaceConfig) -> SectionW
 
 
 def recheck_section_witness(w: SectionWitness) -> list[str]:
-    """Every sample must lie in the punctured window 0 < |x| < eps.
+    """Samples must lie in the punctured window 0 < |x| < eps, on both sides of 0.
 
     Off the accumulation point both sections send x to the regular point x,
     so they agree at every such sample without a further test.
@@ -256,6 +256,8 @@ def recheck_section_witness(w: SectionWitness) -> list[str]:
     failures: list[str] = []
     if w.i == w.j:
         failures.append("section indices coincide")
+    if not (any(x < 0 for x in w.samples) and any(x > 0 for x in w.samples)):
+        failures.append("samples do not lie on both sides of 0")
     for x in w.samples:
         if not 0 < abs(x) < w.eps:
             failures.append(f"sample {x} is outside the punctured window 0 < |x| < {w.eps}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -127,11 +128,11 @@ def deck_verify(g: DeckElement, samples: Optional[list[CanonicalPoint]] = None) 
 class DeckGroupTable:
     """All k! deck elements with their composition table.
 
-    ``table[i][j]`` indexes the element elements[i] * elements[j].  Each
-    row is built with one ``itemgetter`` per column element, applied to the
-    image tuple of elements[i] padded with a leading 0.  The table is proved
-    only by :func:`recheck_deck_group`, which composes every cell again and
-    requires k! distinct elements; ``homomorphism_ok`` and ``faithful_ok``
+    ``table[i][j]`` indexes elements[i] * elements[j]: row i is the left
+    action of elements[i] on the indices, column j the right action of
+    elements[j].  :func:`deck_group` composes whole rows; the table is proved
+    only by :func:`recheck_deck_group`, which derives every column again and
+    requires k! distinct elements.  ``homomorphism_ok`` and ``faithful_ok``
     are written ``True`` by construction and kept on the wire.
     """
 
@@ -150,25 +151,32 @@ _TABLE_KS = range(2, 7)
 def deck_group(k: int) -> DeckGroupTable:
     """All k! origin permutations and their composition table, checked by no one here.
 
-    Applying h then g is the definition of g * h, so a pointwise homomorphism
-    check could not fail; the flags are set by construction, and the table is
-    proved by :func:`recheck_deck_group`, which ``audit`` and ``deck`` run.
+    For an adjacent transposition s = (a a+1), s * h swaps the values a and
+    a+1 in the images of h, which gives the row of s by lookup; a search
+    from the identity fills the other rows by row(s * g) = row(s) o row(g).
+    The flags are set by construction, and the table is proved by
+    :func:`recheck_deck_group`, which ``audit`` and ``deck`` run.
     """
     if k not in _TABLE_KS:
         raise NonHausError(f"group table supported for 2 <= k <= 6, got {k}")
-    elements = tuple(DeckElement(perm) for perm in itertools.permutations(range(1, k + 1)))
-    index = {g.images: i for i, g in enumerate(elements)}
-    # itemgetter(*h.images) on (0,) + g.images gives the images of g * h
-    getters = [itemgetter(*h.images) for h in elements]
-    table = tuple(
-        tuple(map(index.__getitem__, [f(pg) for f in getters]))
-        for pg in [(0,) + g.images for g in elements]
-    )
+    perms = list(itertools.permutations(range(1, k + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+    swaps = [(*range(a), a + 1, a, *range(a + 2, k + 1)) for a in range(1, k)]
+    gens = [tuple(index[tuple(map(swap.__getitem__, p))] for p in perms) for swap in swaps]
+    n = len(perms)
+    rows: list = [tuple(range(n))] + [None] * (n - 1)  # permutations() yields the identity first
+    queue = [0]
+    for g in queue:  # the list grows as the search reaches new rows
+        for s in gens:
+            if rows[s[g]] is None:
+                rows[s[g]] = itemgetter(*rows[g])(s)
+                queue.append(s[g])
+    table = tuple(rows)
     noncommuting = next(((i, j) for i, row in enumerate(table) for j, t in enumerate(row)
                          if t != table[j][i]), None)
     return DeckGroupTable(
         k=k,
-        elements=elements,
+        elements=tuple(map(DeckElement, perms)),
         table=table,
         homomorphism_ok=True,
         faithful_ok=True,
@@ -177,27 +185,45 @@ def deck_group(k: int) -> DeckGroupTable:
 
 
 def recheck_deck_group(tbl: DeckGroupTable) -> list[str]:
+    """Derive every column again and name the first wrong cell in row-major order.
+
+    For an adjacent transposition s = (a a+1), g * s swaps the positions a
+    and a+1 of the images of g, which gives the column of s by lookup; a
+    search from the identity fills all k! columns by col(g * s) = col(s) o col(g).
+    """
     # k comes from the report, so it is checked before factorial sees it
     if type(tbl.k) is not int or tbl.k not in _TABLE_KS:
         return [f"k={tbl.k!r} is outside the tabulated range 2..6"]
     n = math.factorial(tbl.k)
     images = [g.images for g in tbl.elements]
-    # the shape and range are checked first: the row loop looks cells up
-    # by index, and a negative one would silently wrap
     if len(images) != n or len(set(images)) != n or any(g.k != tbl.k for g in tbl.elements):
         return [f"expected {n} distinct elements of degree {tbl.k}"]
     table = tbl.table
-    if (len(table) != n or any(len(row) != n for row in table)
-            or not 0 <= min(map(min, table)) <= max(map(max, table)) < n):
-        return [f"composition table is not {n} rows of {n} indices in 0..{n - 1}"]
-    # itemgetter(h_1 - 1, ..., h_k - 1) on g.images gives the images of g * h
-    getters = [itemgetter(*[x - 1 for x in h]) for h in images]
-    for i, g in enumerate(images):
-        composed = [f(g) for f in getters]
-        named = list(map(images.__getitem__, table[i]))
-        if composed != named:
-            j = next(j for j, c in enumerate(composed) if c != named[j])
-            return [f"composition table wrong at ({i}, {j})"]
+    shape = f"composition table is not {n} rows of {n} indices in 0..{n - 1}"
+    # zip(*table) stops at the shortest row, so the shape is checked first
+    if len(table) != n or any(len(row) != n for row in table):
+        return [shape]
+    where = {g: i for i, g in enumerate(images)}
+    flips = [itemgetter(*range(a), a + 1, a, *range(a + 2, tbl.k)) for a in range(tbl.k - 1)]
+    right = [tuple(map(where.__getitem__, map(flip, images))) for flip in flips]
+    ident = where[tuple(range(1, tbl.k + 1))]
+    cols = {ident: tuple(range(n))}
+    frontier = deque([ident])
+    while len(cols) < n:  # the search must reach every column
+        g = frontier.popleft()
+        for s in right:
+            if s[g] not in cols:
+                cols[s[g]] = itemgetter(*cols[g])(s)
+                frontier.append(s[g])
+    wrong = [(next(i for i, (c, d) in enumerate(zip(column, cols[j])) if c != d), j)
+             for j, column in enumerate(zip(*table)) if column != cols[j]]
+    if wrong:
+        # every derived index lies in 0..n-1, so a cell out of range is
+        # always a wrong cell, and the range is named before any one cell
+        if not 0 <= min(map(min, table)) <= max(map(max, table)) < n:
+            return [shape]
+        i, j = min(wrong)
+        return [f"composition table wrong at ({i}, {j})"]
     failures: list[str] = []
     pair = tbl.noncommuting_pair
     if tbl.k == 2:

@@ -320,6 +320,18 @@ def _identity_twice(doc):
     cert["table"] = [[0, 0], [0, 0]]
 
 
+def _swapped_row_cells(row, a, b):
+    """Swap two cells of one row of the deck table: the row stays a permutation."""
+    def tamper(doc):
+        cells = _certificate(doc, "deck-group:any")["table"][row]
+        cells[a], cells[b] = cells[b], cells[a]
+    return tamper
+
+
+def _empty_section_samples(doc):
+    _certificate(doc, "etale-separated:any")["samples"] = []
+
+
 _FAILED = "certificate re-check failed: "
 _PROVES_NOTHING = "{}: the table says {} but {} proves nothing"
 _NOT_BASIC_OPENS = (_FAILED + "even-covering:quotient: witness (1,2): opens are not the basic "
@@ -398,6 +410,12 @@ _TAMPERS = [
                                "separation-hausdorff:quotient")))),
     ("identity-twice", 2, _identity_twice,
      _FAILED + "deck-group:any: expected 2 distinct elements of degree 2"),
+    ("k4-row-cells-swapped", 4, _swapped_row_cells(5, 19, 7),
+     _FAILED + "deck-group:any: composition table wrong at (5, 7)"),
+    ("k5-row-cells-swapped", 5, _swapped_row_cells(119, 0, 118),
+     _FAILED + "deck-group:any: composition table wrong at (119, 0)"),
+    ("empty-section-samples", 2, _empty_section_samples,
+     _FAILED + "etale-separated:any: samples do not lie on both sides of 0"),
 ]
 
 

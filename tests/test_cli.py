@@ -167,6 +167,16 @@ class TestHomotopy:
             "detail: assignments=0=1,1=1;0=1,1=2;0=2,1=1;0=2,1=2",
         ]
 
+    def test_field_without_zero_set_prints_the_empty_assignment(self, capsys, tmp_path):
+        # no zero set: one lift, under the one assignment with nothing to assign
+        f = tmp_path / "ones.plfield"
+        f.write_text("plfield v1\n2 2\n0/1 1/1\n0/1 1/1\n1/1 1/1\n1/1 1/1\n")
+        code, out, _ = run_cli(capsys, "homotopy", "--field", str(f), "--assign", "")
+        assert code == 0
+        assert out.splitlines()[1:] == ["outcome: LiftsEnumerated", "detail: assignments=(empty)"]
+        code, out, _ = run_cli(capsys, "homotopy", "--field", str(f), "--assign", "", "--json")
+        assert json.loads(out)["result"]["assignments"] == [[]]
+
     def test_bad_assignment_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "homotopy", "--assign", "1/4=1")
         assert code == 2

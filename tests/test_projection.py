@@ -275,6 +275,13 @@ class TestSectionWitness:
             f"sample {sample} is outside the punctured window 0 < |x| < 1"
         ]
 
+    @pytest.mark.parametrize("keep", [lambda x: x < 0, lambda x: x > 0, lambda x: False],
+                             ids=["negative-only", "positive-only", "none"])
+    def test_recheck_needs_samples_on_both_sides(self, quotient2, keep):
+        w = section_witness(1, 1, 2, quotient2)
+        bad = dataclasses.replace(w, samples=tuple(filter(keep, w.samples)))
+        assert recheck_section_witness(bad) == ["samples do not lie on both sides of 0"]
+
     def test_sections_project_back(self, quotient2):
         w = section_witness(1, 1, 2, quotient2)
         for x in w.samples + (Fraction(0),):

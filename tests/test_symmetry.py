@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -182,6 +184,72 @@ class TestRecheckDeckGroup:
         # -1 would wrap to the last element; row 23 column 0 holds index 23
         bad = _with_cells(tbl, {(23, 0): -1})
         assert recheck_deck_group(bad) == ["composition table is not 24 rows of 24 indices in 0..23"]
+
+    @pytest.mark.parametrize("cell", [24, 10**6])
+    def test_range_is_named_before_an_earlier_wrong_cell(self, cell):
+        tbl = deck_group(4)
+        bad = _with_cells(tbl, {(23, 0): cell, (1, 1): tbl.table[1][2]})
+        assert recheck_deck_group(bad) == ["composition table is not 24 rows of 24 indices in 0..23"]
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda t: t[:-1], lambda t: t + t[:1], lambda t: (t[0][:-1],) + t[1:],
+         lambda t: t[:-1] + (t[-1] + (0,),)],
+        ids=["row-missing", "row-extra", "cell-missing", "cell-extra"],
+    )
+    def test_table_of_the_wrong_shape(self, reshape):
+        # zip(*table) would stop at the shortest row
+        bad = dataclasses.replace(deck_group(3), table=reshape(deck_group(3).table))
+        assert recheck_deck_group(bad) == ["composition table is not 6 rows of 6 indices in 0..5"]
+
+    def test_every_wrong_index_of_every_k3_cell_is_named(self):
+        tbl = deck_group(3)
+        for i in range(6):
+            for j in range(6):
+                for wrong in set(range(6)) - {tbl.table[i][j]}:
+                    bad = _with_cells(tbl, {(i, j): wrong})
+                    assert recheck_deck_group(bad) == [f"composition table wrong at ({i}, {j})"]
+
+    @pytest.mark.parametrize(
+        "order, first",
+        [((1, 0, 2, 3, 4, 5), (0, 0)), ((0, 1, 2, 3, 5, 4), (1, 2)), ((5, 4, 3, 2, 1, 0), (0, 0))],
+        ids=["identity-moved", "last-two-swapped", "reversed"],
+    )
+    def test_reordered_elements_name_the_first_wrong_cell(self, order, first):
+        # the table is kept, so it indexes the old order; the re-check finds
+        # the identity by lookup, wherever the reordering put it
+        tbl = deck_group(3)
+        bad = dataclasses.replace(tbl, elements=tuple(tbl.elements[i] for i in order))
+        elements = bad.elements
+        expected = next((i, j) for i, g in enumerate(elements) for j, h in enumerate(elements)
+                        if elements[tbl.table[i][j]] != g.compose(h))
+        assert expected == first
+        assert recheck_deck_group(bad) == [f"composition table wrong at {first}"]
+
+    def test_k6_last_cell_and_identity_column(self):
+        tbl = deck_group(6)
+        assert recheck_deck_group(tbl) == []
+        bad = _with_cells(tbl, {(719, 719): tbl.table[719][718]})
+        assert recheck_deck_group(bad) == ["composition table wrong at (719, 719)"]
+        # column 0 is the identity's: row i there holds i
+        bad = _with_cells(tbl, {(500, 0): 499})
+        assert recheck_deck_group(bad) == ["composition table wrong at (500, 0)"]
+
+    def test_recheck_shares_no_code_with_the_producer(self):
+        """The re-check names neither deck_group nor any package code that deck_group uses."""
+        tree = ast.parse(inspect.getsource(symmetry))
+        body = {f.name: f.body for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+        def names(name):
+            return {n.id if isinstance(n, ast.Name) else n.attr
+                    for stmt in body[name] for n in ast.walk(stmt)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+
+        used = {name for name in names("deck_group")
+                if callable(obj := getattr(symmetry, name, None))
+                and obj.__module__.startswith("nonhaus.")}
+        assert used == {"DeckElement", "DeckGroupTable", "NonHausError"}
+        assert not (used | {"deck_group"}) & names("recheck_deck_group")
 
     def test_noncommuting_pair_for_abelian_k(self):
         tbl = deck_group(2)
