@@ -10,7 +10,6 @@ from typing import Iterator, Optional
 
 import pytest
 
-from nonhaus.audit import ShrinkContractionRecord, _scale
 from nonhaus.embedding import EmbeddingSpec, spiral_point
 from nonhaus.lifting import (
     HomotopyField,
@@ -22,7 +21,7 @@ from nonhaus.lifting import (
     verify_lift_continuity,
     zero_times,
 )
-from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel, coord, pseudo_dist
+from nonhaus.space import Origin, Regular, SpaceConfig, TopologyModel
 from nonhaus.thickened import (
     GridWitness,
     ThickAuditReport,
@@ -200,26 +199,6 @@ def reference_deck_table(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(index[tuple(g[h[i] - 1] for i in range(k))] for h in perms) for g in perms
     )
-
-
-# ---------------------------------------------------------------------------
-# Reference shrink re-check: every scaled point recomputed inside the loops
-# over samples and parameters, in the order the failures are reported.
-
-
-def reference_recheck_shrink(rec: ShrinkContractionRecord) -> list[str]:
-    failures = []
-    for p in rec.samples:
-        for u in rec.params:
-            for v in rec.params:
-                if pseudo_dist(_scale(p, u), _scale(p, v)) != abs(u - v) * abs(coord(p)):
-                    failures.append(f"scaling modulus fails at {p}, ({u}, {v})")
-            for q in rec.samples:
-                if pseudo_dist(_scale(p, u), _scale(q, u)) != (1 - u) * pseudo_dist(p, q):
-                    failures.append(f"shrink factor fails at ({p}, {q}), u={u}")
-        if _scale(p, Fraction(0)) != p or _scale(p, Fraction(1)) != Origin(1):
-            failures.append(f"endpoints of the contraction fail at {p}")
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_recheck_shrink
 from nonhaus import audit, cli, serialize
 from nonhaus.audit import (
     CLAIMS,
@@ -12,12 +11,11 @@ from nonhaus.audit import (
     HOLDS,
     HOLDS_NON_UNIQUELY,
     NOT_CHECKED,
+    IndistinguishableOrigins,
+    _recheck_indistinguishable_origins,
     _recheck_separation,
-    _recheck_shrink,
-    _shrink_proves,
     recheck_report,
     run_audit,
-    shrink_contraction_record,
 )
 from nonhaus.errors import NonHausError
 from nonhaus.space import (
@@ -25,15 +23,16 @@ from nonhaus.space import (
     InseparabilityRule,
     Origin,
     OriginChart,
-    Regular,
     SeparationVerdict,
     SpaceConfig,
     TopologyModel,
 )
 from nonhaus.symmetry import (
     ContractionCertificate,
+    ReducedWord,
     contract_loop,
     deck_group,
+    loop_class,
     probe_loop,
     recheck_contraction,
 )
@@ -102,7 +101,7 @@ class TestAuditTable:
         assert pi1.verdict("pseudometric") == HOLDS
         probe = report.certificate("pi1-probe")
         assert len(probe.quotient_class) == 2
-        assert len(probe.pseudometric_class) == 0
+        assert len(loop_class(probe.loop, P2)) == 0
 
     def test_checked_rows_reference_certificates(self, report):
         certmap = dict(report.certificates)
@@ -178,22 +177,23 @@ def _origin_9_homotopy_assignment(doc):
     cert["assignment"][-1][1] = 9
 
 
-def _shrink_record(doc):
-    return dict(doc["certificates"])["contractible:pseudometric"]
+_ORIGINS_REF = "indistinguishable-origins:pseudometric"
+# the five pseudometric cells that cite the indistinguishable origins, in table order
+_ORIGIN_CELLS = (("separation-t1", FAILS), ("locally-euclidean-at-origins", FAILS),
+                 ("origin-filter-coincidence", HOLDS), ("pi1-trivial", HOLDS),
+                 ("contractible", HOLDS))
 
 
-def _empty_shrink_record(doc):
-    _shrink_record(doc).update(samples=[], params=[])
+def _origins_of_k_3(doc):
+    dict(doc["certificates"])[_ORIGINS_REF]["k"] = 3
 
 
-def _shrink_without_origin_2(doc):
-    rec = _shrink_record(doc)
-    rec["samples"] = [p for p in rec["samples"] if p != {"kind": "origin", "index": 2}]
+def _origins_in_quotient_model(doc):
+    dict(doc["certificates"])[_ORIGINS_REF]["model"] = "quotient"
 
 
-def _shrink_without_param_1(doc):
-    rec = _shrink_record(doc)
-    rec["params"] = [u for u in rec["params"] if u != "1/1"]
+def _origins_deleted(doc):
+    doc["certificates"] = [c for c in doc["certificates"] if c[0] != _ORIGINS_REF]
 
 
 def _subgroup_cites_probe(doc):
@@ -275,9 +275,27 @@ def _origin_regular_pair_in_t1_cell(doc):
     )
 
 
-def _ball_record_without_origin_k(doc):
-    record = _certificate(doc, "membership:pseudometric")["records"][0]
-    record["entries"] = record["entries"][:-1]
+def _chart_record_without_other_origins(doc):
+    record = _certificate(doc, "membership:quotient")
+    record["entries"] = [e for e in record["entries"] if e[0] != {"kind": "origin", "index": 2}
+                         and e[0] != {"kind": "origin", "index": 3}]
+
+
+def _membership_entry_of_origin_9(doc):
+    _certificate(doc, "membership:quotient")["entries"][1][0]["index"] = 9
+
+
+def _negative_verdict_of_regular_pair(doc):
+    _certificate(doc, "separation-hausdorff:quotient")["pair"] = [
+        {"kind": "regular", "x": "1/1"}, {"kind": "regular", "x": "2/1"}]
+
+
+def _negative_verdict_with_origin_7(doc):
+    _certificate(doc, "separation-hausdorff:pseudometric")["pair"][1]["index"] = 7
+
+
+def _quotient_record_with_constancy(doc):
+    _certificate(doc, "homotopy-lifting:quotient")["paper_constancy"] = True
 
 
 def _even_cover_of_other_model(doc):
@@ -311,7 +329,7 @@ def _deck_table_twice(doc):
 
 def _negative_verdicts_relabelled(doc):
     _certificate(doc, "separation-hausdorff:quotient")["axiom"] = "T1"
-    _certificate(doc, "separation-t1:pseudometric")["axiom"] = "T0"
+    _certificate(doc, "separation-hausdorff:pseudometric")["axiom"] = "T0"
 
 
 def _identity_twice(doc):
@@ -326,10 +344,6 @@ def _swapped_row_cells(row, a, b):
         cells = _certificate(doc, "deck-group:any")["table"][row]
         cells[a], cells[b] = cells[b], cells[a]
     return tamper
-
-
-def _empty_section_samples(doc):
-    _certificate(doc, "etale-separated:any")["samples"] = []
 
 
 _FAILED = "certificate re-check failed: "
@@ -351,9 +365,15 @@ _TAMPERS = [
     ("foreign-schema-version", 2, _foreign_schema_version, "schema_version 'nonhaus-report/99'"),
     ("unknown-model", 2, _unknown_model, "model 'banana'"),
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
-    ("empty-shrink-record", 2, _empty_shrink_record, "contractible (pseudometric)"),
-    ("shrink-without-origin-2", 2, _shrink_without_origin_2, "contractible (pseudometric)"),
-    ("shrink-without-param-1", 2, _shrink_without_param_1, "contractible (pseudometric)"),
+    # the one certificate of the pseudometric model's universal cells
+    ("origins-of-k-3", 2, _origins_of_k_3, _FAILED + "; ".join(
+        _PROVES_NOTHING.format(f"{claim} (pseudometric)", verdict, _ORIGINS_REF)
+        for claim, verdict in _ORIGIN_CELLS)),
+    ("origins-in-quotient-model", 2, _origins_in_quotient_model,
+     _FAILED + f"{_ORIGINS_REF}: model 'quotient': origins at distance 0 share their opens "
+     "in the pseudometric model only"),
+    ("origins-deleted", 2, _origins_deleted,
+     _FAILED + f"certificate 10: ref membership:quotient differs from the cited ref {_ORIGINS_REF}"),
     ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
      _FAILED + "claim 16: row subgroup-correspondence differs from the declared row "
      "subgroup-correspondence"),
@@ -378,12 +398,15 @@ _TAMPERS = [
     ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell,
      _FAILED + _PROVES_NOTHING.format(
          "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
-    # both membership rows cite the one record
-    ("ball-record-without-origin-k", 3, _ball_record_without_origin_k, _FAILED + "; ".join((
-        _PROVES_NOTHING.format("locally-euclidean-at-origins (pseudometric)", "fails",
-                               "membership:pseudometric"),
-        _PROVES_NOTHING.format("origin-filter-coincidence (pseudometric)", "holds",
-                               "membership:pseudometric")))),
+    # both quotient membership cells cite the one record
+    ("chart-record-without-other-origins", 3, _chart_record_without_other_origins,
+     _FAILED + "; ".join((
+         _PROVES_NOTHING.format("locally-euclidean-at-origins (quotient)", "holds",
+                                "membership:quotient"),
+         _PROVES_NOTHING.format("origin-filter-coincidence (quotient)", "fails",
+                                "membership:quotient")))),
+    ("membership-entry-of-origin-9", 2, _membership_entry_of_origin_9,
+     _FAILED + "membership:quotient: entry origin 9 is not in 1..2"),
     # the charts are no basic opens of the pseudometric model
     ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + "; ".join(
         f"even-covering:quotient: witness ({i},{j}): opens are not the basic opens of "
@@ -399,23 +422,29 @@ _TAMPERS = [
      _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
     # the certificates are exactly the cited refs, each once, in sorted order
     ("uncited-probe-copy", 2, _uncited_probe_copy,
-     _FAILED + "certificate 20: ref uncited:any differs from the cited ref (none)"),
+     _FAILED + "certificate 18: ref uncited:any differs from the cited ref (none)"),
     ("deck-table-twice", 2, _deck_table_twice,
-     _FAILED + "certificate 5: ref deck-group:any differs from the cited ref etale-separated:any"),
-    # a negative verdict proves its own axiom only
-    ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join((
-        _PROVES_NOTHING.format("separation-t1 (pseudometric)", "fails",
-                               "separation-t1:pseudometric"),
-        _PROVES_NOTHING.format("separation-hausdorff (quotient)", "fails",
-                               "separation-hausdorff:quotient")))),
+     _FAILED + "certificate 4: ref deck-group:any differs from the cited ref etale-separated:any"),
+    # a negative verdict proves T2 only
+    ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join(
+        _PROVES_NOTHING.format(f"separation-hausdorff ({model})", "fails",
+                               f"separation-hausdorff:{model}")
+        for model in ("quotient", "pseudometric"))),
+    # a negative verdict's pair is its rule's origins
+    ("negative-verdict-of-regular-pair", 2, _negative_verdict_of_regular_pair,
+     _FAILED + "separation-hausdorff:quotient: T2: pair is not the rule's origins 1 and 2"),
+    ("negative-verdict-with-origin-7", 2, _negative_verdict_with_origin_7,
+     _FAILED + "separation-hausdorff:pseudometric: T2: pair is not the rule's origins 1 and 2"),
+    # the quotient model ignores the constancy rule, so a record that claims it proves nothing
+    ("quotient-record-with-constancy", 2, _quotient_record_with_constancy, _FAILED + "; ".join(
+        _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "homotopy-lifting:quotient")
+        for claim in ("homotopy-lifting", "homotopy-lifting-origin-constancy"))),
     ("identity-twice", 2, _identity_twice,
      _FAILED + "deck-group:any: expected 2 distinct elements of degree 2"),
     ("k4-row-cells-swapped", 4, _swapped_row_cells(5, 19, 7),
      _FAILED + "deck-group:any: composition table wrong at (5, 7)"),
     ("k5-row-cells-swapped", 5, _swapped_row_cells(119, 0, 118),
      _FAILED + "deck-group:any: composition table wrong at (119, 0)"),
-    ("empty-section-samples", 2, _empty_section_samples,
-     _FAILED + "etale-separated:any: samples do not lie on both sides of 0"),
 ]
 
 
@@ -463,15 +492,10 @@ class TestRecheckFailures:
 
     def test_tampered_loop_class(self, report):
         probe = report.certificate("pi1-probe")
-        bad_probe = dataclasses.replace(
-            probe, quotient_class=probe.pseudometric_class
-        )
-        certs = tuple(
-            (ref, bad_probe if ref == "pi1-probe" else cert)
-            for ref, cert in report.certificates
-        )
-        bad = dataclasses.replace(report, certificates=certs)
-        assert any("pi1-probe" in f for f in recheck_report(bad))
+        for letters in ((), ((2, 1), (1, -1))):  # the pseudometric class, and the reversed word
+            bad_probe = dataclasses.replace(probe, quotient_class=ReducedWord(letters))
+            failures = recheck_report(_with_certificate(report, "pi1-probe", bad_probe))
+            assert failures == ["pi1-probe: quotient loop class does not reproduce"]
 
     def test_tampered_even_cover(self, report):
         from nonhaus.space import Regular
@@ -492,7 +516,7 @@ class TestRecheckFailures:
         certs = tuple((ref, c) for ref, c in report.certificates if ref != "pi1-probe")
         bad = dataclasses.replace(report, certificates=certs)
         assert recheck_report(bad) == [
-            "certificate 15: ref separation-hausdorff:pseudometric differs from the cited "
+            "certificate 14: ref separation-hausdorff:pseudometric differs from the cited "
             "ref pi1-probe"]
 
     def test_certificates_in_another_order(self, report):
@@ -501,18 +525,23 @@ class TestRecheckFailures:
             "certificate 1: ref separation-t1:quotient differs from the cited "
             "ref branched-cover:pseudometric"]
 
-    def test_shrink_record(self):
-        rec = shrink_contraction_record(3)
-        assert _shrink_proves(rec, SpaceConfig(3, TopologyModel.PSEUDOMETRIC)) == HOLDS
-        assert _shrink_proves(rec, SpaceConfig(3, TopologyModel.QUOTIENT)) is None
+    def test_indistinguishable_origins_prove_the_universal_cells(self, report):
+        cert = report.certificate(_ORIGINS_REF)
+        assert cert == IndistinguishableOrigins(k=2, model="pseudometric")
+        rules = {c[0]: c[-1] for c in CLAIMS}
+        for claim_id, verdict in _ORIGIN_CELLS:
+            assert rules[claim_id][IndistinguishableOrigins](cert, P2) == verdict
+        cells = [(claim.claim_id, claim.verdict("pseudometric")) for claim in report.claims
+                 if claim.certificate_ref("pseudometric") == _ORIGINS_REF]
+        assert tuple(cells) == _ORIGIN_CELLS
 
     def test_membership_cited_once_per_model(self, report):
         cells = {claim.claim_id: claim.certificate_refs for claim in report.claims}
         assert cells["locally-euclidean-at-origins"] == cells["origin-filter-coincidence"] == (
-            ("quotient", "membership:quotient"), ("pseudometric", "membership:pseudometric"))
+            ("quotient", "membership:quotient"), ("pseudometric", _ORIGINS_REF))
         assert [ref for ref, _ in report.certificates if ref.startswith("membership:")] == [
-            "membership:pseudometric", "membership:quotient"]
-        assert len(report.certificates) == 19
+            "membership:quotient"]
+        assert len(report.certificates) == 17
 
     def test_contraction_stage_with_origin_9(self):
         # the report carries no contraction; the library certificate still re-checks alone
@@ -587,24 +616,25 @@ class TestRecheckBranches:
              ["T2: rule needs two distinct origins in 1..2"]),
             (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(0, 2)),
              ["T2: rule needs two distinct origins in 1..2"]),
+            (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(2, 1)),
+             ["T2: pair is not the rule's origins 2 and 1"]),
         ],
         ids=["no-opens", "first-pattern", "second-pattern", "first-holds-both",
              "second-holds-both", "t2-opens-intersect", "no-rule",
-             "equal-rule-indices", "rule-index-above-k", "rule-index-0"],
+             "equal-rule-indices", "rule-index-above-k", "rule-index-0", "pair-not-rule-pair"],
     )
     def test_separation(self, verdict, failures):
         assert _recheck_separation(verdict, 2) == failures
 
     def test_separation_accepts_the_produced_verdicts(self, report):
-        for model in ("quotient", "pseudometric"):
-            for axiom in ("t1", "hausdorff"):
-                cert = report.certificate(f"separation-{axiom}:{model}")
-                assert _recheck_separation(cert, 2) == []
+        for ref in ("separation-t1:quotient", "separation-hausdorff:quotient",
+                    "separation-hausdorff:pseudometric"):
+            assert _recheck_separation(report.certificate(ref), 2) == []
 
     @pytest.mark.parametrize(
         "tamper, failures",
         [(_identity_only, ["deck-group:any: expected 2 distinct elements of degree 2"]),
-         (_without_deck_table, ["certificate 4: ref etale-separated:any differs from the "
+         (_without_deck_table, ["certificate 3: ref etale-separated:any differs from the "
                                 "cited ref deck-group:any"]),
          (lambda doc: _identity_only(_subgroup_citing(doc, "pi1-probe")),
           [_SUBGROUP_ROW_DIFFERS, "deck-group:any: expected 2 distinct elements of degree 2"]),
@@ -636,48 +666,17 @@ class TestRecheckBranches:
         assert recheck_report(bad) == [f"k={k} is outside the audited range 2..6"]
 
 
-def _replace_sample(rec):
-    return dataclasses.replace(rec, samples=rec.samples[:-1] + (Regular(2),))
-
-
-def _change_param(rec):
-    # past u = 1 the factor (1 - u) is negative, so the shrink identity fails
-    return dataclasses.replace(rec, params=rec.params[:2] + (Fraction(3, 2),) + rec.params[3:])
-
-
-def _extra_origin_sample(rec):
-    return dataclasses.replace(rec, samples=rec.samples + (Origin(len(rec.samples) + 1),))
-
-
-def _duplicate_param(rec):
-    return dataclasses.replace(rec, params=rec.params + (rec.params[1],))
-
-
-class TestShrinkRecheck:
+class TestIndistinguishableOrigins:
     @pytest.mark.parametrize("k", range(2, 7))
-    def test_matches_reference_on_real_record(self, k):
-        rec = shrink_contraction_record(k)
-        assert _recheck_shrink(rec) == reference_recheck_shrink(rec) == []
+    def test_recheck_accepts_the_built_certificate(self, k):
+        cert = run_audit(SpaceConfig(k)).certificate(_ORIGINS_REF)
+        assert cert == IndistinguishableOrigins(k=k, model="pseudometric")
+        assert _recheck_indistinguishable_origins(cert, k) == []
 
-    @pytest.mark.parametrize(
-        "tamper",
-        [_replace_sample, _change_param, _extra_origin_sample, _duplicate_param],
-    )
-    @pytest.mark.parametrize("k", (2, 5))
-    def test_matches_reference_on_tampered_record(self, k, tamper):
-        rec = tamper(shrink_contraction_record(k))
-        assert _recheck_shrink(rec) == reference_recheck_shrink(rec)
-
-    def test_tampered_records_fail(self):
-        rec = shrink_contraction_record(3)
-        failures = _recheck_shrink(_change_param(rec))
-        assert failures and all(f.startswith("shrink factor fails") for f in failures)
-        assert failures[0] == "shrink factor fails at (origin 1, regular 1), u=3/2"
-
-    def test_shrink_record_built_without_checker(self, monkeypatch):
-        def refuse(rec):
-            raise AssertionError("the producer ran the checker")
-
-        monkeypatch.setattr(audit, "_recheck_shrink", refuse)
-        rec = shrink_contraction_record(3)
-        assert len(rec.samples) == 6 and len(rec.params) == 5
+    def test_recheck_names_a_positive_distance(self, monkeypatch):
+        # the trusted distance is the one fact the certificate rests on
+        monkeypatch.setattr(audit, "pseudo_dist", lambda p, q: Fraction(p.index + q.index, 7))
+        cert = IndistinguishableOrigins(3, "pseudometric")
+        assert _recheck_indistinguishable_origins(cert, 3) == [
+            "origins 1 and 2 lie at distance 3/7", "origins 1 and 3 lie at distance 4/7",
+            "origins 2 and 3 lie at distance 5/7"]

@@ -255,7 +255,7 @@ def test_check_rejects_build_flags(capsys, tmp_path, flags, named):
 def test_check_takes_out(capsys, tmp_path):
     out = tmp_path / "out.txt"
     assert main(["audit", "--check", _GOLDEN_K2, "--out", str(out)]) == 0
-    assert out.read_text() == "report ok: 18 claims, 19 certificates re-checked\n"
+    assert out.read_text() == "report ok: 18 claims, 17 certificates re-checked\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
@@ -530,7 +530,7 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "error: origin index must be >= 1, got 0"),
         (_CHECK, _report_with("branched-cover:pseudometric", ("k",), 1),
          "error: need at least 2 origins, got k=1"),
-        (_CHECK, _report_with("contractible:pseudometric", ("samples", 3, "x"), "0/1"),
+        (_CHECK, _report_with("membership:quotient", ("entries", 2, 0, "x"), "0/1"),
          "error: regular points have nonzero coordinate"),
         (_CHECK, _report_with("pi1-probe", ("loop", "labels", 0, 0), "1/2"),
          "error: labels [1/2, 3/4] do not match zero times [1/4, 3/4]; missing [1/4]"),
@@ -542,7 +542,8 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "error: rule radii must be positive"),
         (_CHECK, _report_with("even-covering:quotient", ("eps",), "0/1"),
          "error: rule radii must be positive"),
-        (_CHECK, _report_with("membership:pseudometric", ("records", 1, "open", "eps"), "-1/2"),
+        (_CHECK, _report_with("even-covering:pseudometric", ("witnesses", 0, "open_i", "eps"),
+                              "-1/2"),
          "error: ball radius must be positive, got -1/2"),
         (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "eps"),
                               "-1/1"),

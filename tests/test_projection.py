@@ -226,23 +226,22 @@ class TestOriginJoinRecheck:
         assert recheck_origin_join(paths, quotient3, Fraction(1)) == failures
 
 
+# points of the punctured window 0 < |x| < 1 on both sides of 0
+_PUNCTURED_WINDOW = (Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2))
+
+
 class TestSectionWitness:
     def test_witness_structure(self, quotient2):
         w = section_witness(1, 1, 2, quotient2)
-        assert w.samples == (
-            Fraction(-1, 2),
-            Fraction(-1, 4),
-            Fraction(1, 4),
-            Fraction(1, 2),
-        )
-        for x in w.samples:
+        assert (w.i, w.j, w.eps) == (1, 2, 1)
+        for x in _PUNCTURED_WINDOW:
             assert w.section_value(w.i, BasePoint(x)) == w.section_value(w.j, BasePoint(x))
         assert w.section_value(w.i, ACCUMULATION) != w.section_value(w.j, ACCUMULATION)
         assert recheck_section_witness(w) == []
 
     def test_wider_window_other_pair(self, quotient3):
         w = section_witness(2, 1, 3, quotient3)
-        assert w.samples == (Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1))
+        assert (w.i, w.j, w.eps) == (1, 3, 2)
         assert recheck_section_witness(w) == []
 
     def test_equal_indices_rejected(self, quotient2):
@@ -260,31 +259,14 @@ class TestSectionWitness:
             "recorded disagreement pair does not match the sections",
         ]
 
-    def test_recheck_names_a_zero_sample(self, quotient2):
-        w = section_witness(1, 1, 2, quotient2)
-        bad = dataclasses.replace(w, samples=w.samples + (Fraction(0),))
-        assert recheck_section_witness(bad) == [
-            "sample 0 is outside the punctured window 0 < |x| < 1"
-        ]
-
-    @pytest.mark.parametrize("sample", [Fraction(1), Fraction(-3, 2)], ids=["edge", "beyond"])
-    def test_recheck_names_a_sample_outside_the_window(self, quotient2, sample):
-        w = section_witness(1, 1, 2, quotient2)
-        bad = dataclasses.replace(w, samples=(sample,) + w.samples)
-        assert recheck_section_witness(bad) == [
-            f"sample {sample} is outside the punctured window 0 < |x| < 1"
-        ]
-
-    @pytest.mark.parametrize("keep", [lambda x: x < 0, lambda x: x > 0, lambda x: False],
-                             ids=["negative-only", "positive-only", "none"])
-    def test_recheck_needs_samples_on_both_sides(self, quotient2, keep):
-        w = section_witness(1, 1, 2, quotient2)
-        bad = dataclasses.replace(w, samples=tuple(filter(keep, w.samples)))
-        assert recheck_section_witness(bad) == ["samples do not lie on both sides of 0"]
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)], ids=["zero", "negative"])
+    def test_recheck_names_an_empty_window(self, quotient2, eps):
+        bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), eps=eps)
+        assert recheck_section_witness(bad) == [f"window radius {eps} is not positive"]
 
     def test_sections_project_back(self, quotient2):
         w = section_witness(1, 1, 2, quotient2)
-        for x in w.samples + (Fraction(0),):
+        for x in _PUNCTURED_WINDOW + (Fraction(0),):
             y = BasePoint(x)
             assert project(w.section_value(w.i, y)) == y
             assert project(w.section_value(w.j, y)) == y

@@ -300,13 +300,13 @@ _SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 KINDS = (
     "ball", "claim-record", "connected-preimage-record", "continuity-probe",
     "deck-element", "deck-group-table", "even-cover-failure", "grid-witness",
-    "homotopy-field", "homotopy-lift-record", "inseparability-rule", "labeled-loop",
-    "lifted-path", "lifts-enumerated", "loop-class-record", "membership-audit",
-    "membership-record", "metric-summary", "monodromy-obstruction", "no-lift",
-    "non-unique-existence", "origin", "origin-chart", "origin-join-path", "pair-witness",
-    "pl-path", "reduced-word", "regular", "regular-interval", "report-document",
-    "section-witness", "separation-verdict", "shrink-contraction-record",
-    "thick-audit-report", "verdict-row",
+    "homotopy-field", "homotopy-lift-record", "indistinguishable-origins",
+    "inseparability-rule", "labeled-loop", "lifted-path", "lifts-enumerated",
+    "loop-class-record", "membership-record", "metric-summary", "monodromy-obstruction",
+    "no-lift", "non-unique-existence", "origin", "origin-chart", "origin-join-path",
+    "pair-witness", "pl-path", "reduced-word", "regular", "regular-interval",
+    "report-document", "section-witness", "separation-verdict", "thick-audit-report",
+    "verdict-row",
 )
 
 
@@ -364,7 +364,7 @@ class TestKindRegistry:
         _hinted_classes(audit_mod.ReportDocument, found)
         _hinted_classes(ThickAuditReport, found)
         _hinted_classes(MetricSummary, found)
-        assert len(KINDS) == 35
+        assert len(KINDS) == 34
         assert tuple(sorted(serialize._kind(cls) for cls in found)) == KINDS
 
     def test_golden_outputs_hold_only_pinned_kinds(self):
