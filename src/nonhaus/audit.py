@@ -163,7 +163,11 @@ Rules = dict[type, Callable[[Any, SpaceConfig], Optional[str]]]
 
 def _shows(kind: type, verdict: str) -> Rules:
     """A kind whose passing re-check alone proves the verdict."""
-    return {kind: lambda cert, cfg: verdict}
+
+    def shown(cert: Any, cfg: SpaceConfig) -> str:
+        return verdict
+
+    return {kind: shown}
 
 
 def _separation(axiom: str) -> Rules:
@@ -222,9 +226,21 @@ def _contracts(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> str:
     return HOLDS
 
 
-# the probe is a loop that is not null-homotopic in the quotient model
+def _probe_not_null(rec: LoopClassRecord, cfg: SpaceConfig) -> Optional[str]:
+    """A loop whose reduced quotient word is not empty is not null-homotopic in
+    the quotient model, so that space is not contractible either."""
+    return FAILS if len(rec.quotient_class) > 0 else None
+
+
+def _deck_group_nontrivial(table: DeckGroupTable, cfg: SpaceConfig) -> Optional[str]:
+    """The base curve component is simply connected, so its loop group is
+    trivial and has one subgroup: the classical correspondence offers a single
+    cover, which cannot account for a deck group of more than one element."""
+    return FAILS if len(table.elements) > 1 else None
+
+
 _CONTRACTS: Rules = {
-    LoopClassRecord: lambda rec, cfg: FAILS if len(rec.quotient_class) else None,
+    LoopClassRecord: _probe_not_null,
     IndistinguishableOrigins: _contracts,
 }
 
@@ -274,12 +290,9 @@ CLAIMS = (
      (HOLDS, "deck-group:any"), (HOLDS, "deck-group:any"), _shows(DeckGroupTable, HOLDS)),
     ("semicovering", "the projection is a local homeomorphism with unique continuous lifting",
      (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
-    # the base curve component is simply connected, so its loop group is trivial
-    # and has one subgroup: the classical correspondence offers a single cover,
-    # which cannot account for a deck group of more than one element
     ("subgroup-correspondence", "the projection arises from a subgroup of the base loop group",
      (FAILS, "deck-group:any"), (FAILS, "deck-group:any"),
-     {DeckGroupTable: lambda table, cfg: FAILS if len(table.elements) > 1 else None}),
+     {DeckGroupTable: _deck_group_nontrivial}),
     ("groupoid-covering",
      "a covering functor of loop groupoids induces the projection "
      "(static row: the loop-space topology on the groupoid is not modelled)",

@@ -22,8 +22,8 @@ from .lifting import (
     LiftsEnumerated,
     NoLift,
     bounce_path,
-    enumerate_lifts,
     homotopy_lift_record,
+    lift_product,
     make_merging_field,
 )
 from .space import (
@@ -92,10 +92,10 @@ def _cmd_lift(args: argparse.Namespace) -> str:
         Path(args.dump_path).write_text(serialize.write_pl_path(path))
     c0 = path.breakpoints[0][1]
     start = Origin(1) if c0 == 0 else Regular(c0)
-    lifts = enumerate_lifts(path, start, cfg)
+    lifts = lift_product(path, start, cfg)
     if args.json:
-        return serialize.dumps(list(lifts))
-    lines = [f"{len(lifts)} lifts (k={cfg.k}, model={cfg.model.value})"]
+        return serialize.dumps(lifts)
+    lines = [f"{lifts.count()} lifts (k={cfg.k}, model={cfg.model.value})"]
     for n, lift in enumerate(lifts):
         choices = ", ".join(f"t={t}: origin {i}" for t, i in lift.origin_choices())
         lines.append(f"lift {n}: {choices if choices else 'no zero times'}")

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .embedding import BasePoint
 from .errors import NonHausError
@@ -142,20 +143,42 @@ class LiftedPath:
         return Regular(self.base.eval(t))
 
 
-# Largest k^m that enumerate_lifts builds or attempt_homotopy_lift lists; the
+# Largest k^m that lift_product admits or attempt_homotopy_lift lists; the
 # count is known from the choices, so it is checked before any is built.
 MAX_LIFTS = 4096
 
 
-def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> list[LiftedPath]:
-    """All lifts of the path from the given start, in lexicographic origin order.
+class LiftProduct:
+    """All lifts of a path from one start, as a value: the base path and, per
+    breakpoint, the tuple of values a lift may take there.
 
-    The lifts are the product of per-breakpoint choices: Regular(x) off the
-    zero times, the start at t = 0 and each origin 1..k at any other zero
-    time, all valid by the rules of :func:`verify_lift_continuity`.  With m
-    free zero times there are exactly k^m lifts; more than MAX_LIFTS raise
-    NonHausError before any is built.  A start over coordinate 0 must be an
-    origin in 1..k and pins that zero time's choice.
+    The lifts are the product of these choices.  :meth:`count` multiplies
+    the tuple sizes, and iteration builds each lift on demand, in
+    lexicographic origin order.
+    """
+
+    __slots__ = ("base", "options")
+
+    def __init__(self, base: PLPath, options: tuple[tuple[CanonicalPoint, ...], ...]) -> None:
+        self.base, self.options = base, options
+
+    def count(self) -> int:
+        return math.prod(map(len, self.options))
+
+    def __iter__(self) -> Iterator[LiftedPath]:
+        base = self.base
+        return (LiftedPath(base, values) for values in itertools.product(*self.options))
+
+
+def lift_product(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> LiftProduct:
+    """The lifts of the path from the given start, as a product of per-breakpoint choices.
+
+    The choices are Regular(x) off the zero times, the start at t = 0 and
+    each origin 1..k at any other zero time, all valid by the rules of
+    :func:`verify_lift_continuity`.  With m free zero times there are
+    exactly k^m lifts; more than MAX_LIFTS raise NonHausError before any is
+    built.  A start over coordinate 0 must be an origin in 1..k and pins
+    that zero time's choice.
     """
     free = len(zero_times(path))
     pts = path.breakpoints
@@ -170,10 +193,16 @@ def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> li
         raise NonHausError(f"start {start} does not project onto coordinate {c0}")
     if cfg.k ** free > MAX_LIFTS:
         raise NonHausError(f"{cfg.k}^{free} lifts exceed the limit of {MAX_LIFTS}")
-    origins = [Origin(i) for i in range(1, cfg.k + 1)]
-    options = [[Regular(x)] if x != 0 else [start] if idx == 0 else origins
-               for idx, (_, x) in enumerate(pts)]
-    return [LiftedPath(base=path, values=values) for values in itertools.product(*options)]
+    # the limit bounds k only where a zero time is free to choose an origin
+    origins = tuple(Origin(i) for i in range(1, cfg.k + 1)) if free else ()
+    return LiftProduct(path, tuple((Regular(x),) if x != 0 else (start,) if idx == 0 else origins
+                                   for idx, (_, x) in enumerate(pts)))
+
+
+def enumerate_lifts(path: PLPath, start: CanonicalPoint, cfg: SpaceConfig) -> list[LiftedPath]:
+    """Every lift of :func:`lift_product`, built, in its lexicographic order;
+    its checks and errors are those of lift_product."""
+    return list(lift_product(path, start, cfg))
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,13 @@ raises ``ValueError`` naming the class and field.
 :func:`encode` and :func:`decode` are the tree codec.  :func:`dumps` writes
 the JSON text itself, in one walk that builds no tree: its output is
 exactly the bytes of ``json.dumps(encode(x), sort_keys=True, indent=2)``
-plus a newline, and a dataclass instance that occurs more than once (the
-base path every lift repeats, a shared ``Origin``) is encoded and written
-once for each depth it occurs at, not once per occurrence.  A plain list
-may hold dataclass values; a dict has no JSON form.
+plus a newline.  A plain list may hold dataclass values; a dict has no JSON
+form.
+
+Lift products.  A :class:`~nonhaus.lifting.LiftProduct` has the JSON form
+of the list of its lifts, in its lexicographic order.  :func:`dumps`
+encodes its base path once and each distinct option value once, and writes
+each lift as one join of the texts its choices pick.
 
 Text formats:
 
@@ -38,6 +41,7 @@ Text formats:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 import types
@@ -46,7 +50,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
-from .lifting import HomotopyField, PLPath
+from .lifting import HomotopyField, LiftedPath, LiftProduct, PLPath
 
 
 def frac_str(x: Fraction) -> str:
@@ -200,14 +204,15 @@ def _object_decoder(cls: type, fields: list) -> Callable[[dict], Any]:
 
 
 def encode(obj: Any) -> Any:
-    """Encode a dataclass, a primitive, or a list of them, into JSON-ready data."""
+    """Encode a dataclass, a primitive, or a list of them, into JSON-ready data;
+    a lift product encodes as the list of its lifts."""
     codec = _codec(type(obj))
     if codec is not None:
         return {wire: encode(get(obj) if enc is None else enc(get(obj)))
                 for wire, _, get, enc in codec[0]}
     if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, LiftProduct)):
         return [encode(v) for v in obj]
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
@@ -246,20 +251,36 @@ def _scalar(v: Any) -> str:
     raise TypeError(f"no JSON form for {type(v).__name__}")
 
 
+def _list_frame(depth: int) -> tuple[str, str, str]:
+    """The text before, between and after the items of a non-empty list at depth."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner, "," + inner, inner[:-2] + "]"
+
+
+class _Slot:
+    """Stands for one field while an object's frame is written; ``at`` is the
+    index of the output pieces where that field's text belongs."""
+
+    at = 0
+
+
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text for a dataclass, a primitive, or a list of them.
+    """Deterministic JSON text for a dataclass, a primitive, a lift product, or a list of them.
 
     The text is exactly ``json.dumps(encode(obj), sort_keys=True, indent=2)``
-    plus a newline, written in one walk over obj.  A dataclass instance met
-    more than once at the same depth (the base path every lift repeats, a
-    shared ``Origin``) is encoded once; its text is joined on its second
-    meeting and reused from then on.  Nothing is kept between calls.
+    plus a newline, written in one walk over obj.  A lift product is written
+    as the list of its lifts without building them: the lift frame with the
+    base path in place once, each distinct option value once, and each lift
+    as one join of the texts its choices pick.
     """
+    out = _pieces(obj, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _pieces(obj: Any, depth: int) -> list[str]:
+    """The JSON text of obj written at depth, as a list of pieces."""
     out: list[str] = []
-    # (id, depth) of a dataclass instance -> the span of out its first
-    # writing filled, then, from its second meeting on, its text.  Every
-    # such object is reachable from obj, so no id is reused during the walk.
-    seen: dict[tuple[int, int], Any] = {}
 
     def write(value: Any, depth: int) -> None:
         cls = type(value)
@@ -268,22 +289,17 @@ def dumps(obj: Any) -> str:
             return
         codec = _codec(cls)
         if codec is not None:
-            ref = (id(value), depth)
-            hit = seen.get(ref)
-            if hit is None:
-                start = len(out)
-                write_members(((key, get(value) if enc is None else enc(get(value)))
-                               for _, key, get, enc in codec[0]), depth)
-                seen[ref] = (start, len(out))
-            else:
-                if type(hit) is tuple:
-                    hit = seen[ref] = "".join(out[hit[0]:hit[1]])
-                out.append(hit)
+            write_members(((key, get(value) if enc is None else enc(get(value)))
+                           for _, key, get, enc in codec[0]), depth)
         elif isinstance(value, (list, tuple)):
             if value:
                 write_list(value, depth)
             else:
                 out.append("[]")
+        elif cls is LiftProduct:
+            _write_lift_product(out, value, depth)
+        elif cls is _Slot:
+            value.at = len(out)
         else:
             out.append(_scalar(value))
 
@@ -301,27 +317,46 @@ def dumps(obj: Any) -> str:
         out.append(inner[:-2] + "}")
 
     def write_list(values: Any, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
+        opening, sep, closing = _list_frame(depth)
         kinds = set(map(type, values))
         if kinds <= _SCALARS:  # a deck-table row, a field's rationals: one join
             text = _quote if kinds == {str} else int.__repr__ if kinds == {int} else _scalar
-            out.append("[" + inner + ("," + inner).join(map(text, values)) + inner[:-2] + "]")
+            out.append(opening + sep.join(map(text, values)) + closing)
             return
-        sep = "[" + inner
         for value in values:
-            out.append(sep)
-            # inline the lookup of write(): the values of k^m lifts repeat
-            hit = seen.get((id(value), depth + 1))
-            if type(hit) is str:
-                out.append(hit)
-            else:
-                write(value, depth + 1)
-            sep = "," + inner
-        out.append(inner[:-2] + "]")
+            out.append(opening)
+            write(value, depth + 1)
+            opening = sep
+        out.append(closing)
 
-    write(obj, 0)
-    out.append("\n")
-    return "".join(out)
+    write(obj, depth)
+    return out
+
+
+def _write_lift_product(out: list[str], product: LiftProduct, depth: int) -> None:
+    """Append the list of a product's lifts at depth, the text of ``list(product)``.
+
+    A lift is a LiftedPath object at depth + 1: its frame (keys, kind tag,
+    indentation and base path) comes from its codec, written once around a
+    slot for its values; the values list holds the option values at
+    depth + 3, each distinct one written once.  The text between two lifts
+    is one string that every gap shares, so only the caller's final join
+    copies the whole text.
+    """
+    slot = _Slot()
+    frame = _pieces(LiftedPath(product.base, slot), depth + 1)
+    values_open, values_sep, values_close = _list_frame(depth + 2)
+    head = "".join(frame[:slot.at]) + values_open
+    tail = values_close + "".join(frame[slot.at:])
+    distinct = {id(v): v for options in product.options for v in options}
+    texts = {key: "".join(_pieces(v, depth + 3)) for key, v in distinct.items()}
+    columns = [[texts[id(v)] for v in options] for options in product.options]
+    opening, sep, closing = _list_frame(depth)
+    between = tail + sep + head
+    out.append(opening + head)
+    for choice in itertools.product(*columns):
+        out += (values_sep.join(choice), between)
+    out[-1] = tail + closing
 
 
 def loads(text: str, hint: Any) -> Any:

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .embedding import EmbeddingSpec, spiral_point
 from .errors import NonHausError
-from .lifting import PLPath, enumerate_lifts
+from .lifting import PLPath, lift_product
 from .space import CanonicalPoint, Origin, Regular, SpaceConfig
 
 MAX_GRID_N = 4096  # thick_audit checks MAX_GRID_N * (MAX_GRID_N - 1) points at most
@@ -74,7 +74,7 @@ def thick_lift_count(path: PLPath, t: Fraction, cfg: SpaceConfig) -> int:
         raise ValueError(f"slice parameter {t} outside [0, 1)")
     c0 = path.breakpoints[0][1]
     start = Origin(1) if c0 == 0 else Regular(c0)
-    return len(enumerate_lifts(path, start, cfg))
+    return lift_product(path, start, cfg).count()
 
 
 @dataclass(frozen=True)

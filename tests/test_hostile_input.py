@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nonhaus import serialize, thickened
+from nonhaus import lifting, serialize, thickened
 from nonhaus.cli import main
 from nonhaus.embedding import EmbeddingSpec
 from nonhaus.lifting import make_merging_field
@@ -268,6 +268,36 @@ def test_lift_count_over_limit_rejected(capsys, tmp_path):
     path = tmp_path / "p.plpath"
     path.write_text("plpath v1\n" + "".join(f"{i}/20 {(-1) ** i}/1\n" for i in range(21)))
     assert "limit of 4096" in rejected(capsys, "lift", "--path", str(path), "--k", "2")
+
+
+def test_lift_count_at_limit_written(tmp_path):
+    out = tmp_path / "lifts.json"
+    assert main(["lift", "--k", "4096", "--json", "--out", str(out)]) == 0
+    lifts = json.loads(out.read_text())
+    assert [lift["values"][1] for lift in lifts] == [
+        {"index": i, "kind": "origin"} for i in range(1, 4097)]
+
+
+def test_lift_count_over_limit_rejected_before_any_lift(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a lift was built")
+
+    monkeypatch.setattr(lifting.LiftedPath, "__init__", built)
+    line = rejected(capsys, "lift", "--k", "4097")
+    assert line == "error: 4097^1 lifts exceed the limit of 4096"
+
+
+def test_lift_without_free_zero_times_builds_no_origin(capsys, tmp_path, monkeypatch):
+    # k^0 = 1 lift passes the limit at any k, so k origins must not be built
+    def origin(index):
+        raise AssertionError(f"origin {index} was built")
+
+    monkeypatch.setattr(lifting, "Origin", origin)
+    path = tmp_path / "p.plpath"
+    path.write_text("plpath v1\n0/1 1/1\n1/1 2/1\n")
+    assert main(["lift", "--path", str(path), "--k", "1000000000"]) == 0
+    assert capsys.readouterr().out == (
+        "1 lifts (k=1000000000, model=quotient)\nlift 0: no zero times\n")
 
 
 def test_homotopy_assignments_over_limit_rejected(capsys, tmp_path):

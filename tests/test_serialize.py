@@ -8,7 +8,9 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from conftest import brute_force_lifts, double_dip_path
 
 import nonhaus.audit as audit_mod
 from nonhaus import serialize
@@ -20,6 +22,7 @@ from nonhaus.lifting import (
     enumerate_lifts,
     extract_zero_set,
     homotopy_lift_record,
+    lift_product,
     make_merging_field,
     monodromy_verdict,
     verify_lift_continuity,
@@ -445,6 +448,37 @@ _JSON_TREES = st.recursive(
 )
 
 
+@st.composite
+def _lift_cases(draw):
+    """(path, start, cfg) with k in 2..4 and at most 256 lifts, in either model.
+
+    The path has touches, crossings at a breakpoint and crossings strictly
+    between two breakpoints in drawn order; it may start at 0, with a drawn
+    start origin pinning that zero time, and may end at 0.
+    """
+    k = draw(st.integers(2, 4))
+    cfg = SpaceConfig(k, draw(st.sampled_from(list(TopologyModel))))
+    free = draw(st.integers(0, max(m for m in range(9) if k**m <= 256)))
+    zero_end = free > 0 and draw(st.booleans())
+    events = draw(st.lists(st.sampled_from(["touch", "cross-at", "cross-between"]),
+                           min_size=free - zero_end, max_size=free - zero_end))
+    magnitudes = st.builds(Fraction, st.integers(1, 12), st.integers(1, 7))
+    sign = draw(st.sampled_from([1, -1]))
+    xs = [Fraction(0)] if draw(st.booleans()) else []
+    xs.append(sign * draw(magnitudes))
+    for event in events:
+        if event != "cross-between":
+            xs.append(Fraction(0))
+        if event != "touch":
+            sign = -sign
+        xs.append(sign * draw(magnitudes))
+    xs.append(sign * draw(magnitudes))
+    xs += [Fraction(0)] * zero_end
+    path = PLPath(tuple((Fraction(i, len(xs) - 1), x) for i, x in enumerate(xs)))
+    start = Origin(draw(st.integers(1, k))) if xs[0] == 0 else Regular(xs[0])
+    return path, start, cfg
+
+
 class TestWriter:
     """dumps writes exactly the text of json.dumps(encode(x), sort_keys=True, indent=2)."""
 
@@ -471,6 +505,22 @@ class TestWriter:
         # the same objects again, at other depths and in other company
         serialize.dumps([lifts, [lifts[0]]])
         assert serialize.dumps(lifts) == first == reference_text(lifts)
+
+    @settings(deadline=None)  # up to 256 lifts verified by the oracle in one example
+    @given(st.data())
+    def test_lift_products(self, data):
+        path, start, cfg = data.draw(_lift_cases())
+        product = lift_product(path, start, cfg)
+        lifts = list(product)
+        assert lifts == brute_force_lifts(path, start, cfg)
+        assert product.count() == len(lifts)
+        assert serialize.encode(product) == serialize.encode(lifts)
+        assert serialize.dumps(product) == reference_text(lifts)
+
+    def test_lift_product_inside_a_list(self):
+        product = lift_product(double_dip_path(), Regular(Fraction(3, 16)), Q3)
+        for root in ([product], [[product], product.base], [Origin(1), product, []]):
+            assert serialize.dumps(root) == reference_text(root)
 
     @pytest.mark.parametrize("value", [{"a": 1}, {}, [Regular(1), {"kind": "regular"}]],
                              ids=["dict", "empty-dict", "dict-in-list"])

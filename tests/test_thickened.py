@@ -7,7 +7,7 @@ from conftest import double_dip_path, reference_thick_audit, triple_dip_path
 from nonhaus import thickened
 from nonhaus.embedding import EmbeddingSpec, spiral_point
 from nonhaus.errors import NonHausError
-from nonhaus.lifting import PLPath, bounce_path
+from nonhaus.lifting import LiftedPath, PLPath, bounce_path
 from nonhaus.space import Origin, Regular, SpaceConfig
 from nonhaus.thickened import (
     ThickPoint,
@@ -80,6 +80,13 @@ class TestSliceLifts:
     def test_no_zero_path(self):
         path = PLPath(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))))
         assert thick_lift_count(path, Fraction(1, 2), SpaceConfig(5)) == 1
+
+    def test_count_builds_no_lift(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a lift was built")
+
+        monkeypatch.setattr(LiftedPath, "__init__", built)
+        assert thick_lift_count(triple_dip_path(), Fraction(1, 2), SpaceConfig(16)) == 16**3
 
     def test_slice_parameter_validated(self):
         with pytest.raises(ValueError):

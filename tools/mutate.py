@@ -43,8 +43,8 @@ JOBS = min(os.cpu_count() or 1, 4)
 # module -> the checked functions, by qualified name; a prefix ending in "*"
 # takes every top-level function whose name starts with it
 TARGETS = {
-    "audit": ("_separation", "_membership", "_lift_outcome", "_contracts", "_recheck_*",
-              "recheck_report"),
+    "audit": ("_shows", "_separation", "_membership", "_lift_outcome", "_contracts",
+              "_probe_not_null", "_deck_group_nontrivial", "_recheck_*", "recheck_report"),
     "lifting": ("recheck_monodromy", "recheck_homotopy_record", "verify_lift_continuity",
                 "_breakpoint_fault"),
     "projection": ("recheck_*",),
