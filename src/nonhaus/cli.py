@@ -45,9 +45,18 @@ def _cfg(args: argparse.Namespace) -> SpaceConfig:
     return SpaceConfig(args.k, TopologyModel(args.model))
 
 
+# Characters per write of an --out file.  A slice this size is encoded in a
+# buffer the allocator reuses, so a multi-megabyte text (lift --json at k^m
+# = 1024 is 2.7 MB) is never encoded into a second whole-text copy whose
+# fresh pages are faulted in on every call.
+_WRITE_CHARS = 1 << 16
+
+
 def _emit(out: str | None, text: str) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            for at in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[at:at + _WRITE_CHARS])
     else:
         sys.stdout.write(text)
 

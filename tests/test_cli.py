@@ -283,3 +283,24 @@ class TestParserReuse:
         # a freshly built parser prints the same help
         monkeypatch.setattr(cli, "_parser", None)
         assert run_cli(capsys, "lift", "--help") == (0, reused_help, "")
+
+
+class TestOutFile:
+    def test_out_file_equals_stdout_over_many_writes(self, capsys, tmp_path):
+        # k = 2 on a path with 10 zero times: 1,024 lifts, far more than one write
+        path = tmp_path / "p.plpath"
+        xs = [1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1, 0, -1, 0, 1]
+        path.write_text("plpath v1\n" + "".join(f"{i}/20 {x}/1\n" for i, x in enumerate(xs)))
+        code, out, _ = run_cli(capsys, "lift", "--k", "2", "--path", str(path), "--json")
+        assert code == 0 and len(out) > 10 * cli._WRITE_CHARS
+        target = tmp_path / "lifts.json"
+        code, _, _ = run_cli(capsys, "lift", "--k", "2", "--path", str(path), "--json",
+                             "--out", str(target))
+        assert code == 0 and target.read_bytes() == out.encode()
+
+    def test_emit_writes_the_exact_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 3)
+        target = tmp_path / "t.txt"
+        for text in ("", "ab", "abc", "abcd", "aé\r\nb→c\n" * 5):
+            cli._emit(str(target), text)
+            assert target.read_bytes() == text.encode("utf-8")
