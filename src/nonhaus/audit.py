@@ -401,7 +401,9 @@ def _recheck_separation(v: SeparationVerdict, k: int) -> list[str]:
 def _recheck_membership(rec: MembershipRecord, k: int) -> list[str]:
     failures = [f"entry origin {p.index} is not in 1..{k}"
                 for p, _ in rec.entries if isinstance(p, Origin) and p.index > k]
-    return failures + ([] if rec.recheck() else ["membership mismatch"])
+    if any(open_contains(rec.open, p) != inside for p, inside in rec.entries):
+        failures.append("membership mismatch")
+    return failures
 
 
 def _recheck_loop_class(rec: LoopClassRecord, k: int) -> list[str]:

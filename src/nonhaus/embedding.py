@@ -64,13 +64,11 @@ class BasePoint:
 ACCUMULATION = BasePoint(Fraction(0))
 
 
-def embed_point(x: Fraction, spec: EmbeddingSpec = EmbeddingSpec.MAIN_CURVE) -> PlanePoint:
+def embed_point(x: Fraction) -> PlanePoint:
     """Exact planar image of a nonzero coordinate under the main curve."""
     x = Fraction(x)
     if x == 0:
         raise NonHausError("the accumulation point is not on the curve")
-    if spec is not EmbeddingSpec.MAIN_CURVE:
-        raise NonHausError("the spiral embedding has no exact rational values")
     d = 1 + x * x
     return PlanePoint(x / d, x * x / d)
 

@@ -84,7 +84,6 @@ class PLPath:
                 if t == t0:
                     return x0
                 return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
 
 
 def zero_times(path: PLPath) -> list[Fraction]:
@@ -591,18 +590,18 @@ def attempt_homotopy_lift(
     else:
         return NonUniqueExistence(component_count=len(components))
     # each group of components takes one origin: its single constrained one, or any
-    options = []
+    choices = []
     for index, comps, constraints in groups:
         constrained = sorted({origin for _, origin in constraints})
         if len(constrained) > 1:
             return NoLift(component=index, constraints=constraints)
-        options.append([(comps, origin) for origin in constrained or range(1, cfg.k + 1)])
-    free = sum(len(group) > 1 for group in options)
+        choices.append((comps, constrained or range(1, cfg.k + 1)))
+    free = sum(len(origins) > 1 for _, origins in choices)
     if cfg.k ** free > MAX_LIFTS:
         raise NonHausError(f"{cfg.k}^{free} assignments exceed the limit of {MAX_LIFTS}")
     assignments = tuple(
-        tuple((comp.index, origin) for comps, origin in combo for comp in comps)
-        for combo in itertools.product(*options)
+        tuple((comp.index, origin) for (comps, _), origin in zip(choices, combo) for comp in comps)
+        for combo in itertools.product(*(origins for _, origins in choices))
     )
     return LiftsEnumerated(assignments=assignments)
 

@@ -42,13 +42,6 @@ def fibre(y: BasePoint, cfg: SpaceConfig) -> frozenset[CanonicalPoint]:
     return frozenset({Regular(y.x)})
 
 
-def regular_inverse(y: BasePoint) -> CanonicalPoint:
-    """The unique preimage over the regular locus."""
-    if y.is_accumulation:
-        raise NonHausError("the fibre over the accumulation point has more than one point")
-    return Regular(y.x)
-
-
 @dataclass(frozen=True)
 class PairWitness:
     """Inseparability of one origin pair inside the preimage of the window.

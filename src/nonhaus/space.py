@@ -218,35 +218,18 @@ def _coord_footprint(o: BasicOpen) -> tuple[Fraction, Fraction]:
     return (c - o.eps, c + o.eps)
 
 
-def _origin_footprint(o: BasicOpen) -> frozenset[int] | None:
-    """Origin indices contained in o; None means every origin."""
-    if isinstance(o, RegularInterval):
-        return frozenset()
-    if isinstance(o, OriginChart):
-        return frozenset({o.index})
-    lo, hi = _coord_footprint(o)
-    return None if lo < 0 < hi else frozenset()
-
-
 def opens_intersect(o1: BasicOpen, o2: BasicOpen) -> bool:
     """Exact emptiness test for the intersection of two basic opens.
 
     The regular points of every basic open form its coordinate footprint
     minus {0}; a nonempty open overlap therefore always contains a shared
-    regular point.  Origins are decided by the origin footprints.
+    regular point.  An open holds an origin only if its footprint contains
+    0 (a chart is (-eps, eps), a ball (c - eps, c + eps) with |c| < eps), so
+    two opens that both hold origins already overlap in coordinates, and two
+    opens that do not overlap share no origin either.
     """
-    lo = max(_coord_footprint(o1)[0], _coord_footprint(o2)[0])
-    hi = min(_coord_footprint(o1)[1], _coord_footprint(o2)[1])
-    if lo < hi:
-        return True
-    s1, s2 = _origin_footprint(o1), _origin_footprint(o2)
-    if s1 is None and s2 is None:
-        return True
-    if s1 is None:
-        return bool(s2)
-    if s2 is None:
-        return bool(s1)
-    return bool(s1 & s2)
+    (a1, b1), (a2, b2) = _coord_footprint(o1), _coord_footprint(o2)
+    return max(a1, a2) < min(b1, b2)
 
 
 @dataclass(frozen=True)
@@ -309,11 +292,11 @@ def separation_report(cfg: SpaceConfig) -> list[SeparationVerdict]:
     Representative pairs: (o1, o2), (o1, regular 1), (regular 1, regular 2).
     Only the origin pair can fail anything; regular pairs separate by
     disjoint intervals and origin/regular pairs by a chart or ball plus an
-    interval, in both models.  In the quotient model the chart of each
-    origin excludes the other, which proves T0 and T1.
+    interval, in both models.  The origin pair's T2 verdict is the one
+    :func:`separable` gives; in the quotient model the chart of each origin
+    excludes the other, which proves T0 and T1.
     """
-    inseparable = SeparationVerdict(axiom="T2", holds=False, pair=(Origin(1), Origin(2)),
-                                    rule=InseparabilityRule(1, 2))
+    inseparable = separable(Origin(1), Origin(2), cfg)
     if cfg.model is TopologyModel.PSEUDOMETRIC:
         return [replace(inseparable, axiom=axiom) for axiom in ("T0", "T1", "T2")]
     charted = replace(inseparable, holds=True, rule=None,
@@ -332,13 +315,10 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class MembershipRecord:
-    """A basic open together with recorded membership outcomes, re-checkable."""
+    """A basic open together with recorded membership outcomes, re-checked in ``audit``."""
 
     open: BasicOpen
     entries: tuple[tuple[CanonicalPoint, bool], ...]
-
-    def recheck(self) -> bool:
-        return all(open_contains(self.open, p) == expect for p, expect in self.entries)
 
 
 class SequenceKind(Enum):

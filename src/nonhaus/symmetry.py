@@ -38,15 +38,7 @@ from .lifting import (
     times_str,
     zero_times,
 )
-from .projection import project
-from .space import (
-    CanonicalPoint,
-    Origin,
-    Regular,
-    SpaceConfig,
-    TopologyModel,
-    pseudo_dist,
-)
+from .space import CanonicalPoint, Origin, SpaceConfig, TopologyModel
 
 
 @dataclass(frozen=True)
@@ -87,41 +79,15 @@ class DeckElement:
 
 
 def deck_apply(g: DeckElement, p: CanonicalPoint) -> CanonicalPoint:
-    """Permute origins, fix regular points (they are label-free)."""
+    """Permute origins, fix regular points (they are label-free).
+
+    Origins all project to the accumulation point and ``pseudo_dist`` reads
+    only coordinates, so g commutes with the projection, is an isometry, and
+    is undone by ``g.inverse()``.
+    """
     if isinstance(p, Origin):
         return Origin(g.apply(p.index))
     return p
-
-
-@dataclass(frozen=True)
-class DeckReport:
-    """Exact sample checks: commutes with projection, isometry, invertible."""
-
-    k: int
-    sample_count: int
-    projection_ok: bool
-    isometry_ok: bool
-    inverse_ok: bool
-
-
-def deck_verify(g: DeckElement, samples: Optional[list[CanonicalPoint]] = None) -> DeckReport:
-    pts = list(samples) if samples is not None else [Origin(i) for i in range(1, g.k + 1)] + [
-        Regular(1), Regular(-1), Regular(Fraction(5, 2))]
-    ginv = g.inverse()
-    projection_ok = all(project(deck_apply(g, p)) == project(p) for p in pts)
-    isometry_ok = all(
-        pseudo_dist(deck_apply(g, p), deck_apply(g, q)) == pseudo_dist(p, q)
-        for p in pts
-        for q in pts
-    )
-    inverse_ok = all(deck_apply(ginv, deck_apply(g, p)) == p for p in pts)
-    return DeckReport(
-        k=g.k,
-        sample_count=len(pts),
-        projection_ok=projection_ok,
-        isometry_ok=isometry_ok,
-        inverse_ok=inverse_ok,
-    )
 
 
 @dataclass(frozen=True)
@@ -263,19 +229,9 @@ def deck_rigidity(
     ``moved_regular`` lists claimed moves x -> y of regular points; the
     first genuine move is rejected with the projected coordinates as witness.
     """
-    for x, y in moved_regular:
-        x, y = Fraction(x), Fraction(y)
-        if x != y:
-            return RigidityVerdict(
-                accepted=False,
-                permutation=permutation,
-                moved_witness=(x, y),
-            )
-    return RigidityVerdict(
-        accepted=True,
-        permutation=permutation,
-        moved_witness=None,
-    )
+    moves = ((Fraction(x), Fraction(y)) for x, y in moved_regular)
+    moved = next(((x, y) for x, y in moves if x != y), None)
+    return RigidityVerdict(accepted=moved is None, permutation=permutation, moved_witness=moved)
 
 
 # ---------------------------------------------------------------------------

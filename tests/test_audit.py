@@ -285,6 +285,11 @@ def _membership_entry_of_origin_9(doc):
     _certificate(doc, "membership:quotient")["entries"][1][0]["index"] = 9
 
 
+def _regular_2_inside_the_chart(doc):
+    # entries: origin 1, origin 2, regular 1/2, regular -1/2, regular 2; the chart has radius 1
+    _certificate(doc, "membership:quotient")["entries"][4][1] = True
+
+
 def _negative_verdict_of_regular_pair(doc):
     _certificate(doc, "separation-hausdorff:quotient")["pair"] = [
         {"kind": "regular", "x": "1/1"}, {"kind": "regular", "x": "2/1"}]
@@ -407,6 +412,8 @@ _TAMPERS = [
                                 "membership:quotient")))),
     ("membership-entry-of-origin-9", 2, _membership_entry_of_origin_9,
      _FAILED + "membership:quotient: entry origin 9 is not in 1..2"),
+    ("regular-2-inside-the-chart", 2, _regular_2_inside_the_chart,
+     _FAILED + "membership:quotient: membership mismatch"),
     # the charts are no basic opens of the pseudometric model
     ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + "; ".join(
         f"even-covering:quotient: witness ({i},{j}): opens are not the basic opens of "

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from nonhaus.embedding import (
     ACCUMULATION,
     BasePoint,
-    EmbeddingSpec,
     PlanePoint,
     embed_point,
     embedding_checks,
@@ -36,10 +35,6 @@ class TestEmbedPoint:
     def test_zero_rejected(self):
         with pytest.raises(NonHausError, match="the accumulation point is not on the curve"):
             embed_point(0)
-
-    def test_spiral_not_exact(self):
-        with pytest.raises(NonHausError, match="no exact rational values"):
-            embed_point(1, EmbeddingSpec.SPIRAL)
 
     @given(nonzero)
     def test_norm_identity(self, x):

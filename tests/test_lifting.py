@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -694,6 +695,31 @@ class TestAttemptHomotopyLift:
         assert result.assignments == ((),)
         quotient = attempt_homotopy_lift(positive, {}, SpaceConfig(3, TopologyModel.QUOTIENT))
         assert quotient.assignments == ((),)
+
+    def test_limit_refused_before_any_origin_list(self):
+        # two interior wells on a 7x7 grid: 200000^2 assignments, refused without
+        # building a list of 200000 origin choices for either well
+        rows = [[1] * 7 for _ in range(7)]
+        rows[2][3] = rows[4][3] = -1
+        wells = self.grid_field(rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonHausError) as refused:
+                attempt_homotopy_lift(wells, {}, SpaceConfig(200000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "200000^2 assignments exceed the limit of 4096"
+        assert peak < 1 << 20
+
+    def test_conflict_wins_over_the_limit(self):
+        # a bottom dip (crossings 1/8, 3/8) and an interior well that is free at any k
+        field = self.grid_field([[1, 1, 1], [-1, 1, 1], [1, 1, 1], [1, -1, 1], [1, 1, 1]])
+        cfg = SpaceConfig(200000)
+        conflict = attempt_homotopy_lift(field, {Fraction(1, 8): 1, Fraction(3, 8): 2}, cfg)
+        assert isinstance(conflict, NoLift)
+        with pytest.raises(NonHausError, match=r"^200000\^1 assignments exceed the limit of 4096$"):
+            attempt_homotopy_lift(field, {Fraction(1, 8): 1, Fraction(3, 8): 1}, cfg)
 
     def test_quotient_two_free_components_lexicographic(self):
         cfg = SpaceConfig(3, TopologyModel.QUOTIENT)

@@ -15,7 +15,6 @@ from nonhaus.projection import (
     recheck_even_cover,
     recheck_origin_join,
     recheck_section_witness,
-    regular_inverse,
     section_witness,
 )
 from nonhaus.space import (
@@ -56,15 +55,6 @@ class TestProjection:
         assert len(fibre(ACCUMULATION, cfg)) == k
         assert len(fibre(BasePoint(Fraction(7, 5)), cfg)) == 1
 
-    def test_regular_inverse_round_trip(self):
-        assert regular_inverse(BasePoint(2)) == Regular(2)
-        assert regular_inverse(BasePoint(Fraction(-1, 3))) == Regular(Fraction(-1, 3))
-        assert project(regular_inverse(BasePoint(5))) == BasePoint(5)
-
-    def test_regular_inverse_singular(self):
-        with pytest.raises(NonHausError, match="has more than one point"):
-            regular_inverse(ACCUMULATION)
-
     @given(nonzero, st.integers(1, 4), st.integers(1, 4))
     def test_projection_label_independent(self, x, i, j):
         k = 4
@@ -75,7 +65,8 @@ class TestProjection:
     @given(nonzero)
     def test_round_trip_regular_locus(self, x):
         y = BasePoint(x)
-        assert project(regular_inverse(y)) == y
+        (p,) = fibre(y, SpaceConfig(2))
+        assert p == Regular(x) and project(p) == y
 
 
 _NOT_PAIRS = "witnesses are not the origin pairs i < j of 1..3 in order"

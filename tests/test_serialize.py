@@ -50,7 +50,6 @@ from nonhaus.symmetry import (
     contract_loop,
     deck_group,
     deck_rigidity,
-    deck_verify,
     probe_loop,
     reduce_word,
     crossing_word,
@@ -131,7 +130,6 @@ class TestRoundTrips:
 
     def test_symmetry_certificates(self):
         round_trip(DeckElement((2, 3, 1)))
-        round_trip(deck_verify(DeckElement((2, 1))))
         round_trip(deck_group(3))
         round_trip(deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)))
         loop = probe_loop(1, 2)
@@ -348,7 +346,6 @@ def _roots() -> tuple:
         homotopy_lift_record(field, {Fraction(1, 4): 1, Fraction(3, 4): 1}, Q2, False),
         extract_zero_set(field),
         verify_lift_continuity(lifts[0], Q3),
-        deck_verify(DeckElement((2, 1))),
         deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)),
         MetricSummary("quotient", tuple(separation_report(Q3)),
                       ((Origin(1), Regular(Fraction(-1, 2)), Fraction(1, 2)),)),

@@ -33,6 +33,31 @@ from nonhaus.space import (
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 nonzero_fractions = fractions.filter(lambda x: x != 0)
+# small coordinates on a coarse grid, so that footprints often touch or nest
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_radii = _small.filter(lambda e: e > 0)
+
+
+@st.composite
+def basic_opens(draw, k: int):
+    """An interval, a chart, or a ball around an origin or a regular point, for k origins."""
+    kind = draw(st.sampled_from(("interval", "chart", "ball")))
+    if kind == "interval":
+        a, b = sorted(draw(st.lists(_radii, min_size=2, max_size=2, unique=True)))
+        return draw(st.sampled_from((RegularInterval(a, b), RegularInterval(-b, -a))))
+    origin = draw(st.integers(1, k))
+    if kind == "chart":
+        return OriginChart(origin, draw(_radii))
+    centre = draw(st.one_of(st.just(Origin(origin)), _small.filter(bool).map(Regular)))
+    return Ball(centre, draw(_radii))
+
+
+def _footprint(o) -> tuple[Fraction, Fraction]:
+    """The open coordinate interval of o's regular points, stated here from the definitions."""
+    if isinstance(o, RegularInterval):
+        return o.a, o.b
+    c = 0 if isinstance(o, OriginChart) else coord(o.center)
+    return c - o.eps, c + o.eps
 
 
 class TestCanonicalize:
@@ -265,6 +290,19 @@ class TestSeparation:
 
     def test_chart_pair_always_intersects(self):
         assert opens_intersect(OriginChart(1, Fraction(1, 9)), OriginChart(2, Fraction(1, 7)))
+
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), basic_opens(k), basic_opens(k))))
+    def test_intersection_is_a_common_member(self, case):
+        # oracle: the origins, and one nonzero point of the footprint overlap if any
+        k, o1, o2 = case
+        candidates = [Origin(i) for i in range(1, k + 1)]
+        lo = max(_footprint(o1)[0], _footprint(o2)[0])
+        hi = min(_footprint(o1)[1], _footprint(o2)[1])
+        if lo < hi:
+            mid = (lo + hi) / 2
+            candidates.append(Regular(mid or hi / 2))
+        common = any(open_contains(o1, p) and open_contains(o2, p) for p in candidates)
+        assert opens_intersect(o1, o2) == common
 
 
 class TestConvergence:

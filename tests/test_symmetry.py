@@ -24,7 +24,6 @@ from nonhaus.symmetry import (
     deck_apply,
     deck_group,
     deck_rigidity,
-    deck_verify,
     loop_class,
     probe_loop,
     recheck_contraction,
@@ -55,16 +54,6 @@ class TestDeckElement:
     def test_inverse(self):
         g = DeckElement((3, 1, 2))
         assert g.compose(g.inverse()) == DeckElement.identity(3)
-
-
-class TestDeckVerify:
-    def test_swap_checks(self):
-        report = deck_verify(DeckElement((2, 1)))
-        assert report.projection_ok and report.isometry_ok and report.inverse_ok
-
-    def test_cycle_checks(self):
-        report = deck_verify(DeckElement((2, 3, 1)))
-        assert report.projection_ok and report.isometry_ok and report.inverse_ok
 
     @given(st.permutations(list(range(1, 5))))
     def test_projection_equivariance(self, images):
