@@ -10,7 +10,10 @@ homotopy's coordinate field.
 Homotopy fields are values on a rational grid, interpolated affinely on
 the two triangles of each cell (all cells split along the same diagonal,
 lower-left to upper-right).  The zero set of such a field is an exact PL
-1-complex; its connected components carry the lifting constraints:
+1-complex.  The lifting verdict reads its components from grid positions
+alone and builds exact crossings only where they touch the bottom edge;
+:func:`extract_zero_set` gives every segment's exact endpoints.  The
+connected components carry the lifting constraints:
 
 * chart model: an origin assignment must be constant on every connected
   zero component, because the chart of one origin contains no other
@@ -29,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .embedding import BasePoint
 from .errors import NonHausError
@@ -321,8 +324,8 @@ class HomotopyField:
         object.__setattr__(self, "s_breaks", s)
         object.__setattr__(self, "t_breaks", t)
         object.__setattr__(self, "values", vals)
-        # value signs for the plateau check and extract_zero_set (a numerator's sign)
-        signs = tuple(tuple([(n > 0) - (n < 0) for n in map(_numerator, row)]) for row in vals)
+        # value signs for the plateau check and the zero-set scan (a numerator's sign)
+        signs = tuple(map(_sign_row, vals))
         object.__setattr__(self, "_signs", signs)
         for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
             for b in range(len(t) - 1) if 0 in r0 and 0 in r1 else ():
@@ -351,7 +354,17 @@ class HomotopyField:
         return PLPath(tuple((s, self.values[a][-1]) for a, s in enumerate(self.s_breaks)))
 
 
-_numerator = operator.attrgetter("numerator")
+_slot_numerator = operator.attrgetter("_numerator")
+
+
+def _sign_row(row: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """Value signs, read from each Fraction's numerator slot without its property call."""
+    try:
+        nums = list(map(_slot_numerator, row))
+    except AttributeError:  # an int value: the public property
+        nums = [v.numerator for v in row]
+    return tuple([(n > 0) - (n < 0) for n in nums])
+
 
 # A cell's lower then upper triangle: vertex offsets from its corner, in reading order.
 _CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
@@ -411,25 +424,21 @@ class ZeroSetComplex:
     components: tuple[ZeroComponent, ...]
 
 
+def _triangle_rule(g: tuple[int, ...]) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """Endpoint positions of the zero segment of a triangle whose corner signs,
+    in reading order, are g, or None: (i, i) for a zero corner i and (i, j)
+    for the crossing inside the edge i-j, in the order listed, which fixes the
+    segment's orientation; a lone zero corner is a single touch point."""
+    ends = [(i, j) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+            if g[i] * g[j] < 0 or i == j and not g[i]]
+    return (ends[0], ends[-1]) if ends else None
+
+
+# _triangle_rule for each of the 26 sign triples that construction admits.
+_TRIANGLE_ENDS = {g: _triangle_rule(g) for g in itertools.product((-1, 0, 1), repeat=3) if any(g)}
+
 # Endpoint names: grid vertex (a, b) is a * nt + b, in [0, n) for n vertices;
 # the crossing inside the edge between vertices p < q is (p + 1) * n + q.
-
-
-def _triangle_ends(n: int, corners: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """Endpoint names of one triangle's zero segment, or None; ``corners`` holds
-    (vertex name, sign) in reading order, which fixes the segment's orientation."""
-    zeros = [p for p, g in corners if g == 0]
-    if len(zeros) == 2:  # construction rejected three
-        return zeros[0], zeros[1]
-    if len(zeros) == 1:
-        (p, gp), (q, gq) = [c for c in corners if c[1] != 0]
-        return zeros[0], (_edge_name(n, p, q) if gp != gq else zeros[0])
-    signs = [g for _, g in corners]
-    if len(set(signs)) == 1:
-        return None
-    lone = next(p for p, g in corners if signs.count(g) == 1)
-    q0, q1 = (p for p, _ in corners if p != lone)
-    return _edge_name(n, lone, q0), _edge_name(n, lone, q1)
 
 
 def _edge_name(n: int, p: int, q: int) -> int:
@@ -455,17 +464,35 @@ def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
     ])
 
 
-def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
-    """Per-triangle zero segments with exact endpoints, grouped into components.
-
-    Triangles whose vertex signs are equal and nonzero are skipped on their
-    signs alone.  Each zero endpoint is identified by its grid position, a
-    vertex or the edge whose interior holds a crossing; triangles meet only
-    in shared vertices and edges, so a union-find over positions recovers
-    the components exactly.  Coordinates are built only for returned segments.
-    """
-    s, t, vals, signs = field.s_breaks, field.t_breaks, field.values, field._signs
+def _points(field: HomotopyField, names: Iterable[int]) -> dict[int, Node]:
+    """Exact coordinates of the named endpoints."""
+    s, t, vals = field.s_breaks, field.t_breaks, field.values
     nt, n = len(t), len(s) * len(t)
+
+    def vertex(v: int) -> tuple[Node, Fraction]:
+        return (s[v // nt], t[v % nt]), vals[v // nt][v % nt]
+
+    return {name: vertex(name)[0] if name < n else
+            _edge_zero(*vertex(name // n - 1), *vertex(name % n)) for name in names}
+
+
+def _zero_pass(field: HomotopyField) -> tuple[list[tuple[int, int]], tuple[ZeroComponent, ...]]:
+    """The endpoint names of every zero segment, and the components they form.
+
+    One scan reads each triangle's zero segment from its vertex signs alone;
+    triangles meet only in shared vertices and edges, so a union-find over
+    names recovers the components exactly.  Coordinates are built only for
+    the bottom-row names, a vertex (a, 0) or the crossing inside the edge
+    from it to (a + 1, 0): no other zero point has t = 0.
+    """
+    signs = field._signs
+    nt, n = len(field.t_breaks), len(field.s_breaks) * len(field.t_breaks)
+    # _TRIANGLE_ENDS on the lower and upper triangle of a cell whose first vertex is v:
+    # each endpoint's name as (m, c), the name being m * v + c
+    lower, upper = ({g: rule and tuple((1, corners[i]) if i == j else
+                                       (n + 1, _edge_name(n, corners[i], corners[j]))
+                                       for i, j in rule) for g, rule in _TRIANGLE_ENDS.items()}
+                    for corners in ((0, nt, nt + 1), (0, nt + 1, 1)))
     ends: list[tuple[int, int]] = []
     for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
         if r0 == r1 and 0 not in r0 and (1 not in r0 or -1 not in r0):
@@ -473,21 +500,11 @@ def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
         for b, (g00, g01, g10, g11) in enumerate(zip(r0, r0[1:], r1, r1[1:])):
             if g00 == g01 == g10 == g11 != 0:
                 continue  # a cell of one nonzero sign
-            for tri in _CELL_TRIANGLES:
-                corners = [((a + da) * nt + b + db, signs[a + da][b + db]) for da, db in tri]
-                seg = _triangle_ends(n, corners)
-                if seg is not None:
-                    ends.append(seg)
-
-    def vertex(v: int) -> tuple[Node, Fraction]:
-        return (s[v // nt], t[v % nt]), vals[v // nt][v % nt]
-
-    def point(name: int) -> Node:
-        if name < n:
-            return vertex(name)[0]
-        return _edge_zero(*vertex(name // n - 1), *vertex(name % n))
-
-    points = {name: point(name) for name in {name for end in ends for name in end}}
+            v = a * nt + b
+            for rule in (lower[g00, g10, g11], upper[g00, g11, g01]):
+                if rule is not None:
+                    (m0, c0), (m1, c1) = rule
+                    ends.append((m0 * v + c0, m1 * v + c1))
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -500,11 +517,24 @@ def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
     roots: dict[int, list[int]] = {}  # in the order of each component's first segment
     for idx, (x, _) in enumerate(ends):
         roots.setdefault(find(x), []).append(idx)
+    touches: dict[int, set[Fraction]] = {root: set() for root in roots}
+    rows = range(0, n, nt)
+    bottom = itertools.chain(rows, (_edge_name(n, v, v + nt) for v in rows[:-1]))
+    for name, (s, _) in _points(field, (name for name in bottom if name in parent)).items():
+        touches[find(name)].add(s)
     components = tuple(
-        ZeroComponent(index=comp_idx, segments=tuple(members), bottom_touches=tuple(sorted(
-            {p[0] for idx in members for p in map(points.get, ends[idx]) if p[1] == 0})))
-        for comp_idx, members in enumerate(roots.values())
+        ZeroComponent(index=comp_idx, segments=tuple(members),
+                      bottom_touches=tuple(sorted(touches[root])))
+        for comp_idx, (root, members) in enumerate(roots.items())
     )
+    return ends, components
+
+
+def extract_zero_set(field: HomotopyField) -> ZeroSetComplex:
+    """Per-triangle zero segments with exact endpoints, grouped into components:
+    the pass of :func:`_zero_pass`, then every endpoint name's coordinates."""
+    ends, components = _zero_pass(field)
+    points = _points(field, {name for end in ends for name in end})
     segments = tuple(ZeroSegment(points[x], points[y]) for x, y in ends)
     return ZeroSetComplex(segments=segments, components=components)
 
@@ -581,7 +611,7 @@ def attempt_homotopy_lift(
     for origin in assignment.values():
         if not 1 <= origin <= cfg.k:
             raise NonHausError(f"origin {origin} not in 1..{cfg.k}")
-    components = extract_zero_set(field).components
+    _, components = _zero_pass(field)
     if cfg.model is TopologyModel.QUOTIENT:
         groups = [(comp.index, (comp,), tuple((s, assignment[s]) for s in comp.bottom_touches))
                   for comp in components]

@@ -54,7 +54,7 @@ from .lifting import HomotopyField, LiftedPath, LiftProduct, PLPath
 
 
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return "%d/%d" % x.as_integer_ratio()
 
 
 def parse_frac(s: str) -> Fraction:

@@ -354,6 +354,16 @@ def test_zero_edge_without_plateau_accepted(capsys, tmp_path, rows, assign):
     assert code == 0, capsys.readouterr().err
 
 
+def test_homotopy_json_past_the_digit_limit(capsys, tmp_path):
+    # read_field takes 1e5000 exactly; writing its 5,001 digits meets Python's
+    # limit on converting an int to a string
+    path = tmp_path / "f.plfield"
+    path.write_text(plfield_2x2("1e5000 1 / 1 -1"))
+    line = rejected(capsys, "homotopy", "--field", str(path), "--assign", "", "--json")
+    assert line == ("error: Exceeds the limit (4300 digits) for integer string conversion; "
+                    "use sys.set_int_max_str_digits() to increase the limit")
+
+
 _SMALL_RATIONALS = st.sampled_from(["0", "0", "0/5", "1", "-1", "1/2", "-2/3", "3", "-3", "5/4"])
 _BOTTOM_VALUES = st.sampled_from(["0", "1", "1/2", "3"])
 _BAD_TOKENS = st.sampled_from(["1/0", "x", "", "1/2/3", "nan", "1e400", "--1", "0x1"])

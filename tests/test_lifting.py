@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -5,8 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import (
+    _edge_zero,
+    _triangle_zero_segment,
     brute_force_lifts,
     double_dip_path,
     random_fraction,
@@ -24,6 +28,7 @@ from nonhaus.lifting import (
     NoLift,
     NonUniqueExistence,
     PLPath,
+    ZeroSegment,
     ZeroSetComplex,
     attempt_homotopy_lift,
     bounce_path,
@@ -492,7 +497,7 @@ def assert_matches_reference(field: HomotopyField, rng: random.Random,
             cfg = SpaceConfig(3, model)
             got = lift_outcome(field, assignment, cfg, constancy)
             with monkeypatch.context() as m:
-                m.setattr(lifting, "extract_zero_set", reference_zero_set)
+                m.setattr(lifting, "_zero_pass", lambda f: (None, reference_zero_set(f).components))
                 want = lift_outcome(field, assignment, cfg, constancy)
             assert got == want
     return complex_
@@ -543,6 +548,103 @@ def test_zero_set_matches_reference_engine_on_large_rationals(monkeypatch):
         crossings += sum(1 for seg in complex_.segments for p in (seg.a, seg.b)
                          if p[0] not in s_breaks or p[1] not in t_breaks)
     assert crossings > 1000
+
+
+# The cell's lower then upper triangle, corner offsets in reading order.
+_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("corners", _TRIANGLES, ids=["lower", "upper"])
+def test_triangle_table_matches_reference(corners):
+    """Every nonzero sign triple, on either triangle of a cell: the table's
+    endpoint positions give the oracle's segment, endpoints in its order."""
+    assert len(lifting._TRIANGLE_ENDS) == 26
+    for signs in itertools.product((-1, 0, 1), repeat=3):
+        if not any(signs):
+            continue
+        # distinct magnitudes, so a crossing is not an edge midpoint
+        tri = tuple(((Fraction(da), Fraction(db)), Fraction(g * (i + 2), i + 1))
+                    for i, ((da, db), g) in enumerate(zip(corners, signs)))
+        rule = lifting._TRIANGLE_ENDS[signs]
+        want = _triangle_zero_segment(tri)
+        got = rule and ZeroSegment(*(tri[i][0] if i == j else _edge_zero(*tri[i], *tri[j])
+                                     for i, j in rule))
+        assert got == want, signs
+
+
+def test_one_cell_fields_match_reference():
+    """Every sign pattern of one cell that is not a plateau, through the whole engine."""
+    for cell in itertools.product((-1, 0, 1), repeat=4):
+        values = ((Fraction(cell[0], 3), Fraction(cell[1] * 2)),
+                  (Fraction(cell[2]), Fraction(cell[3], 5)))
+        if reference_plateau((0, 1), (0, 1), values) is None:
+            field = HomotopyField((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), values)
+            assert extract_zero_set(field) == reference_zero_set(field), cell
+
+
+# What planted_fields plants: a zero vertex on or off the bottom row, a sign
+# change along an s-edge (a, b)-(a+1, b), a t-edge (a, b)-(a, b+1) or a diagonal
+# (a, b)-(a+1, b+1), or an interior well, a vertex whose six neighbours all
+# have the other sign.
+FEATURES = ("bottom-zero", "inner-zero", "s-edge", "t-edge", "diagonal", "well")
+_VALUES = st.sampled_from([0, 0, 1, -1, 2, -3]) | st.builds(
+    Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def planted_fields(draw, feature: str) -> tuple[HomotopyField, set[int]]:
+    """A small field of ints and Fractions with the feature planted, and the
+    endpoint names the feature puts in the zero set."""
+    ns, nt = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    n = ns * nt
+    values = [[draw(_VALUES) for _ in range(nt)] for _ in range(ns)]
+    a, b = draw(st.integers(0, ns - 2)), draw(st.integers(0, nt - 2))
+    g = draw(st.sampled_from((1, -1)))
+    magnitude = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    if feature.endswith("zero"):
+        b = 0 if feature == "bottom-zero" else b + 1
+        values[a][b] = 0
+        names = {a * nt + b}
+    elif feature == "well":
+        a, b = draw(st.integers(1, ns - 2)), draw(st.integers(1, nt - 2))
+        ring = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+        values[a][b] = -g * draw(magnitude)
+        for da, db in ring:
+            values[a + da][b + db] = g * draw(magnitude)
+        v = a * nt + b
+        names = {lifting._edge_name(n, v, v + da * nt + db) for da, db in ring}
+    else:
+        da, db = {"s-edge": (1, 0), "t-edge": (0, 1), "diagonal": (1, 1)}[feature]
+        values[a][b], values[a + da][b + db] = g * draw(magnitude), -g * draw(magnitude)
+        names = {lifting._edge_name(n, a * nt + b, (a + da) * nt + b + db)}
+    s_breaks, t_breaks = (
+        (Fraction(0),) + tuple(Fraction(i, den) for i in sorted(draw(st.lists(
+            st.integers(1, den - 1), min_size=count - 2, max_size=count - 2, unique=True))))
+        + (Fraction(1),)
+        for count, den in ((ns, draw(st.sampled_from((7, 12, 24)))),
+                           (nt, draw(st.sampled_from((7, 12, 24))))))
+    assume(reference_plateau(s_breaks, t_breaks, values) is None)
+    return HomotopyField(s_breaks, t_breaks, tuple(map(tuple, values))), names
+
+
+@pytest.mark.parametrize("feature", FEATURES)
+@given(data=st.data())
+def test_name_pass_matches_both_engines(feature, data):
+    """The name-level components of the lifting verdict are extract_zero_set's
+    and the oracle's, index for index; the planted feature is in the zero set."""
+    field, names = data.draw(planted_fields(feature))
+    ends, components = lifting._zero_pass(field)
+    assert components == extract_zero_set(field).components
+    # the oracle divides values, so it reads them as Fractions
+    exact = HomotopyField(field.s_breaks, field.t_breaks,
+                          tuple(tuple(map(Fraction, row)) for row in field.values))
+    assert components == reference_zero_set(exact).components
+    found = {name for end in ends for name in end}
+    assert names <= found
+    if feature == "well":  # a closed loop of its own, off the bottom edge
+        comp = next(c for c in components if set(ends[c.segments[0]]) & names)
+        assert {name for idx in comp.segments for name in ends[idx]} == names
+        assert comp.bottom_touches == ()
 
 
 def test_constancy_flag_has_no_effect_in_quotient_model():

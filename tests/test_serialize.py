@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_force_lifts, double_dip_path
 
@@ -79,6 +80,27 @@ class TestFractionStrings:
     def test_parse(self):
         assert serialize.parse_frac("3/16") == Fraction(3, 16)
         assert serialize.parse_frac("-7") == Fraction(-7)
+
+
+# numerals of up to 4,300 digits, the limit on converting an int to a string
+# (values are drawn small enough to print; the test scales them past it)
+_NUMERALS = (st.integers(1, 4300) | st.integers(4201, 4300)).flatmap(
+    lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))
+_SMALL = st.integers(-10**6, 10**6)
+
+
+@example(0, 0, None)
+@example(-3, 0, 16)
+@example(10**4299, 1, None)
+@example(1, -1, 10**4299)
+@given(_SMALL | _NUMERALS | _NUMERALS.map(operator.neg), st.integers(-100, 100),
+       st.none() | st.integers(1, 10**6) | _NUMERALS)
+def test_frac_str_is_numerator_slash_denominator(num, shift, den):
+    """On an int (den None) or num/den scaled by 10^shift: the text of the numerator
+    and denominator properties, or the same ValueError past the limit."""
+    x = num * 10 ** abs(shift) if den is None else Fraction(num, den) * Fraction(10) ** shift
+    got = outcome(serialize.frac_str, x)
+    assert got == outcome(lambda v: f"{v.numerator}/{v.denominator}", x)
 
 
 class TestRoundTrips:
