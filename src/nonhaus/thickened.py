@@ -146,6 +146,7 @@ def _curve(spec: EmbeddingSpec, x: float) -> tuple[float, float, float]:
 
 def _sweep(u: float, v: float, norm: float, t: float) -> tuple[float, float]:
     """Sweep image at tube parameter t of the curve point (u, v) of that norm."""
+    # both column kernels inline this expression verbatim: change them with it
     return ((1 - t) * u + t * u / norm, (1 - t) * v + t * v / norm)
 
 
@@ -170,12 +171,13 @@ def _main_column(
     rho = sin
     first = bisect_left(radii, rho)  # the rows with r < rho have no preimage
     u, v, norm = _curve(EmbeddingSpec.MAIN_CURVE, math.tan(theta))
-    hypot = math.hypot
+    hypot, one = math.hypot, 1 - rho
     miss = list(range(first))
     for i in range(first, len(radii)):
         r = radii[i]
-        img = _sweep(u, v, norm, (r - rho) / (1 - rho))
-        if not hypot(img[0] - r * cos, img[1] - r * sin) <= tolerance:
+        t = (r - rho) / one  # the sweep, inlined
+        if not hypot((1 - t) * u + t * u / norm - r * cos,
+                     (1 - t) * v + t * v / norm - r * sin) <= tolerance:
             miss.append(i)
     return miss
 
@@ -203,12 +205,14 @@ def _spiral_column(
             last_n = n
             x = 1 / (theta + 2 * math.pi * n)
             rho = x / (1 + x)
+            one = 1 - rho
             u, v, norm = _curve(EmbeddingSpec.SPIRAL, x)
         if rho > r:
             miss.append(i)
             continue
-        img = _sweep(u, v, norm, (r - rho) / (1 - rho))
-        if not hypot(img[0] - r * cos, img[1] - r * sin) <= tolerance:
+        t = (r - rho) / one  # the sweep, inlined
+        if not hypot((1 - t) * u + t * u / norm - r * cos,
+                     (1 - t) * v + t * v / norm - r * sin) <= tolerance:
             miss.append(i)
     return miss
 
@@ -226,6 +230,13 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     order (by radius, then direction) and the lower-half point nearest
     (0, -1/2), the smallest (distance, r, theta) on a tie.  ``grid_n`` must
     lie in [8, MAX_GRID_N].
+
+    Every grid point gets its own float distance check.  The lower-half key
+    is r^2 + r sin + 1/4 (to 2 ulp), a parabola in r with vertex r* = -sin/2.
+    Of a column's misses on one side of r*, each but the nearest is a grid
+    step d farther out, so its key is at least d^2 (over 5e-8) larger, far
+    beyond float error: only the misses at k - 3 .. k + 2, k =
+    bisect_left(miss, bisect_left(radii, r*)), are keyed.
     """
     if grid_n < 8:
         raise NonHausError(f"grid must be at least 8x8, got {grid_n}")
@@ -233,6 +244,7 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
         raise NonHausError(f"grid {grid_n} exceeds the limit of {MAX_GRID_N}")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    tolerance = abs(tolerance)  # -0.0 is echoed as 0.0
     radii = [a / (grid_n - 1) for a in range(1, grid_n)]
     if spec is EmbeddingSpec.MAIN_CURVE:
         column = partial(_main_column, radii)
@@ -246,8 +258,11 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
         cos, sin = math.cos(theta), math.sin(theta)
         miss = column(theta, cos, sin, tolerance)
         covered += len(radii) - len(miss)
-        sample = sorted(sample + [(i, b, theta) for i in miss[:16]])[:16]
+        if miss and (len(sample) < 16 or miss[0] < sample[-1][0]):
+            sample = sorted(sample + [(i, b, theta) for i in miss[:16]])[:16]
         if sin < 0 and miss:  # v = r * sin takes the sign of sin: the lower half
+            k = bisect_left(miss, bisect_left(radii, -0.5 * sin))
+            miss = miss[max(k - 3, 0):k + 3]  # only the misses next to the vertex can win
             keys = [(radii[i] * cos - 0.0) ** 2 + (radii[i] * sin + 0.5) ** 2 for i in miss]
             key = min(keys)
             r = radii[miss[keys.index(key)]]  # the first minimum has the smallest r

@@ -39,6 +39,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         runs.append((f"deck-k{k}", ["deck", "--k", str(k)]))
     for embedding in ("main", "spiral"):
         runs.append((f"thick-{embedding}", ["thick", "--grid-n", "32", "--embedding", embedding]))
+    for grid_n, embedding in ((256, "main"), (256, "spiral"), (512, "spiral"), (768, "main")):
+        argv = ["thick", "--grid-n", str(grid_n), "--embedding", embedding]
+        runs.append((f"thick-{embedding}-n{grid_n}", argv))
     for stem, argv in runs:
         cases.append((f"{stem}.json", [*argv, "--json"]))
         cases.append((f"{stem}.txt", argv))

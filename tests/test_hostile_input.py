@@ -263,6 +263,20 @@ def test_thick_tolerance_rejected(capsys, value):
     assert "tolerance" in rejected(capsys, "thick", "--grid-n", "8", f"--tolerance={value}")
 
 
+@pytest.mark.parametrize("value, echo", [("-0.0", "0.0"), ("0", "0.0"), ("0.0", "0.0"),
+                                         ("1e-6", "1e-06"), ("0.25", "0.25")])
+def test_thick_tolerance_echo(capsys, tmp_path, value, echo):
+    # -0.0 passes the >= 0 check; it is echoed as 0.0 and covers what 0.0 covers
+    assert main(["thick", "--grid-n", "8", f"--tolerance={value}"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == f"thickened audit (embedding=main, grid=8, tolerance={echo})"
+    out = tmp_path / "t.json"
+    assert main(["thick", "--grid-n", "8", f"--tolerance={value}", "--json", "--out", str(out)]) == 0
+    assert f'"tolerance": {echo},' in out.read_text()
+    assert thickened.thick_audit(8, EmbeddingSpec.MAIN_CURVE, float(value)).covered == (
+        thickened.thick_audit(8, EmbeddingSpec.MAIN_CURVE, float(echo)).covered)
+
+
 def test_lift_count_over_limit_rejected(capsys, tmp_path):
     # 21 breakpoints of alternating sign: 20 zero times, 2^20 lifts at k = 2
     path = tmp_path / "p.plpath"

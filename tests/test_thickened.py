@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,16 @@ class TestColumnKernels:
             got = thick_audit(grid_n, spec, tolerance)
             assert got == reference_thick_audit(grid_n, spec, tolerance), grid_n
 
+    # The goldens thick-{main,spiral}-n256, thick-spiral-n512 and thick-main-n768
+    # pin those runs at the default 1e-6; the oracle takes the other benchmark runs.
+    BENCHMARK_RUNS = [(n, spec, 0.0) for n in (256, 512, 768) for spec in EmbeddingSpec] + [
+        (512, EmbeddingSpec.MAIN_CURVE, 1e-6), (768, EmbeddingSpec.SPIRAL, 1e-6)]
+
+    @pytest.mark.parametrize("grid_n, spec, tolerance", BENCHMARK_RUNS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_matches_reference_at_benchmark_grids(self, grid_n, spec, tolerance):
+        assert thick_audit(grid_n, spec, tolerance) == reference_thick_audit(grid_n, spec, tolerance)
+
     def test_spiral_point_reused_down_columns(self, monkeypatch):
         calls = 0
 
@@ -163,3 +174,67 @@ class TestColumnKernels:
         n = 256
         thick_audit(n, EmbeddingSpec.SPIRAL)
         assert 0 < calls < n * (n - 1) / 4
+
+
+class TestLowerHalfWindow:
+    """The witness search keys only the misses next to the key's vertex, yet
+    must pick the full scan's first minimum over the column's misses, by
+    index and by key."""
+
+    @staticmethod
+    def full_scan(grid_n, b, miss):
+        theta = 2 * math.pi * b / grid_n
+        cos, sin = math.cos(theta), math.sin(theta)
+        radii = [a / (grid_n - 1) for a in range(1, grid_n)]
+        keys = [(radii[i] * cos - 0.0) ** 2 + (radii[i] * sin + 0.5) ** 2 for i in miss]
+        key = min(keys)
+        return radii[miss[keys.index(key)]], key
+
+    @staticmethod
+    def windowed(monkeypatch, grid_n, b, miss):
+        """thick_audit with column b missing the rows ``miss`` and all others covered."""
+        theta = 2 * math.pi * b / grid_n
+
+        def one_column(radii, th, cos, sin, tolerance):
+            return list(miss) if th == theta else []
+
+        monkeypatch.setattr(thickened, "_main_column", one_column)
+        w = thick_audit(grid_n, EmbeddingSpec.MAIN_CURVE).lower_half_witness
+        assert w.theta == theta
+        return w.r, (w.u - 0.0) ** 2 + (w.v + 0.5) ** 2
+
+    def check(self, monkeypatch, grid_n, b, miss):
+        got = self.windowed(monkeypatch, grid_n, b, miss)
+        assert got == self.full_scan(grid_n, b, miss), (grid_n, b, miss)
+
+    @staticmethod
+    def lower_columns(grid_n):
+        return [b for b in range(grid_n) if math.sin(2 * math.pi * b / grid_n) < 0]
+
+    @pytest.mark.parametrize("grid_n", range(8, 201))
+    def test_every_column_of_small_grids(self, monkeypatch, grid_n):
+        for b in self.lower_columns(grid_n):
+            self.check(monkeypatch, grid_n, b, range(grid_n - 1))
+
+    def test_columns_at_the_grid_limit(self, monkeypatch):
+        n = thickened.MAX_GRID_N
+        lower = self.lower_columns(n)
+        near_vertex = [b for b in lower if abs(b - 3 * n // 4) <= 16]
+        for b in near_vertex + random.Random(4096).sample(lower, 32):
+            self.check(monkeypatch, n, b, range(n - 1))
+
+    def test_far_misses_on_either_side(self, monkeypatch):
+        # straight down the vertex is r* = 1/2: the miss at 1/63 has the smaller key
+        n = 64
+        self.check(monkeypatch, n, 3 * n // 4, [0, n - 2])
+        w = self.windowed(monkeypatch, n, 3 * n // 4, [0, n - 2])
+        assert w[0] == 1 / (n - 1)
+
+    @pytest.mark.parametrize("grid_n", [8, 9, 64, 255, 768, 4096])
+    def test_partly_missed_columns(self, monkeypatch, grid_n):
+        rng = random.Random(grid_n)
+        lower = self.lower_columns(grid_n)
+        for b in rng.sample(lower, min(len(lower), 12)):
+            for density in (0.02, 0.3, 0.9):
+                miss = [i for i in range(grid_n - 1) if rng.random() < density] or [0]
+                self.check(monkeypatch, grid_n, b, miss)
