@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -294,6 +293,30 @@ def recheck_monodromy(cert: MonodromyObstruction) -> list[str]:
 # Homotopy fields and the exact zero-set complex
 
 
+class RationalGrid:
+    """Exact rationals as tuples of rows: reduced numerators ``nums``, positive
+    denominators ``dens`` and numerator ``signs``.  The form is canonical, so grids
+    of equal values hold equal ints; ``grid[a]`` builds row a's Fractions."""
+
+    __slots__ = ("nums", "dens", "signs")
+
+    def __init__(self, nums: tuple[tuple[int, ...], ...], dens: tuple[tuple[int, ...], ...]) -> None:
+        self.nums, self.dens = nums, dens
+        self.signs = tuple([tuple([(n > 0) - (n < 0) for n in row]) for row in nums])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, a: int) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.nums[a], self.dens[a]))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RationalGrid and (self.nums, self.dens) == (other.nums, other.dens)
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.dens))
+
+
 @dataclass(frozen=True)
 class HomotopyField:
     """Coordinate field of a homotopy on a triangulated rational grid.
@@ -303,30 +326,32 @@ class HomotopyField:
     its upper-right corner; the field is affine on every triangle and
     continuous by shared vertex values.  A triangle whose three vertex
     values vanish is rejected: its zero set would be two-dimensional.
-    Breaks and values are kept as given, so they must be exact rationals
-    (``Fraction`` or ``int``), as :func:`~nonhaus.serialize.read_field` builds them.
+    Values are exact rationals (``Fraction`` or ``int``) and are held as a
+    :class:`RationalGrid`; rows given in any other form are converted to one.
     """
 
     s_breaks: tuple[Fraction, ...]
     t_breaks: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    values: RationalGrid
 
     def __post_init__(self) -> None:
         s, t = tuple(self.s_breaks), tuple(self.t_breaks)
-        vals = tuple(map(tuple, self.values))
+        vals = self.values
+        if type(vals) is not RationalGrid:  # rows of Fractions and ints
+            rows = tuple(map(tuple, vals))
+            vals = RationalGrid(tuple(tuple(v.numerator for v in row) for row in rows),
+                                tuple(tuple(v.denominator for v in row) for row in rows))
         for breaks in (s, t):
             if len(breaks) < 2 or breaks[0] != 0 or breaks[-1] != 1:
                 raise ValueError("grid breaks must span [0, 1]")
             if any(not a < b for a, b in zip(breaks, breaks[1:])):
                 raise ValueError("grid breaks must be strictly increasing")
-        if len(vals) != len(s) or any(len(row) != len(t) for row in vals):
+        if len(vals) != len(s) or any(len(row) != len(t) for row in vals.nums):
             raise ValueError("value grid does not match the breaks")
         object.__setattr__(self, "s_breaks", s)
         object.__setattr__(self, "t_breaks", t)
         object.__setattr__(self, "values", vals)
-        # value signs for the plateau check and the zero-set scan (a numerator's sign)
-        signs = tuple(map(_sign_row, vals))
-        object.__setattr__(self, "_signs", signs)
+        signs = vals.signs
         for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
             for b in range(len(t) - 1) if 0 in r0 and 0 in r1 else ():
                 for tri in _CELL_TRIANGLES:
@@ -341,29 +366,19 @@ class HomotopyField:
         s0, s1 = self.s_breaks[a], self.s_breaks[a + 1]
         t0, t1 = self.t_breaks[b], self.t_breaks[b + 1]
         fs, ft = (s - s0) / (s1 - s0), (t - t0) / (t1 - t0)
-        v00, v01 = self.values[a][b], self.values[a][b + 1]
-        v10, v11 = self.values[a + 1][b], self.values[a + 1][b + 1]
+        r0, r1 = self.values[a], self.values[a + 1]
+        v00, v01, v10, v11 = r0[b], r0[b + 1], r1[b], r1[b + 1]
         if ft <= fs:  # lower triangle: (s0,t0), (s1,t0), (s1,t1)
             return v00 + (v10 - v00) * fs + (v11 - v10) * ft
         return v00 + (v01 - v00) * ft + (v11 - v01) * fs
 
     def bottom_path(self) -> PLPath:
-        return PLPath(tuple((s, self.values[a][0]) for a, s in enumerate(self.s_breaks)))
+        return PLPath(tuple((s, Fraction(n[0], d[0])) for s, n, d in
+                            zip(self.s_breaks, self.values.nums, self.values.dens)))
 
     def top_path(self) -> PLPath:
-        return PLPath(tuple((s, self.values[a][-1]) for a, s in enumerate(self.s_breaks)))
-
-
-_slot_numerator = operator.attrgetter("_numerator")
-
-
-def _sign_row(row: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """Value signs, read from each Fraction's numerator slot without its property call."""
-    try:
-        nums = list(map(_slot_numerator, row))
-    except AttributeError:  # an int value: the public property
-        nums = [v.numerator for v in row]
-    return tuple([(n > 0) - (n < 0) for n in nums])
+        return PLPath(tuple((s, Fraction(n[-1], d[-1])) for s, n, d in
+                            zip(self.s_breaks, self.values.nums, self.values.dens)))
 
 
 # A cell's lower then upper triangle: vertex offsets from its corner, in reading order.
@@ -445,17 +460,17 @@ def _edge_name(n: int, p: int, q: int) -> int:
     return (min(p, q) + 1) * n + max(p, q)
 
 
-def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
+def _edge_zero(p: Node, a: int, b: int, q: Node, c: int, d: int) -> Node:
     """Exact zero of the affine function on the edge p-q (signs must differ).
 
-    With vp = a/b and vq = c/d the zero sits at lam = ad / (ad - cb) along
-    the edge, so a coordinate moving from x to y is (ad y - cb x) / (ad - cb):
+    With values a/b at p and c/d at q the zero sits at lam = ad / (ad - cb)
+    along the edge, so a coordinate moving from x to y is (ad y - cb x) / (ad - cb):
     one Fraction from integer cross-products, the same normalised value as
     x + lam (y - x).  A coordinate the edge does not move along (on the
     grid, one break object shared by both ends) is p's own; the formula
     gives the same value for equal coordinates that are distinct objects.
     """
-    wp, wq = vp.numerator * vq.denominator, vq.numerator * vp.denominator
+    wp, wq = a * d, c * b
     return tuple([
         x if x is y else Fraction(
             wp * y.numerator * x.denominator - wq * x.numerator * y.denominator,
@@ -466,11 +481,11 @@ def _edge_zero(p: Node, vp: Fraction, q: Node, vq: Fraction) -> Node:
 
 def _points(field: HomotopyField, names: Iterable[int]) -> dict[int, Node]:
     """Exact coordinates of the named endpoints."""
-    s, t, vals = field.s_breaks, field.t_breaks, field.values
+    s, t, nums, dens = field.s_breaks, field.t_breaks, field.values.nums, field.values.dens
     nt, n = len(t), len(s) * len(t)
 
-    def vertex(v: int) -> tuple[Node, Fraction]:
-        return (s[v // nt], t[v % nt]), vals[v // nt][v % nt]
+    def vertex(v: int) -> tuple[Node, int, int]:
+        return (s[v // nt], t[v % nt]), nums[v // nt][v % nt], dens[v // nt][v % nt]
 
     return {name: vertex(name)[0] if name < n else
             _edge_zero(*vertex(name // n - 1), *vertex(name % n)) for name in names}
@@ -485,7 +500,7 @@ def _zero_pass(field: HomotopyField) -> tuple[list[tuple[int, int]], tuple[ZeroC
     the bottom-row names, a vertex (a, 0) or the crossing inside the edge
     from it to (a + 1, 0): no other zero point has t = 0.
     """
-    signs = field._signs
+    signs = field.values.signs
     nt, n = len(field.t_breaks), len(field.s_breaks) * len(field.t_breaks)
     # _TRIANGLE_ENDS on the lower and upper triangle of a cell whose first vertex is v:
     # each endpoint's name as (m, c), the name being m * v + c

@@ -43,18 +43,23 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import re
 import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import attrgetter, floordiv
 from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
-from .lifting import HomotopyField, LiftedPath, LiftProduct, PLPath
+from .lifting import HomotopyField, LiftedPath, LiftProduct, PLPath, RationalGrid
 
 
 def frac_str(x: Fraction) -> str:
     return "%d/%d" % x.as_integer_ratio()
+
+
+def _grid_texts(grid: RationalGrid) -> list[list[str]]:  # each value's "n/d", row by row
+    return [list(map("%d/%d".__mod__, zip(nums, dens))) for nums, dens in zip(grid.nums, grid.dens)]
 
 
 def parse_frac(s: str) -> Fraction:
@@ -131,6 +136,8 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
     origin, args = get_origin(hint), get_args(hint)
     if hint in _SCALAR_JSON:
         return (frac_str if hint is Fraction else None), _strict(hint)
+    if hint is RationalGrid:  # read as Fraction rows, which HomotopyField holds as a grid
+        return _grid_texts, _converters(tuple[tuple[Fraction, ...], ...])[1]
     if dataclasses.is_dataclass(hint):
         return None, _instance_of((hint,))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -392,24 +399,28 @@ def _content_lines(text: str, header: str) -> list[tuple[int, str]]:
 _CANONICAL_LINE = re.compile(r"-?[0-9]+/0*[1-9][0-9]*(?: -?[0-9]+/0*[1-9][0-9]*)*")
 
 
-def _rationals(line: str) -> list[Fraction]:
-    """The rationals of one text line, as :func:`parse_frac` reads each token.
+def _ratios(line: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reduced numerators and positive denominators of one text line's rationals.
 
-    A canonical line becomes ints in one split and its Fractions are built
-    from (numerator, denominator) pairs; any other line (bare ints,
-    decimals, ``+1/2``, a zero denominator, tabs, non-ASCII digits) is read
-    token by token, so every value and error message is that of parse_frac.
+    A canonical line becomes ints in one split, divided only where some gcd
+    is not 1; any other line (bare ints, decimals, ``+1/2``, a zero
+    denominator, tabs, non-ASCII digits) is read token by token, so every
+    value and error message is that of :func:`parse_frac`.
     """
     if _CANONICAL_LINE.fullmatch(line):
         ints = list(map(int, line.replace("/", " ").split()))
-        return list(map(Fraction, ints[::2], ints[1::2]))
-    return [parse_frac(v) for v in line.split()]
+        nums, dens = ints[::2], ints[1::2]
+        gcds = list(map(math.gcd, nums, dens))
+        if gcds.count(1) < len(gcds):
+            nums, dens = map(floordiv, nums, gcds), map(floordiv, dens, gcds)
+        return tuple(nums), tuple(dens)
+    return tuple(zip(*(parse_frac(v).as_integer_ratio() for v in line.split())))
 
 
 def read_pl_path(text: str) -> PLPath:
     pts = []
     for no, ln in _content_lines(text, PLPATH_HEADER):
-        pair = _rationals(ln)
+        pair = list(map(Fraction, *_ratios(ln)))
         if len(pair) != 2:
             raise ValueError(f"plpath line {no}: expected two rationals 't x', "
                              f"got {len(pair)}")
@@ -421,17 +432,16 @@ def write_field(field: HomotopyField) -> str:
     lines = [PLFIELD_HEADER, f"{len(field.s_breaks)} {len(field.t_breaks)}"]
     lines.append(" ".join(frac_str(s) for s in field.s_breaks))
     lines.append(" ".join(frac_str(t) for t in field.t_breaks))
-    for row in field.values:
-        lines.append(" ".join(frac_str(v) for v in row))
+    lines += map(" ".join, _grid_texts(field.values))
     return "\n".join(lines) + "\n"
 
 
 def read_field(text: str) -> HomotopyField:
     """A field from its ``plfield v1`` text.
 
-    Every line of values goes through :func:`_rationals`: the rows
+    Every line of values goes through :func:`_ratios`: the rows
     :func:`write_field` emits are read as int pairs, any other spelling
-    token by token, with the same exact values either way.
+    token by token, with the same values either way, as the ints of a grid.
     """
     lines = _content_lines(text, PLFIELD_HEADER)
     if len(lines) < 3:
@@ -442,10 +452,10 @@ def read_field(text: str) -> HomotopyField:
         raise ValueError(f"plfield line {no}: expected the grid sizes 'ns nt', "
                          f"got {len(sizes)}")
     ns, nt = map(int, sizes)
-    s_breaks, t_breaks = (_rationals(ln) for _, ln in lines[1:3])
+    s_breaks, t_breaks = (list(map(Fraction, *_ratios(ln))) for _, ln in lines[1:3])
     if len(s_breaks) != ns or len(t_breaks) != nt:
         raise ValueError("grid dimensions do not match the break lines")
     if len(lines) != 3 + ns:
         raise ValueError(f"expected {ns} value rows, got {len(lines) - 3}")
-    rows = tuple(_rationals(ln) for _, ln in lines[3:])
-    return HomotopyField(s_breaks=s_breaks, t_breaks=t_breaks, values=rows)
+    nums, dens = zip(*(_ratios(ln) for _, ln in lines[3:]))
+    return HomotopyField(s_breaks, t_breaks, RationalGrid(nums, dens))

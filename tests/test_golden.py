@@ -10,6 +10,7 @@ After a deliberate format change, regenerate them with::
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,17 @@ HOMOTOPY_VARIANTS = (
     ("default", []),
     ("constancy", ["--paper-constancy"]),
     ("single-origin", ["--assign", "1/4=1,3/4=1"]),
+)
+# Fields read from a file under tests/golden/: (file stem, field file, options).  The
+# planted field has the shape of the `fields` benchmark (values over 127, three dips
+# and three wells); the mixed one spells values unreduced (2/4, -0/5, 007/03) and
+# off the canonical form (0.5, a bare 3, a double space).
+FIELD_RUNS = (
+    ("homotopy-field-planted-k4-quotient", "field-planted-48x40.plfield",
+     ["--k", "4", "--model", "quotient", "--assign",
+      "24/235=1,214/1927=1,861/2162=2,906/2209=2,1425/1927=3,673/846=3"]),
+    ("homotopy-field-mixed-k3-quotient", "field-mixed-4x3.plfield",
+     ["--k", "3", "--model", "quotient", "--assign", "2/9=1,4/5=2"]),
 )
 
 
@@ -37,6 +49,8 @@ def _cases() -> list[tuple[str, list[str]]]:
                 runs.append((f"homotopy-{variant}-k{k}-{model}", ["homotopy", *common, *extra]))
             runs.append((f"metric-k{k}-{model}", ["metric", *common]))
         runs.append((f"deck-k{k}", ["deck", "--k", str(k)]))
+    for stem, field, options in FIELD_RUNS:
+        runs.append((stem, ["homotopy", "--field", str(GOLDEN / field), *options]))
     for embedding in ("main", "spiral"):
         runs.append((f"thick-{embedding}", ["thick", "--grid-n", "32", "--embedding", embedding]))
     for grid_n, embedding in ((256, "main"), (256, "spiral"), (512, "spiral"), (768, "main")):
@@ -62,8 +76,24 @@ def test_output_matches_golden(name, argv, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _dump_argv(field: str, options: list[str], dump: Path, out: Path) -> list[str]:
+    return ["homotopy", "--field", str(GOLDEN / field), *options,
+            "--dump-field", str(dump), "--out", str(out)]
+
+
+@pytest.mark.parametrize("field,options", [run[1:] for run in FIELD_RUNS],
+                         ids=[run[1] for run in FIELD_RUNS])
+def test_dumped_field_matches_golden(field, options, tmp_path):
+    dump = tmp_path / field
+    assert main(_dump_argv(field, options, dump, tmp_path / "out")) == 0
+    assert dump.read_bytes() == (GOLDEN / f"dump-{field}").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         if main([*argv, "--out", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"{' '.join(argv)} failed")
+    for _, field, options in FIELD_RUNS:
+        if main(_dump_argv(field, options, GOLDEN / f"dump-{field}", Path(os.devnull))) != 0:
+            raise SystemExit(f"dumping {field} failed")

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -19,7 +20,7 @@ from conftest import (
     reference_zero_set,
     triple_dip_path,
 )
-from nonhaus import lifting
+from nonhaus import lifting, serialize
 from nonhaus.errors import NonHausError
 from nonhaus.lifting import (
     HomotopyField,
@@ -645,6 +646,29 @@ def test_name_pass_matches_both_engines(feature, data):
         comp = next(c for c in components if set(ends[c.segments[0]]) & names)
         assert {name for idx in comp.segments for name in ends[idx]} == names
         assert comp.bottom_touches == ()
+
+
+@given(data=st.data())
+def test_read_field_equals_built_field(data):
+    """A field built from rows of ints and Fractions equals, and hashes as, the
+    field read back from its text, and each gives the reference engine's
+    zero set and lifting outcomes."""
+    field, _ = data.draw(planted_fields(data.draw(st.sampled_from(FEATURES))))
+    read = serialize.read_field(serialize.write_field(field))
+    assert read == field and hash(read) == hash(field)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for f in (field, read):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_matches_reference(f, rng, monkeypatch)
+
+
+def test_package_uses_no_private_fraction_api():
+    """Fractions are read through their public attributes only, which every
+    supported Python keeps; the private slots and constructors may change."""
+    for path in Path(lifting.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for name in ("_numerator", "_denominator", "_normalize", "_from_coprime_ints"):
+            assert name not in text, f"{path.name} names {name}"
 
 
 def test_constancy_flag_has_no_effect_in_quotient_model():
