@@ -59,7 +59,8 @@ class PLPath:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        pts = [(Fraction(t), Fraction(x)) for t, x in self.breakpoints]
+        pts = [(t if type(t) is Fraction else Fraction(t), x if type(x) is Fraction else Fraction(x))
+               for t, x in self.breakpoints]
         if len(pts) < 2:
             raise ValueError("a path needs at least two breakpoints")
         if pts[0][0] != 0 or pts[-1][0] != 1:
@@ -70,7 +71,7 @@ class PLPath:
         normalized: list[tuple[Fraction, Fraction]] = []
         for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
             normalized.append((t0, x0))
-            if x0 * x1 < 0:
+            if x0 < 0 < x1 or x1 < 0 < x0:
                 root = t0 + (t1 - t0) * x0 / (x0 - x1)
                 normalized.append((root, Fraction(0)))
         normalized.append(pts[-1])
@@ -296,13 +297,26 @@ def recheck_monodromy(cert: MonodromyObstruction) -> list[str]:
 class RationalGrid:
     """Exact rationals as tuples of rows: reduced numerators ``nums``, positive
     denominators ``dens`` and numerator ``signs``.  The form is canonical, so grids
-    of equal values hold equal ints; ``grid[a]`` builds row a's Fractions."""
+    of equal values hold equal ints; ``grid[a]`` builds row a's Fractions.
 
-    __slots__ = ("nums", "dens", "signs")
+    ``lines`` holds each row's canonical text, ``"%d/%d"`` tokens joined by
+    single spaces, which the writers print: a row read as such text keeps its
+    line, any other is formatted on first use (a value too long to print
+    fails only when printed)."""
 
-    def __init__(self, nums: tuple[tuple[int, ...], ...], dens: tuple[tuple[int, ...], ...]) -> None:
-        self.nums, self.dens = nums, dens
+    __slots__ = ("nums", "dens", "signs", "_lines")
+
+    def __init__(self, nums: tuple[tuple[int, ...], ...], dens: tuple[tuple[int, ...], ...],
+                 lines: Optional[tuple[Optional[str], ...]] = None) -> None:
+        self.nums, self.dens, self._lines = nums, dens, lines or (None,) * len(nums)
         self.signs = tuple([tuple([(n > 0) - (n < 0) for n in row]) for row in nums])
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        if None in self._lines:
+            self._lines = tuple([ln or " ".join(map("%d/%d".__mod__, zip(n, d)))
+                                 for ln, n, d in zip(self._lines, self.nums, self.dens)])
+        return self._lines
 
     def __len__(self) -> int:
         return len(self.nums)

@@ -58,10 +58,6 @@ def frac_str(x: Fraction) -> str:
     return "%d/%d" % x.as_integer_ratio()
 
 
-def _grid_texts(grid: RationalGrid) -> list[list[str]]:  # each value's "n/d", row by row
-    return [list(map("%d/%d".__mod__, zip(nums, dens))) for nums, dens in zip(grid.nums, grid.dens)]
-
-
 def parse_frac(s: str) -> Fraction:
     """Exact rational from ``"n/d"``, ``"n"`` or a decimal; ValueError otherwise."""
     try:
@@ -136,8 +132,8 @@ def _converters(hint: Any) -> tuple[Optional[Converter], Converter]:
     origin, args = get_origin(hint), get_args(hint)
     if hint in _SCALAR_JSON:
         return (frac_str if hint is Fraction else None), _strict(hint)
-    if hint is RationalGrid:  # read as Fraction rows, which HomotopyField holds as a grid
-        return _grid_texts, _converters(tuple[tuple[Fraction, ...], ...])[1]
+    if hint is RationalGrid:  # written from its row texts; read as the Fraction rows it holds
+        return None, _converters(tuple[tuple[Fraction, ...], ...])[1]
     if dataclasses.is_dataclass(hint):
         return None, _instance_of((hint,))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
@@ -221,6 +217,8 @@ def encode(obj: Any) -> Any:
         return obj
     if isinstance(obj, (list, tuple, LiftProduct)):
         return [encode(v) for v in obj]
+    if type(obj) is RationalGrid:
+        return [ln.split() for ln in obj.lines]
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -278,7 +276,9 @@ def dumps(obj: Any) -> str:
     plus a newline, written in one walk over obj.  A lift product is written
     as the list of its lifts without building them: the lift frame with the
     base path in place once, each distinct option value once, and each lift
-    as one join of the texts its choices pick.
+    as one join of the texts its choices pick.  A field's grid is written from
+    its row texts: canonical (a line is kept only in the strict form with
+    every gcd 1), so each token is encode's ``"n/d"``, which JSON never escapes.
     """
     out = _pieces(obj, 0)
     out.append("\n")
@@ -305,6 +305,11 @@ def _pieces(obj: Any, depth: int) -> list[str]:
                 out.append("[]")
         elif cls is LiftProduct:
             _write_lift_product(out, value, depth)
+        elif cls is RationalGrid:  # quotes and a separator at each space of a row's text
+            opening, sep, closing = _list_frame(depth)
+            row_open, row_sep, row_close = _list_frame(depth + 1)
+            out.append(opening + sep.join([row_open + '"' + ln.replace(" ", '"' + row_sep + '"') + '"'
+                                           + row_close for ln in value.lines]) + closing)
         elif cls is _Slot:
             value.at = len(out)
         else:
@@ -326,7 +331,7 @@ def _pieces(obj: Any, depth: int) -> list[str]:
     def write_list(values: Any, depth: int) -> None:
         opening, sep, closing = _list_frame(depth)
         kinds = set(map(type, values))
-        if kinds <= _SCALARS:  # a deck-table row, a field's rationals: one join
+        if kinds <= _SCALARS:  # a deck-table row, a path's rationals: one join
             text = _quote if kinds == {str} else int.__repr__ if kinds == {int} else _scalar
             out.append(opening + sep.join(map(text, values)) + closing)
             return
@@ -394,33 +399,37 @@ def _content_lines(text: str, header: str) -> list[tuple[int, str]]:
     return lines[1:]
 
 
-# a line as write_pl_path and write_field emit it: single-space-separated
-# ASCII "n/d" tokens with a nonzero denominator
-_CANONICAL_LINE = re.compile(r"-?[0-9]+/0*[1-9][0-9]*(?: -?[0-9]+/0*[1-9][0-9]*)*")
+# a line in the token form that write_pl_path and write_field emit: single-space
+# separated ASCII "n/d" tokens with no sign but "-", no leading zero and no "-0"
+_STRICT_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)/[1-9][0-9]*(?: (?:0|-?[1-9][0-9]*)/[1-9][0-9]*)*")
 
 
-def _ratios(line: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The reduced numerators and positive denominators of one text line's rationals.
+def _ratios(line: str) -> tuple[tuple[int, ...], tuple[int, ...], Optional[str]]:
+    """The reduced numerators and positive denominators of one text line's
+    rationals, and the line itself if it is already their canonical text.
 
-    A canonical line becomes ints in one split, divided only where some gcd
-    is not 1; any other line (bare ints, decimals, ``+1/2``, a zero
-    denominator, tabs, non-ASCII digits) is read token by token, so every
-    value and error message is that of :func:`parse_frac`.
+    A line in the strict form becomes ints in one JSON parse, which takes
+    exactly that grammar and refuses an over-long numeral as ``int`` does;
+    with every gcd 1 it is kept, being the text the writers would format,
+    and otherwise divided by the gcds.  Any other line (``007/03``, ``-0/5``,
+    bare ints, decimals, ``+1/2``, a zero denominator, tabs, non-ASCII
+    digits) is read token by token, so every value and error message is that
+    of :func:`parse_frac`.
     """
-    if _CANONICAL_LINE.fullmatch(line):
-        ints = list(map(int, line.replace("/", " ").split()))
+    if _STRICT_LINE.fullmatch(line):
+        ints = json.loads("[" + line.replace("/", ",").replace(" ", ",") + "]")
         nums, dens = ints[::2], ints[1::2]
         gcds = list(map(math.gcd, nums, dens))
-        if gcds.count(1) < len(gcds):
-            nums, dens = map(floordiv, nums, gcds), map(floordiv, dens, gcds)
-        return tuple(nums), tuple(dens)
-    return tuple(zip(*(parse_frac(v).as_integer_ratio() for v in line.split())))
+        if gcds.count(1) == len(gcds):
+            return tuple(nums), tuple(dens), line
+        return tuple(map(floordiv, nums, gcds)), tuple(map(floordiv, dens, gcds)), None
+    return (*zip(*(parse_frac(v).as_integer_ratio() for v in line.split())), None)
 
 
 def read_pl_path(text: str) -> PLPath:
     pts = []
     for no, ln in _content_lines(text, PLPATH_HEADER):
-        pair = list(map(Fraction, *_ratios(ln)))
+        pair = list(map(Fraction, *_ratios(ln)[:2]))
         if len(pair) != 2:
             raise ValueError(f"plpath line {no}: expected two rationals 't x', "
                              f"got {len(pair)}")
@@ -432,16 +441,17 @@ def write_field(field: HomotopyField) -> str:
     lines = [PLFIELD_HEADER, f"{len(field.s_breaks)} {len(field.t_breaks)}"]
     lines.append(" ".join(frac_str(s) for s in field.s_breaks))
     lines.append(" ".join(frac_str(t) for t in field.t_breaks))
-    lines += map(" ".join, _grid_texts(field.values))
+    lines += field.values.lines
     return "\n".join(lines) + "\n"
 
 
 def read_field(text: str) -> HomotopyField:
     """A field from its ``plfield v1`` text.
 
-    Every line of values goes through :func:`_ratios`: the rows
-    :func:`write_field` emits are read as int pairs, any other spelling
-    token by token, with the same values either way, as the ints of a grid.
+    Every line of values goes through :func:`_ratios`, as the ints of a grid:
+    the rows :func:`write_field` emits as int pairs, keeping their lines (in
+    the strict form with every gcd 1, so canonical) for the writers to print,
+    and any other spelling token by token, with the same values either way.
     """
     lines = _content_lines(text, PLFIELD_HEADER)
     if len(lines) < 3:
@@ -452,10 +462,10 @@ def read_field(text: str) -> HomotopyField:
         raise ValueError(f"plfield line {no}: expected the grid sizes 'ns nt', "
                          f"got {len(sizes)}")
     ns, nt = map(int, sizes)
-    s_breaks, t_breaks = (list(map(Fraction, *_ratios(ln))) for _, ln in lines[1:3])
+    s_breaks, t_breaks = (list(map(Fraction, *_ratios(ln)[:2])) for _, ln in lines[1:3])
     if len(s_breaks) != ns or len(t_breaks) != nt:
         raise ValueError("grid dimensions do not match the break lines")
     if len(lines) != 3 + ns:
         raise ValueError(f"expected {ns} value rows, got {len(lines) - 3}")
-    nums, dens = zip(*(_ratios(ln) for _, ln in lines[3:]))
-    return HomotopyField(s_breaks, t_breaks, RationalGrid(nums, dens))
+    rows = zip(*(_ratios(ln) for _, ln in lines[3:]))  # nums, dens and kept lines
+    return HomotopyField(s_breaks, t_breaks, RationalGrid(*rows))

@@ -376,6 +376,21 @@ def test_homotopy_json_past_the_digit_limit(capsys, tmp_path):
     line = rejected(capsys, "homotopy", "--field", str(path), "--assign", "", "--json")
     assert line == ("error: Exceeds the limit (4300 digits) for integer string conversion; "
                     "use sys.set_int_max_str_digits() to increase the limit")
+    # the text report prints no value, so it is still written
+    assert main(["homotopy", "--field", str(path), "--assign", ""]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("numeral", ["1" + "0" * 4300, "-" + "9" * 4301, "0" + "1" * 4301],
+                         ids=["strict", "negative", "leading-zero"])
+@pytest.mark.parametrize("spelling", ["{}/3", "{}"], ids=["ratio", "bare"])
+def test_field_numeral_past_the_digit_limit(capsys, tmp_path, numeral, spelling):
+    # whichever reader takes the line, the error is int's own
+    with pytest.raises(ValueError) as limit:
+        int(numeral)
+    path = tmp_path / "f.plfield"
+    path.write_text(plfield_2x2(spelling.format(numeral) + " 1/1 / 1/1 1/1"))
+    line = rejected(capsys, "homotopy", "--field", str(path), "--assign", "")
+    assert line == f"error: {limit.value}"
 
 
 _SMALL_RATIONALS = st.sampled_from(["0", "0", "0/5", "1", "-1", "1/2", "-2/3", "3", "-3", "5/4"])

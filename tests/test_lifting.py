@@ -81,6 +81,26 @@ class TestPLPath:
         assert zero_times(path) == [Fraction(1, 2)]
         assert path.eval(Fraction(1, 2)) == 0
 
+    @given(st.data())
+    def test_mixed_breakpoints_normalize_to_reference(self, data):
+        """Breakpoints given as ints and Fractions, with zeros and sign changes,
+        come out as Fractions, each crossing inside a segment split at its root."""
+        n = data.draw(st.integers(2, 7))
+        inner = data.draw(st.lists(st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1),
+                                   min_size=n - 2, max_size=n - 2, unique=True))
+        ts = [Fraction(0)] + sorted(inner) + [Fraction(1)]
+        xs = data.draw(st.lists(st.integers(-3, 3).map(Fraction) | st.fractions(-3, 3, max_denominator=7),
+                                min_size=n, max_size=n))
+        spell = st.sampled_from([lambda v: v, lambda v: int(v) if v.denominator == 1 else v])
+        path = PLPath(tuple((data.draw(spell)(t), data.draw(spell)(x)) for t, x in zip(ts, xs)))
+        want = [(ts[0], xs[0])]
+        for (t0, x0), (t1, x1) in zip(zip(ts, xs), zip(ts[1:], xs[1:])):
+            if x0 and x1 and (x0 > 0) != (x1 > 0):  # the zero of the chord through both ends
+                want.append(((t0 * x1 - t1 * x0) / (x1 - x0), Fraction(0)))
+            want.append((t1, x1))
+        assert path.breakpoints == tuple(want)
+        assert all(type(v) is Fraction for pt in path.breakpoints for v in pt)
+
     def test_plateau_rejected(self):
         path = PLPath(
             ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(1)))

@@ -293,9 +293,45 @@ def oracle_ratios(values: list[Fraction]) -> tuple[tuple[int, ...], tuple[int, .
 def test_line_parser_matches_parse_frac(line):
     got = outcome(serialize._ratios, line)
     want = outcome(oracle_line, line)
-    assert got == (oracle_ratios(want) if type(want) is list else want)
-    if type(want) is list:
-        assert all(type(v) is int for v in got[0] + got[1])
+    if type(want) is not list:
+        assert got == want
+        return
+    nums, dens, kept = got
+    assert (nums, dens) == oracle_ratios(want)
+    assert all(type(v) is int for v in nums + dens)
+    # a line is kept exactly when it already is the canonical text of its values
+    assert kept == (line if line == " ".join(map(serialize.frac_str, want)) else None)
+
+
+# spellings of one value: canonical, reducible, zero in three forms, leading
+# zeros, 4,300-digit numerators, and tokens that only parse_frac reads
+_ROW_TOKENS = st.sampled_from([
+    "0/1", "-0/1", "-0/5", "2/4", "007/03", "10/5", "1/3", "-5/7", "9" * 4300 + "/7",
+    "-" + "9" * 4300 + "/1", "0.5", "3",
+])
+
+
+@given(st.integers(1, 3).flatmap(lambda half: st.lists(
+    st.lists(_ROW_TOKENS, min_size=half, max_size=half), min_size=2, max_size=3)))
+@example([["0/1", "-0/1", "-0/5", "2/4"], ["007/03", "10/5", "9" * 4300 + "/7", "0.5"],
+          ["1/3", "-5/7", "-" + "9" * 4300 + "/1", "3"]])
+def test_kept_rows_print_as_formatted_ints(tokens):
+    """write_field prints each row as its ints formatted afresh with "%d/%d",
+    whether the row's line was kept as read or its text was built."""
+    ns, nt = len(tokens), 2 * len(tokens[0])
+    # every other column is -1/2, so no triangle has three zero vertices
+    rows = [" ".join(tok + " -1/2" for tok in row) for row in tokens]
+    head = ["plfield v1", f"{ns} {nt}",
+            " ".join(serialize.frac_str(Fraction(a, ns - 1)) for a in range(ns)),
+            " ".join(serialize.frac_str(Fraction(b, nt - 1)) for b in range(nt))]
+    field = serialize.read_field("\n".join(head + rows) + "\n")
+    grid = field.values
+    fresh = [" ".join(map("%d/%d".__mod__, zip(nums, dens))) for nums, dens in zip(grid.nums, grid.dens)]
+    assert grid.lines == tuple(fresh)
+    # the ints are the tokens' values in lowest terms
+    assert fresh == [" ".join(map(serialize.frac_str, map(serialize.parse_frac, ln.split())))
+                     for ln in rows]
+    assert serialize.write_field(field) == "\n".join(head + fresh) + "\n"
 
 
 @st.composite
@@ -549,6 +585,31 @@ class TestWriter:
         assert product.count() == len(lifts)
         assert serialize.encode(product) == serialize.encode(lifts)
         assert serialize.dumps(product) == reference_text(lifts)
+
+    @given(st.integers(2, 4), st.lists(st.sampled_from(["kept", "reduced", "tokens"]),
+                                       min_size=5, max_size=5), st.sampled_from(list(TopologyModel)))
+    def test_homotopy_records_of_read_fields(self, nt, spellings, model):
+        """A record is written as json.dumps writes its encoding whether its field
+        was built in code or read from text, each row's line kept as read,
+        reduced by a gcd or read token by token."""
+        merging = make_merging_field()
+        t_breaks = tuple(Fraction(b, nt - 1) for b in range(nt))
+        bottom = [merging.values[a][0] for a in range(len(merging.s_breaks))]
+        built = HomotopyField(merging.s_breaks, t_breaks,
+                              tuple(tuple(v + t / 8 for t in t_breaks) for v in bottom))
+        spell = {"kept": serialize.frac_str,
+                 "reduced": lambda v: "%d/%d" % (3 * v.numerator, 3 * v.denominator),
+                 "tokens": lambda v: "%d/0%d" % (v.numerator, v.denominator)}
+        rows = [" ".join(map(spell[how], built.values[a])) for a, how in enumerate(spellings)]
+        read = serialize.read_field("\n".join(serialize.write_field(built).splitlines()[:4] + rows) + "\n")
+        assert read == built
+        assignment = {Fraction(1, 4): 1, Fraction(3, 4): 2}
+        texts = set()
+        for field in (built, read):
+            record = homotopy_lift_record(field, assignment, SpaceConfig(2, model), False)
+            assert serialize.dumps(record) == reference_text(record)
+            texts.add(serialize.dumps(record))
+        assert len(texts) == 1
 
     def test_lift_product_inside_a_list(self):
         product = lift_product(double_dip_path(), Regular(Fraction(3, 16)), Q3)
