@@ -54,7 +54,7 @@ class BasePoint:
     x: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "x", self.x if type(self.x) is Fraction else Fraction(self.x))
 
     @property
     def is_accumulation(self) -> bool:

@@ -58,8 +58,20 @@ def frac_str(x: Fraction) -> str:
     return "%d/%d" % x.as_integer_ratio()
 
 
+# one "n/d" token as frac_str writes it: ASCII digits, no sign but "-", no leading zero, no "-0"
+_STRICT_TOKEN = r"(?:0|-?[1-9][0-9]*)/[1-9][0-9]*"
+_strict_token = re.compile(_STRICT_TOKEN).fullmatch
+
+
 def parse_frac(s: str) -> Fraction:
-    """Exact rational from ``"n/d"``, ``"n"`` or a decimal; ValueError otherwise."""
+    """Exact rational from ``"n/d"``, ``"n"`` or a decimal; ValueError otherwise.
+
+    A strict token is read as its two ints, anything else by ``Fraction(s)``;
+    values and error texts agree, as ``Fraction`` passes on ``int``'s refusal
+    of an over-long numeral."""
+    if _strict_token(s):
+        n, d = s.split("/")
+        return Fraction(int(n), int(d))
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -279,6 +291,10 @@ def dumps(obj: Any) -> str:
     as one join of the texts its choices pick.  A field's grid is written from
     its row texts: canonical (a line is kept only in the strict form with
     every gcd 1), so each token is encode's ``"n/d"``, which JSON never escapes.
+    A list of ints (a deck-table row) is joined from the texts ``repr(i)`` of
+    the indices ``0..len(row) - 1``, held for this call only.  json.dumps
+    writes an int as ``int.__repr__``, so a looked-up text is its byte for
+    byte; a row with a negative int or one past the indices is formatted.
     """
     out = _pieces(obj, 0)
     out.append("\n")
@@ -288,6 +304,7 @@ def dumps(obj: Any) -> str:
 def _pieces(obj: Any, depth: int) -> list[str]:
     """The JSON text of obj written at depth, as a list of pieces."""
     out: list[str] = []
+    index_texts: dict[int, str] = {}  # i -> repr(i), grown to the longest int row met
 
     def write(value: Any, depth: int) -> None:
         cls = type(value)
@@ -329,11 +346,19 @@ def _pieces(obj: Any, depth: int) -> list[str]:
         out.append(inner[:-2] + "}")
 
     def write_list(values: Any, depth: int) -> None:
+        """A non-empty list; one of scalars in one join, an int row's texts by lookup."""
         opening, sep, closing = _list_frame(depth)
         kinds = set(map(type, values))
         if kinds <= _SCALARS:  # a deck-table row, a path's rationals: one join
-            text = _quote if kinds == {str} else int.__repr__ if kinds == {int} else _scalar
-            out.append(opening + sep.join(map(text, values)) + closing)
+            if kinds == {int}:  # each entry's text looked up, or formatted past the table
+                index_texts.update((i, repr(i)) for i in range(len(index_texts), len(values)))
+                try:
+                    text = sep.join(map(index_texts.__getitem__, values))
+                except KeyError:
+                    text = sep.join(map(int.__repr__, values))
+            else:
+                text = sep.join(map(_quote if kinds == {str} else _scalar, values))
+            out.append(opening + text + closing)
             return
         for value in values:
             out.append(opening)
@@ -399,9 +424,8 @@ def _content_lines(text: str, header: str) -> list[tuple[int, str]]:
     return lines[1:]
 
 
-# a line in the token form that write_pl_path and write_field emit: single-space
-# separated ASCII "n/d" tokens with no sign but "-", no leading zero and no "-0"
-_STRICT_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)/[1-9][0-9]*(?: (?:0|-?[1-9][0-9]*)/[1-9][0-9]*)*")
+# a line as write_pl_path and write_field emit it: strict tokens, single-space separated
+_STRICT_LINE = re.compile(f"{_STRICT_TOKEN}(?: {_STRICT_TOKEN})*")
 
 
 def _ratios(line: str) -> tuple[tuple[int, ...], tuple[int, ...], Optional[str]]:

@@ -76,7 +76,7 @@ class Regular:
     x: Fraction
 
     def __post_init__(self) -> None:
-        x = Fraction(self.x)
+        x = self.x if type(self.x) is Fraction else Fraction(self.x)
         if x == 0:
             raise NonHausError("regular points have nonzero coordinate")
         object.__setattr__(self, "x", x)
@@ -96,7 +96,8 @@ class RegularInterval:
     b: Fraction
 
     def __post_init__(self) -> None:
-        a, b = Fraction(self.a), Fraction(self.b)
+        a = self.a if type(self.a) is Fraction else Fraction(self.a)
+        b = self.b if type(self.b) is Fraction else Fraction(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not a < b:
@@ -113,7 +114,7 @@ class OriginChart:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
+        object.__setattr__(self, "eps", self.eps if type(self.eps) is Fraction else Fraction(self.eps))
         if self.index < 1:
             raise NonHausError(f"origin index must be >= 1, got {self.index}")
         if self.eps <= 0:
@@ -128,7 +129,7 @@ class Ball:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
+        object.__setattr__(self, "eps", self.eps if type(self.eps) is Fraction else Fraction(self.eps))
         if self.eps <= 0:
             raise NonHausError(f"ball radius must be positive, got {self.eps}")
 
@@ -184,7 +185,7 @@ def basic_open(p: CanonicalPoint, eps: Fraction, cfg: SpaceConfig) -> BasicOpen:
     needed so that its closure avoids 0; membership then stays exactly
     category-determined.
     """
-    eps = Fraction(eps)
+    eps = eps if type(eps) is Fraction else Fraction(eps)
     if eps <= 0:
         raise NonHausError(f"radius must be positive, got {eps}")
     if isinstance(p, Regular):
@@ -244,7 +245,8 @@ class InseparabilityRule:
     j: int
 
     def common_point(self, eps1: Fraction, eps2: Fraction) -> Regular:
-        eps1, eps2 = Fraction(eps1), Fraction(eps2)
+        eps1 = eps1 if type(eps1) is Fraction else Fraction(eps1)
+        eps2 = eps2 if type(eps2) is Fraction else Fraction(eps2)
         if eps1 <= 0 or eps2 <= 0:
             raise NonHausError("rule radii must be positive")
         return Regular(min(eps1, eps2) / 2)

@@ -48,7 +48,7 @@ class DeckElement:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(int(i) for i in self.images))
+        object.__setattr__(self, "images", tuple(map(int, self.images)))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise NonHausError(f"{self.images} is not a permutation of 1..{len(self.images)}")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import json
 import operator
 import os
@@ -301,6 +302,42 @@ def test_line_parser_matches_parse_frac(line):
     assert all(type(v) is int for v in nums + dens)
     # a line is kept exactly when it already is the canonical text of its values
     assert kept == (line if line == " ".join(map(serialize.frac_str, want)) else None)
+
+
+def _long_numeral(digits: int, lead: int, fill: int) -> str:
+    return str(lead) + str(fill) * (digits - 1)
+
+
+# around the 4,300-digit limit on int(str): numerators and denominators, signed
+_LONG_TOKENS = st.builds(
+    lambda sign, digits, lead, fill, other, long_den: (
+        f"{other}/{sign}{_long_numeral(digits, lead, fill)}" if long_den
+        else f"{sign}{_long_numeral(digits, lead, fill)}/{other}"),
+    st.sampled_from(["", "-", "+"]), st.integers(4299, 4302), st.integers(1, 9),
+    st.integers(0, 9), st.integers(1, 99), st.booleans())
+
+
+def stdlib_fraction(s: str):
+    """fractions.Fraction(s), with a zero denominator named as parse_frac documents it."""
+    try:
+        return fractions.Fraction(s)
+    except ZeroDivisionError:
+        return "ValueError", f"zero denominator in {s!r}"
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(_CANONICAL_TOKENS | _OTHER_TOKENS | _LONG_TOKENS | st.sampled_from([
+    "0/1", "-0/5", "007/3", "+1/2", "1/0", "-1/0", " 1/2", "1/2 ", "1_0/3", "0.5", "1e3", "-.5",
+    "\uff11/\uff12", "\u0661/2", "0/0", "", "/", "1/", "-", "1 /2"]))
+@example("-" + "9" * 4301 + "/3")
+@example("3/" + "9" * 4301)
+def test_parse_frac_matches_stdlib_fraction(token):
+    """The same value as fractions.Fraction, or the same exception type and message."""
+    got = outcome(serialize.parse_frac, token)
+    want = stdlib_fraction(token)
+    assert got == want
+    assert type(got) is type(want)
 
 
 # spellings of one value: canonical, reducible, zero in three forms, leading
@@ -610,6 +647,31 @@ class TestWriter:
             assert serialize.dumps(record) == reference_text(record)
             texts.add(serialize.dumps(record))
         assert len(texts) == 1
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, 0, 1], [0, -5], [-720, 719, 0]],
+        [[True, 0, 1], [1, True], [False], [0, 1.0, 2], [1, None, "1"]],
+        [[3, 4, 5], [0, 1, 2, 3, 4, 5, 6, 7], [7, 6], [10**30, 2], [8]],
+        [[0], [1], [-1], [5], [True]],
+    ], ids=["negatives", "bools-and-mixed", "past-the-row", "one-element"])
+    def test_int_rows(self, rows):
+        """Int rows are looked up while in 0..len - 1; every other row is formatted."""
+        for root in (rows, rows[::-1], [rows, rows[0]]):
+            assert serialize.dumps(root) == reference_text(root)
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 12) | st.booleans(), min_size=1, max_size=9),
+                    min_size=1, max_size=6))
+    def test_drawn_int_rows(self, rows):
+        assert serialize.dumps(rows) == reference_text(rows)
+
+    def test_k6_permutation_table(self):
+        """The 720 x 720 deck table, alone and inside its certificate, whose
+        elements' image rows hold the ints 1..6."""
+        group = deck_group(6)
+        assert len(group.table) == 720
+        for root in (group, [list(row) for row in group.table]):
+            assert serialize.dumps(root) == reference_text(root)
 
     def test_lift_product_inside_a_list(self):
         product = lift_product(double_dip_path(), Regular(Fraction(3, 16)), Q3)
