@@ -12,13 +12,12 @@ static and carry a citation note only.
 re-derives every certificate, and requires each certificate to prove the
 verdict of every cell that cites it.  That verdict is read from the
 certificate's own fields by the claim's rules, which call none of the
-functions that produced the certificate.  Several cells may cite one
-certificate: both quotient membership cells cite ``membership:quotient``,
-both quotient homotopy cells cite ``pi1-probe``, and the deck table proves
-both the symmetry row and the subgroup row.  The five universal cells of
-the pseudometric model (T1, local injectivity at the origins, the origin
-filter, pi1 and contractibility) cite one fact, that the origins lie at
-distance 0 from each other; each rule that reads it names its lemma.
+functions that produced the certificate.  Each fact is stored once and
+cited by every cell it proves: the quotient model's three chart cells cite
+``separated-charts:quotient``, the pseudometric model's five universal
+cells cite ``indistinguishable-origins:pseudometric`` (their rules name
+their lemmas), the deck table proves the symmetry and subgroup rows, and a
+failure that does not depend on the model is one ``:any`` record.
 """
 
 from __future__ import annotations
@@ -53,10 +52,8 @@ from .projection import (
     section_witness,
 )
 from .space import (
-    MembershipRecord,
     Origin,
     OriginChart,
-    Regular,
     SeparationVerdict,
     SpaceConfig,
     TopologyModel,
@@ -76,7 +73,7 @@ from .symmetry import (
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/4"
+SCHEMA_VERSION = "nonhaus-report/5"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -118,10 +115,10 @@ class ReportDocument:
 
 @dataclass(frozen=True)
 class ConnectedPreimageRecord:
-    """Joining paths showing the window preimage cannot split into sheets."""
+    """Joining paths showing the window preimage cannot split into sheets, in both
+    models: near each origin they run through small regular points, in its every open."""
 
     k: int
-    model: str
     eps: Fraction
     paths: tuple[OriginJoinPath, ...]
 
@@ -152,6 +149,16 @@ class IndistinguishableOrigins:
     model: str
 
 
+@dataclass(frozen=True)
+class SeparatedCharts:
+    """Each origin's chart (the origin and every nonzero |x| < eps, a basic open of
+    the quotient model) holds no other origin; re-checked for every pair of 1..k."""
+
+    k: int
+    model: str
+    eps: Fraction
+
+
 # ---------------------------------------------------------------------------
 # The declared claims table
 
@@ -170,37 +177,26 @@ def _shows(kind: type, verdict: str) -> Rules:
     return {kind: shown}
 
 
-def _separation(axiom: str) -> Rules:
-    def read(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
-        if v.holds:
-            # the origin pair is the only pair that can fail; a T2 witness proves T1 too
-            origins = all(isinstance(p, Origin) for p in v.pair)
-            return HOLDS if origins and v.axiom in (axiom, "T2") else None
-        # a rule gives a common point of the two origins' opens at any radii: no T2
-        return FAILS if v.axiom == axiom == "T2" else None
-
-    def inseparable(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> str:
-        """Lemma: every ball around origin i holds origin j, at distance 0, so no
-        open around one origin avoids another; T1 fails, and so does T2."""
-        return FAILS
-
-    return {SeparationVerdict: read, IndistinguishableOrigins: inseparable}
+def _t2_fails(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
+    """A negative T2 verdict's rule gives the origins' opens a common point at any radii,
+    in both models; a positive verdict, or one of another axiom, proves nothing."""
+    return FAILS if v.axiom == "T2" and not v.holds else None
 
 
-def _membership(if_excluded: str, if_indistinguishable: str) -> Rules:
-    """Verdicts proved by a chart that excludes another origin, or by origins at distance 0."""
+def _charts(if_separated: str, if_indistinguishable: str) -> Rules:
+    def separated(cert: SeparatedCharts, cfg: SpaceConfig) -> str:
+        """Lemma: each origin's chart avoids every other origin, so T1 holds (pairs with a
+        regular point separate by coordinate intervals); a chart holds one point over each
+        x in (-eps, eps), a bijection; chart 1 avoids origin 2, so the origin filters differ."""
+        return if_separated
 
-    def read(rec: MembershipRecord, cfg: SpaceConfig) -> Optional[str]:
-        excluded = any(isinstance(p, Origin) and not inside for p, inside in rec.entries)
-        return if_excluded if excluded else None
-
-    def one_filter(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> str:
-        """Lemma: a ball holding one origin holds every origin at distance 0 from it
-        (triangle inequality), so each basic open at an origin holds all k origins
-        over the one coordinate 0 and collapses onto no interval injectively."""
+    def indistinguishable(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> str:
+        """Lemma: a ball holding one origin holds every origin, at distance 0 from it: no
+        open around one origin avoids another (T1 fails), and every basic open at an origin
+        holds all k origins (one filter) over coordinate 0, so none collapses injectively."""
         return if_indistinguishable
 
-    return {MembershipRecord: read, IndistinguishableOrigins: one_filter}
+    return {SeparatedCharts: separated, IndistinguishableOrigins: indistinguishable}
 
 
 _LIFT_VERDICTS = {NoLift: FAILS, NonUniqueExistence: HOLDS_NON_UNIQUELY}
@@ -246,21 +242,20 @@ _CONTRACTS: Rules = {
 
 
 _ORIGINS_REF = "indistinguishable-origins:pseudometric"
+_CHARTS_REF = "separated-charts:quotient"
 
 # (claim id, statement, (quotient verdict, ref), (pseudometric verdict, ref), rules)
 CLAIMS = (
     ("separation-t1", "any two distinct points each lie in a basic open avoiding the other",
-     (HOLDS, "separation-t1:quotient"), (FAILS, _ORIGINS_REF), _separation("T1")),
+     (HOLDS, _CHARTS_REF), (FAILS, _ORIGINS_REF), _charts(HOLDS, FAILS)),
     ("separation-hausdorff", "any two distinct points have disjoint basic opens",
-     (FAILS, "separation-hausdorff:quotient"), (FAILS, "separation-hausdorff:pseudometric"),
-     _separation("T2")),
+     (FAILS, "separation-hausdorff:any"), (FAILS, "separation-hausdorff:any"),
+     {SeparationVerdict: _t2_fails}),
     ("locally-euclidean-at-origins",
      "each origin has a basic open collapsing bijectively onto a coordinate interval",
-     (HOLDS, "membership:quotient"), (FAILS, _ORIGINS_REF),
-     _membership(if_excluded=HOLDS, if_indistinguishable=FAILS)),
+     (HOLDS, _CHARTS_REF), (FAILS, _ORIGINS_REF), _charts(HOLDS, FAILS)),
     ("origin-filter-coincidence", "every basic open containing one origin contains all the others",
-     (FAILS, "membership:quotient"), (HOLDS, _ORIGINS_REF),
-     _membership(if_excluded=FAILS, if_indistinguishable=HOLDS)),
+     (FAILS, _CHARTS_REF), (HOLDS, _ORIGINS_REF), _charts(FAILS, HOLDS)),
     ("pi1-trivial", "every loop is null-homotopic",
      (FAILS, "pi1-probe"), (HOLDS, _ORIGINS_REF), _CONTRACTS),
     ("contractible", "the whole space contracts to a point",
@@ -269,13 +264,13 @@ CLAIMS = (
      (FAILS, "even-covering:quotient"), (FAILS, "even-covering:pseudometric"),
      _shows(EvenCoverFailure, FAILS)),
     ("branched-cover", "the projection splits small windows into disjoint local sheets",
-     (FAILS, "branched-cover:quotient"), (FAILS, "branched-cover:pseudometric"),
+     (FAILS, "branched-cover:any"), (FAILS, "branched-cover:any"),
      _shows(ConnectedPreimageRecord, FAILS)),
     ("etale-separated",
      "distinct germs of sections over the accumulation point are distinguishable",
      (FAILS, "etale-separated:any"), (FAILS, "etale-separated:any"), _shows(SectionWitness, FAILS)),
     ("unique-path-lifting", "a path and a start point determine at most one lift",
-     (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+     (FAILS, "path-lifting:any"), (FAILS, "path-lifting:any"), _PATH_LIFTS_FAIL),
     ("homotopy-lifting", "a homotopy extends any lift of its initial path",
      (FAILS, "homotopy-lifting:quotient"),
      (HOLDS_NON_UNIQUELY, "homotopy-lifting:pseudometric"), _LIFT_OUTCOME),
@@ -284,12 +279,12 @@ CLAIMS = (
      (FAILS, "homotopy-lifting:quotient"), (FAILS, "homotopy-lifting-constancy:pseudometric"),
      _LIFT_OUTCOME),
     ("monodromy-defined", "loops act on the fibre through lift endpoints",
-     (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+     (FAILS, "path-lifting:any"), (FAILS, "path-lifting:any"), _PATH_LIFTS_FAIL),
     ("deck-group-symmetric",
      "deck transformations realize every origin permutation (order {order})",
      (HOLDS, "deck-group:any"), (HOLDS, "deck-group:any"), _shows(DeckGroupTable, HOLDS)),
     ("semicovering", "the projection is a local homeomorphism with unique continuous lifting",
-     (FAILS, "path-lifting:quotient"), (FAILS, "path-lifting:pseudometric"), _PATH_LIFTS_FAIL),
+     (FAILS, "path-lifting:any"), (FAILS, "path-lifting:any"), _PATH_LIFTS_FAIL),
     ("subgroup-correspondence", "the projection arises from a subgroup of the base loop group",
      (FAILS, "deck-group:any"), (FAILS, "deck-group:any"),
      {DeckGroupTable: _deck_group_nontrivial}),
@@ -318,13 +313,6 @@ def claim_table(k: int) -> tuple[ClaimRecord, ...]:
     )
 
 
-def _chart_membership(k: int) -> MembershipRecord:
-    chart = OriginChart(1, Fraction(1))
-    entries = [(Origin(1), True)] + [(Origin(i), False) for i in range(2, k + 1)]
-    entries += [(Regular(Fraction(1, 2)), True), (Regular(Fraction(-1, 2)), True), (Regular(2), False)]
-    return MembershipRecord(open=chart, entries=tuple(entries))
-
-
 def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Fraction(1)) -> ReportDocument:
     """Build every certificate the claims table cites, for origin count cfg.k.
 
@@ -340,28 +328,24 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     pseudo = SpaceConfig(k, TopologyModel.PSEUDOMETRIC)
     field = make_merging_field()
     assignment = {Fraction(1, 4): 1, Fraction(3, 4): 2}
-    certs: dict[str, Any] = {}
+    probe = probe_loop(1, 2)
+    certs: dict[str, Any] = {
+        "separation-hausdorff:any": {v.axiom: v for v in separation_report(quotient)}["T2"],
+        "branched-cover:any": ConnectedPreimageRecord(
+            k=k, eps=eps, paths=tuple(preimage_connected_certificate(eps, quotient))),
+        "path-lifting:any": monodromy_verdict(x0, quotient),
+        _CHARTS_REF: SeparatedCharts(k=k, model=quotient.model.value, eps=eps),
+        "pi1-probe": LoopClassRecord(loop=probe, quotient_class=loop_class(probe, quotient)),
+        _ORIGINS_REF: IndistinguishableOrigins(k=k, model=pseudo.model.value),
+        "etale-separated:any": section_witness(eps, 1, 2, quotient),
+        "homotopy-lifting-constancy:pseudometric":
+            homotopy_lift_record(field, assignment, pseudo, True),
+        "deck-group:any": deck_group(k),
+    }
     for model_cfg in (quotient, pseudo):
         m = model_cfg.model.value
-        sep = {v.axiom: v for v in separation_report(model_cfg)}
-        certs[f"separation-hausdorff:{m}"] = sep["T2"]
         certs[f"even-covering:{m}"] = even_cover_certificate(eps, model_cfg)
-        certs[f"branched-cover:{m}"] = ConnectedPreimageRecord(
-            k=k, model=m, eps=eps, paths=tuple(preimage_connected_certificate(eps, model_cfg))
-        )
-        certs[f"path-lifting:{m}"] = monodromy_verdict(x0, model_cfg)
         certs[f"homotopy-lifting:{m}"] = homotopy_lift_record(field, assignment, model_cfg, False)
-
-    certs["separation-t1:quotient"] = {v.axiom: v for v in separation_report(quotient)}["T1"]
-    certs["membership:quotient"] = _chart_membership(k)
-    probe = probe_loop(1, 2)
-    certs["pi1-probe"] = LoopClassRecord(loop=probe, quotient_class=loop_class(probe, quotient))
-    certs[_ORIGINS_REF] = IndistinguishableOrigins(k=k, model=pseudo.model.value)
-    certs["etale-separated:any"] = section_witness(eps, 1, 2, quotient)
-    certs["homotopy-lifting-constancy:pseudometric"] = homotopy_lift_record(
-        field, assignment, pseudo, True
-    )
-    certs["deck-group:any"] = deck_group(k)
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         k=k,
@@ -398,14 +382,6 @@ def _recheck_separation(v: SeparationVerdict, k: int) -> list[str]:
     return []  # the rule's common point, min(e1, e2)/2, lies in both opens at any radii
 
 
-def _recheck_membership(rec: MembershipRecord, k: int) -> list[str]:
-    failures = [f"entry origin {p.index} is not in 1..{k}"
-                for p, _ in rec.entries if isinstance(p, Origin) and p.index > k]
-    if any(open_contains(rec.open, p) != inside for p, inside in rec.entries):
-        failures.append("membership mismatch")
-    return failures
-
-
 def _recheck_loop_class(rec: LoopClassRecord, k: int) -> list[str]:
     if loop_class(rec.loop, SpaceConfig(k, TopologyModel.QUOTIENT)) != rec.quotient_class:
         return ["quotient loop class does not reproduce"]
@@ -423,17 +399,26 @@ def _recheck_indistinguishable_origins(cert: IndistinguishableOrigins, k: int) -
             if (d := pseudo_dist(Origin(i), Origin(j))) != 0]
 
 
+def _recheck_separated_charts(cert: SeparatedCharts, k: int) -> list[str]:
+    """Chart i holds origin j exactly when i = j, for every i and j of the report's 1..k;
+    charts are basic opens of the quotient model only, and only of a positive radius."""
+    if cert.model != TopologyModel.QUOTIENT.value or cert.eps <= 0:
+        return [f"model {cert.model!r}, radius {cert.eps}: no chart of the quotient model"]
+    return [f"chart {i} {'holds' if i != j else 'misses'} origin {j}"
+            for i in range(1, k + 1) for j in range(1, k + 1)
+            if open_contains(OriginChart(i, cert.eps), Origin(j)) != (i == j)]
+
+
 # certificate type -> re-derivation of the certificate from its own fields and
 # the report's k
 _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
     SeparationVerdict: _recheck_separation,
-    MembershipRecord: _recheck_membership,
+    SeparatedCharts: _recheck_separated_charts,
     LoopClassRecord: _recheck_loop_class,
     IndistinguishableOrigins: _recheck_indistinguishable_origins,
     EvenCoverFailure: lambda c, k: recheck_even_cover(c),
     ConnectedPreimageRecord: lambda c, k: recheck_origin_join(
-        list(c.paths), SpaceConfig(c.k, TopologyModel(c.model)), c.eps
-    ),
+        list(c.paths), SpaceConfig(c.k), c.eps),
     SectionWitness: lambda c, k: recheck_section_witness(c),
     MonodromyObstruction: lambda c, k: recheck_monodromy(c),
     HomotopyLiftRecord: recheck_homotopy_record,

@@ -119,11 +119,25 @@ def _parse_assignment(text: str) -> dict[Fraction, int]:
         pieces = part.split("=")
         if len(pieces) != 2:
             raise ValueError(f"--assign: expected 'time=origin', got {part.strip()!r}")
-        t = serialize.parse_frac(pieces[0].strip())
+        time, origin = (piece.strip() for piece in pieces)
+        try:
+            t = serialize.parse_frac(time)
+        except ValueError as exc:
+            if str(exc) == f"zero denominator in {time!r}":
+                raise  # named as every rational input names it
+            raise _refused(exc, f"time {time!r} is not a rational") from None
         if t in out:
             raise ValueError(f"--assign: time {t} is given more than once")
-        out[t] = int(pieces[1])
+        try:
+            out[t] = int(origin)
+        except ValueError as exc:
+            raise _refused(exc, f"origin {origin!r} is not an integer") from None
     return out
+
+
+def _refused(exc: ValueError, text: str) -> ValueError:
+    # int's own refusal of an over-long numeral is passed on, as other inputs pass it on
+    return ValueError(f"--assign: {exc if str(exc).startswith('Exceeds the limit') else text}")
 
 
 def _cmd_homotopy(args: argparse.Namespace) -> str:
@@ -171,21 +185,16 @@ def _cmd_deck(args: argparse.Namespace) -> str:
         "faithful on origins: pass",
     ]
     if table.noncommuting_pair:
-        i, j = table.noncommuting_pair
-        lines.append(
-            f"non-commuting witness: {table.elements[i].images} and {table.elements[j].images}"
-        )
+        a, b = (table.elements[n].images for n in table.noncommuting_pair)
+        lines.append(f"non-commuting witness: {a} and {b}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_metric(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     verdicts = separation_report(cfg)
-    samples = [
-        (Origin(1), Origin(2)),
-        (Origin(2), Regular(Fraction(1, 2))),
-        (Regular(3), Regular(5)),
-    ]
+    samples = [(Origin(1), Origin(2)), (Origin(2), Regular(Fraction(1, 2))),
+               (Regular(3), Regular(5))]
     if args.json:
         distances = tuple((p, q, pseudo_dist(p, q)) for p, q in samples)
         return serialize.dumps(MetricSummary(cfg.model.value, tuple(verdicts), distances))

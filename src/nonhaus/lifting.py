@@ -250,29 +250,23 @@ class MonodromyObstruction:
     A fibre action by loops needs unique lifting; this certificate shows
     the prerequisite failing on the bounce path: all recorded lifts share
     their start point and project onto the same path, yet differ at a zero
-    time.  The basepoint is the path's start.
+    time.  The basepoint is the path's start.  Lift validity is local and
+    the same in both models (:func:`_breakpoint_fault`), and so is this fact.
     """
 
     k: int
-    model: str
     path: PLPath
     lifts: tuple[LiftedPath, ...]
 
 
 def monodromy_verdict(x0: Fraction, cfg: SpaceConfig) -> MonodromyObstruction:
     path = bounce_path(x0)
-    lifts = enumerate_lifts(path, Regular(Fraction(x0)), cfg)
-    return MonodromyObstruction(
-        k=cfg.k,
-        model=cfg.model.value,
-        path=path,
-        lifts=tuple(lifts),
-    )
+    return MonodromyObstruction(cfg.k, path, tuple(enumerate_lifts(path, Regular(x0), cfg)))
 
 
 def recheck_monodromy(cert: MonodromyObstruction) -> list[str]:
     failures: list[str] = []
-    cfg = SpaceConfig(cert.k, TopologyModel(cert.model))
+    cfg = SpaceConfig(cert.k)
     if len(cert.lifts) != cert.k:
         failures.append(f"expected {cert.k} lifts, certificate holds {len(cert.lifts)}")
     starts = {lift.start for lift in cert.lifts}

@@ -315,14 +315,6 @@ class MetricSummary:
     distances: tuple[tuple[CanonicalPoint, CanonicalPoint, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class MembershipRecord:
-    """A basic open together with recorded membership outcomes, re-checked in ``audit``."""
-
-    open: BasicOpen
-    entries: tuple[tuple[CanonicalPoint, bool], ...]
-
-
 class SequenceKind(Enum):
     """Closed-form catalog of regular-point sequences."""
 

@@ -12,6 +12,7 @@ from nonhaus.audit import (
     HOLDS_NON_UNIQUELY,
     NOT_CHECKED,
     IndistinguishableOrigins,
+    SeparatedCharts,
     _recheck_indistinguishable_origins,
     _recheck_separation,
     recheck_report,
@@ -26,6 +27,7 @@ from nonhaus.space import (
     SeparationVerdict,
     SpaceConfig,
     TopologyModel,
+    separation_report,
 )
 from nonhaus.symmetry import (
     ContractionCertificate,
@@ -156,8 +158,8 @@ def _swap_homotopy_certificate(doc):
 
 
 def _negative_quotient_t1(doc):
-    cert = dict(doc["certificates"])["separation-t1:quotient"]
-    cert.update(holds=False, opens=None, rule={"kind": "inseparability-rule", "i": 1, "j": 2})
+    # the negative T2 verdict relabelled T1, in place of the charts
+    _replace_certificate(doc, _CHARTS_REF, {**_certificate(doc, _HAUSDORFF_REF), "axiom": "T1"})
 
 
 def _cut_deck_table(doc):
@@ -178,6 +180,11 @@ def _origin_9_homotopy_assignment(doc):
 
 
 _ORIGINS_REF = "indistinguishable-origins:pseudometric"
+_CHARTS_REF = "separated-charts:quotient"
+_HAUSDORFF_REF = "separation-hausdorff:any"
+# the three quotient cells that cite the separated charts, in table order
+_CHART_CELLS = (("separation-t1", HOLDS), ("locally-euclidean-at-origins", HOLDS),
+                ("origin-filter-coincidence", FAILS))
 # the five pseudometric cells that cite the indistinguishable origins, in table order
 _ORIGIN_CELLS = (("separation-t1", FAILS), ("locally-euclidean-at-origins", FAILS),
                  ("origin-filter-coincidence", HOLDS), ("pi1-trivial", HOLDS),
@@ -202,7 +209,7 @@ def _subgroup_cites_probe(doc):
 
 
 def _monodromy_lifts(doc):
-    return dict(doc["certificates"])["path-lifting:quotient"]["lifts"]
+    return dict(doc["certificates"])["path-lifting:any"]["lifts"]
 
 
 def _repeated_lift(doc):
@@ -230,14 +237,18 @@ def _certificate(doc, ref):
     return dict(doc["certificates"])[ref]
 
 
+def _replace_certificate(doc, ref, cert):
+    doc["certificates"] = [[r, cert if r == ref else c] for r, c in doc["certificates"]]
+
+
 def _far_join_paths(doc):
-    for path in _certificate(doc, "branched-cover:quotient")["paths"]:
+    for path in _certificate(doc, "branched-cover:any")["paths"]:
         path["eps"] = "1000/1"
         path["breakpoints"][1][1] = {"kind": "regular", "x": "500/1"}
 
 
 def _repeated_join_path(doc):
-    cert = _certificate(doc, "branched-cover:quotient")
+    cert = _certificate(doc, "branched-cover:any")
     cert["paths"] = [cert["paths"][0]] * 2
 
 
@@ -263,40 +274,54 @@ def _wide_chart(doc):
     _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"]["eps"] = "5/1"
 
 
+_ORIGIN_1 = {"kind": "origin", "index": 1}
+
+
 def _t0_verdict_in_t1_cell(doc):
-    _certificate(doc, "separation-t1:quotient")["axiom"] = "T0"
+    _replace_certificate(doc, _CHARTS_REF, {
+        "kind": "separation-verdict", "axiom": "T0", "holds": True, "rule": None,
+        "pair": [_ORIGIN_1, {"kind": "origin", "index": 2}],
+        "opens": [{"kind": "origin-chart", "index": i, "eps": "1/1"} for i in (1, 2)]})
 
 
 def _origin_regular_pair_in_t1_cell(doc):
-    _certificate(doc, "separation-t1:quotient").update(
-        pair=[{"kind": "origin", "index": 1}, {"kind": "regular", "x": "1/2"}],
-        opens=[{"kind": "origin-chart", "index": 1, "eps": "1/4"},
-               {"kind": "regular-interval", "a": "1/4", "b": "3/4"}],
-    )
+    _replace_certificate(doc, _CHARTS_REF, {
+        "kind": "separation-verdict", "axiom": "T1", "holds": True, "rule": None,
+        "pair": [_ORIGIN_1, {"kind": "regular", "x": "1/2"}],
+        "opens": [{"kind": "origin-chart", "index": 1, "eps": "1/4"},
+                  {"kind": "regular-interval", "a": "1/4", "b": "3/4"}]})
 
 
 def _chart_record_without_other_origins(doc):
-    record = _certificate(doc, "membership:quotient")
-    record["entries"] = [e for e in record["entries"] if e[0] != {"kind": "origin", "index": 2}
-                         and e[0] != {"kind": "origin", "index": 3}]
+    # a k=3 report whose charts are checked against origins 1 and 2 only
+    _certificate(doc, _CHARTS_REF)["k"] = 2
 
 
-def _membership_entry_of_origin_9(doc):
-    _certificate(doc, "membership:quotient")["entries"][1][0]["index"] = 9
+def _charts_of_k_3(doc):
+    _certificate(doc, _CHARTS_REF)["k"] = 3
 
 
-def _regular_2_inside_the_chart(doc):
-    # entries: origin 1, origin 2, regular 1/2, regular -1/2, regular 2; the chart has radius 1
-    _certificate(doc, "membership:quotient")["entries"][4][1] = True
+def _charts_in_pseudometric_model(doc):
+    _certificate(doc, _CHARTS_REF)["model"] = "pseudometric"
+
+
+def _charts_of_radius(eps):
+    def tamper(doc):
+        _certificate(doc, _CHARTS_REF)["eps"] = eps
+    return tamper
+
+
+def _path_lifting_swapped_for_branched_cover(doc):
+    _replace_certificate(doc, "path-lifting:any", _certificate(doc, "branched-cover:any"))
 
 
 def _negative_verdict_of_regular_pair(doc):
-    _certificate(doc, "separation-hausdorff:quotient")["pair"] = [
+    _certificate(doc, _HAUSDORFF_REF)["pair"] = [
         {"kind": "regular", "x": "1/1"}, {"kind": "regular", "x": "2/1"}]
 
 
 def _negative_verdict_with_origin_7(doc):
-    _certificate(doc, "separation-hausdorff:pseudometric")["pair"][1]["index"] = 7
+    _certificate(doc, _HAUSDORFF_REF)["pair"][1]["index"] = 7
 
 
 def _quotient_record_with_constancy(doc):
@@ -305,10 +330,6 @@ def _quotient_record_with_constancy(doc):
 
 def _even_cover_of_other_model(doc):
     _certificate(doc, "even-covering:quotient")["model"] = "pseudometric"
-
-
-def _join_record_of_other_model(doc):
-    _certificate(doc, "branched-cover:quotient")["model"] = "pseudometric"
 
 
 def _lift_over_other_path(doc):
@@ -333,8 +354,7 @@ def _deck_table_twice(doc):
 
 
 def _negative_verdicts_relabelled(doc):
-    _certificate(doc, "separation-hausdorff:quotient")["axiom"] = "T1"
-    _certificate(doc, "separation-hausdorff:pseudometric")["axiom"] = "T0"
+    _certificate(doc, _HAUSDORFF_REF)["axiom"] = "T1"
 
 
 def _identity_twice(doc):
@@ -353,6 +373,11 @@ def _swapped_row_cells(row, a, b):
 
 _FAILED = "certificate re-check failed: "
 _PROVES_NOTHING = "{}: the table says {} but {} proves nothing"
+_CHARTS_PROVE_NOTHING = _FAILED + "; ".join(
+    _PROVES_NOTHING.format(f"{claim} (quotient)", verdict, _CHARTS_REF)
+    for claim, verdict in _CHART_CELLS)
+_NOT_QUOTIENT_CHARTS = (_FAILED + _CHARTS_REF
+                        + ": model {!r}, radius {}: no chart of the quotient model")
 _NOT_BASIC_OPENS = (_FAILED + "even-covering:quotient: witness (1,2): opens are not the basic "
                     "opens of origins 1 and 2 at radius 1")
 
@@ -362,7 +387,7 @@ _TAMPERS = [
     ("dropped-row", 2, _drop_semicovering, "semicovering"),
     ("reversed-rows", 2, _reverse_claims, "separation-t1"),
     ("swapped-certificate", 2, _swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
-    ("negative-t1", 2, _negative_quotient_t1, "separation-t1:quotient"),
+    ("negative-t1", 2, _negative_quotient_t1, _CHARTS_PROVE_NOTHING),
     ("cut-deck-table", 2, _cut_deck_table, "deck-group:any"),
     ("negative-deck-k", 2, _negative_deck_k, "deck-group:any"),
     ("abelian-noncommuting-pair", 2, _abelian_noncommuting_pair, "deck-group:any"),
@@ -378,19 +403,19 @@ _TAMPERS = [
      _FAILED + f"{_ORIGINS_REF}: model 'quotient': origins at distance 0 share their opens "
      "in the pseudometric model only"),
     ("origins-deleted", 2, _origins_deleted,
-     _FAILED + f"certificate 10: ref membership:quotient differs from the cited ref {_ORIGINS_REF}"),
+     _FAILED + f"certificate 9: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
     ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
      _FAILED + "claim 16: row subgroup-correspondence differs from the declared row "
      "subgroup-correspondence"),
-    ("repeated-lift", 2, _repeated_lift, "path-lifting:quotient: lifts are not pairwise distinct"),
+    ("repeated-lift", 2, _repeated_lift, "path-lifting:any: lifts are not pairwise distinct"),
     ("moved-lift-start", 2, _moved_lift_start,
-     "path-lifting:quotient: lifts do not share a start point"),
+     "path-lifting:any: lifts do not share a start point"),
     ("far-join-paths", 3, _far_join_paths, _FAILED + "; ".join(
-        f"branched-cover:quotient: path {n}: {msg}" for n in (0, 1) for msg in (
+        f"branched-cover:any: path {n}: {msg}" for n in (0, 1) for msg in (
             "window radius 1000 is not the record's 1",
             "breakpoint at t=1/2 leaves the window preimage"))),
     ("repeated-join-path", 3, _repeated_join_path,
-     _FAILED + "branched-cover:quotient: paths do not join origins 1..3 consecutively, in order"),
+     _FAILED + "branched-cover:any: paths do not join origins 1..3 consecutively, in order"),
     ("repeated-pair-witness", 3, _repeated_pair_witness,
      _FAILED + "even-covering:quotient: witnesses are not the origin pairs i < j of 1..3 in order"),
     ("foreign-pair-rule", 3, _foreign_pair_rule,
@@ -398,50 +423,47 @@ _TAMPERS = [
     ("open-of-origin-3", 3, _open_of_origin_3, _NOT_BASIC_OPENS),
     ("ball-as-chart", 3, _ball_as_chart, _NOT_BASIC_OPENS),
     ("wide-chart", 3, _wide_chart, _NOT_BASIC_OPENS),
-    ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _FAILED + _PROVES_NOTHING.format(
-        "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
-    ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell,
-     _FAILED + _PROVES_NOTHING.format(
-         "separation-t1 (quotient)", "holds", "separation-t1:quotient")),
-    # both quotient membership cells cite the one record
+    # the three quotient chart cells cite the one record of separated charts
+    ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _CHARTS_PROVE_NOTHING),
+    ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell, _CHARTS_PROVE_NOTHING),
     ("chart-record-without-other-origins", 3, _chart_record_without_other_origins,
-     _FAILED + "; ".join((
-         _PROVES_NOTHING.format("locally-euclidean-at-origins (quotient)", "holds",
-                                "membership:quotient"),
-         _PROVES_NOTHING.format("origin-filter-coincidence (quotient)", "fails",
-                                "membership:quotient")))),
-    ("membership-entry-of-origin-9", 2, _membership_entry_of_origin_9,
-     _FAILED + "membership:quotient: entry origin 9 is not in 1..2"),
-    ("regular-2-inside-the-chart", 2, _regular_2_inside_the_chart,
-     _FAILED + "membership:quotient: membership mismatch"),
+     _CHARTS_PROVE_NOTHING),
+    ("charts-of-k-3", 2, _charts_of_k_3, _CHARTS_PROVE_NOTHING),
+    ("charts-in-pseudometric-model", 2, _charts_in_pseudometric_model,
+     _NOT_QUOTIENT_CHARTS.format("pseudometric", 1)),
+    ("charts-of-radius-0", 2, _charts_of_radius("0/1"), _NOT_QUOTIENT_CHARTS.format("quotient", 0)),
+    ("charts-of-negative-radius", 2, _charts_of_radius("-1/1"),
+     _NOT_QUOTIENT_CHARTS.format("quotient", -1)),
+    # a record that both models cite proves only its own claims
+    ("path-lifting-swapped-for-branched-cover", 2, _path_lifting_swapped_for_branched_cover,
+     _FAILED + "; ".join(
+         _PROVES_NOTHING.format(f"{claim} ({model})", "fails", "path-lifting:any")
+         for claim in ("unique-path-lifting", "monodromy-defined", "semicovering")
+         for model in ("quotient", "pseudometric"))),
     # the charts are no basic opens of the pseudometric model
     ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + "; ".join(
         f"even-covering:quotient: witness ({i},{j}): opens are not the basic opens of "
         f"origins {i} and {j} at radius 1" for i, j in ((1, 2), (1, 3), (2, 3)))),
-    ("join-record-of-other-model", 3, _join_record_of_other_model,
-     _FAILED + _PROVES_NOTHING.format("branched-cover (quotient)", "fails",
-                                      "branched-cover:quotient")),
     ("lift-over-other-path", 3, _lift_over_other_path,
-     _FAILED + "path-lifting:quotient: lift 1 is over a different path"),
+     _FAILED + "path-lifting:any: lift 1 is over a different path"),
     ("lift-through-origin-k-plus-1", 3, _lift_through_origin_k_plus_1,
-     _FAILED + "path-lifting:quotient: lift 1 fails verification"),
+     _FAILED + "path-lifting:any: lift 1 fails verification"),
     ("deck-table-of-k-7", 3, _deck_table_of_k_7,
      _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
     # the certificates are exactly the cited refs, each once, in sorted order
     ("uncited-probe-copy", 2, _uncited_probe_copy,
-     _FAILED + "certificate 18: ref uncited:any differs from the cited ref (none)"),
+     _FAILED + "certificate 14: ref uncited:any differs from the cited ref (none)"),
     ("deck-table-twice", 2, _deck_table_twice,
-     _FAILED + "certificate 4: ref deck-group:any differs from the cited ref etale-separated:any"),
+     _FAILED + "certificate 3: ref deck-group:any differs from the cited ref etale-separated:any"),
     # a negative verdict proves T2 only
     ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join(
-        _PROVES_NOTHING.format(f"separation-hausdorff ({model})", "fails",
-                               f"separation-hausdorff:{model}")
+        _PROVES_NOTHING.format(f"separation-hausdorff ({model})", "fails", _HAUSDORFF_REF)
         for model in ("quotient", "pseudometric"))),
     # a negative verdict's pair is its rule's origins
     ("negative-verdict-of-regular-pair", 2, _negative_verdict_of_regular_pair,
-     _FAILED + "separation-hausdorff:quotient: T2: pair is not the rule's origins 1 and 2"),
+     _FAILED + f"{_HAUSDORFF_REF}: T2: pair is not the rule's origins 1 and 2"),
     ("negative-verdict-with-origin-7", 2, _negative_verdict_with_origin_7,
-     _FAILED + "separation-hausdorff:pseudometric: T2: pair is not the rule's origins 1 and 2"),
+     _FAILED + f"{_HAUSDORFF_REF}: T2: pair is not the rule's origins 1 and 2"),
     # the quotient model ignores the constancy rule, so a record that claims it proves nothing
     ("quotient-record-with-constancy", 2, _quotient_record_with_constancy, _FAILED + "; ".join(
         _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "homotopy-lifting:quotient")
@@ -523,14 +545,12 @@ class TestRecheckFailures:
         certs = tuple((ref, c) for ref, c in report.certificates if ref != "pi1-probe")
         bad = dataclasses.replace(report, certificates=certs)
         assert recheck_report(bad) == [
-            "certificate 14: ref separation-hausdorff:pseudometric differs from the cited "
-            "ref pi1-probe"]
+            "certificate 11: ref separated-charts:quotient differs from the cited ref pi1-probe"]
 
     def test_certificates_in_another_order(self, report):
         bad = dataclasses.replace(report, certificates=report.certificates[::-1])
         assert recheck_report(bad) == [
-            "certificate 1: ref separation-t1:quotient differs from the cited "
-            "ref branched-cover:pseudometric"]
+            f"certificate 1: ref {_HAUSDORFF_REF} differs from the cited ref branched-cover:any"]
 
     def test_indistinguishable_origins_prove_the_universal_cells(self, report):
         cert = report.certificate(_ORIGINS_REF)
@@ -543,12 +563,16 @@ class TestRecheckFailures:
         assert tuple(cells) == _ORIGIN_CELLS
 
     def test_membership_cited_once_per_model(self, report):
-        cells = {claim.claim_id: claim.certificate_refs for claim in report.claims}
-        assert cells["locally-euclidean-at-origins"] == cells["origin-filter-coincidence"] == (
-            ("quotient", "membership:quotient"), ("pseudometric", _ORIGINS_REF))
-        assert [ref for ref, _ in report.certificates if ref.startswith("membership:")] == [
-            "membership:quotient"]
-        assert len(report.certificates) == 17
+        # each model's chart cells cite one certificate
+        refs = {claim.claim_id: claim.certificate_refs for claim in report.claims}
+        assert {refs[claim] for claim, _ in _CHART_CELLS} == {
+            (("quotient", _CHARTS_REF), ("pseudometric", _ORIGINS_REF))}
+        assert report.certificate(_CHARTS_REF) == SeparatedCharts(2, "quotient", Fraction(1))
+        # a failure that does not depend on the model is one record that both models cite
+        for claim in ("separation-hausdorff", "branched-cover", "unique-path-lifting",
+                      "monodromy-defined", "semicovering"):
+            assert len(set(dict(refs[claim]).values())) == 1
+        assert len(report.certificates) == 13
 
     def test_contraction_stage_with_origin_9(self):
         # the report carries no contraction; the library certificate still re-checks alone
@@ -634,14 +658,15 @@ class TestRecheckBranches:
         assert _recheck_separation(verdict, 2) == failures
 
     def test_separation_accepts_the_produced_verdicts(self, report):
-        for ref in ("separation-t1:quotient", "separation-hausdorff:quotient",
-                    "separation-hausdorff:pseudometric"):
-            assert _recheck_separation(report.certificate(ref), 2) == []
+        assert _recheck_separation(report.certificate(_HAUSDORFF_REF), 2) == []
+        for cfg in (Q2, P2):
+            for verdict in separation_report(cfg):
+                assert _recheck_separation(verdict, 2) == []
 
     @pytest.mark.parametrize(
         "tamper, failures",
         [(_identity_only, ["deck-group:any: expected 2 distinct elements of degree 2"]),
-         (_without_deck_table, ["certificate 3: ref etale-separated:any differs from the "
+         (_without_deck_table, ["certificate 2: ref etale-separated:any differs from the "
                                 "cited ref deck-group:any"]),
          (lambda doc: _identity_only(_subgroup_citing(doc, "pi1-probe")),
           [_SUBGROUP_ROW_DIFFERS, "deck-group:any: expected 2 distinct elements of degree 2"]),
@@ -687,3 +712,17 @@ class TestIndistinguishableOrigins:
         assert _recheck_indistinguishable_origins(cert, 3) == [
             "origins 1 and 2 lie at distance 3/7", "origins 1 and 3 lie at distance 4/7",
             "origins 2 and 3 lie at distance 5/7"]
+
+
+class TestSeparatedCharts:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_every_origin_pair_is_checked(self, monkeypatch, k):
+        doc = run_audit(SpaceConfig(k))
+        contains = audit.open_contains
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                # only chart i's answer for origin j is flipped
+                monkeypatch.setattr(audit, "open_contains", lambda o, q, i=i, j=j: contains(
+                    o, q) != (isinstance(o, OriginChart) and (o.index, q) == (i, Origin(j))))
+                wrong = "holds" if i != j else "misses"
+                assert recheck_report(doc) == [f"{_CHARTS_REF}: chart {i} {wrong} origin {j}"]

@@ -82,11 +82,11 @@ def test_output_matches_golden(name, argv, tmp_path):
 # updates these digests by hand, with the reason stated.
 K6_DIGESTS = (
     ("audit-k6-quotient", ["audit", "--k", "6", "--json"],
-     "eda81b3569b857bfb23791ad1d48d136c5a776eab4af3fa76dcdf9601af505d4"),
+     "3d4b0503b8a1b7e0f5b74c7d9b302ef90d28d30fe75b8cdc95f3b2649569face"),
     ("audit-k6-pseudometric", ["audit", "--k", "6", "--model", "pseudometric", "--json"],
-     "aed3d76c9bfbb008f192ac97cb1c7a9a5e06438a24d69915a5fd6c4864c5fdd5"),
+     "530bd16acd0e6e321b4fd005b845f5e7982eabc48fec244cfdf0583fda1316ba"),
     ("audit-k6-eps-x0", ["audit", "--k", "6", "--eps", "3/7", "--x0", "5/3", "--json"],
-     "9c7ad525166407f223795189d95375bb2b15d5ab8f300f18d1bca7c6e4e8e698"),
+     "e5f6785002cf1c71d8f32e69a497aad8ca34d3535f4bf906e6271ee026a25d50"),
     ("deck-k6", ["deck", "--k", "6", "--json"],
      "b3505cfcb80f71116f291a7b7a0b71d366baeefca141455cf5517c02fc9dfeba"),
 )

@@ -412,11 +412,11 @@ KINDS = (
     "deck-element", "deck-group-table", "even-cover-failure", "grid-witness",
     "homotopy-field", "homotopy-lift-record", "indistinguishable-origins",
     "inseparability-rule", "labeled-loop", "lifted-path", "lifts-enumerated",
-    "loop-class-record", "membership-record", "metric-summary", "monodromy-obstruction",
+    "loop-class-record", "metric-summary", "monodromy-obstruction",
     "no-lift", "non-unique-existence", "origin", "origin-chart", "origin-join-path",
     "pair-witness", "pl-path", "reduced-word", "regular", "regular-interval",
-    "report-document", "section-witness", "separation-verdict", "thick-audit-report",
-    "verdict-row",
+    "report-document", "section-witness", "separated-charts", "separation-verdict",
+    "thick-audit-report", "verdict-row",
 )
 
 

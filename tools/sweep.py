@@ -45,15 +45,16 @@ EXISTENTIAL: dict[tuple[str, str], str] = {
     ("homotopy-lift-record", "assignment"):
         "every assignment in 1..k extends non-uniquely in the pseudometric model without "
         "constancy, so homotopy-lifting still holds non-uniquely",
-    ("origin-chart", "eps"):
-        "a chart of any radius holds its origin and no other, re-derived by open_contains: "
-        "T1 and local Euclideanity still hold and the origin filters still differ",
     ("origin-join-path", "breakpoints"):
         "the times only parametrize a chain from origin i to origin i+1 inside the window "
         "preimage, so the preimage is still connected and branched-cover still fails",
     ("regular", "x"):
         "a join path's via point anywhere in the punctured window still joins the origins "
-        "(branched-cover fails); a regular membership entry is re-derived by open_contains",
+        "(branched-cover fails)",
+    ("separated-charts", "eps"):
+        "charts of any positive radius hold only their own origin, and the re-check derives "
+        "this again for every i and j: T1 and local Euclideanity still hold and the origin "
+        "filters still differ",
     ("section-witness", "eps"):
         "two sections over any nonempty window agree off the accumulation point and differ "
         "there, so etale-separated still fails",
