@@ -18,6 +18,15 @@ cited by every cell it proves: the quotient model's three chart cells cite
 cells cite ``indistinguishable-origins:pseudometric`` (their rules name
 their lemmas), the deck table proves the symmetry and subgroup rows, and a
 failure that does not depend on the model is one ``:any`` record.
+
+Each value is stored once (``nonhaus-report/6``): re-checks take k from the
+report and rules take the model from the cell they prove, so no record restates
+them or a value its other fields give.  The charts and origins records carry no
+k or model, the branched-cover and monodromy records no k, the monodromy record
+no path (each lift has its base), a join path no window (its record's), a pair
+witness no rule (its pair's) and a section witness no disagreement (origins i
+and j).  The deck table, the even-cover failure and the homotopy record keep
+their own k or model, as other readers take them alone.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ from .symmetry import (
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/5"
+SCHEMA_VERSION = "nonhaus-report/6"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -118,7 +127,6 @@ class ConnectedPreimageRecord:
     """Joining paths showing the window preimage cannot split into sheets, in both
     models: near each origin they run through small regular points, in its every open."""
 
-    k: int
     eps: Fraction
     paths: tuple[OriginJoinPath, ...]
 
@@ -142,20 +150,15 @@ class IndistinguishableOrigins:
     The pseudometric model's basic opens are the balls of ``pseudo_dist``,
     which reads points only through their coordinate, and every origin sits
     over 0.  The claim rules draw the model's universal verdicts from this
-    one fact, each naming its lemma.
+    one fact, each naming its lemma; its re-check covers the report's k.
     """
-
-    k: int
-    model: str
 
 
 @dataclass(frozen=True)
 class SeparatedCharts:
     """Each origin's chart (the origin and every nonzero |x| < eps, a basic open of
-    the quotient model) holds no other origin; re-checked for every pair of 1..k."""
+    the quotient model) holds no other origin; re-checked for every pair of the report's 1..k."""
 
-    k: int
-    model: str
     eps: Fraction
 
 
@@ -184,17 +187,18 @@ def _t2_fails(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
 
 
 def _charts(if_separated: str, if_indistinguishable: str) -> Rules:
-    def separated(cert: SeparatedCharts, cfg: SpaceConfig) -> str:
+    def separated(cert: SeparatedCharts, cfg: SpaceConfig) -> Optional[str]:
         """Lemma: each origin's chart avoids every other origin, so T1 holds (pairs with a
         regular point separate by coordinate intervals); a chart holds one point over each
-        x in (-eps, eps), a bijection; chart 1 avoids origin 2, so the origin filters differ."""
-        return if_separated
+        x in (-eps, eps), a bijection; chart 1 avoids origin 2, so the origin filters differ.
+        Charts are basic opens of the quotient model only."""
+        return if_separated if cfg.model is TopologyModel.QUOTIENT else None
 
-    def indistinguishable(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> str:
+    def indistinguishable(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> Optional[str]:
         """Lemma: a ball holding one origin holds every origin, at distance 0 from it: no
         open around one origin avoids another (T1 fails), and every basic open at an origin
         holds all k origins (one filter) over coordinate 0, so none collapses injectively."""
-        return if_indistinguishable
+        return if_indistinguishable if cfg.model is TopologyModel.PSEUDOMETRIC else None
 
     return {SeparatedCharts: separated, IndistinguishableOrigins: indistinguishable}
 
@@ -214,12 +218,12 @@ _LIFT_OUTCOME: Rules = {HomotopyLiftRecord: _lift_outcome}
 _PATH_LIFTS_FAIL = _shows(MonodromyObstruction, FAILS)
 
 
-def _contracts(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> str:
+def _contracts(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> Optional[str]:
     """Lemma: the Kolmogorov quotient, which identifies points at distance 0, is
     the line with its usual metric, and a space's map onto its Kolmogorov quotient
-    is a homotopy equivalence; so the space contracts and every loop is
+    is a homotopy equivalence; so the pseudometric space contracts and every loop is
     null-homotopic."""
-    return HOLDS
+    return HOLDS if cfg.model is TopologyModel.PSEUDOMETRIC else None
 
 
 def _probe_not_null(rec: LoopClassRecord, cfg: SpaceConfig) -> Optional[str]:
@@ -332,11 +336,11 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     certs: dict[str, Any] = {
         "separation-hausdorff:any": {v.axiom: v for v in separation_report(quotient)}["T2"],
         "branched-cover:any": ConnectedPreimageRecord(
-            k=k, eps=eps, paths=tuple(preimage_connected_certificate(eps, quotient))),
+            eps=eps, paths=tuple(preimage_connected_certificate(eps, quotient))),
         "path-lifting:any": monodromy_verdict(x0, quotient),
-        _CHARTS_REF: SeparatedCharts(k=k, model=quotient.model.value, eps=eps),
+        _CHARTS_REF: SeparatedCharts(eps=eps),
         "pi1-probe": LoopClassRecord(loop=probe, quotient_class=loop_class(probe, quotient)),
-        _ORIGINS_REF: IndistinguishableOrigins(k=k, model=pseudo.model.value),
+        _ORIGINS_REF: IndistinguishableOrigins(),
         "etale-separated:any": section_witness(eps, 1, 2, quotient),
         "homotopy-lifting-constancy:pseudometric":
             homotopy_lift_record(field, assignment, pseudo, True),
@@ -383,17 +387,16 @@ def _recheck_separation(v: SeparationVerdict, k: int) -> list[str]:
 
 
 def _recheck_loop_class(rec: LoopClassRecord, k: int) -> list[str]:
+    labels = [origin for _, origin in rec.loop.labels]
+    if not all(1 <= origin <= k for origin in labels):
+        return [f"loop labels {labels} are not origins of 1..{k}"]
     if loop_class(rec.loop, SpaceConfig(k, TopologyModel.QUOTIENT)) != rec.quotient_class:
         return ["quotient loop class does not reproduce"]
     return []
 
 
 def _recheck_indistinguishable_origins(cert: IndistinguishableOrigins, k: int) -> list[str]:
-    """Distance 0 between every two of the report's k origins; a record of another k
-    is out of scope of every cell, and the lemmas hold only in the pseudometric model."""
-    if cert.model != TopologyModel.PSEUDOMETRIC.value:
-        return [f"model {cert.model!r}: origins at distance 0 share their opens in the "
-                "pseudometric model only"]
+    """Distance 0 between every two of the report's k origins."""
     return [f"origins {i} and {j} lie at distance {d}"
             for i in range(1, k + 1) for j in range(i + 1, k + 1)
             if (d := pseudo_dist(Origin(i), Origin(j))) != 0]
@@ -401,9 +404,9 @@ def _recheck_indistinguishable_origins(cert: IndistinguishableOrigins, k: int) -
 
 def _recheck_separated_charts(cert: SeparatedCharts, k: int) -> list[str]:
     """Chart i holds origin j exactly when i = j, for every i and j of the report's 1..k;
-    charts are basic opens of the quotient model only, and only of a positive radius."""
-    if cert.model != TopologyModel.QUOTIENT.value or cert.eps <= 0:
-        return [f"model {cert.model!r}, radius {cert.eps}: no chart of the quotient model"]
+    a chart needs a positive radius."""
+    if cert.eps <= 0:
+        return [f"radius {cert.eps}: no chart of the quotient model"]
     return [f"chart {i} {'holds' if i != j else 'misses'} origin {j}"
             for i in range(1, k + 1) for j in range(1, k + 1)
             if open_contains(OriginChart(i, cert.eps), Origin(j)) != (i == j)]
@@ -417,10 +420,9 @@ _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
     LoopClassRecord: _recheck_loop_class,
     IndistinguishableOrigins: _recheck_indistinguishable_origins,
     EvenCoverFailure: lambda c, k: recheck_even_cover(c),
-    ConnectedPreimageRecord: lambda c, k: recheck_origin_join(
-        list(c.paths), SpaceConfig(c.k), c.eps),
-    SectionWitness: lambda c, k: recheck_section_witness(c),
-    MonodromyObstruction: lambda c, k: recheck_monodromy(c),
+    ConnectedPreimageRecord: lambda c, k: recheck_origin_join(list(c.paths), SpaceConfig(k), c.eps),
+    SectionWitness: recheck_section_witness,
+    MonodromyObstruction: recheck_monodromy,
     HomotopyLiftRecord: recheck_homotopy_record,
     DeckGroupTable: lambda c, k: recheck_deck_group(c),
 }

@@ -249,32 +249,30 @@ class MonodromyObstruction:
 
     A fibre action by loops needs unique lifting; this certificate shows
     the prerequisite failing on the bounce path: all recorded lifts share
-    their start point and project onto the same path, yet differ at a zero
-    time.  The basepoint is the path's start.  Lift validity is local and
+    their start point and project onto the first one's path, yet differ at a
+    zero time.  The basepoint is the path's start.  Lift validity is local and
     the same in both models (:func:`_breakpoint_fault`), and so is this fact.
     """
 
-    k: int
-    path: PLPath
     lifts: tuple[LiftedPath, ...]
 
 
 def monodromy_verdict(x0: Fraction, cfg: SpaceConfig) -> MonodromyObstruction:
-    path = bounce_path(x0)
-    return MonodromyObstruction(cfg.k, path, tuple(enumerate_lifts(path, Regular(x0), cfg)))
+    return MonodromyObstruction(tuple(enumerate_lifts(bounce_path(x0), Regular(x0), cfg)))
 
 
-def recheck_monodromy(cert: MonodromyObstruction) -> list[str]:
+def recheck_monodromy(cert: MonodromyObstruction, k: int) -> list[str]:
+    """k distinct valid lifts over one path from one start, for the report's k."""
     failures: list[str] = []
-    cfg = SpaceConfig(cert.k)
-    if len(cert.lifts) != cert.k:
-        failures.append(f"expected {cert.k} lifts, certificate holds {len(cert.lifts)}")
+    cfg = SpaceConfig(k)
+    if len(cert.lifts) != k:
+        failures.append(f"expected {k} lifts, certificate holds {len(cert.lifts)}")
     starts = {lift.start for lift in cert.lifts}
     if len(starts) != 1:
         failures.append("lifts do not share a start point")
     seen = set()
     for n, lift in enumerate(cert.lifts):
-        if lift.base != cert.path:
+        if lift.base != cert.lifts[0].base:
             failures.append(f"lift {n} is over a different path")
         if not verify_lift_continuity(lift, cfg).ok:
             failures.append(f"lift {n} fails verification")

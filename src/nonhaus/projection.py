@@ -46,13 +46,13 @@ def fibre(y: BasePoint, cfg: SpaceConfig) -> frozenset[CanonicalPoint]:
 class PairWitness:
     """Inseparability of one origin pair inside the preimage of the window.
 
-    ``common`` is the rule evaluated at radii (eps, eps); it lies in the
-    basic open of either origin and projects into the window.
+    ``common`` is the pair's ``InseparabilityRule(i, j)`` evaluated at radii
+    (eps, eps); it lies in the basic open of either origin and projects into
+    the window.
     """
 
     i: int
     j: int
-    rule: InseparabilityRule
     common: Regular
     open_i: BasicOpen
     open_j: BasicOpen
@@ -87,38 +87,25 @@ def even_cover_certificate(eps: Fraction, cfg: SpaceConfig) -> EvenCoverFailure:
     """Build the even-covering failure certificate for the window (-eps, eps)."""
     eps = _window(eps)
     origins = [Origin(i) for i in range(1, cfg.k + 1)]
-    witnesses = []
-    for a in range(len(origins)):
-        for b in range(a + 1, len(origins)):
-            rule = InseparabilityRule(origins[a].index, origins[b].index)
-            witnesses.append(
-                PairWitness(
-                    i=origins[a].index,
-                    j=origins[b].index,
-                    rule=rule,
-                    common=rule.common_point(eps, eps),
-                    open_i=basic_open(origins[a], eps, cfg),
-                    open_j=basic_open(origins[b], eps, cfg),
-                )
-            )
-    return EvenCoverFailure(
-        k=cfg.k,
-        model=cfg.model.value,
-        eps=eps,
-        fibre=tuple(origins),
-        witnesses=tuple(witnesses),
+    witnesses = tuple(
+        PairWitness(i=p.index, j=q.index,
+                    common=InseparabilityRule(p.index, q.index).common_point(eps, eps),
+                    open_i=basic_open(p, eps, cfg), open_j=basic_open(q, eps, cfg))
+        for p, q in combinations(origins, 2)
     )
+    return EvenCoverFailure(k=cfg.k, model=cfg.model.value, eps=eps, fibre=tuple(origins),
+                            witnesses=witnesses)
 
 
 def recheck_even_cover(cert: EvenCoverFailure) -> list[str]:
     """Re-derive every component of the certificate; returns failure messages.
 
-    The witnesses must be the origin pairs i < j in order, each with a rule
-    naming its own pair, the common point that rule gives at radius eps, and
-    the basic opens of its own origins at radius eps in the certificate's
-    model.  Those opens come from :func:`~nonhaus.space.basic_open`, not
-    from the producer, and the rule's common point eps/2 lies in both of
-    them at any positive eps, so it is inside the window.
+    The witnesses must be the origin pairs i < j in order, each with the
+    common point its pair's rule gives at radius eps, and the basic opens of
+    its own origins at radius eps in the certificate's model.  Those opens
+    come from :func:`~nonhaus.space.basic_open`, not from the producer, and
+    the rule's common point eps/2 lies in both of them at any positive eps,
+    so it is inside the window.
     """
     failures: list[str] = []
     cfg = SpaceConfig(cert.k, TopologyModel(cert.model))
@@ -128,9 +115,7 @@ def recheck_even_cover(cert: EvenCoverFailure) -> list[str]:
     if [(w.i, w.j) for w in cert.witnesses] != list(combinations(range(1, cert.k + 1), 2)):
         return failures + [f"witnesses are not the origin pairs i < j of 1..{cert.k} in order"]
     for w in cert.witnesses:
-        if (w.rule.i, w.rule.j) != (w.i, w.j):
-            failures.append(f"witness ({w.i},{w.j}): rule names origins {w.rule.i} and {w.rule.j}")
-        if w.common != w.rule.common_point(cert.eps, cert.eps):
+        if w.common != InseparabilityRule(w.i, w.j).common_point(cert.eps, cert.eps):
             failures.append(f"witness ({w.i},{w.j}): common point disagrees with the rule")
         opens = (basic_open(Origin(w.i), cert.eps, cfg), basic_open(Origin(w.j), cert.eps, cfg))
         if (w.open_i, w.open_j) != opens:
@@ -145,10 +130,9 @@ class OriginJoinPath:
 
     Breakpoints are (time, point) pairs; the coordinate interpolates
     linearly between them, so every interior point stays inside the
-    preimage of the window as well.
+    preimage of the window as well.  The window is its record's.
     """
 
-    eps: Fraction
     breakpoints: tuple[tuple[Fraction, CanonicalPoint], ...]
 
     @property
@@ -174,7 +158,6 @@ def preimage_connected_certificate(eps: Fraction, cfg: SpaceConfig) -> list[Orig
     for i in range(1, cfg.k):
         paths.append(
             OriginJoinPath(
-                eps=eps,
                 breakpoints=(
                     (Fraction(0), Origin(i)),
                     (Fraction(1, 2), via),
@@ -191,8 +174,6 @@ def recheck_origin_join(paths: list[OriginJoinPath], cfg: SpaceConfig, eps: Frac
     if [(p.start, p.end) for p in paths] != [(Origin(i), Origin(i + 1)) for i in range(1, cfg.k)]:
         failures.append(f"paths do not join origins 1..{cfg.k} consecutively, in order")
     for n, path in enumerate(paths):
-        if path.eps != eps:
-            failures.append(f"path {n}: window radius {path.eps} is not the record's {eps}")
         for t, p in path.breakpoints:
             if not abs(coord(p)) < eps:
                 failures.append(f"path {n}: breakpoint at t={t} leaves the window preimage")
@@ -213,7 +194,6 @@ class SectionWitness:
     i: int
     j: int
     eps: Fraction
-    disagreement: tuple[CanonicalPoint, CanonicalPoint]
 
     def section_value(self, which: int, y: BasePoint) -> CanonicalPoint:
         if y.is_accumulation:
@@ -229,21 +209,20 @@ def section_witness(eps: Fraction, i: int, j: int, cfg: SpaceConfig) -> SectionW
     for idx in (i, j):
         if not 1 <= idx <= cfg.k:
             raise NonHausError(f"origin {idx} not in 1..{cfg.k}")
-    return SectionWitness(i=i, j=j, eps=eps, disagreement=(Origin(i), Origin(j)))
+    return SectionWitness(i=i, j=j, eps=eps)
 
 
-def recheck_section_witness(w: SectionWitness) -> list[str]:
-    """The window must be nonempty and the sections must pick distinct origins.
+def recheck_section_witness(w: SectionWitness, k: int) -> list[str]:
+    """The window must be nonempty and the sections must pick distinct origins of 1..k.
 
     Off the accumulation point both sections send x to the regular point x,
-    so they agree at every x of the punctured window without a test.
+    so they agree at every x of the punctured window without a test; at it
+    they pick origins i and j, which differ.
     """
     failures: list[str] = []
     if not w.eps > 0:
         failures.append(f"window radius {w.eps} is not positive")
-    if w.i == w.j:
-        failures.append("section indices coincide")
-    vi, vj = w.section_value(w.i, ACCUMULATION), w.section_value(w.j, ACCUMULATION)
-    if w.disagreement != (vi, vj):
-        failures.append("recorded disagreement pair does not match the sections")
+    if w.i == w.j or not (1 <= w.i <= k and 1 <= w.j <= k):
+        failures.append(f"sections pick origins {w.i} and {w.j}, "
+                        f"not two distinct origins of 1..{k}")
     return failures

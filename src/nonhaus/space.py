@@ -296,7 +296,9 @@ def separation_report(cfg: SpaceConfig) -> list[SeparationVerdict]:
     disjoint intervals and origin/regular pairs by a chart or ball plus an
     interval, in both models.  The origin pair's T2 verdict is the one
     :func:`separable` gives; in the quotient model the chart of each origin
-    excludes the other, which proves T0 and T1.
+    excludes the other, which proves T0 and T1 for the representative pair
+    (1, 2) only.  The audit proves them for all k^2 chart/origin pairs
+    through ``separated-charts:quotient``.
     """
     inseparable = separable(Origin(1), Origin(2), cfg)
     if cfg.model is TopologyModel.PSEUDOMETRIC:

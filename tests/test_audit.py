@@ -191,14 +191,6 @@ _ORIGIN_CELLS = (("separation-t1", FAILS), ("locally-euclidean-at-origins", FAIL
                  ("contractible", HOLDS))
 
 
-def _origins_of_k_3(doc):
-    dict(doc["certificates"])[_ORIGINS_REF]["k"] = 3
-
-
-def _origins_in_quotient_model(doc):
-    dict(doc["certificates"])[_ORIGINS_REF]["model"] = "quotient"
-
-
 def _origins_deleted(doc):
     doc["certificates"] = [c for c in doc["certificates"] if c[0] != _ORIGINS_REF]
 
@@ -243,7 +235,6 @@ def _replace_certificate(doc, ref, cert):
 
 def _far_join_paths(doc):
     for path in _certificate(doc, "branched-cover:any")["paths"]:
-        path["eps"] = "1000/1"
         path["breakpoints"][1][1] = {"kind": "regular", "x": "500/1"}
 
 
@@ -255,10 +246,6 @@ def _repeated_join_path(doc):
 def _repeated_pair_witness(doc):
     cert = _certificate(doc, "even-covering:quotient")
     cert["witnesses"] = [cert["witnesses"][0]] * 3
-
-
-def _foreign_pair_rule(doc):
-    _certificate(doc, "even-covering:quotient")["witnesses"][0]["rule"].update(i=7, j=9)
 
 
 def _open_of_origin_3(doc):
@@ -292,22 +279,36 @@ def _origin_regular_pair_in_t1_cell(doc):
                   {"kind": "regular-interval", "a": "1/4", "b": "3/4"}]})
 
 
-def _chart_record_without_other_origins(doc):
-    # a k=3 report whose charts are checked against origins 1 and 2 only
-    _certificate(doc, _CHARTS_REF)["k"] = 2
-
-
-def _charts_of_k_3(doc):
-    _certificate(doc, _CHARTS_REF)["k"] = 3
-
-
-def _charts_in_pseudometric_model(doc):
-    _certificate(doc, _CHARTS_REF)["model"] = "pseudometric"
-
-
 def _charts_of_radius(eps):
     def tamper(doc):
         _certificate(doc, _CHARTS_REF)["eps"] = eps
+    return tamper
+
+
+def _charts_swapped_for_origins(doc):
+    charts, origins = _certificate(doc, _CHARTS_REF), _certificate(doc, _ORIGINS_REF)
+    _replace_certificate(doc, _CHARTS_REF, origins)
+    _replace_certificate(doc, _ORIGINS_REF, charts)
+
+
+def _probe_replaced_by(ref):
+    def tamper(doc):
+        _replace_certificate(doc, "pi1-probe", _certificate(doc, ref))
+    return tamper
+
+
+def _sections_of_origin(index):
+    def tamper(doc):
+        _certificate(doc, "etale-separated:any")["i"] = index
+    return tamper
+
+
+def _probe_through_origin(index):
+    # the label and the letter of the first crossing agree, so only the range is wrong
+    def tamper(doc):
+        probe = _certificate(doc, "pi1-probe")
+        probe["loop"]["labels"][0][1] = index
+        probe["quotient_class"]["letters"][0][0] = index
     return tamper
 
 
@@ -376,8 +377,7 @@ _PROVES_NOTHING = "{}: the table says {} but {} proves nothing"
 _CHARTS_PROVE_NOTHING = _FAILED + "; ".join(
     _PROVES_NOTHING.format(f"{claim} (quotient)", verdict, _CHARTS_REF)
     for claim, verdict in _CHART_CELLS)
-_NOT_QUOTIENT_CHARTS = (_FAILED + _CHARTS_REF
-                        + ": model {!r}, radius {}: no chart of the quotient model")
+_NOT_QUOTIENT_CHARTS = _FAILED + _CHARTS_REF + ": radius {}: no chart of the quotient model"
 _NOT_BASIC_OPENS = (_FAILED + "even-covering:quotient: witness (1,2): opens are not the basic "
                     "opens of origins 1 and 2 at radius 1")
 
@@ -396,12 +396,6 @@ _TAMPERS = [
     ("unknown-model", 2, _unknown_model, "model 'banana'"),
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
     # the one certificate of the pseudometric model's universal cells
-    ("origins-of-k-3", 2, _origins_of_k_3, _FAILED + "; ".join(
-        _PROVES_NOTHING.format(f"{claim} (pseudometric)", verdict, _ORIGINS_REF)
-        for claim, verdict in _ORIGIN_CELLS)),
-    ("origins-in-quotient-model", 2, _origins_in_quotient_model,
-     _FAILED + f"{_ORIGINS_REF}: model 'quotient': origins at distance 0 share their opens "
-     "in the pseudometric model only"),
     ("origins-deleted", 2, _origins_deleted,
      _FAILED + f"certificate 9: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
     ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
@@ -411,29 +405,49 @@ _TAMPERS = [
     ("moved-lift-start", 2, _moved_lift_start,
      "path-lifting:any: lifts do not share a start point"),
     ("far-join-paths", 3, _far_join_paths, _FAILED + "; ".join(
-        f"branched-cover:any: path {n}: {msg}" for n in (0, 1) for msg in (
-            "window radius 1000 is not the record's 1",
-            "breakpoint at t=1/2 leaves the window preimage"))),
+        f"branched-cover:any: path {n}: breakpoint at t=1/2 leaves the window preimage"
+        for n in (0, 1))),
     ("repeated-join-path", 3, _repeated_join_path,
      _FAILED + "branched-cover:any: paths do not join origins 1..3 consecutively, in order"),
     ("repeated-pair-witness", 3, _repeated_pair_witness,
      _FAILED + "even-covering:quotient: witnesses are not the origin pairs i < j of 1..3 in order"),
-    ("foreign-pair-rule", 3, _foreign_pair_rule,
-     _FAILED + "even-covering:quotient: witness (1,2): rule names origins 7 and 9"),
     ("open-of-origin-3", 3, _open_of_origin_3, _NOT_BASIC_OPENS),
     ("ball-as-chart", 3, _ball_as_chart, _NOT_BASIC_OPENS),
     ("wide-chart", 3, _wide_chart, _NOT_BASIC_OPENS),
     # the three quotient chart cells cite the one record of separated charts
     ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _CHARTS_PROVE_NOTHING),
     ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell, _CHARTS_PROVE_NOTHING),
-    ("chart-record-without-other-origins", 3, _chart_record_without_other_origins,
-     _CHARTS_PROVE_NOTHING),
-    ("charts-of-k-3", 2, _charts_of_k_3, _CHARTS_PROVE_NOTHING),
-    ("charts-in-pseudometric-model", 2, _charts_in_pseudometric_model,
-     _NOT_QUOTIENT_CHARTS.format("pseudometric", 1)),
-    ("charts-of-radius-0", 2, _charts_of_radius("0/1"), _NOT_QUOTIENT_CHARTS.format("quotient", 0)),
-    ("charts-of-negative-radius", 2, _charts_of_radius("-1/1"),
-     _NOT_QUOTIENT_CHARTS.format("quotient", -1)),
+    ("charts-of-radius-0", 2, _charts_of_radius("0/1"), _NOT_QUOTIENT_CHARTS.format(0)),
+    ("charts-of-negative-radius", 2, _charts_of_radius("-1/1"), _NOT_QUOTIENT_CHARTS.format(-1)),
+    # each lemma reader answers only the cells of its own model
+    ("charts-swapped-for-origins", 2, _charts_swapped_for_origins, _FAILED + "; ".join(
+        _PROVES_NOTHING.format(f"{claim} ({model})", verdict, ref)
+        for claim, model, verdict, ref in (
+            ("separation-t1", "quotient", HOLDS, _CHARTS_REF),
+            ("separation-t1", "pseudometric", FAILS, _ORIGINS_REF),
+            ("locally-euclidean-at-origins", "quotient", HOLDS, _CHARTS_REF),
+            ("locally-euclidean-at-origins", "pseudometric", FAILS, _ORIGINS_REF),
+            ("origin-filter-coincidence", "quotient", FAILS, _CHARTS_REF),
+            ("origin-filter-coincidence", "pseudometric", HOLDS, _ORIGINS_REF),
+            ("pi1-trivial", "pseudometric", HOLDS, _ORIGINS_REF),
+            ("contractible", "pseudometric", HOLDS, _ORIGINS_REF)))),
+    ("probe-replaced-by-origins", 2, _probe_replaced_by(_ORIGINS_REF), _FAILED + "; ".join(
+        _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "pi1-probe")
+        for claim in ("pi1-trivial", "contractible"))),
+    ("probe-replaced-by-charts", 2, _probe_replaced_by(_CHARTS_REF), _FAILED + "; ".join(
+        _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "pi1-probe")
+        for claim in ("pi1-trivial", "contractible"))),
+    # every origin a certificate names is one of the report's 1..k
+    ("sections-of-origin-9", 2, _sections_of_origin(9), _FAILED + "etale-separated:any: "
+     "sections pick origins 9 and 2, not two distinct origins of 1..2"),
+    ("sections-of-origin-0", 2, _sections_of_origin(0), _FAILED + "etale-separated:any: "
+     "sections pick origins 0 and 2, not two distinct origins of 1..2"),
+    ("sections-of-one-origin", 2, _sections_of_origin(2), _FAILED + "etale-separated:any: "
+     "sections pick origins 2 and 2, not two distinct origins of 1..2"),
+    ("probe-through-origin-9", 2, _probe_through_origin(9),
+     _FAILED + "pi1-probe: loop labels [9, 2] are not origins of 1..2"),
+    ("probe-through-origin-0", 3, _probe_through_origin(0),
+     _FAILED + "pi1-probe: loop labels [0, 2] are not origins of 1..3"),
     # a record that both models cite proves only its own claims
     ("path-lifting-swapped-for-branched-cover", 2, _path_lifting_swapped_for_branched_cover,
      _FAILED + "; ".join(
@@ -554,7 +568,7 @@ class TestRecheckFailures:
 
     def test_indistinguishable_origins_prove_the_universal_cells(self, report):
         cert = report.certificate(_ORIGINS_REF)
-        assert cert == IndistinguishableOrigins(k=2, model="pseudometric")
+        assert cert == IndistinguishableOrigins()
         rules = {c[0]: c[-1] for c in CLAIMS}
         for claim_id, verdict in _ORIGIN_CELLS:
             assert rules[claim_id][IndistinguishableOrigins](cert, P2) == verdict
@@ -567,7 +581,7 @@ class TestRecheckFailures:
         refs = {claim.claim_id: claim.certificate_refs for claim in report.claims}
         assert {refs[claim] for claim, _ in _CHART_CELLS} == {
             (("quotient", _CHARTS_REF), ("pseudometric", _ORIGINS_REF))}
-        assert report.certificate(_CHARTS_REF) == SeparatedCharts(2, "quotient", Fraction(1))
+        assert report.certificate(_CHARTS_REF) == SeparatedCharts(Fraction(1))
         # a failure that does not depend on the model is one record that both models cite
         for claim in ("separation-hausdorff", "branched-cover", "unique-path-lifting",
                       "monodromy-defined", "semicovering"):
@@ -702,13 +716,13 @@ class TestIndistinguishableOrigins:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_recheck_accepts_the_built_certificate(self, k):
         cert = run_audit(SpaceConfig(k)).certificate(_ORIGINS_REF)
-        assert cert == IndistinguishableOrigins(k=k, model="pseudometric")
+        assert cert == IndistinguishableOrigins()
         assert _recheck_indistinguishable_origins(cert, k) == []
 
     def test_recheck_names_a_positive_distance(self, monkeypatch):
         # the trusted distance is the one fact the certificate rests on
         monkeypatch.setattr(audit, "pseudo_dist", lambda p, q: Fraction(p.index + q.index, 7))
-        cert = IndistinguishableOrigins(3, "pseudometric")
+        cert = IndistinguishableOrigins()
         assert _recheck_indistinguishable_origins(cert, 3) == [
             "origins 1 and 2 lie at distance 3/7", "origins 1 and 3 lie at distance 4/7",
             "origins 2 and 3 lie at distance 5/7"]
@@ -726,3 +740,42 @@ class TestSeparatedCharts:
                     o, q) != (isinstance(o, OriginChart) and (o.index, q) == (i, Origin(j))))
                 wrong = "holds" if i != j else "misses"
                 assert recheck_report(doc) == [f"{_CHARTS_REF}: chart {i} {wrong} origin {j}"]
+
+
+class TestNoRestatedValue:
+    """Each record takes k from the report and its model from the cell that cites it;
+    only the records that other readers take alone keep their own."""
+
+    # field -> the kinds of certificate object that may carry it
+    ONLY_IN = {"k": {"deck-group-table", "even-cover-failure"},
+               "model": {"even-cover-failure", "homotopy-lift-record"}}
+    # fields another field of the same record, or of its record, already gives
+    NEVER = {("origin-join-path", "eps"), ("pair-witness", "rule"),
+             ("section-witness", "disagreement"), ("monodromy-obstruction", "path")}
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_report_fields(self, k):
+        sites = set()
+
+        def walk(node):
+            if isinstance(node, dict):
+                sites.update((node["kind"], key) for key in node)
+                node = list(node.values())
+            if isinstance(node, list):
+                for value in node:
+                    walk(value)
+
+        walk(serialize.encode(run_audit(SpaceConfig(k)))["certificates"])
+        for field, kinds in self.ONLY_IN.items():
+            assert {kind for kind, key in sites if key == field} == kinds
+        assert not sites & self.NEVER
+
+    @pytest.mark.parametrize("cert, cells, own, other", [
+        (SeparatedCharts(Fraction(1)), _CHART_CELLS, Q2, P2),
+        (IndistinguishableOrigins(), _ORIGIN_CELLS, P2, Q2)], ids=["charts", "origins"])
+    def test_lemma_readers_answer_their_model_only(self, cert, cells, own, other):
+        readers = [rules[type(cert)] for *_, rules in CLAIMS if type(cert) in rules]
+        assert len(readers) == len(cells)
+        for read in readers:
+            assert read(cert, own) is not None
+            assert read(cert, other) is None

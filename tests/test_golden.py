@@ -82,11 +82,11 @@ def test_output_matches_golden(name, argv, tmp_path):
 # updates these digests by hand, with the reason stated.
 K6_DIGESTS = (
     ("audit-k6-quotient", ["audit", "--k", "6", "--json"],
-     "3d4b0503b8a1b7e0f5b74c7d9b302ef90d28d30fe75b8cdc95f3b2649569face"),
+     "a7a8bc78ea94a4fd9352de03dd3e267966e570db9e5fc8d7d16c1f9fbb450af0"),
     ("audit-k6-pseudometric", ["audit", "--k", "6", "--model", "pseudometric", "--json"],
-     "530bd16acd0e6e321b4fd005b845f5e7982eabc48fec244cfdf0583fda1316ba"),
+     "74d9bcb265ba3b09a0c3ad8459b77eca3d43417f38f66ddb1e310be32df05302"),
     ("audit-k6-eps-x0", ["audit", "--k", "6", "--eps", "3/7", "--x0", "5/3", "--json"],
-     "e5f6785002cf1c71d8f32e69a497aad8ca34d3535f4bf906e6271ee026a25d50"),
+     "07cd68a63075ab50c07ed519cdcebd2a66a16228120c3b23e7809f70c6d082cb"),
     ("deck-k6", ["deck", "--k", "6", "--json"],
      "b3505cfcb80f71116f291a7b7a0b71d366baeefca141455cf5517c02fc9dfeba"),
 )

@@ -611,7 +611,7 @@ _FIELD = ["homotopy", "--field", "{file}"]
         (_CHECK, _report_with("branched-cover:any",
                               ("paths", 0, "breakpoints", 0, 1, "index"), 0),
          "error: origin index must be >= 1, got 0"),
-        (_CHECK, _report_with("branched-cover:any", ("k",), 1),
+        (_CHECK, _report_with("even-covering:quotient", ("k",), 1),
          "error: need at least 2 origins, got k=1"),
         (_CHECK, _report_with("branched-cover:any", ("paths", 0, "breakpoints", 1, 1, "x"), "0/1"),
          "error: regular points have nonzero coordinate"),

@@ -274,7 +274,7 @@ class TestMonodromy:
         cert = monodromy_verdict(1, SpaceConfig(k))
         assert len(cert.lifts) == k
         assert len({lift.start for lift in cert.lifts}) == 1
-        assert recheck_monodromy(cert) == []
+        assert recheck_monodromy(cert, k) == []
 
     def test_nonpositive_basepoint(self):
         with pytest.raises(NonHausError, match="basepoint must be positive, got 0"):
@@ -285,7 +285,7 @@ class TestMonodromy:
 
         cert = monodromy_verdict(1, SpaceConfig(3))
         bad = dataclasses.replace(cert, lifts=cert.lifts[:2])
-        assert recheck_monodromy(bad) != []
+        assert recheck_monodromy(bad, 3) != []
 
 
 class TestMergingField:

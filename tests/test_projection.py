@@ -18,7 +18,6 @@ from nonhaus.projection import (
     section_witness,
 )
 from nonhaus.space import (
-    InseparabilityRule,
     LabeledRep,
     Origin,
     OriginChart,
@@ -135,14 +134,13 @@ class TestEvenCover:
 
     @pytest.mark.parametrize(
         "changes, failure",
-        [({"rule": InseparabilityRule(7, 9)}, "witness (1,2): rule names origins 7 and 9"),
-         ({"open_i": OriginChart(3, Fraction(1))}, _NOT_BASIC_OPENS),
+        [({"open_i": OriginChart(3, Fraction(1))}, _NOT_BASIC_OPENS),
          ({"open_j": OriginChart(1, Fraction(1))}, _NOT_BASIC_OPENS),
          # inside both opens and the window, but not the rule's point at radius eps
          ({"common": Regular(Fraction(1, 4))},
           "witness (1,2): common point disagrees with the rule"),
          ({"open_j": OriginChart(2, Fraction(1, 4))}, _NOT_BASIC_OPENS)],
-        ids=["foreign-rule", "open-i-of-origin-3", "open-j-of-origin-1", "common-off-the-rule",
+        ids=["open-i-of-origin-3", "open-j-of-origin-1", "common-off-the-rule",
              "open-j-too-small"],
     )
     def test_recheck_ties_each_witness_to_its_pair(self, quotient3, changes, failure):
@@ -181,9 +179,9 @@ class TestPreimageConnected:
             preimage_connected_certificate(-1, quotient2)
 
 
-def _join(eps, *points):
+def _join(*points):
     times = [Fraction(n, len(points) - 1) for n in range(len(points))]
-    return OriginJoinPath(eps=Fraction(eps), breakpoints=tuple(zip(times, points)))
+    return OriginJoinPath(breakpoints=tuple(zip(times, points)))
 
 
 _NOT_CHAINED = "paths do not join origins 1..3 consecutively, in order"
@@ -197,21 +195,17 @@ class TestOriginJoinRecheck:
     @pytest.mark.parametrize(
         "paths, failures",
         [
-            ([_join(1, Regular(Fraction(1, 2)), Origin(2)), _join(1, Origin(2), Origin(3))],
+            ([_join(Regular(Fraction(1, 2)), Origin(2)), _join(Origin(2), Origin(3))],
              [_NOT_CHAINED]),
-            ([_join(1, Origin(1), Origin(3)), _join(1, Origin(2), Origin(3))], [_NOT_CHAINED]),
-            ([_join(1, Origin(1), Origin(2)), _join(1, Origin(2), Regular(1), Origin(3))],
+            ([_join(Origin(1), Origin(3)), _join(Origin(2), Origin(3))], [_NOT_CHAINED]),
+            ([_join(Origin(1), Origin(2)), _join(Origin(2), Regular(1), Origin(3))],
              ["path 1: breakpoint at t=1/2 leaves the window preimage"]),
-            ([_join(1, Origin(1), Origin(2))], [_NOT_CHAINED]),
-            ([_join(1, Origin(1), Origin(2))] * 2, [_NOT_CHAINED]),
-            ([_join(1, Origin(2), Origin(3)), _join(1, Origin(1), Origin(2))], [_NOT_CHAINED]),
-            # the window is the record's: a path cannot widen its own
-            ([_join(1, Origin(1), Origin(2)), _join(4, Origin(2), Regular(2), Origin(3))],
-             ["path 1: window radius 4 is not the record's 1",
-              "path 1: breakpoint at t=1/2 leaves the window preimage"]),
+            ([_join(Origin(1), Origin(2))], [_NOT_CHAINED]),
+            ([_join(Origin(1), Origin(2))] * 2, [_NOT_CHAINED]),
+            ([_join(Origin(2), Origin(3)), _join(Origin(1), Origin(2))], [_NOT_CHAINED]),
         ],
         ids=["endpoint-not-origin", "not-consecutive", "leaves-window", "path-missing",
-             "one-path-repeated", "out-of-order", "own-wider-window"],
+             "one-path-repeated", "out-of-order"],
     )
     def test_recheck_names_each_failure(self, quotient3, paths, failures):
         assert recheck_origin_join(paths, quotient3, Fraction(1)) == failures
@@ -228,12 +222,12 @@ class TestSectionWitness:
         for x in _PUNCTURED_WINDOW:
             assert w.section_value(w.i, BasePoint(x)) == w.section_value(w.j, BasePoint(x))
         assert w.section_value(w.i, ACCUMULATION) != w.section_value(w.j, ACCUMULATION)
-        assert recheck_section_witness(w) == []
+        assert recheck_section_witness(w, 2) == []
 
     def test_wider_window_other_pair(self, quotient3):
         w = section_witness(2, 1, 3, quotient3)
         assert (w.i, w.j, w.eps) == (1, 3, 2)
-        assert recheck_section_witness(w) == []
+        assert recheck_section_witness(w, 3) == []
 
     def test_equal_indices_rejected(self, quotient2):
         with pytest.raises(NonHausError, match="must pick distinct origins"):
@@ -245,15 +239,13 @@ class TestSectionWitness:
 
     def test_recheck_names_equal_indices(self, quotient2):
         bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), j=1)
-        assert recheck_section_witness(bad) == [
-            "section indices coincide",
-            "recorded disagreement pair does not match the sections",
-        ]
+        assert recheck_section_witness(bad, 2) == [
+            "sections pick origins 1 and 1, not two distinct origins of 1..2"]
 
     @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)], ids=["zero", "negative"])
     def test_recheck_names_an_empty_window(self, quotient2, eps):
         bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), eps=eps)
-        assert recheck_section_witness(bad) == [f"window radius {eps} is not positive"]
+        assert recheck_section_witness(bad, 2) == [f"window radius {eps} is not positive"]
 
     def test_sections_project_back(self, quotient2):
         w = section_witness(1, 1, 2, quotient2)

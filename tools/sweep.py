@@ -39,6 +39,10 @@ from test_hostile_input import _EDITS, _LEAVES, _REPORT_K2, _tampered_report  # 
 
 # (kind, field) -> why any value that the checker accepts there proves the same verdict
 EXISTENTIAL: dict[tuple[str, str], str] = {
+    ("connected-preimage-record", "eps"):
+        "the paths are checked against the record's own window, at whatever radius it has: "
+        "an accepted radius holds every breakpoint, so that window's preimage is connected "
+        "and branched-cover still fails",
     ("homotopy-field", "values"):
         "a field whose recomputed outcome equals the recorded NoLift or NonUniqueExistence "
         "proves the same homotopy-lifting verdict (through the producer re-run)",
