@@ -19,14 +19,15 @@ cells cite ``indistinguishable-origins:pseudometric`` (their rules name
 their lemmas), the deck table proves the symmetry and subgroup rows, and a
 failure that does not depend on the model is one ``:any`` record.
 
-Each value is stored once (``nonhaus-report/6``): re-checks take k from the
+Each value is stored once (``nonhaus-report/7``): re-checks take k from the
 report and rules take the model from the cell they prove, so no record restates
 them or a value its other fields give.  The charts and origins records carry no
 k or model, the branched-cover and monodromy records no k, the monodromy record
-no path (each lift has its base), a join path no window (its record's), a pair
-witness no rule (its pair's) and a section witness no disagreement (origins i
-and j).  The deck table, the even-cover failure and the homotopy record keep
-their own k or model, as other readers take them alone.
+no path (each lift has its base), a join path no window (its record's) and a
+section witness no disagreement (origins i and j).  The deck table and the
+homotopy record keep their own k or model, as other readers take them alone.
+Even-covering has no record of its own: both cells cite the Hausdorff failure,
+which it follows from at every window.
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ from .lifting import (
     recheck_monodromy,
 )
 from .projection import (
-    EvenCoverFailure,
     OriginJoinPath,
     SectionWitness,
-    even_cover_certificate,
     preimage_connected_certificate,
-    recheck_even_cover,
     recheck_origin_join,
     recheck_section_witness,
     section_witness,
@@ -82,7 +80,7 @@ from .symmetry import (
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/6"
+SCHEMA_VERSION = "nonhaus-report/7"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -186,6 +184,13 @@ def _t2_fails(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
     return FAILS if v.axiom == "T2" and not v.holds else None
 
 
+def _not_evenly_covered(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
+    """Lemma: two origins with no disjoint opens lie in one member of any disjoint open
+    family that covers a window's preimage; that member holds two points over 0, so it
+    maps injectively onto no window.  The T2 failure holds at any radii, so at every window."""
+    return _t2_fails(v, cfg)
+
+
 def _charts(if_separated: str, if_indistinguishable: str) -> Rules:
     def separated(cert: SeparatedCharts, cfg: SpaceConfig) -> Optional[str]:
         """Lemma: each origin's chart avoids every other origin, so T1 holds (pairs with a
@@ -247,14 +252,14 @@ _CONTRACTS: Rules = {
 
 _ORIGINS_REF = "indistinguishable-origins:pseudometric"
 _CHARTS_REF = "separated-charts:quotient"
+_HAUSDORFF_REF = "separation-hausdorff:any"
 
 # (claim id, statement, (quotient verdict, ref), (pseudometric verdict, ref), rules)
 CLAIMS = (
     ("separation-t1", "any two distinct points each lie in a basic open avoiding the other",
      (HOLDS, _CHARTS_REF), (FAILS, _ORIGINS_REF), _charts(HOLDS, FAILS)),
     ("separation-hausdorff", "any two distinct points have disjoint basic opens",
-     (FAILS, "separation-hausdorff:any"), (FAILS, "separation-hausdorff:any"),
-     {SeparationVerdict: _t2_fails}),
+     (FAILS, _HAUSDORFF_REF), (FAILS, _HAUSDORFF_REF), {SeparationVerdict: _t2_fails}),
     ("locally-euclidean-at-origins",
      "each origin has a basic open collapsing bijectively onto a coordinate interval",
      (HOLDS, _CHARTS_REF), (FAILS, _ORIGINS_REF), _charts(HOLDS, FAILS)),
@@ -265,8 +270,7 @@ CLAIMS = (
     ("contractible", "the whole space contracts to a point",
      (FAILS, "pi1-probe"), (HOLDS, _ORIGINS_REF), _CONTRACTS),
     ("even-covering", "some window around the accumulation point is evenly covered",
-     (FAILS, "even-covering:quotient"), (FAILS, "even-covering:pseudometric"),
-     _shows(EvenCoverFailure, FAILS)),
+     (FAILS, _HAUSDORFF_REF), (FAILS, _HAUSDORFF_REF), {SeparationVerdict: _not_evenly_covered}),
     ("branched-cover", "the projection splits small windows into disjoint local sheets",
      (FAILS, "branched-cover:any"), (FAILS, "branched-cover:any"),
      _shows(ConnectedPreimageRecord, FAILS)),
@@ -334,7 +338,7 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     assignment = {Fraction(1, 4): 1, Fraction(3, 4): 2}
     probe = probe_loop(1, 2)
     certs: dict[str, Any] = {
-        "separation-hausdorff:any": {v.axiom: v for v in separation_report(quotient)}["T2"],
+        _HAUSDORFF_REF: {v.axiom: v for v in separation_report(quotient)}["T2"],
         "branched-cover:any": ConnectedPreimageRecord(
             eps=eps, paths=tuple(preimage_connected_certificate(eps, quotient))),
         "path-lifting:any": monodromy_verdict(x0, quotient),
@@ -345,11 +349,9 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         "homotopy-lifting-constancy:pseudometric":
             homotopy_lift_record(field, assignment, pseudo, True),
         "deck-group:any": deck_group(k),
+        "homotopy-lifting:quotient": homotopy_lift_record(field, assignment, quotient, False),
+        "homotopy-lifting:pseudometric": homotopy_lift_record(field, assignment, pseudo, False),
     }
-    for model_cfg in (quotient, pseudo):
-        m = model_cfg.model.value
-        certs[f"even-covering:{m}"] = even_cover_certificate(eps, model_cfg)
-        certs[f"homotopy-lifting:{m}"] = homotopy_lift_record(field, assignment, model_cfg, False)
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         k=k,
@@ -419,7 +421,6 @@ _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
     SeparatedCharts: _recheck_separated_charts,
     LoopClassRecord: _recheck_loop_class,
     IndistinguishableOrigins: _recheck_indistinguishable_origins,
-    EvenCoverFailure: lambda c, k: recheck_even_cover(c),
     ConnectedPreimageRecord: lambda c, k: recheck_origin_join(list(c.paths), SpaceConfig(k), c.eps),
     SectionWitness: recheck_section_witness,
     MonodromyObstruction: recheck_monodromy,

@@ -243,24 +243,6 @@ def _repeated_join_path(doc):
     cert["paths"] = [cert["paths"][0]] * 2
 
 
-def _repeated_pair_witness(doc):
-    cert = _certificate(doc, "even-covering:quotient")
-    cert["witnesses"] = [cert["witnesses"][0]] * 3
-
-
-def _open_of_origin_3(doc):
-    _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"]["index"] = 3
-
-
-def _ball_as_chart(doc):
-    _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"] = {
-        "kind": "ball", "center": {"kind": "origin", "index": 1}, "eps": "1/1"}
-
-
-def _wide_chart(doc):
-    _certificate(doc, "even-covering:quotient")["witnesses"][0]["open_i"]["eps"] = "5/1"
-
-
 _ORIGIN_1 = {"kind": "origin", "index": 1}
 
 
@@ -329,10 +311,6 @@ def _quotient_record_with_constancy(doc):
     _certificate(doc, "homotopy-lifting:quotient")["paper_constancy"] = True
 
 
-def _even_cover_of_other_model(doc):
-    _certificate(doc, "even-covering:quotient")["model"] = "pseudometric"
-
-
 def _lift_over_other_path(doc):
     _monodromy_lifts(doc)[1]["base"]["breakpoints"][1][0] = "1/4"
 
@@ -378,8 +356,6 @@ _CHARTS_PROVE_NOTHING = _FAILED + "; ".join(
     _PROVES_NOTHING.format(f"{claim} (quotient)", verdict, _CHARTS_REF)
     for claim, verdict in _CHART_CELLS)
 _NOT_QUOTIENT_CHARTS = _FAILED + _CHARTS_REF + ": radius {}: no chart of the quotient model"
-_NOT_BASIC_OPENS = (_FAILED + "even-covering:quotient: witness (1,2): opens are not the basic "
-                    "opens of origins 1 and 2 at radius 1")
 
 # (id, k, tamper, what stderr names); a name starting with _FAILED is the exact line
 _TAMPERS = [
@@ -397,7 +373,7 @@ _TAMPERS = [
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
     # the one certificate of the pseudometric model's universal cells
     ("origins-deleted", 2, _origins_deleted,
-     _FAILED + f"certificate 9: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
+     _FAILED + f"certificate 7: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
     ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
      _FAILED + "claim 16: row subgroup-correspondence differs from the declared row "
      "subgroup-correspondence"),
@@ -409,11 +385,6 @@ _TAMPERS = [
         for n in (0, 1))),
     ("repeated-join-path", 3, _repeated_join_path,
      _FAILED + "branched-cover:any: paths do not join origins 1..3 consecutively, in order"),
-    ("repeated-pair-witness", 3, _repeated_pair_witness,
-     _FAILED + "even-covering:quotient: witnesses are not the origin pairs i < j of 1..3 in order"),
-    ("open-of-origin-3", 3, _open_of_origin_3, _NOT_BASIC_OPENS),
-    ("ball-as-chart", 3, _ball_as_chart, _NOT_BASIC_OPENS),
-    ("wide-chart", 3, _wide_chart, _NOT_BASIC_OPENS),
     # the three quotient chart cells cite the one record of separated charts
     ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _CHARTS_PROVE_NOTHING),
     ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell, _CHARTS_PROVE_NOTHING),
@@ -454,10 +425,6 @@ _TAMPERS = [
          _PROVES_NOTHING.format(f"{claim} ({model})", "fails", "path-lifting:any")
          for claim in ("unique-path-lifting", "monodromy-defined", "semicovering")
          for model in ("quotient", "pseudometric"))),
-    # the charts are no basic opens of the pseudometric model
-    ("even-cover-of-other-model", 3, _even_cover_of_other_model, _FAILED + "; ".join(
-        f"even-covering:quotient: witness ({i},{j}): opens are not the basic opens of "
-        f"origins {i} and {j} at radius 1" for i, j in ((1, 2), (1, 3), (2, 3)))),
     ("lift-over-other-path", 3, _lift_over_other_path,
      _FAILED + "path-lifting:any: lift 1 is over a different path"),
     ("lift-through-origin-k-plus-1", 3, _lift_through_origin_k_plus_1,
@@ -466,12 +433,13 @@ _TAMPERS = [
      _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
     # the certificates are exactly the cited refs, each once, in sorted order
     ("uncited-probe-copy", 2, _uncited_probe_copy,
-     _FAILED + "certificate 14: ref uncited:any differs from the cited ref (none)"),
+     _FAILED + "certificate 12: ref uncited:any differs from the cited ref (none)"),
     ("deck-table-twice", 2, _deck_table_twice,
      _FAILED + "certificate 3: ref deck-group:any differs from the cited ref etale-separated:any"),
-    # a negative verdict proves T2 only
+    # a negative verdict proves T2 only, and even-covering fails by its T2 failure
     ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join(
-        _PROVES_NOTHING.format(f"separation-hausdorff ({model})", "fails", _HAUSDORFF_REF)
+        _PROVES_NOTHING.format(f"{claim} ({model})", "fails", _HAUSDORFF_REF)
+        for claim in ("separation-hausdorff", "even-covering")
         for model in ("quotient", "pseudometric"))),
     # a negative verdict's pair is its rule's origins
     ("negative-verdict-of-regular-pair", 2, _negative_verdict_of_regular_pair,
@@ -541,25 +509,18 @@ class TestRecheckFailures:
             assert failures == ["pi1-probe: quotient loop class does not reproduce"]
 
     def test_tampered_even_cover(self, report):
-        from nonhaus.space import Regular
-
-        cert = report.certificate("even-covering:quotient")
-        bad_cert = dataclasses.replace(
-            cert,
-            witnesses=(dataclasses.replace(cert.witnesses[0], common=Regular(9)),),
-        )
-        certs = tuple(
-            (ref, bad_cert if ref == "even-covering:quotient" else c)
-            for ref, c in report.certificates
-        )
-        bad = dataclasses.replace(report, certificates=certs)
-        assert any("even-covering:quotient" in f for f in recheck_report(bad))
+        # a sound positive T1 verdict in place of the T2 failure proves no even-cover failure
+        separated = SeparationVerdict("T1", True, _ORIGINS, opens=(_chart(1), _chart(2)))
+        failures = recheck_report(_with_certificate(report, _HAUSDORFF_REF, separated))
+        assert [f for f in failures if f.startswith("even-covering")] == [
+            _PROVES_NOTHING.format(f"even-covering ({model})", FAILS, _HAUSDORFF_REF)
+            for model in ("quotient", "pseudometric")]
 
     def test_dangling_reference(self, report):
         certs = tuple((ref, c) for ref, c in report.certificates if ref != "pi1-probe")
         bad = dataclasses.replace(report, certificates=certs)
         assert recheck_report(bad) == [
-            "certificate 11: ref separated-charts:quotient differs from the cited ref pi1-probe"]
+            "certificate 9: ref separated-charts:quotient differs from the cited ref pi1-probe"]
 
     def test_certificates_in_another_order(self, report):
         bad = dataclasses.replace(report, certificates=report.certificates[::-1])
@@ -583,10 +544,10 @@ class TestRecheckFailures:
             (("quotient", _CHARTS_REF), ("pseudometric", _ORIGINS_REF))}
         assert report.certificate(_CHARTS_REF) == SeparatedCharts(Fraction(1))
         # a failure that does not depend on the model is one record that both models cite
-        for claim in ("separation-hausdorff", "branched-cover", "unique-path-lifting",
-                      "monodromy-defined", "semicovering"):
+        for claim in ("separation-hausdorff", "even-covering", "branched-cover",
+                      "unique-path-lifting", "monodromy-defined", "semicovering"):
             assert len(set(dict(refs[claim]).values())) == 1
-        assert len(report.certificates) == 13
+        assert len(report.certificates) == 11
 
     def test_contraction_stage_with_origin_9(self):
         # the report carries no contraction; the library certificate still re-checks alone
@@ -671,6 +632,16 @@ class TestRecheckBranches:
     def test_separation(self, verdict, failures):
         assert _recheck_separation(verdict, 2) == failures
 
+    @pytest.mark.parametrize("verdict, proved", [
+        (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(1, 2)), FAILS),
+        (SeparationVerdict("T2", True, _ORIGINS, opens=(_chart(1), _chart(2))), None),
+        (SeparationVerdict("T1", False, _ORIGINS, rule=InseparabilityRule(1, 2)), None)],
+        ids=["negative-t2", "positive-t2", "negative-t1"])
+    def test_even_covering_rule(self, verdict, proved):
+        rules = next(c[-1] for c in CLAIMS if c[0] == "even-covering")
+        for cfg in (Q2, P2):
+            assert rules[SeparationVerdict](verdict, cfg) == proved
+
     def test_separation_accepts_the_produced_verdicts(self, report):
         assert _recheck_separation(report.certificate(_HAUSDORFF_REF), 2) == []
         for cfg in (Q2, P2):
@@ -744,14 +715,16 @@ class TestSeparatedCharts:
 
 class TestNoRestatedValue:
     """Each record takes k from the report and its model from the cell that cites it;
-    only the records that other readers take alone keep their own."""
+    only the records that other readers take alone keep their own, and a fact another
+    record proves has no record of its own."""
 
     # field -> the kinds of certificate object that may carry it
-    ONLY_IN = {"k": {"deck-group-table", "even-cover-failure"},
-               "model": {"even-cover-failure", "homotopy-lift-record"}}
+    ONLY_IN = {"k": {"deck-group-table"}, "model": {"homotopy-lift-record"}}
     # fields another field of the same record, or of its record, already gives
-    NEVER = {("origin-join-path", "eps"), ("pair-witness", "rule"),
-             ("section-witness", "disagreement"), ("monodromy-obstruction", "path")}
+    NEVER = {("origin-join-path", "eps"), ("section-witness", "disagreement"),
+             ("monodromy-obstruction", "path")}
+    # kinds whose fact the Hausdorff failure proves: even-covering follows from it
+    NO_KINDS = {"even-cover-failure", "pair-witness"}
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_report_fields(self, k):
@@ -769,6 +742,7 @@ class TestNoRestatedValue:
         for field, kinds in self.ONLY_IN.items():
             assert {kind for kind, key in sites if key == field} == kinds
         assert not sites & self.NEVER
+        assert not {kind for kind, _ in sites} & self.NO_KINDS
 
     @pytest.mark.parametrize("cert, cells, own, other", [
         (SeparatedCharts(Fraction(1)), _CHART_CELLS, Q2, P2),

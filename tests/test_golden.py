@@ -82,11 +82,11 @@ def test_output_matches_golden(name, argv, tmp_path):
 # updates these digests by hand, with the reason stated.
 K6_DIGESTS = (
     ("audit-k6-quotient", ["audit", "--k", "6", "--json"],
-     "a7a8bc78ea94a4fd9352de03dd3e267966e570db9e5fc8d7d16c1f9fbb450af0"),
+     "7d9c218c41a4c6eef379ab757aa0320fc466d9529108ff861993958ff79311fd"),
     ("audit-k6-pseudometric", ["audit", "--k", "6", "--model", "pseudometric", "--json"],
-     "74d9bcb265ba3b09a0c3ad8459b77eca3d43417f38f66ddb1e310be32df05302"),
+     "29430f94fa8805f3d563b9f26b7ad8a7c53632ce7f6b9e8f45ddda279c22a3cc"),
     ("audit-k6-eps-x0", ["audit", "--k", "6", "--eps", "3/7", "--x0", "5/3", "--json"],
-     "07cd68a63075ab50c07ed519cdcebd2a66a16228120c3b23e7809f70c6d082cb"),
+     "f099f92e40cb30b58abf0bdf169020dfb3ec36a7798b0ad1d3696315bf57b909"),
     ("deck-k6", ["deck", "--k", "6", "--json"],
      "b3505cfcb80f71116f291a7b7a0b71d366baeefca141455cf5517c02fc9dfeba"),
 )

@@ -154,8 +154,8 @@ def _deck(doc: dict) -> dict:
     return dict(doc["certificates"])["deck-group:any"]
 
 
-def _even_cover(doc: dict) -> dict:
-    return dict(doc["certificates"])["even-covering:quotient"]
+def _charts(doc: dict) -> dict:
+    return dict(doc["certificates"])["separated-charts:quotient"]
 
 
 class TestStrictScalars:
@@ -170,9 +170,9 @@ class TestStrictScalars:
             (lambda d: d.update(k="2"), "ReportDocument.k"),
             (lambda d: _deck(d)["table"][0].__setitem__(0, 0.7), "DeckGroupTable.table"),
             (lambda d: _deck(d)["table"][1].__setitem__(1, True), "DeckGroupTable.table"),
-            (lambda d: _even_cover(d).update(eps=1), "EvenCoverFailure.eps"),
-            (lambda d: _even_cover(d).update(eps=1.0), "EvenCoverFailure.eps"),
-            (lambda d: _even_cover(d).update(eps=True), "EvenCoverFailure.eps"),
+            (lambda d: _charts(d).update(eps=1), "SeparatedCharts.eps"),
+            (lambda d: _charts(d).update(eps=1.0), "SeparatedCharts.eps"),
+            (lambda d: _charts(d).update(eps=True), "SeparatedCharts.eps"),
         ],
         ids=["bool-as-string", "float-k", "string-k", "string-top-level-k", "float-cell",
              "bool-cell", "int-rational", "float-rational", "bool-rational"],
@@ -269,7 +269,7 @@ def test_check_rejects_build_flags(capsys, tmp_path, flags, named):
 def test_check_takes_out(capsys, tmp_path):
     out = tmp_path / "out.txt"
     assert main(["audit", "--check", _GOLDEN_K2, "--out", str(out)]) == 0
-    assert out.read_text() == "report ok: 18 claims, 13 certificates re-checked\n"
+    assert out.read_text() == "report ok: 18 claims, 11 certificates re-checked\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
@@ -549,9 +549,9 @@ def _edited(value, edit: str):
 _EDITS = ("retype", "increment", "flip", "delete")
 
 
-def _tampered_report(leaf: tuple, edit: str) -> dict:
-    """The k=2 golden report with one leaf edited, or deleted."""
-    doc = json.loads(json.dumps(_REPORT_K2))
+def _tampered_report(leaf: tuple, edit: str, report: dict = _REPORT_K2) -> dict:
+    """A report, by default the k=2 golden, with one leaf edited, or deleted."""
+    doc = json.loads(json.dumps(report))
     parent = doc
     for key in leaf[:-1]:
         parent = parent[key]
@@ -579,6 +579,18 @@ def _report_with(ref: str, leaf: tuple, value) -> str:
         node = node[key]
     node[leaf[-1]] = value
     return json.dumps(doc)
+
+
+# the negative T2 verdict carries no opens; a hostile one is decoded all the same
+_HAUSDORFF = "separation-hausdorff:any"
+
+
+def _ball(index: int, eps: str) -> dict:
+    return {"kind": "ball", "center": {"kind": "origin", "index": index}, "eps": eps}
+
+
+def _chart(index: int, eps: str) -> dict:
+    return {"kind": "origin-chart", "index": index, "eps": eps}
 
 
 _PLATEAU_PATH = "plpath v1\n0/1 1/1\n1/4 0/1\n1/2 0/1\n1/1 1/1\n"
@@ -611,8 +623,6 @@ _FIELD = ["homotopy", "--field", "{file}"]
         (_CHECK, _report_with("branched-cover:any",
                               ("paths", 0, "breakpoints", 0, 1, "index"), 0),
          "error: origin index must be >= 1, got 0"),
-        (_CHECK, _report_with("even-covering:quotient", ("k",), 1),
-         "error: need at least 2 origins, got k=1"),
         (_CHECK, _report_with("branched-cover:any", ("paths", 0, "breakpoints", 1, 1, "x"), "0/1"),
          "error: regular points have nonzero coordinate"),
         (_CHECK, _report_with("pi1-probe", ("loop", "labels", 0, 0), "1/2"),
@@ -621,15 +631,9 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "error: coordinate stays 0 on [1/4, 1/2]"),
         (_CHECK, _report_with("deck-group:any", ("elements", 0, "images", 0), 2),
          "error: (2, 2) is not a permutation of 1..2"),
-        (_CHECK, _report_with("even-covering:pseudometric", ("eps",), "-1/1"),
-         "error: rule radii must be positive"),
-        (_CHECK, _report_with("even-covering:quotient", ("eps",), "0/1"),
-         "error: rule radii must be positive"),
-        (_CHECK, _report_with("even-covering:pseudometric", ("witnesses", 0, "open_i", "eps"),
-                              "-1/2"),
+        (_CHECK, _report_with(_HAUSDORFF, ("opens",), [_ball(1, "-1/2"), _ball(2, "1/1")]),
          "error: ball radius must be positive, got -1/2"),
-        (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "eps"),
-                              "-1/1"),
+        (_CHECK, _report_with(_HAUSDORFF, ("opens",), [_chart(1, "-1/1"), _chart(2, "1/1")]),
          "error: chart radius must be positive, got -1"),
         (["lift", "--path", "{file}"], "0/1 1/1\n1/1 1/1\n", "error: expected header 'plpath v1'"),
         (_FIELD, "2 2\n0/1 1/1\n0/1 1/1\n1/1 1/1\n1/1 1/1\n",
@@ -644,7 +648,7 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "error: grid breaks must span [0, 1]"),
         (_FIELD, "plfield v1\n4 2\n0/1 1/2 1/4 1/1\n0/1 1/1\n" + "1/1 1/1\n" * 4,
          "error: grid breaks must be strictly increasing"),
-        (_CHECK, _report_with("even-covering:quotient", ("witnesses", 0, "open_i", "index"), 0),
+        (_CHECK, _report_with(_HAUSDORFF, ("opens",), [_chart(0, "1/1"), _chart(2, "1/1")]),
          "error: origin index must be >= 1, got 0"),
         (_CHECK, _report_with("pi1-probe", ("loop", "path", "breakpoints", 4, 1), "2/1"),
          "error: ReportDocument.certificates: LoopClassRecord.loop: "
@@ -655,12 +659,11 @@ _FIELD = ["homotopy", "--field", "{file}"]
     ],
     ids=["audit-k", "deck-k", "lift-k", "render-k", "render-k-max", "audit-eps", "lift-x0",
          "lift-limit", "lift-plateau", "lift-path-and-x0", "homotopy-origin", "homotopy-domain",
-         "thick-coarse", "thick-fine", "check-origin-index", "check-k", "check-regular-zero",
-         "check-labels", "check-plateau", "check-permutation", "check-rule-radius",
-         "check-rule-radius-zero",
-         "check-ball-radius", "check-chart-radius", "path-no-header", "field-no-header",
-         "path-one-line", "field-two-lines", "field-break-count", "field-break-span",
-         "field-break-order", "check-chart-index", "check-open-loop", "check-cancelling-pair"],
+         "thick-coarse", "thick-fine", "check-origin-index", "check-regular-zero",
+         "check-labels", "check-plateau", "check-permutation", "check-ball-radius",
+         "check-chart-radius", "path-no-header", "field-no-header", "path-one-line",
+         "field-two-lines", "field-break-count", "field-break-span", "field-break-order",
+         "check-chart-index", "check-open-loop", "check-cancelling-pair"],
 )
 def test_domain_error_line(capsys, tmp_path, argv, text, line):
     path = tmp_path / "input.txt"

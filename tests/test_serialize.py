@@ -409,12 +409,12 @@ _SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 # read.  Every JSON output of the CLI is made of these kinds.
 KINDS = (
     "ball", "claim-record", "connected-preimage-record", "continuity-probe",
-    "deck-element", "deck-group-table", "even-cover-failure", "grid-witness",
+    "deck-element", "deck-group-table", "grid-witness",
     "homotopy-field", "homotopy-lift-record", "indistinguishable-origins",
     "inseparability-rule", "labeled-loop", "lifted-path", "lifts-enumerated",
     "loop-class-record", "metric-summary", "monodromy-obstruction",
     "no-lift", "non-unique-existence", "origin", "origin-chart", "origin-join-path",
-    "pair-witness", "pl-path", "reduced-word", "regular", "regular-interval",
+    "pl-path", "reduced-word", "regular", "regular-interval",
     "report-document", "section-witness", "separated-charts", "separation-verdict",
     "thick-audit-report", "verdict-row",
 )
@@ -461,6 +461,7 @@ def _roots() -> tuple:
         crossing_word(loop),
         LabeledRep(Fraction(1, 3), 2),
         RegularInterval(Fraction(1, 2), Fraction(3, 2)),
+        Ball(Origin(1), Fraction(1, 2)),
         ThickPoint(Origin(2), Fraction(1, 3)),
         PlanePoint(Fraction(1, 2), Fraction(1, 2)),
         BasePoint(Fraction(0)),
@@ -473,7 +474,7 @@ class TestKindRegistry:
         _hinted_classes(audit_mod.ReportDocument, found)
         _hinted_classes(ThickAuditReport, found)
         _hinted_classes(MetricSummary, found)
-        assert len(KINDS) == 34
+        assert len(KINDS) == 32
         assert tuple(sorted(serialize._kind(cls) for cls in found)) == KINDS
 
     def test_golden_outputs_hold_only_pinned_kinds(self):
