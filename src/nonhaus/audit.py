@@ -19,15 +19,14 @@ cells cite ``indistinguishable-origins:pseudometric`` (their rules name
 their lemmas), the deck table proves the symmetry and subgroup rows, and a
 failure that does not depend on the model is one ``:any`` record.
 
-Each value is stored once (``nonhaus-report/7``): re-checks take k from the
+Each value is stored once (``nonhaus-report/8``): re-checks take k from the
 report and rules take the model from the cell they prove, so no record restates
 them or a value its other fields give.  The charts and origins records carry no
-k or model, the branched-cover and monodromy records no k, the monodromy record
-no path (each lift has its base), a join path no window (its record's) and a
-section witness no disagreement (origins i and j).  The deck table and the
-homotopy record keep their own k or model, as other readers take them alone.
-Even-covering has no record of its own: both cells cite the Hausdorff failure,
-which it follows from at every window.
+k or model, the monodromy record no k and no path (each lift has its base).  The
+deck table and the homotopy record keep their own k or model, as other readers
+take them alone.  Even-covering, branched-cover and etale-separated have no
+record of their own: their cells cite the Hausdorff failure, which each follows
+from at every window, through a rule that names its lemma.
 """
 
 from __future__ import annotations
@@ -49,14 +48,6 @@ from .lifting import (
     monodromy_verdict,
     recheck_homotopy_record,
     recheck_monodromy,
-)
-from .projection import (
-    OriginJoinPath,
-    SectionWitness,
-    preimage_connected_certificate,
-    recheck_origin_join,
-    recheck_section_witness,
-    section_witness,
 )
 from .space import (
     Origin,
@@ -80,7 +71,7 @@ from .symmetry import (
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/7"
+SCHEMA_VERSION = "nonhaus-report/8"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -118,15 +109,6 @@ class ReportDocument:
 
     def certificate(self, ref: str) -> Certificate:
         return dict(self.certificates)[ref]
-
-
-@dataclass(frozen=True)
-class ConnectedPreimageRecord:
-    """Joining paths showing the window preimage cannot split into sheets, in both
-    models: near each origin they run through small regular points, in its every open."""
-
-    eps: Fraction
-    paths: tuple[OriginJoinPath, ...]
 
 
 @dataclass(frozen=True)
@@ -188,6 +170,20 @@ def _not_evenly_covered(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]
     """Lemma: two origins with no disjoint opens lie in one member of any disjoint open
     family that covers a window's preimage; that member holds two points over 0, so it
     maps injectively onto no window.  The T2 failure holds at any radii, so at every window."""
+    return _t2_fails(v, cfg)
+
+
+def _no_local_sheets(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
+    """Lemma: local sheets are disjoint opens covering a window's preimage, each holding at
+    most one point over 0.  Two origins with no disjoint opens can lie neither in two
+    different sheets nor in one.  The T2 failure holds at any radii, so at every window."""
+    return _t2_fails(v, cfg)
+
+
+def _germs_inseparable(v: SeparationVerdict, cfg: SpaceConfig) -> Optional[str]:
+    """Lemma: the sections x -> x off 0, taking origin i or origin j at 0, are continuous,
+    as every open around an origin holds all small nonzero points.  They agree off 0 and
+    differ at 0, so their distinct germs over 0 have no disjoint neighbourhoods."""
     return _t2_fails(v, cfg)
 
 
@@ -272,11 +268,10 @@ CLAIMS = (
     ("even-covering", "some window around the accumulation point is evenly covered",
      (FAILS, _HAUSDORFF_REF), (FAILS, _HAUSDORFF_REF), {SeparationVerdict: _not_evenly_covered}),
     ("branched-cover", "the projection splits small windows into disjoint local sheets",
-     (FAILS, "branched-cover:any"), (FAILS, "branched-cover:any"),
-     _shows(ConnectedPreimageRecord, FAILS)),
+     (FAILS, _HAUSDORFF_REF), (FAILS, _HAUSDORFF_REF), {SeparationVerdict: _no_local_sheets}),
     ("etale-separated",
      "distinct germs of sections over the accumulation point are distinguishable",
-     (FAILS, "etale-separated:any"), (FAILS, "etale-separated:any"), _shows(SectionWitness, FAILS)),
+     (FAILS, _HAUSDORFF_REF), (FAILS, _HAUSDORFF_REF), {SeparationVerdict: _germs_inseparable}),
     ("unique-path-lifting", "a path and a start point determine at most one lift",
      (FAILS, "path-lifting:any"), (FAILS, "path-lifting:any"), _PATH_LIFTS_FAIL),
     ("homotopy-lifting", "a homotopy extends any lift of its initial path",
@@ -331,6 +326,8 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         # the deck table row needs the full group
         raise NonHausError(f"audit supports 2 <= k <= 6, got {cfg.k}")
     eps, x0 = Fraction(eps), Fraction(x0)
+    if eps <= 0:
+        raise NonHausError(f"window radius must be positive, got {eps}")
     k = cfg.k
     quotient = SpaceConfig(k, TopologyModel.QUOTIENT)
     pseudo = SpaceConfig(k, TopologyModel.PSEUDOMETRIC)
@@ -339,13 +336,10 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
     probe = probe_loop(1, 2)
     certs: dict[str, Any] = {
         _HAUSDORFF_REF: {v.axiom: v for v in separation_report(quotient)}["T2"],
-        "branched-cover:any": ConnectedPreimageRecord(
-            eps=eps, paths=tuple(preimage_connected_certificate(eps, quotient))),
         "path-lifting:any": monodromy_verdict(x0, quotient),
         _CHARTS_REF: SeparatedCharts(eps=eps),
         "pi1-probe": LoopClassRecord(loop=probe, quotient_class=loop_class(probe, quotient)),
         _ORIGINS_REF: IndistinguishableOrigins(),
-        "etale-separated:any": section_witness(eps, 1, 2, quotient),
         "homotopy-lifting-constancy:pseudometric":
             homotopy_lift_record(field, assignment, pseudo, True),
         "deck-group:any": deck_group(k),
@@ -370,6 +364,8 @@ def _recheck_separation(v: SeparationVerdict, k: int) -> list[str]:
     if v.holds:
         if v.opens is None:
             return [f"{v.axiom}: positive verdict without opens"]
+        if v.rule is not None:
+            return [f"{v.axiom}: positive verdict with a rule"]
         o1, o2 = v.opens
         p, q = v.pair
         if not (open_contains(o1, p) and not open_contains(o1, q)):
@@ -381,6 +377,8 @@ def _recheck_separation(v: SeparationVerdict, k: int) -> list[str]:
         return failures
     if v.rule is None:
         return [f"{v.axiom}: negative verdict without a rule"]
+    if v.opens is not None:
+        return [f"{v.axiom}: negative verdict with opens"]
     if v.rule.i == v.rule.j or not (1 <= v.rule.i <= k and 1 <= v.rule.j <= k):
         return [f"{v.axiom}: rule needs two distinct origins in 1..{k}"]
     if v.pair != (Origin(v.rule.i), Origin(v.rule.j)):
@@ -421,8 +419,6 @@ _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
     SeparatedCharts: _recheck_separated_charts,
     LoopClassRecord: _recheck_loop_class,
     IndistinguishableOrigins: _recheck_indistinguishable_origins,
-    ConnectedPreimageRecord: lambda c, k: recheck_origin_join(list(c.paths), SpaceConfig(k), c.eps),
-    SectionWitness: recheck_section_witness,
     MonodromyObstruction: recheck_monodromy,
     HomotopyLiftRecord: recheck_homotopy_record,
     DeckGroupTable: lambda c, k: recheck_deck_group(c),

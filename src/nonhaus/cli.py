@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = subcommand("audit", _cmd_audit, "emit the claims-audit report",
                          "--k", "--model", "--x0", "--json", "--out")
     p_audit.add_argument("--eps", type=serialize.parse_frac,
-                         help="window radius for the covering certificates (default 1)")
+                         help="chart radius of separated-charts:quotient (default 1)")
     p_audit.add_argument("--check", help="re-check a report file and exit; takes no flag but --out")
     p_audit.set_defaults(**dict.fromkeys(_BUILD_FLAGS))
 

@@ -110,101 +110,3 @@ def recheck_even_cover(cert: EvenCoverFailure) -> list[str]:
             for i in range(1, cert.k + 1)
             if not open_contains(basic_open(Origin(i), cert.eps, cfg), common)]
 
-
-@dataclass(frozen=True)
-class OriginJoinPath:
-    """PL path inside the preimage of the window joining two origins.
-
-    Breakpoints are (time, point) pairs; the coordinate interpolates
-    linearly between them, so every interior point stays inside the
-    preimage of the window as well.  The window is its record's.
-    """
-
-    breakpoints: tuple[tuple[Fraction, CanonicalPoint], ...]
-
-    @property
-    def start(self) -> CanonicalPoint:
-        return self.breakpoints[0][1]
-
-    @property
-    def end(self) -> CanonicalPoint:
-        return self.breakpoints[-1][1]
-
-
-def preimage_connected_certificate(eps: Fraction, cfg: SpaceConfig) -> list[OriginJoinPath]:
-    """Chain of PL paths joining consecutive origins through one regular point.
-
-    Each path runs origin i -> regular eps/2 -> origin i+1; all breakpoint
-    coordinates have absolute value below eps, so the whole chain stays in
-    the preimage of the window.  This witnesses that the preimage cannot
-    split into disjoint sheets.
-    """
-    eps = _window(eps)
-    via = Regular(eps / 2)
-    paths = []
-    for i in range(1, cfg.k):
-        paths.append(
-            OriginJoinPath(
-                breakpoints=(
-                    (Fraction(0), Origin(i)),
-                    (Fraction(1, 2), via),
-                    (Fraction(1), Origin(i + 1)),
-                ),
-            )
-        )
-    return paths
-
-
-def recheck_origin_join(paths: list[OriginJoinPath], cfg: SpaceConfig, eps: Fraction) -> list[str]:
-    """Path n must join origin n+1 to origin n+2 inside the window (-eps, eps) of the record."""
-    failures: list[str] = []
-    if [(p.start, p.end) for p in paths] != [(Origin(i), Origin(i + 1)) for i in range(1, cfg.k)]:
-        failures.append(f"paths do not join origins 1..{cfg.k} consecutively, in order")
-    for n, path in enumerate(paths):
-        for t, p in path.breakpoints:
-            if not abs(coord(p)) < eps:
-                failures.append(f"path {n}: breakpoint at t={t} leaves the window preimage")
-    return failures
-
-
-@dataclass(frozen=True)
-class SectionWitness:
-    """Two sections over the window that agree off the accumulation point.
-
-    Both send a nonzero coordinate x to the regular point x; at the
-    accumulation point one picks origin i, the other origin j.  Agreement
-    at every x in the punctured window 0 < |x| < eps, plus the disagreement
-    at the accumulation point, witnesses that the stalk there is not
-    separated.
-    """
-
-    i: int
-    j: int
-    eps: Fraction
-
-
-def section_witness(eps: Fraction, i: int, j: int, cfg: SpaceConfig) -> SectionWitness:
-    """Build the two-section witness of origins i and j over the window (-eps, eps)."""
-    eps = _window(eps)
-    if i == j:
-        raise NonHausError("the two sections must pick distinct origins")
-    for idx in (i, j):
-        if not 1 <= idx <= cfg.k:
-            raise NonHausError(f"origin {idx} not in 1..{cfg.k}")
-    return SectionWitness(i=i, j=j, eps=eps)
-
-
-def recheck_section_witness(w: SectionWitness, k: int) -> list[str]:
-    """The window must be nonempty and the sections must pick distinct origins of 1..k.
-
-    Off the accumulation point both sections send x to the regular point x,
-    so they agree at every x of the punctured window without a test; at it
-    they pick origins i and j, which differ.
-    """
-    failures: list[str] = []
-    if not w.eps > 0:
-        failures.append(f"window radius {w.eps} is not positive")
-    if w.i == w.j or not (1 <= w.i <= k and 1 <= w.j <= k):
-        failures.append(f"sections pick origins {w.i} and {w.j}, "
-                        f"not two distinct origins of 1..{k}")
-    return failures

@@ -130,6 +130,12 @@ class TestAuditTable:
         with pytest.raises(NonHausError, match="audit supports 2 <= k <= 6, got 7"):
             run_audit(SpaceConfig(7))
 
+    def test_eps_validated(self):
+        # the chart radius is refused before any certificate is built
+        for eps in (0, -1):
+            with pytest.raises(NonHausError, match=f"window radius must be positive, got {eps}"):
+                run_audit(Q2, eps=Fraction(eps))
+
     def test_pseudometric_run_matches(self):
         doc = run_audit(P2)
         assert doc.model == "pseudometric"
@@ -189,6 +195,8 @@ _CHART_CELLS = (("separation-t1", HOLDS), ("locally-euclidean-at-origins", HOLDS
 _ORIGIN_CELLS = (("separation-t1", FAILS), ("locally-euclidean-at-origins", FAILS),
                  ("origin-filter-coincidence", HOLDS), ("pi1-trivial", HOLDS),
                  ("contractible", HOLDS))
+# the four rows that fail in both models by the one T2 failure, in table order
+_T2_ROWS = ("separation-hausdorff", "even-covering", "branched-cover", "etale-separated")
 
 
 def _origins_deleted(doc):
@@ -233,16 +241,6 @@ def _replace_certificate(doc, ref, cert):
     doc["certificates"] = [[r, cert if r == ref else c] for r, c in doc["certificates"]]
 
 
-def _far_join_paths(doc):
-    for path in _certificate(doc, "branched-cover:any")["paths"]:
-        path["breakpoints"][1][1] = {"kind": "regular", "x": "500/1"}
-
-
-def _repeated_join_path(doc):
-    cert = _certificate(doc, "branched-cover:any")
-    cert["paths"] = [cert["paths"][0]] * 2
-
-
 _ORIGIN_1 = {"kind": "origin", "index": 1}
 
 
@@ -279,9 +277,9 @@ def _probe_replaced_by(ref):
     return tamper
 
 
-def _sections_of_origin(index):
+def _hausdorff_rule_naming(field, index):
     def tamper(doc):
-        _certificate(doc, "etale-separated:any")["i"] = index
+        _certificate(doc, _HAUSDORFF_REF)["rule"][field] = index
     return tamper
 
 
@@ -294,8 +292,8 @@ def _probe_through_origin(index):
     return tamper
 
 
-def _path_lifting_swapped_for_branched_cover(doc):
-    _replace_certificate(doc, "path-lifting:any", _certificate(doc, "branched-cover:any"))
+def _path_lifting_swapped_for_hausdorff(doc):
+    _replace_certificate(doc, "path-lifting:any", _certificate(doc, _HAUSDORFF_REF))
 
 
 def _negative_verdict_of_regular_pair(doc):
@@ -336,6 +334,16 @@ def _negative_verdicts_relabelled(doc):
     _certificate(doc, _HAUSDORFF_REF)["axiom"] = "T1"
 
 
+def _negative_verdict_with_opens(doc):
+    _certificate(doc, _HAUSDORFF_REF)["opens"] = [
+        {"kind": "origin-chart", "index": i, "eps": "1/1"} for i in (1, 2)]
+
+
+def _positive_verdict_with_rule(doc):
+    _negative_verdict_with_opens(doc)
+    _certificate(doc, _HAUSDORFF_REF)["holds"] = True
+
+
 def _identity_twice(doc):
     cert = _certificate(doc, "deck-group:any")
     cert["elements"] = [cert["elements"][0]] * 2
@@ -373,18 +381,13 @@ _TAMPERS = [
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
     # the one certificate of the pseudometric model's universal cells
     ("origins-deleted", 2, _origins_deleted,
-     _FAILED + f"certificate 7: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
+     _FAILED + f"certificate 5: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
     ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
      _FAILED + "claim 16: row subgroup-correspondence differs from the declared row "
      "subgroup-correspondence"),
     ("repeated-lift", 2, _repeated_lift, "path-lifting:any: lifts are not pairwise distinct"),
     ("moved-lift-start", 2, _moved_lift_start,
      "path-lifting:any: lifts do not share a start point"),
-    ("far-join-paths", 3, _far_join_paths, _FAILED + "; ".join(
-        f"branched-cover:any: path {n}: breakpoint at t=1/2 leaves the window preimage"
-        for n in (0, 1))),
-    ("repeated-join-path", 3, _repeated_join_path,
-     _FAILED + "branched-cover:any: paths do not join origins 1..3 consecutively, in order"),
     # the three quotient chart cells cite the one record of separated charts
     ("t0-verdict-in-t1-cell", 3, _t0_verdict_in_t1_cell, _CHARTS_PROVE_NOTHING),
     ("origin-regular-pair-in-t1-cell", 3, _origin_regular_pair_in_t1_cell, _CHARTS_PROVE_NOTHING),
@@ -409,18 +412,20 @@ _TAMPERS = [
         _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "pi1-probe")
         for claim in ("pi1-trivial", "contractible"))),
     # every origin a certificate names is one of the report's 1..k
-    ("sections-of-origin-9", 2, _sections_of_origin(9), _FAILED + "etale-separated:any: "
-     "sections pick origins 9 and 2, not two distinct origins of 1..2"),
-    ("sections-of-origin-0", 2, _sections_of_origin(0), _FAILED + "etale-separated:any: "
-     "sections pick origins 0 and 2, not two distinct origins of 1..2"),
-    ("sections-of-one-origin", 2, _sections_of_origin(2), _FAILED + "etale-separated:any: "
-     "sections pick origins 2 and 2, not two distinct origins of 1..2"),
+    ("t2-rule-of-origin-9", 2, _hausdorff_rule_naming("i", 9),
+     _FAILED + f"{_HAUSDORFF_REF}: T2: rule needs two distinct origins in 1..2"),
+    ("t2-rule-of-origin-0", 2, _hausdorff_rule_naming("i", 0),
+     _FAILED + f"{_HAUSDORFF_REF}: T2: rule needs two distinct origins in 1..2"),
+    ("t2-rule-of-one-origin", 2, _hausdorff_rule_naming("i", 2),
+     _FAILED + f"{_HAUSDORFF_REF}: T2: rule needs two distinct origins in 1..2"),
+    ("t2-rule-of-origin-k-plus-1", 3, _hausdorff_rule_naming("j", 4),
+     _FAILED + f"{_HAUSDORFF_REF}: T2: rule needs two distinct origins in 1..3"),
     ("probe-through-origin-9", 2, _probe_through_origin(9),
      _FAILED + "pi1-probe: loop labels [9, 2] are not origins of 1..2"),
     ("probe-through-origin-0", 3, _probe_through_origin(0),
      _FAILED + "pi1-probe: loop labels [0, 2] are not origins of 1..3"),
     # a record that both models cite proves only its own claims
-    ("path-lifting-swapped-for-branched-cover", 2, _path_lifting_swapped_for_branched_cover,
+    ("path-lifting-swapped-for-t2", 2, _path_lifting_swapped_for_hausdorff,
      _FAILED + "; ".join(
          _PROVES_NOTHING.format(f"{claim} ({model})", "fails", "path-lifting:any")
          for claim in ("unique-path-lifting", "monodromy-defined", "semicovering")
@@ -433,14 +438,19 @@ _TAMPERS = [
      _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
     # the certificates are exactly the cited refs, each once, in sorted order
     ("uncited-probe-copy", 2, _uncited_probe_copy,
-     _FAILED + "certificate 12: ref uncited:any differs from the cited ref (none)"),
+     _FAILED + "certificate 10: ref uncited:any differs from the cited ref (none)"),
     ("deck-table-twice", 2, _deck_table_twice,
-     _FAILED + "certificate 3: ref deck-group:any differs from the cited ref etale-separated:any"),
-    # a negative verdict proves T2 only, and even-covering fails by its T2 failure
+     _FAILED + "certificate 2: ref deck-group:any differs from the cited ref "
+     "homotopy-lifting-constancy:pseudometric"),
+    # a negative verdict proves T2 only, and the rows that follow from it fail by it
     ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join(
         _PROVES_NOTHING.format(f"{claim} ({model})", "fails", _HAUSDORFF_REF)
-        for claim in ("separation-hausdorff", "even-covering")
-        for model in ("quotient", "pseudometric"))),
+        for claim in _T2_ROWS for model in ("quotient", "pseudometric"))),
+    # a negative verdict carries a rule and no opens, a positive one opens and no rule
+    ("negative-verdict-with-opens", 2, _negative_verdict_with_opens,
+     _FAILED + f"{_HAUSDORFF_REF}: T2: negative verdict with opens"),
+    ("positive-verdict-with-rule", 2, _positive_verdict_with_rule,
+     _FAILED + f"{_HAUSDORFF_REF}: T2: positive verdict with a rule"),
     # a negative verdict's pair is its rule's origins
     ("negative-verdict-of-regular-pair", 2, _negative_verdict_of_regular_pair,
      _FAILED + f"{_HAUSDORFF_REF}: T2: pair is not the rule's origins 1 and 2"),
@@ -520,12 +530,12 @@ class TestRecheckFailures:
         certs = tuple((ref, c) for ref, c in report.certificates if ref != "pi1-probe")
         bad = dataclasses.replace(report, certificates=certs)
         assert recheck_report(bad) == [
-            "certificate 9: ref separated-charts:quotient differs from the cited ref pi1-probe"]
+            "certificate 7: ref separated-charts:quotient differs from the cited ref pi1-probe"]
 
     def test_certificates_in_another_order(self, report):
         bad = dataclasses.replace(report, certificates=report.certificates[::-1])
         assert recheck_report(bad) == [
-            f"certificate 1: ref {_HAUSDORFF_REF} differs from the cited ref branched-cover:any"]
+            f"certificate 1: ref {_HAUSDORFF_REF} differs from the cited ref deck-group:any"]
 
     def test_indistinguishable_origins_prove_the_universal_cells(self, report):
         cert = report.certificate(_ORIGINS_REF)
@@ -544,10 +554,9 @@ class TestRecheckFailures:
             (("quotient", _CHARTS_REF), ("pseudometric", _ORIGINS_REF))}
         assert report.certificate(_CHARTS_REF) == SeparatedCharts(Fraction(1))
         # a failure that does not depend on the model is one record that both models cite
-        for claim in ("separation-hausdorff", "even-covering", "branched-cover",
-                      "unique-path-lifting", "monodromy-defined", "semicovering"):
+        for claim in (*_T2_ROWS, "unique-path-lifting", "monodromy-defined", "semicovering"):
             assert len(set(dict(refs[claim]).values())) == 1
-        assert len(report.certificates) == 11
+        assert len(report.certificates) == 9
 
     def test_contraction_stage_with_origin_9(self):
         # the report carries no contraction; the library certificate still re-checks alone
@@ -624,10 +633,17 @@ class TestRecheckBranches:
              ["T2: rule needs two distinct origins in 1..2"]),
             (SeparationVerdict("T2", False, _ORIGINS, rule=InseparabilityRule(2, 1)),
              ["T2: pair is not the rule's origins 2 and 1"]),
+            (SeparationVerdict("T2", False, _ORIGINS, opens=(_chart(1), _chart(2)),
+                               rule=InseparabilityRule(1, 2)),
+             ["T2: negative verdict with opens"]),
+            (SeparationVerdict("T1", True, _ORIGINS, opens=(_chart(1), _chart(2)),
+                               rule=InseparabilityRule(1, 2)),
+             ["T1: positive verdict with a rule"]),
         ],
         ids=["no-opens", "first-pattern", "second-pattern", "first-holds-both",
              "second-holds-both", "t2-opens-intersect", "no-rule",
-             "equal-rule-indices", "rule-index-above-k", "rule-index-0", "pair-not-rule-pair"],
+             "equal-rule-indices", "rule-index-above-k", "rule-index-0", "pair-not-rule-pair",
+             "negative-with-opens", "positive-with-rule"],
     )
     def test_separation(self, verdict, failures):
         assert _recheck_separation(verdict, 2) == failures
@@ -642,6 +658,17 @@ class TestRecheckBranches:
         for cfg in (Q2, P2):
             assert rules[SeparationVerdict](verdict, cfg) == proved
 
+    def test_hausdorff_failure_proves_four_rows(self, report):
+        # the four rows, in both models, are the cells that cite the T2 failure
+        citing = [(claim.claim_id, model) for claim in report.claims
+                  for model, ref in claim.certificate_refs if ref == _HAUSDORFF_REF]
+        assert citing == [(claim, m.value) for claim in _T2_ROWS for m in audit.MODELS]
+        relabelled = dataclasses.replace(report.certificate(_HAUSDORFF_REF), axiom="T1")
+        # relabelled T1, the record proves none of the eight cells
+        assert recheck_report(_with_certificate(report, _HAUSDORFF_REF, relabelled)) == [
+            _PROVES_NOTHING.format(f"{claim} ({model})", FAILS, _HAUSDORFF_REF)
+            for claim in _T2_ROWS for model in ("quotient", "pseudometric")]
+
     def test_separation_accepts_the_produced_verdicts(self, report):
         assert _recheck_separation(report.certificate(_HAUSDORFF_REF), 2) == []
         for cfg in (Q2, P2):
@@ -651,8 +678,8 @@ class TestRecheckBranches:
     @pytest.mark.parametrize(
         "tamper, failures",
         [(_identity_only, ["deck-group:any: expected 2 distinct elements of degree 2"]),
-         (_without_deck_table, ["certificate 2: ref etale-separated:any differs from the "
-                                "cited ref deck-group:any"]),
+         (_without_deck_table, ["certificate 1: ref homotopy-lifting-constancy:pseudometric "
+                                "differs from the cited ref deck-group:any"]),
          (lambda doc: _identity_only(_subgroup_citing(doc, "pi1-probe")),
           [_SUBGROUP_ROW_DIFFERS, "deck-group:any: expected 2 distinct elements of degree 2"]),
          (lambda doc: _subgroup_citing(doc, "pi1-probe"), [_SUBGROUP_ROW_DIFFERS]),
@@ -720,11 +747,12 @@ class TestNoRestatedValue:
 
     # field -> the kinds of certificate object that may carry it
     ONLY_IN = {"k": {"deck-group-table"}, "model": {"homotopy-lift-record"}}
-    # fields another field of the same record, or of its record, already gives
-    NEVER = {("origin-join-path", "eps"), ("section-witness", "disagreement"),
-             ("monodromy-obstruction", "path")}
-    # kinds whose fact the Hausdorff failure proves: even-covering follows from it
-    NO_KINDS = {"even-cover-failure", "pair-witness"}
+    # fields another field of the same record already gives
+    NEVER = {("monodromy-obstruction", "path")}
+    # kinds whose fact the Hausdorff failure proves: even-covering, branched-cover and
+    # etale-separated follow from it
+    NO_KINDS = {"even-cover-failure", "pair-witness", "connected-preimage-record",
+                "origin-join-path", "section-witness"}
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_report_fields(self, k):

@@ -82,11 +82,11 @@ def test_output_matches_golden(name, argv, tmp_path):
 # updates these digests by hand, with the reason stated.
 K6_DIGESTS = (
     ("audit-k6-quotient", ["audit", "--k", "6", "--json"],
-     "7d9c218c41a4c6eef379ab757aa0320fc466d9529108ff861993958ff79311fd"),
+     "64048c37e431639779ab22561064a3364472c27200d2f2c82c1a31b03173b0b7"),
     ("audit-k6-pseudometric", ["audit", "--k", "6", "--model", "pseudometric", "--json"],
-     "29430f94fa8805f3d563b9f26b7ad8a7c53632ce7f6b9e8f45ddda279c22a3cc"),
+     "468d495db016f6afa6c5500d9c433c4048f37840b4587a79e8db11d229a71571"),
     ("audit-k6-eps-x0", ["audit", "--k", "6", "--eps", "3/7", "--x0", "5/3", "--json"],
-     "f099f92e40cb30b58abf0bdf169020dfb3ec36a7798b0ad1d3696315bf57b909"),
+     "369507fd6de8b10a5986aa92d502d02b0de58f1844afe8f2da084d08a9fb0bbd"),
     ("deck-k6", ["deck", "--k", "6", "--json"],
      "b3505cfcb80f71116f291a7b7a0b71d366baeefca141455cf5517c02fc9dfeba"),
 )

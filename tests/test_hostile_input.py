@@ -269,7 +269,7 @@ def test_check_rejects_build_flags(capsys, tmp_path, flags, named):
 def test_check_takes_out(capsys, tmp_path):
     out = tmp_path / "out.txt"
     assert main(["audit", "--check", _GOLDEN_K2, "--out", str(out)]) == 0
-    assert out.read_text() == "report ok: 18 claims, 11 certificates re-checked\n"
+    assert out.read_text() == "report ok: 18 claims, 9 certificates re-checked\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
@@ -581,7 +581,8 @@ def _report_with(ref: str, leaf: tuple, value) -> str:
     return json.dumps(doc)
 
 
-# the negative T2 verdict carries no opens; a hostile one is decoded all the same
+# the negative T2 verdict carries no opens and the re-check refuses any; a hostile one
+# is refused by the decoder first
 _HAUSDORFF = "separation-hausdorff:any"
 
 
@@ -620,10 +621,9 @@ _FIELD = ["homotopy", "--field", "{file}"]
          "error: assignment domain [1/4] != zero times [1/4, 3/4]"),
         (["thick", "--grid-n", "7"], None, "error: grid must be at least 8x8, got 7"),
         (["thick", "--grid-n", "4097"], None, "error: grid 4097 exceeds the limit of 4096"),
-        (_CHECK, _report_with("branched-cover:any",
-                              ("paths", 0, "breakpoints", 0, 1, "index"), 0),
+        (_CHECK, _report_with("path-lifting:any", ("lifts", 0, "values", 1, "index"), 0),
          "error: origin index must be >= 1, got 0"),
-        (_CHECK, _report_with("branched-cover:any", ("paths", 0, "breakpoints", 1, 1, "x"), "0/1"),
+        (_CHECK, _report_with("path-lifting:any", ("lifts", 0, "values", 0, "x"), "0/1"),
          "error: regular points have nonzero coordinate"),
         (_CHECK, _report_with("pi1-probe", ("loop", "labels", 0, 0), "1/2"),
          "error: labels [1/2, 3/4] do not match zero times [1/4, 3/4]; missing [1/4]"),

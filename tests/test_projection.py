@@ -11,15 +11,10 @@ from nonhaus.embedding import ACCUMULATION, BasePoint
 from nonhaus.errors import NonHausError
 from nonhaus.projection import (
     EvenCoverFailure,
-    OriginJoinPath,
     even_cover_certificate,
     fibre,
-    preimage_connected_certificate,
     project,
     recheck_even_cover,
-    recheck_origin_join,
-    recheck_section_witness,
-    section_witness,
 )
 from nonhaus.space import (
     LabeledRep,
@@ -130,99 +125,31 @@ class TestEvenCover:
             assert open_contains(w.open_j, w.common)
 
 
-class TestPreimageConnected:
-    def test_two_origins(self, quotient2):
-        paths = preimage_connected_certificate(1, quotient2)
-        assert len(paths) == 1
-        times_points = paths[0].breakpoints
-        assert times_points[0][1] == Origin(1)
-        assert times_points[1][1] == Regular(Fraction(1, 2))
-        assert times_points[2][1] == Origin(2)
-        assert recheck_origin_join(paths, quotient2, Fraction(1)) == []
-
-    def test_three_origins_chained(self, quotient3):
-        paths = preimage_connected_certificate(1, quotient3)
-        assert len(paths) == 2
-        assert all(p.breakpoints[1][1] == Regular(Fraction(1, 2)) for p in paths)
-        assert recheck_origin_join(paths, quotient3, Fraction(1)) == []
-
-    def test_negative_radius(self, quotient2):
-        with pytest.raises(NonHausError, match="window radius must be positive, got -1"):
-            preimage_connected_certificate(-1, quotient2)
-
-
-def _join(*points):
-    times = [Fraction(n, len(points) - 1) for n in range(len(points))]
-    return OriginJoinPath(breakpoints=tuple(zip(times, points)))
-
-
-_NOT_CHAINED = "paths do not join origins 1..3 consecutively, in order"
-
-
-class TestOriginJoinRecheck:
-    def test_produced_paths_pass(self, quotient3):
-        paths = preimage_connected_certificate(1, quotient3)
-        assert recheck_origin_join(paths, quotient3, Fraction(1)) == []
-
-    @pytest.mark.parametrize(
-        "paths, failures",
-        [
-            ([_join(Regular(Fraction(1, 2)), Origin(2)), _join(Origin(2), Origin(3))],
-             [_NOT_CHAINED]),
-            ([_join(Origin(1), Origin(3)), _join(Origin(2), Origin(3))], [_NOT_CHAINED]),
-            ([_join(Origin(1), Origin(2)), _join(Origin(2), Regular(1), Origin(3))],
-             ["path 1: breakpoint at t=1/2 leaves the window preimage"]),
-            ([_join(Origin(1), Origin(2))], [_NOT_CHAINED]),
-            ([_join(Origin(1), Origin(2))] * 2, [_NOT_CHAINED]),
-            ([_join(Origin(2), Origin(3)), _join(Origin(1), Origin(2))], [_NOT_CHAINED]),
-        ],
-        ids=["endpoint-not-origin", "not-consecutive", "leaves-window", "path-missing",
-             "one-path-repeated", "out-of-order"],
-    )
-    def test_recheck_names_each_failure(self, quotient3, paths, failures):
-        assert recheck_origin_join(paths, quotient3, Fraction(1)) == failures
-
-
 # points of the punctured window 0 < |x| < 1 on both sides of 0
 _PUNCTURED_WINDOW = (Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2))
 
 
 class TestSectionWitness:
+    """The two sections of the etale-separated lemma: the regular point x over each x != 0,
+    and origin 1 or origin 2 over 0.  No record carries them: the etale-separated cells
+    cite the T2 failure."""
+
     def test_witness_structure(self, quotient2):
-        w = section_witness(1, 1, 2, quotient2)
-        assert (w.i, w.j, w.eps) == (1, 2, 1)
         # off 0 both sections take the one point of the fibre; at 0 they pick two origins
         for x in _PUNCTURED_WINDOW:
             assert fibre(BasePoint(x), quotient2) == {Regular(x)}
-        assert {Origin(w.i), Origin(w.j)} <= fibre(ACCUMULATION, quotient2)
-        assert Origin(w.i) != Origin(w.j)
-        assert recheck_section_witness(w, 2) == []
-
-    def test_wider_window_other_pair(self, quotient3):
-        w = section_witness(2, 1, 3, quotient3)
-        assert (w.i, w.j, w.eps) == (1, 3, 2)
-        assert recheck_section_witness(w, 3) == []
-
-    def test_equal_indices_rejected(self, quotient2):
-        with pytest.raises(NonHausError, match="must pick distinct origins"):
-            section_witness(1, 1, 1, quotient2)
-
-    def test_index_out_of_range(self, quotient2):
-        with pytest.raises(NonHausError, match=r"origin 3 not in 1\.\.2"):
-            section_witness(1, 1, 3, quotient2)
-
-    def test_recheck_names_equal_indices(self, quotient2):
-        bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), j=1)
-        assert recheck_section_witness(bad, 2) == [
-            "sections pick origins 1 and 1, not two distinct origins of 1..2"]
-
-    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)], ids=["zero", "negative"])
-    def test_recheck_names_an_empty_window(self, quotient2, eps):
-        bad = dataclasses.replace(section_witness(1, 1, 2, quotient2), eps=eps)
-        assert recheck_section_witness(bad, 2) == [f"window radius {eps} is not positive"]
+        assert fibre(ACCUMULATION, quotient2) == {Origin(1), Origin(2)}
 
     def test_sections_project_back(self, quotient2):
-        w = section_witness(1, 1, 2, quotient2)
         for x in _PUNCTURED_WINDOW:
             assert project(Regular(x)) == BasePoint(x)
-        assert project(Origin(w.i)) == project(Origin(w.j)) == ACCUMULATION
+        assert project(Origin(1)) == project(Origin(2)) == ACCUMULATION
+
+    @pytest.mark.parametrize("model", list(TopologyModel))
+    def test_sections_are_continuous_at_0(self, model):
+        # every basic open around an origin holds the small nonzero points on both sides
+        cfg = SpaceConfig(3, model)
+        for i in range(1, 4):
+            for eps in (Fraction(1), Fraction(1, 3)):
+                around = basic_open(Origin(i), eps, cfg)
+                assert all(open_contains(around, Regular(x * eps)) for x in _PUNCTURED_WINDOW)

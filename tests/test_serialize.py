@@ -29,11 +29,7 @@ from nonhaus.lifting import (
     monodromy_verdict,
     verify_lift_continuity,
 )
-from nonhaus.projection import (
-    even_cover_certificate,
-    preimage_connected_certificate,
-    section_witness,
-)
+from nonhaus.projection import even_cover_certificate
 from nonhaus.space import (
     Ball,
     LabeledRep,
@@ -129,9 +125,6 @@ class TestRoundTrips:
     def test_projection_certificates(self):
         round_trip(even_cover_certificate(Fraction(1, 2), Q3))
         round_trip(even_cover_certificate(1, P2))
-        for path in preimage_connected_certificate(1, Q3):
-            round_trip(path)
-        round_trip(section_witness(1, 1, 2, Q2))
 
     def test_lifting_certificates(self):
         path = bounce_path(1)
@@ -408,14 +401,14 @@ _SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 # dropping or renaming one changes the wire format that independent checkers
 # read.  Every JSON output of the CLI is made of these kinds.
 KINDS = (
-    "ball", "claim-record", "connected-preimage-record", "continuity-probe",
+    "ball", "claim-record", "continuity-probe",
     "deck-element", "deck-group-table", "grid-witness",
     "homotopy-field", "homotopy-lift-record", "indistinguishable-origins",
     "inseparability-rule", "labeled-loop", "lifted-path", "lifts-enumerated",
     "loop-class-record", "metric-summary", "monodromy-obstruction",
-    "no-lift", "non-unique-existence", "origin", "origin-chart", "origin-join-path",
+    "no-lift", "non-unique-existence", "origin", "origin-chart",
     "pl-path", "reduced-word", "regular", "regular-interval",
-    "report-document", "section-witness", "separated-charts", "separation-verdict",
+    "report-document", "separated-charts", "separation-verdict",
     "thick-audit-report", "verdict-row",
 )
 
@@ -474,7 +467,7 @@ class TestKindRegistry:
         _hinted_classes(audit_mod.ReportDocument, found)
         _hinted_classes(ThickAuditReport, found)
         _hinted_classes(MetricSummary, found)
-        assert len(KINDS) == 32
+        assert len(KINDS) == 29
         assert tuple(sorted(serialize._kind(cls) for cls in found)) == KINDS
 
     def test_golden_outputs_hold_only_pinned_kinds(self):

@@ -45,9 +45,9 @@ JOBS = min(os.cpu_count() or 1, 4)
 # names no function stops the script, so a renamed or deleted check is not
 # dropped from the campaign without a word.
 TARGETS = {
-    "audit": ("_shows", "_t2_fails", "_not_evenly_covered", "_charts", "_lift_outcome",
-              "_contracts", "_probe_not_null", "_deck_group_nontrivial", "_recheck_*",
-              "recheck_report"),
+    "audit": ("_shows", "_t2_fails", "_not_evenly_covered", "_no_local_sheets",
+              "_germs_inseparable", "_charts", "_lift_outcome", "_contracts", "_probe_not_null",
+              "_deck_group_nontrivial", "_recheck_*", "recheck_report"),
     "lifting": ("recheck_monodromy", "recheck_homotopy_record", "verify_lift_continuity",
                 "_breakpoint_fault"),
     "projection": ("recheck_*",),

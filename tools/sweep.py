@@ -42,10 +42,6 @@ GOLDENS = ("audit-k2-quotient.json", "audit-k3-pseudometric.json")
 
 # (kind, field) -> why any value that the checker accepts there proves the same verdict
 EXISTENTIAL: dict[tuple[str, str], str] = {
-    ("connected-preimage-record", "eps"):
-        "the paths are checked against the record's own window, at whatever radius it has: "
-        "an accepted radius holds every breakpoint, so that window's preimage is connected "
-        "and branched-cover still fails",
     ("deck-group-table", "noncommuting_pair"):
         "the re-check accepts any two indices whose products differ in the table, and any "
         "such pair shows the deck group is not abelian; the table itself is re-derived, so "
@@ -56,22 +52,10 @@ EXISTENTIAL: dict[tuple[str, str], str] = {
     ("homotopy-lift-record", "assignment"):
         "every assignment in 1..k extends non-uniquely in the pseudometric model without "
         "constancy, so homotopy-lifting still holds non-uniquely",
-    ("origin-join-path", "breakpoints"):
-        "the times only parametrize a chain from origin i to origin i+1 inside the window "
-        "preimage, so the preimage is still connected and branched-cover still fails",
-    ("regular", "x"):
-        "a join path's via point anywhere in the punctured window still joins the origins "
-        "(branched-cover fails)",
     ("separated-charts", "eps"):
         "charts of any positive radius hold only their own origin, and the re-check derives "
         "this again for every i and j: T1 and local Euclideanity still hold and the origin "
         "filters still differ",
-    ("section-witness", "eps"):
-        "two sections over any nonempty window agree off the accumulation point and differ "
-        "there, so etale-separated still fails",
-    ("section-witness", "j"):
-        "any two distinct origins of 1..k give two sections that agree off the accumulation "
-        "point and differ there, so etale-separated still fails",
 }
 
 
