@@ -14,19 +14,18 @@ verdict of every cell that cites it.  That verdict is read from the
 certificate's own fields by the claim's rules, which call none of the
 functions that produced the certificate.  Each fact is stored once and
 cited by every cell it proves: the quotient model's three chart cells cite
-``separated-charts:quotient``, the pseudometric model's five universal
+``separated-charts:quotient``, the pseudometric model's six universal
 cells cite ``indistinguishable-origins:pseudometric`` (their rules name
 their lemmas), the deck table proves the symmetry and subgroup rows, and a
 failure that does not depend on the model is one ``:any`` record.
 
-Each value is stored once (``nonhaus-report/8``): re-checks take k from the
+Each value is stored once (``nonhaus-report/9``): re-checks take k from the
 report and rules take the model from the cell they prove, so no record restates
-them or a value its other fields give.  The charts and origins records carry no
-k or model, the monodromy record no k and no path (each lift has its base).  The
-deck table and the homotopy record keep their own k or model, as other readers
-take them alone.  Even-covering, branched-cover and etale-separated have no
-record of their own: their cells cite the Hausdorff failure, which each follows
-from at every window, through a rule that names its lemma.
+them or a value its other fields give.  No record carries a model, and only the
+deck table, which the ``deck`` subcommand reads alone, keeps its own k.  The
+even-covering, branched-cover and etale-separated cells cite the Hausdorff
+failure, and the homotopy-lifting cells the pi1 probe and the indistinguishable
+origins, through rules that name their lemmas.
 """
 
 from __future__ import annotations
@@ -38,17 +37,7 @@ from itertools import zip_longest
 from typing import Any, Callable, Optional, Union
 
 from .errors import NonHausError
-from .lifting import (
-    HomotopyLiftRecord,
-    MonodromyObstruction,
-    NoLift,
-    NonUniqueExistence,
-    homotopy_lift_record,
-    make_merging_field,
-    monodromy_verdict,
-    recheck_homotopy_record,
-    recheck_monodromy,
-)
+from .lifting import MonodromyObstruction, monodromy_verdict, recheck_monodromy
 from .space import (
     Origin,
     OriginChart,
@@ -71,7 +60,7 @@ from .symmetry import (
     recheck_deck_group,
 )
 
-SCHEMA_VERSION = "nonhaus-report/8"
+SCHEMA_VERSION = "nonhaus-report/9"
 
 MODELS = (TopologyModel.QUOTIENT, TopologyModel.PSEUDOMETRIC)
 
@@ -204,18 +193,6 @@ def _charts(if_separated: str, if_indistinguishable: str) -> Rules:
     return {SeparatedCharts: separated, IndistinguishableOrigins: indistinguishable}
 
 
-_LIFT_VERDICTS = {NoLift: FAILS, NonUniqueExistence: HOLDS_NON_UNIQUELY}
-
-
-def _lift_outcome(rec: HomotopyLiftRecord, cfg: SpaceConfig) -> Optional[str]:
-    """The recorded outcome's verdict; the quotient model decides by its chart rule
-    alone, so a quotient record that claims the constancy rule proves nothing."""
-    if rec.paper_constancy and cfg.model is TopologyModel.QUOTIENT:
-        return None
-    return _LIFT_VERDICTS.get(type(rec.result))
-
-
-_LIFT_OUTCOME: Rules = {HomotopyLiftRecord: _lift_outcome}
 _PATH_LIFTS_FAIL = _shows(MonodromyObstruction, FAILS)
 
 
@@ -244,6 +221,31 @@ _CONTRACTS: Rules = {
     LoopClassRecord: _probe_not_null,
     IndistinguishableOrigins: _contracts,
 }
+
+
+def _null_homotopy_unliftable(rec: LoopClassRecord, cfg: SpaceConfig) -> Optional[str]:
+    """Lemma: the base line is contractible, so the probe's projection is null-homotopic
+    rel its regular basepoint.  A lift of that null-homotopy from the probe would contract
+    the probe, but the probe's reduced quotient word is not empty.  (Homotopy lifting makes
+    p_* injective on pi1: Hatcher, Algebraic Topology, Prop. 1.31.)  Quotient model only."""
+    return FAILS if cfg.model is TopologyModel.QUOTIENT and len(rec.quotient_class) > 0 else None
+
+
+def _every_lift_extends(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> Optional[str]:
+    """Lemma: balls of ``pseudo_dist`` are preimages of coordinate intervals, so a map into
+    the space is continuous when its coordinate is.  Any origin may then sit at any zero of
+    a homotopy, so every lift extends, in k >= 2 ways.  Pseudometric model only."""
+    return HOLDS_NON_UNIQUELY if cfg.model is TopologyModel.PSEUDOMETRIC else None
+
+
+def _constancy_unliftable(rec: LoopClassRecord, cfg: SpaceConfig) -> Optional[str]:
+    """Lemma: the constant homotopy of the probe's base loop has zero set {zero times} x I.
+    The constancy rule puts one origin on all of it, but the probe carries two distinct
+    labels there, so its lift does not extend.  The quotient model decides by its chart
+    rule, not the constancy rule, so there the lemma of the homotopy-lifting cell applies."""
+    if cfg.model is TopologyModel.QUOTIENT:
+        return _null_homotopy_unliftable(rec, cfg)
+    return FAILS if len({origin for _, origin in rec.loop.labels}) > 1 else None
 
 
 _ORIGINS_REF = "indistinguishable-origins:pseudometric"
@@ -275,12 +277,11 @@ CLAIMS = (
     ("unique-path-lifting", "a path and a start point determine at most one lift",
      (FAILS, "path-lifting:any"), (FAILS, "path-lifting:any"), _PATH_LIFTS_FAIL),
     ("homotopy-lifting", "a homotopy extends any lift of its initial path",
-     (FAILS, "homotopy-lifting:quotient"),
-     (HOLDS_NON_UNIQUELY, "homotopy-lifting:pseudometric"), _LIFT_OUTCOME),
+     (FAILS, "pi1-probe"), (HOLDS_NON_UNIQUELY, _ORIGINS_REF),
+     {LoopClassRecord: _null_homotopy_unliftable, IndistinguishableOrigins: _every_lift_extends}),
     ("homotopy-lifting-origin-constancy",
      "homotopy lifting under the rule that origin-valued maps are constant",
-     (FAILS, "homotopy-lifting:quotient"), (FAILS, "homotopy-lifting-constancy:pseudometric"),
-     _LIFT_OUTCOME),
+     (FAILS, "pi1-probe"), (FAILS, "pi1-probe"), {LoopClassRecord: _constancy_unliftable}),
     ("monodromy-defined", "loops act on the fibre through lift endpoints",
      (FAILS, "path-lifting:any"), (FAILS, "path-lifting:any"), _PATH_LIFTS_FAIL),
     ("deck-group-symmetric",
@@ -327,12 +328,9 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         raise NonHausError(f"audit supports 2 <= k <= 6, got {cfg.k}")
     eps, x0 = Fraction(eps), Fraction(x0)
     if eps <= 0:
-        raise NonHausError(f"window radius must be positive, got {eps}")
+        raise NonHausError(f"chart radius must be positive, got {eps}")
     k = cfg.k
     quotient = SpaceConfig(k, TopologyModel.QUOTIENT)
-    pseudo = SpaceConfig(k, TopologyModel.PSEUDOMETRIC)
-    field = make_merging_field()
-    assignment = {Fraction(1, 4): 1, Fraction(3, 4): 2}
     probe = probe_loop(1, 2)
     certs: dict[str, Any] = {
         _HAUSDORFF_REF: {v.axiom: v for v in separation_report(quotient)}["T2"],
@@ -340,11 +338,7 @@ def run_audit(cfg: SpaceConfig, eps: Fraction = Fraction(1), x0: Fraction = Frac
         _CHARTS_REF: SeparatedCharts(eps=eps),
         "pi1-probe": LoopClassRecord(loop=probe, quotient_class=loop_class(probe, quotient)),
         _ORIGINS_REF: IndistinguishableOrigins(),
-        "homotopy-lifting-constancy:pseudometric":
-            homotopy_lift_record(field, assignment, pseudo, True),
         "deck-group:any": deck_group(k),
-        "homotopy-lifting:quotient": homotopy_lift_record(field, assignment, quotient, False),
-        "homotopy-lifting:pseudometric": homotopy_lift_record(field, assignment, pseudo, False),
     }
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
@@ -412,6 +406,12 @@ def _recheck_separated_charts(cert: SeparatedCharts, k: int) -> list[str]:
             if open_contains(OriginChart(i, cert.eps), Origin(j)) != (i == j)]
 
 
+def _recheck_deck_table(table: DeckGroupTable, k: int) -> list[str]:
+    """The table keeps its own k for the ``deck`` subcommand; in a report it is the report's."""
+    return recheck_deck_group(table) or (
+        [f"table of k={table.k} in a report of k={k}"] if table.k != k else [])
+
+
 # certificate type -> re-derivation of the certificate from its own fields and
 # the report's k
 _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
@@ -420,8 +420,7 @@ _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
     LoopClassRecord: _recheck_loop_class,
     IndistinguishableOrigins: _recheck_indistinguishable_origins,
     MonodromyObstruction: recheck_monodromy,
-    HomotopyLiftRecord: recheck_homotopy_record,
-    DeckGroupTable: lambda c, k: recheck_deck_group(c),
+    DeckGroupTable: _recheck_deck_table,
 }
 # the kinds a report may carry: exactly those with a re-check
 Certificate = Union[tuple(_RECHECKS)]
@@ -470,9 +469,7 @@ def recheck_report(doc: ReportDocument) -> list[str]:
         cert = sound.get(ref)
         if cert is None:
             continue  # a static cell, or a certificate already reported above
-        # a certificate that records its own k or model proves nothing outside them
-        in_scope = getattr(cert, "k", doc.k) == doc.k and getattr(cert, "model", model) == model
-        read = rules.get(type(cert)) if in_scope else None
+        read = rules.get(type(cert))
         proved = read(cert, SpaceConfig(doc.k, TopologyModel(model))) if read else None
         if proved != verdict:
             failures.append(f"{claim_id} ({model}): the table says {verdict} but {ref} "

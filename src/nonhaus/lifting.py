@@ -262,7 +262,8 @@ def monodromy_verdict(x0: Fraction, cfg: SpaceConfig) -> MonodromyObstruction:
 
 
 def recheck_monodromy(cert: MonodromyObstruction, k: int) -> list[str]:
-    """k distinct valid lifts over one path from one start, for the report's k."""
+    """k valid lifts over one path from one start, for the report's k, with strictly
+    increasing origin choices (the order of :func:`enumerate_lifts`), so no two are equal."""
     failures: list[str] = []
     cfg = SpaceConfig(k)
     if len(cert.lifts) != k:
@@ -270,15 +271,15 @@ def recheck_monodromy(cert: MonodromyObstruction, k: int) -> list[str]:
     starts = {lift.start for lift in cert.lifts}
     if len(starts) != 1:
         failures.append("lifts do not share a start point")
-    seen = set()
     for n, lift in enumerate(cert.lifts):
         if lift.base != cert.lifts[0].base:
             failures.append(f"lift {n} is over a different path")
         if not verify_lift_continuity(lift, cfg).ok:
             failures.append(f"lift {n} fails verification")
-        seen.add(lift.values)
-    if len(seen) != len(cert.lifts):
-        failures.append("lifts are not pairwise distinct")
+    # the base, checked above, fixes the zero times, so the origins alone order the lifts
+    choices = [tuple(i for _, i in lift.origin_choices()) for lift in cert.lifts]
+    failures += [f"lift {n} does not follow lift {n - 1} in origin order"
+                 for n in range(1, len(choices)) if choices[n] <= choices[n - 1]]
     return failures
 
 
@@ -687,7 +688,8 @@ def homotopy_lift_record(
 def recheck_homotopy_record(record: HomotopyLiftRecord, k: int) -> list[str]:
     """Re-run the component computation and compare with the recorded outcome.
 
-    The only re-check that runs :func:`attempt_homotopy_lift`; contraction
+    The only re-check that runs :func:`attempt_homotopy_lift`.  It is on no
+    report's path, as no report carries a homotopy record; contraction
     stages are re-checked through it.  A recomputed ``NoLift`` always names
     two distinct origins, so equality covers the conflict too.
     """

@@ -133,7 +133,7 @@ class TestAuditTable:
     def test_eps_validated(self):
         # the chart radius is refused before any certificate is built
         for eps in (0, -1):
-            with pytest.raises(NonHausError, match=f"window radius must be positive, got {eps}"):
+            with pytest.raises(NonHausError, match=f"chart radius must be positive, got {eps}"):
                 run_audit(Q2, eps=Fraction(eps))
 
     def test_pseudometric_run_matches(self):
@@ -157,9 +157,9 @@ def _reverse_claims(doc):
     doc["claims"].reverse()
 
 
-def _swap_homotopy_certificate(doc):
+def _swap_probe_and_origins(doc):
     certs = dict(doc["certificates"])
-    certs["homotopy-lifting:pseudometric"] = certs["homotopy-lifting-constancy:pseudometric"]
+    certs["pi1-probe"], certs[_ORIGINS_REF] = certs[_ORIGINS_REF], certs["pi1-probe"]
     doc["certificates"] = [[ref, certs[ref]] for ref, _ in doc["certificates"]]
 
 
@@ -180,21 +180,20 @@ def _abelian_noncommuting_pair(doc):
     dict(doc["certificates"])["deck-group:any"]["noncommuting_pair"] = [5, 9]
 
 
-def _origin_9_homotopy_assignment(doc):
-    cert = dict(doc["certificates"])["homotopy-lifting:quotient"]
-    cert["assignment"][-1][1] = 9
-
-
 _ORIGINS_REF = "indistinguishable-origins:pseudometric"
 _CHARTS_REF = "separated-charts:quotient"
 _HAUSDORFF_REF = "separation-hausdorff:any"
 # the three quotient cells that cite the separated charts, in table order
 _CHART_CELLS = (("separation-t1", HOLDS), ("locally-euclidean-at-origins", HOLDS),
                 ("origin-filter-coincidence", FAILS))
-# the five pseudometric cells that cite the indistinguishable origins, in table order
+# the six pseudometric cells that cite the indistinguishable origins, in table order
 _ORIGIN_CELLS = (("separation-t1", FAILS), ("locally-euclidean-at-origins", FAILS),
                  ("origin-filter-coincidence", HOLDS), ("pi1-trivial", HOLDS),
-                 ("contractible", HOLDS))
+                 ("contractible", HOLDS), ("homotopy-lifting", HOLDS_NON_UNIQUELY))
+# the five cells that cite the pi1 probe, in table order
+_PROBE_CELLS = (("pi1-trivial", "quotient"), ("contractible", "quotient"),
+                ("homotopy-lifting", "quotient"), ("homotopy-lifting-origin-constancy", "quotient"),
+                ("homotopy-lifting-origin-constancy", "pseudometric"))
 # the four rows that fail in both models by the one T2 failure, in table order
 _T2_ROWS = ("separation-hausdorff", "even-covering", "branched-cover", "etale-separated")
 
@@ -215,6 +214,11 @@ def _monodromy_lifts(doc):
 def _repeated_lift(doc):
     lifts = _monodromy_lifts(doc)
     lifts[1] = lifts[0]
+
+
+def _swapped_lifts(doc):
+    lifts = _monodromy_lifts(doc)
+    lifts[0], lifts[1] = lifts[1], lifts[0]
 
 
 def _moved_lift_start(doc):
@@ -292,6 +296,13 @@ def _probe_through_origin(index):
     return tamper
 
 
+def _probe_through_one_origin(doc):
+    # the loop goes down and back up through origin 1, which is null-homotopic
+    probe = _certificate(doc, "pi1-probe")
+    probe["loop"]["labels"] = [["1/4", 1], ["3/4", 1]]
+    probe["quotient_class"]["letters"] = []
+
+
 def _path_lifting_swapped_for_hausdorff(doc):
     _replace_certificate(doc, "path-lifting:any", _certificate(doc, _HAUSDORFF_REF))
 
@@ -305,10 +316,6 @@ def _negative_verdict_with_origin_7(doc):
     _certificate(doc, _HAUSDORFF_REF)["pair"][1]["index"] = 7
 
 
-def _quotient_record_with_constancy(doc):
-    _certificate(doc, "homotopy-lifting:quotient")["paper_constancy"] = True
-
-
 def _lift_over_other_path(doc):
     _monodromy_lifts(doc)[1]["base"]["breakpoints"][1][0] = "1/4"
 
@@ -319,6 +326,10 @@ def _lift_through_origin_k_plus_1(doc):
 
 def _deck_table_of_k_7(doc):
     _certificate(doc, "deck-group:any")["k"] = 7
+
+
+def _sound_deck_table_of_k_3(doc):
+    _replace_certificate(doc, "deck-group:any", serialize.encode(deck_group(3)))
 
 
 def _uncited_probe_copy(doc):
@@ -364,28 +375,49 @@ _CHARTS_PROVE_NOTHING = _FAILED + "; ".join(
     _PROVES_NOTHING.format(f"{claim} (quotient)", verdict, _CHARTS_REF)
     for claim, verdict in _CHART_CELLS)
 _NOT_QUOTIENT_CHARTS = _FAILED + _CHARTS_REF + ": radius {}: no chart of the quotient model"
+_PROBE_PROVES_NOTHING = _FAILED + "; ".join(
+    _PROVES_NOTHING.format(f"{claim} ({model})", "fails", "pi1-probe")
+    for claim, model in _PROBE_CELLS)
 
 # (id, k, tamper, what stderr names); a name starting with _FAILED is the exact line
 _TAMPERS = [
     ("flipped-verdicts", 2, _flip_even_covering, "even-covering"),
     ("dropped-row", 2, _drop_semicovering, "semicovering"),
     ("reversed-rows", 2, _reverse_claims, "separation-t1"),
-    ("swapped-certificate", 2, _swap_homotopy_certificate, "homotopy-lifting:pseudometric"),
+    # each swapped record re-checks, and proves only what its rules read in the other's cells
+    ("swapped-certificate", 2, _swap_probe_and_origins, _FAILED + "; ".join(
+        f"{claim} ({model}): the table says {verdict} but {ref} proves {proved}"
+        for claim, model, verdict, ref, proved in (
+            ("separation-t1", "pseudometric", FAILS, _ORIGINS_REF, "nothing"),
+            ("locally-euclidean-at-origins", "pseudometric", FAILS, _ORIGINS_REF, "nothing"),
+            ("origin-filter-coincidence", "pseudometric", HOLDS, _ORIGINS_REF, "nothing"),
+            ("pi1-trivial", "quotient", FAILS, "pi1-probe", "nothing"),
+            ("pi1-trivial", "pseudometric", HOLDS, _ORIGINS_REF, "fails"),
+            ("contractible", "quotient", FAILS, "pi1-probe", "nothing"),
+            ("contractible", "pseudometric", HOLDS, _ORIGINS_REF, "fails"),
+            ("homotopy-lifting", "quotient", FAILS, "pi1-probe", "nothing"),
+            ("homotopy-lifting", "pseudometric", HOLDS_NON_UNIQUELY, _ORIGINS_REF, "nothing"),
+            ("homotopy-lifting-origin-constancy", "quotient", FAILS, "pi1-probe", "nothing"),
+            ("homotopy-lifting-origin-constancy", "pseudometric", FAILS, "pi1-probe",
+             "nothing")))),
     ("negative-t1", 2, _negative_quotient_t1, _CHARTS_PROVE_NOTHING),
     ("cut-deck-table", 2, _cut_deck_table, "deck-group:any"),
     ("negative-deck-k", 2, _negative_deck_k, "deck-group:any"),
     ("abelian-noncommuting-pair", 2, _abelian_noncommuting_pair, "deck-group:any"),
-    ("origin-9-homotopy", 2, _origin_9_homotopy_assignment, "homotopy-lifting:quotient"),
     ("foreign-schema-version", 2, _foreign_schema_version, "schema_version 'nonhaus-report/99'"),
     ("unknown-model", 2, _unknown_model, "model 'banana'"),
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
     # the one certificate of the pseudometric model's universal cells
     ("origins-deleted", 2, _origins_deleted,
-     _FAILED + f"certificate 5: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
+     _FAILED + f"certificate 2: ref path-lifting:any differs from the cited ref {_ORIGINS_REF}"),
     ("subgroup-deck-ref-to-probe", 2, _subgroup_cites_probe,
      _FAILED + "claim 16: row subgroup-correspondence differs from the declared row "
      "subgroup-correspondence"),
-    ("repeated-lift", 2, _repeated_lift, "path-lifting:any: lifts are not pairwise distinct"),
+    # the lifts come in the order enumerate_lifts emits, so none repeats
+    ("repeated-lift", 2, _repeated_lift,
+     _FAILED + "path-lifting:any: lift 1 does not follow lift 0 in origin order"),
+    ("monodromy-lifts-swapped", 2, _swapped_lifts,
+     _FAILED + "path-lifting:any: lift 1 does not follow lift 0 in origin order"),
     ("moved-lift-start", 2, _moved_lift_start,
      "path-lifting:any: lifts do not share a start point"),
     # the three quotient chart cells cite the one record of separated charts
@@ -404,13 +436,12 @@ _TAMPERS = [
             ("origin-filter-coincidence", "quotient", FAILS, _CHARTS_REF),
             ("origin-filter-coincidence", "pseudometric", HOLDS, _ORIGINS_REF),
             ("pi1-trivial", "pseudometric", HOLDS, _ORIGINS_REF),
-            ("contractible", "pseudometric", HOLDS, _ORIGINS_REF)))),
-    ("probe-replaced-by-origins", 2, _probe_replaced_by(_ORIGINS_REF), _FAILED + "; ".join(
-        _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "pi1-probe")
-        for claim in ("pi1-trivial", "contractible"))),
-    ("probe-replaced-by-charts", 2, _probe_replaced_by(_CHARTS_REF), _FAILED + "; ".join(
-        _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "pi1-probe")
-        for claim in ("pi1-trivial", "contractible"))),
+            ("contractible", "pseudometric", HOLDS, _ORIGINS_REF),
+            ("homotopy-lifting", "pseudometric", HOLDS_NON_UNIQUELY, _ORIGINS_REF)))),
+    ("probe-replaced-by-origins", 2, _probe_replaced_by(_ORIGINS_REF), _PROBE_PROVES_NOTHING),
+    ("probe-replaced-by-charts", 2, _probe_replaced_by(_CHARTS_REF), _PROBE_PROVES_NOTHING),
+    # a loop through one origin re-checks, with an empty class, and proves none of the five
+    ("probe-through-one-origin", 2, _probe_through_one_origin, _PROBE_PROVES_NOTHING),
     # every origin a certificate names is one of the report's 1..k
     ("t2-rule-of-origin-9", 2, _hausdorff_rule_naming("i", 9),
      _FAILED + f"{_HAUSDORFF_REF}: T2: rule needs two distinct origins in 1..2"),
@@ -433,15 +464,18 @@ _TAMPERS = [
     ("lift-over-other-path", 3, _lift_over_other_path,
      _FAILED + "path-lifting:any: lift 1 is over a different path"),
     ("lift-through-origin-k-plus-1", 3, _lift_through_origin_k_plus_1,
-     _FAILED + "path-lifting:any: lift 1 fails verification"),
+     _FAILED + "path-lifting:any: lift 1 fails verification; "
+     "path-lifting:any: lift 2 does not follow lift 1 in origin order"),
     ("deck-table-of-k-7", 3, _deck_table_of_k_7,
      _FAILED + "deck-group:any: k=7 is outside the tabulated range 2..6"),
+    # the deck table is the one record that keeps its own k, and it must be the report's
+    ("sound-deck-table-of-k-3", 2, _sound_deck_table_of_k_3,
+     _FAILED + "deck-group:any: table of k=3 in a report of k=2"),
     # the certificates are exactly the cited refs, each once, in sorted order
     ("uncited-probe-copy", 2, _uncited_probe_copy,
-     _FAILED + "certificate 10: ref uncited:any differs from the cited ref (none)"),
+     _FAILED + "certificate 7: ref uncited:any differs from the cited ref (none)"),
     ("deck-table-twice", 2, _deck_table_twice,
-     _FAILED + "certificate 2: ref deck-group:any differs from the cited ref "
-     "homotopy-lifting-constancy:pseudometric"),
+     _FAILED + f"certificate 2: ref deck-group:any differs from the cited ref {_ORIGINS_REF}"),
     # a negative verdict proves T2 only, and the rows that follow from it fail by it
     ("negative-verdicts-relabelled", 2, _negative_verdicts_relabelled, _FAILED + "; ".join(
         _PROVES_NOTHING.format(f"{claim} ({model})", "fails", _HAUSDORFF_REF)
@@ -456,10 +490,6 @@ _TAMPERS = [
      _FAILED + f"{_HAUSDORFF_REF}: T2: pair is not the rule's origins 1 and 2"),
     ("negative-verdict-with-origin-7", 2, _negative_verdict_with_origin_7,
      _FAILED + f"{_HAUSDORFF_REF}: T2: pair is not the rule's origins 1 and 2"),
-    # the quotient model ignores the constancy rule, so a record that claims it proves nothing
-    ("quotient-record-with-constancy", 2, _quotient_record_with_constancy, _FAILED + "; ".join(
-        _PROVES_NOTHING.format(f"{claim} (quotient)", "fails", "homotopy-lifting:quotient")
-        for claim in ("homotopy-lifting", "homotopy-lifting-origin-constancy"))),
     ("identity-twice", 2, _identity_twice,
      _FAILED + "deck-group:any: expected 2 distinct elements of degree 2"),
     ("k4-row-cells-swapped", 4, _swapped_row_cells(5, 19, 7),
@@ -530,7 +560,7 @@ class TestRecheckFailures:
         certs = tuple((ref, c) for ref, c in report.certificates if ref != "pi1-probe")
         bad = dataclasses.replace(report, certificates=certs)
         assert recheck_report(bad) == [
-            "certificate 7: ref separated-charts:quotient differs from the cited ref pi1-probe"]
+            "certificate 4: ref separated-charts:quotient differs from the cited ref pi1-probe"]
 
     def test_certificates_in_another_order(self, report):
         bad = dataclasses.replace(report, certificates=report.certificates[::-1])
@@ -556,7 +586,15 @@ class TestRecheckFailures:
         # a failure that does not depend on the model is one record that both models cite
         for claim in (*_T2_ROWS, "unique-path-lifting", "monodromy-defined", "semicovering"):
             assert len(set(dict(refs[claim]).values())) == 1
-        assert len(report.certificates) == 9
+        assert len(report.certificates) == 6
+
+    def test_probe_and_origins_cited_by_exactly_their_cells(self, report):
+        def citing(cited):
+            return tuple((claim.claim_id, model) for claim in report.claims
+                         for model, ref in claim.certificate_refs if ref == cited)
+
+        assert citing("pi1-probe") == _PROBE_CELLS
+        assert citing(_ORIGINS_REF) == tuple((claim, "pseudometric") for claim, _ in _ORIGIN_CELLS)
 
     def test_contraction_stage_with_origin_9(self):
         # the report carries no contraction; the library certificate still re-checks alone
@@ -678,16 +716,12 @@ class TestRecheckBranches:
     @pytest.mark.parametrize(
         "tamper, failures",
         [(_identity_only, ["deck-group:any: expected 2 distinct elements of degree 2"]),
-         (_without_deck_table, ["certificate 1: ref homotopy-lifting-constancy:pseudometric "
+         (_without_deck_table, [f"certificate 1: ref {_ORIGINS_REF} "
                                 "differs from the cited ref deck-group:any"]),
          (lambda doc: _identity_only(_subgroup_citing(doc, "pi1-probe")),
           [_SUBGROUP_ROW_DIFFERS, "deck-group:any: expected 2 distinct elements of degree 2"]),
          (lambda doc: _subgroup_citing(doc, "pi1-probe"), [_SUBGROUP_ROW_DIFFERS]),
-         (_deck_table_of_k_3, [_PROVES_NOTHING.format(f"{claim} ({model})", verdict,
-                                                      "deck-group:any")
-                               for claim, verdict in (("deck-group-symmetric", HOLDS),
-                                                      ("subgroup-correspondence", FAILS))
-                               for model in ("quotient", "pseudometric")])],
+         (_deck_table_of_k_3, ["deck-group:any: table of k=3 in a report of k=2"])],
         ids=["deck-order", "dangling-deck-ref", "both", "deck-ref-to-probe",
              "deck-ref-to-other-k"],
     )
@@ -742,17 +776,19 @@ class TestSeparatedCharts:
 
 class TestNoRestatedValue:
     """Each record takes k from the report and its model from the cell that cites it;
-    only the records that other readers take alone keep their own, and a fact another
-    record proves has no record of its own."""
+    only the deck table, which the deck subcommand reads alone, keeps its own k, and a
+    fact another record proves has no record of its own."""
 
     # field -> the kinds of certificate object that may carry it
-    ONLY_IN = {"k": {"deck-group-table"}, "model": {"homotopy-lift-record"}}
+    ONLY_IN = {"k": {"deck-group-table"}, "model": set()}
     # fields another field of the same record already gives
     NEVER = {("monodromy-obstruction", "path")}
-    # kinds whose fact the Hausdorff failure proves: even-covering, branched-cover and
-    # etale-separated follow from it
+    # kinds whose fact another record proves: even-covering, branched-cover and
+    # etale-separated follow from the Hausdorff failure, and the homotopy-lifting rows
+    # from the pi1 probe and the indistinguishable origins
     NO_KINDS = {"even-cover-failure", "pair-witness", "connected-preimage-record",
-                "origin-join-path", "section-witness"}
+                "origin-join-path", "section-witness", "homotopy-lift-record",
+                "homotopy-field", "no-lift", "non-unique-existence", "lifts-enumerated"}
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_report_fields(self, k):
@@ -774,10 +810,22 @@ class TestNoRestatedValue:
 
     @pytest.mark.parametrize("cert, cells, own, other", [
         (SeparatedCharts(Fraction(1)), _CHART_CELLS, Q2, P2),
-        (IndistinguishableOrigins(), _ORIGIN_CELLS, P2, Q2)], ids=["charts", "origins"])
+        (IndistinguishableOrigins(), _ORIGIN_CELLS, P2, Q2),
+        (run_audit(Q2).certificate("pi1-probe"), (("homotopy-lifting", FAILS),), Q2, P2)],
+        ids=["charts", "origins", "probe"])
     def test_lemma_readers_answer_their_model_only(self, cert, cells, own, other):
-        readers = [rules[type(cert)] for *_, rules in CLAIMS if type(cert) in rules]
-        assert len(readers) == len(cells)
-        for read in readers:
-            assert read(cert, own) is not None
-            assert read(cert, other) is None
+        rules = {claim_id: rules for claim_id, *_, rules in CLAIMS}
+        for claim_id, verdict in cells:
+            assert rules[claim_id][type(cert)](cert, own) == verdict
+            assert rules[claim_id][type(cert)](cert, other) is None
+
+    def test_constancy_reader_reads_the_labels_in_the_pseudometric_model(self):
+        read = next(rules for claim_id, *_, rules in CLAIMS
+                    if claim_id == "homotopy-lifting-origin-constancy")[audit.LoopClassRecord]
+        two = run_audit(Q2).certificate("pi1-probe")
+        one = audit.LoopClassRecord(loop=probe_loop(1, 1), quotient_class=ReducedWord(()))
+        assert [read(rec, cfg) for rec in (two, one) for cfg in (Q2, P2)] == [
+            FAILS, FAILS, None, None]
+        # in the quotient model the class decides, not the labels
+        assert read(dataclasses.replace(two, quotient_class=ReducedWord(())), Q2) is None
+        assert read(dataclasses.replace(one, quotient_class=two.quotient_class), P2) is None

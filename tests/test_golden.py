@@ -82,11 +82,11 @@ def test_output_matches_golden(name, argv, tmp_path):
 # updates these digests by hand, with the reason stated.
 K6_DIGESTS = (
     ("audit-k6-quotient", ["audit", "--k", "6", "--json"],
-     "64048c37e431639779ab22561064a3364472c27200d2f2c82c1a31b03173b0b7"),
+     "6969b3b56c872a583119570c946c78efc95e8b3f17d087287e9929c955f8beea"),
     ("audit-k6-pseudometric", ["audit", "--k", "6", "--model", "pseudometric", "--json"],
-     "468d495db016f6afa6c5500d9c433c4048f37840b4587a79e8db11d229a71571"),
+     "750eb0abb5cdf983797dc2bef33290b1cc4d90dc744d4ef7482cc6e76d037160"),
     ("audit-k6-eps-x0", ["audit", "--k", "6", "--eps", "3/7", "--x0", "5/3", "--json"],
-     "369507fd6de8b10a5986aa92d502d02b0de58f1844afe8f2da084d08a9fb0bbd"),
+     "b3d584ab6dbbaef9fecb87d7f047a1d90ff635b47111f5e33e9ceec5e96fa2dc"),
     ("deck-k6", ["deck", "--k", "6", "--json"],
      "b3505cfcb80f71116f291a7b7a0b71d366baeefca141455cf5517c02fc9dfeba"),
 )

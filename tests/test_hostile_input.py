@@ -269,7 +269,7 @@ def test_check_rejects_build_flags(capsys, tmp_path, flags, named):
 def test_check_takes_out(capsys, tmp_path):
     out = tmp_path / "out.txt"
     assert main(["audit", "--check", _GOLDEN_K2, "--out", str(out)]) == 0
-    assert out.read_text() == "report ok: 18 claims, 9 certificates re-checked\n"
+    assert out.read_text() == "report ok: 18 claims, 6 certificates re-checked\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
@@ -610,7 +610,7 @@ _FIELD = ["homotopy", "--field", "{file}"]
         (["lift", "--k", "1"], None, "error: need at least 2 origins, got k=1"),
         (["render", "--k", "1"], None, "error: need at least 2 branches, got k=1"),
         (["render", "--k", "7"], None, "error: at most 6 branches can be drawn, got k=7"),
-        (["audit", "--eps", "0"], None, "error: window radius must be positive, got 0"),
+        (["audit", "--eps", "0"], None, "error: chart radius must be positive, got 0"),
         (["lift", "--x0", "0"], None, "error: basepoint must be positive, got 0"),
         (["lift", "--k", "4097"], None, "error: 4097^1 lifts exceed the limit of 4096"),
         (["lift", "--path", "{file}"], _PLATEAU_PATH, "error: coordinate stays 0 on [1/4, 1/2]"),

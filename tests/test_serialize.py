@@ -19,6 +19,7 @@ from nonhaus import serialize
 from nonhaus.embedding import BasePoint, PlanePoint, embedding_checks
 from nonhaus.lifting import (
     HomotopyField,
+    HomotopyLiftRecord,
     PLPath,
     bounce_path,
     enumerate_lifts,
@@ -445,7 +446,9 @@ def _roots() -> tuple:
         audit_mod.run_audit(Q2),
         thick_audit(16, EmbeddingSpec.MAIN_CURVE),
         embedding_checks(50, accumulation_n=20),
-        homotopy_lift_record(field, {Fraction(1, 4): 1, Fraction(3, 4): 1}, Q2, False),
+        # the homotopy subcommand's records, one per outcome: no report carries them
+        *(homotopy_lift_record(field, {Fraction(1, 4): 1, Fraction(3, 4): i}, cfg, False)
+          for i, cfg in ((1, Q2), (2, Q2), (2, P2))),
         extract_zero_set(field),
         verify_lift_continuity(lifts[0], Q3),
         deck_rigidity(DeckElement((2, 1)), ((Fraction(1), Fraction(2)),)),
@@ -467,6 +470,7 @@ class TestKindRegistry:
         _hinted_classes(audit_mod.ReportDocument, found)
         _hinted_classes(ThickAuditReport, found)
         _hinted_classes(MetricSummary, found)
+        _hinted_classes(HomotopyLiftRecord, found)
         assert len(KINDS) == 29
         assert tuple(sorted(serialize._kind(cls) for cls in found)) == KINDS
 

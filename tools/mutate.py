@@ -46,7 +46,8 @@ JOBS = min(os.cpu_count() or 1, 4)
 # dropped from the campaign without a word.
 TARGETS = {
     "audit": ("_shows", "_t2_fails", "_not_evenly_covered", "_no_local_sheets",
-              "_germs_inseparable", "_charts", "_lift_outcome", "_contracts", "_probe_not_null",
+              "_germs_inseparable", "_charts", "_contracts", "_probe_not_null",
+              "_null_homotopy_unliftable", "_every_lift_extends", "_constancy_unliftable",
               "_deck_group_nontrivial", "_recheck_*", "recheck_report"),
     "lifting": ("recheck_monodromy", "recheck_homotopy_record", "verify_lift_continuity",
                 "_breakpoint_fault"),

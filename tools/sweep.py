@@ -46,12 +46,6 @@ EXISTENTIAL: dict[tuple[str, str], str] = {
         "the re-check accepts any two indices whose products differ in the table, and any "
         "such pair shows the deck group is not abelian; the table itself is re-derived, so "
         "deck-group-symmetric still holds and subgroup-correspondence still fails",
-    ("homotopy-field", "values"):
-        "a field whose recomputed outcome equals the recorded NoLift or NonUniqueExistence "
-        "proves the same homotopy-lifting verdict (through the producer re-run)",
-    ("homotopy-lift-record", "assignment"):
-        "every assignment in 1..k extends non-uniquely in the pseudometric model without "
-        "constancy, so homotopy-lifting still holds non-uniquely",
     ("separated-charts", "eps"):
         "charts of any positive radius hold only their own origin, and the re-check derives "
         "this again for every i and j: T1 and local Euclideanity still hold and the origin "
