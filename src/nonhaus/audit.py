@@ -206,8 +206,8 @@ def _contracts(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> Optional[str
 
 def _probe_not_null(rec: LoopClassRecord, cfg: SpaceConfig) -> Optional[str]:
     """A loop whose reduced quotient word is not empty is not null-homotopic in
-    the quotient model, so that space is not contractible either."""
-    return FAILS if len(rec.quotient_class) > 0 else None
+    the quotient model, so that space is not contractible either.  Quotient model only."""
+    return FAILS if cfg.model is TopologyModel.QUOTIENT and len(rec.quotient_class) > 0 else None
 
 
 def _deck_group_nontrivial(table: DeckGroupTable, cfg: SpaceConfig) -> Optional[str]:
@@ -228,7 +228,7 @@ def _null_homotopy_unliftable(rec: LoopClassRecord, cfg: SpaceConfig) -> Optiona
     rel its regular basepoint.  A lift of that null-homotopy from the probe would contract
     the probe, but the probe's reduced quotient word is not empty.  (Homotopy lifting makes
     p_* injective on pi1: Hatcher, Algebraic Topology, Prop. 1.31.)  Quotient model only."""
-    return FAILS if cfg.model is TopologyModel.QUOTIENT and len(rec.quotient_class) > 0 else None
+    return _probe_not_null(rec, cfg)
 
 
 def _every_lift_extends(cert: IndistinguishableOrigins, cfg: SpaceConfig) -> Optional[str]:
