@@ -426,6 +426,12 @@ _RECHECKS: dict[type, Callable[[Any, int], list[str]]] = {
 Certificate = Union[tuple(_RECHECKS)]
 
 
+def schema_failures(version: str) -> list[str]:
+    """The failure of a report of schema ``version``, unless that is ``SCHEMA_VERSION``."""
+    return [] if version == SCHEMA_VERSION else [
+        f"schema_version {version!r} is not {SCHEMA_VERSION!r}"]
+
+
 def recheck_report(doc: ReportDocument) -> list[str]:
     """Check a report against the declared table; returns human-readable failures.
 
@@ -438,9 +444,7 @@ def recheck_report(doc: ReportDocument) -> list[str]:
     prove each of their verdicts.
     """
     models = [m.value for m in MODELS]
-    failures = []
-    if doc.schema_version != SCHEMA_VERSION:
-        failures.append(f"schema_version {doc.schema_version!r} is not {SCHEMA_VERSION!r}")
+    failures = schema_failures(doc.schema_version)
     if doc.model not in models:
         failures.append(f"model {doc.model!r} is not one of {', '.join(models)}")
     if doc.k not in _TABLE_KS:

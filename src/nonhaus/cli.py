@@ -67,12 +67,20 @@ def _ensure(failures: list[str]) -> None:
         raise RecheckFailure("; ".join(failures))
 
 
+def _known_schema(data: object) -> None:
+    """Refuse a report of another schema by its version, before its certificates are decoded."""
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if isinstance(version, str):
+        _ensure(audit_mod.schema_failures(version))
+
+
 def _cmd_audit(args: argparse.Namespace) -> str:
     if args.check:
         given = [f"--{dest}" for dest in _BUILD_FLAGS if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"audit --check takes no {', '.join(given)}")
-        doc = serialize.loads(Path(args.check).read_text(), audit_mod.ReportDocument)
+        doc = serialize.loads(Path(args.check).read_text(), audit_mod.ReportDocument,
+                              _known_schema)
         _ensure(audit_mod.recheck_report(doc))
         return (f"report ok: {len(doc.claims)} claims, "
                 f"{len(doc.certificates)} certificates re-checked\n")

@@ -396,10 +396,18 @@ def _write_lift_product(out: list[str], product: LiftProduct, depth: int) -> Non
     out[-1] = tail + closing
 
 
-def loads(text: str, hint: Any) -> Any:
-    """The value of type hint ``hint`` that the JSON text encodes."""
+def loads(text: str, hint: Any, precheck: Optional[Callable[[Any], None]] = None) -> Any:
+    """The value of type hint ``hint`` that the JSON text encodes.
+
+    ``precheck``, if given, is called with the parsed JSON before it is
+    decoded, so a reader can refuse a document by one field, such as its
+    version, before the rest of its shape is read; the text is parsed once.
+    """
     try:
-        return decode(json.loads(text), hint)
+        data = json.loads(text)
+        if precheck is not None:
+            precheck(data)
+        return decode(data, hint)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 

@@ -146,8 +146,49 @@ def _curve(spec: EmbeddingSpec, x: float) -> tuple[float, float, float]:
 
 def _sweep(u: float, v: float, norm: float, t: float) -> tuple[float, float]:
     """Sweep image at tube parameter t of the curve point (u, v) of that norm."""
-    # both column kernels inline this expression verbatim: change them with it
     return ((1 - t) * u + t * u / norm, (1 - t) * v + t * v / norm)
+
+
+def _run_bound(u: float, v: float, norm: float, rho: float, cos: float, sin: float) -> float:
+    """A bound on the float distance of each row r >= rho that curve point (u, v) covers.
+
+    Row r sits at r (cos, sin) and is swept at t = (r - rho)/(1 - rho), so t (1 - rho) =
+    r - rho and the exact x-residual of ``_sweep`` is the convex combination
+    (1 - t)(u - rho cos) + t (u/norm - cos); likewise for y.  The distance is thus at
+    most S, the sum of the four absolute values below.  In floats each operation is off
+    by a factor 1 + d, |d| <= eps = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 2.2), and every operand here is at most 2 in size.
+    To first order in eps: a residual's seven operations add 8 eps, the three roundings
+    of t move r cos by 3 eps, and hypot adds 1 ulp to a value below S + 22 eps < 6, so a
+    computed distance is at most S + 34 eps.  Each term below is computed within 3 eps
+    and the four additions round by 24 eps at most, so the value returned is at least
+    S + (C - 36) eps: C = 70 suffices, and C = 128 leaves the second-order terms behind.
+    """
+    return (abs(u - rho * cos) + abs(v - rho * sin) + abs(u / norm - cos) + abs(v / norm - sin)
+            + 128 * 2.0**-53)  # C eps
+
+
+def _distance(r: float, u: float, v: float, norm: float, rho: float, cos: float,
+              sin: float) -> float:
+    """The per-point check: float distance from r (cos, sin) to its sweep image from (u, v)."""
+    x, y = _sweep(u, v, norm, (r - rho) / (1 - rho))
+    return math.hypot(x - r * cos, y - r * sin)
+
+
+def _cover_run(radii: list[float], lo: int, hi: int, spec: EmbeddingSpec, x: float, rho: float,
+               cos: float, sin: float, tolerance: float) -> list[int]:
+    """The rows lo..hi-1 of a column that the curve point of x, of solver norm rho, misses.
+
+    The rows with r < rho, a prefix, have no preimage.  The rest are covered whole when
+    ``_run_bound`` is within ``tolerance``, and each checked by ``_distance`` otherwise.
+    """
+    first = bisect_left(radii, rho, lo, hi)
+    miss = list(range(lo, first))
+    u, v, norm = _curve(spec, x)
+    if _run_bound(u, v, norm, rho, cos, sin) > tolerance:
+        miss += [i for i in range(first, hi)
+                 if not _distance(radii[i], u, v, norm, rho, cos, sin) <= tolerance]
+    return miss
 
 
 def _main_column(
@@ -158,7 +199,8 @@ def _main_column(
     The main curve lies on the circle through the centre of radius 1/2
     around (0, 1/2): the point at direction theta has norm sin(theta), and
     x = tan(theta) is the unique coordinate with that direction.  The
-    sweep reaches exactly the radii in [sin(theta), 1].
+    sweep reaches exactly the radii in [sin(theta), 1], so the column is one
+    run of that curve point.
 
     Returns the indices into ``radii`` of the column's uncovered points.
     """
@@ -168,18 +210,8 @@ def _main_column(
         return list(range(len(radii)))
     if abs(theta - math.pi / 2) < 1e-15:
         return list(range(len(radii)))  # straight up is only approached in the limit
-    rho = sin
-    first = bisect_left(radii, rho)  # the rows with r < rho have no preimage
-    u, v, norm = _curve(EmbeddingSpec.MAIN_CURVE, math.tan(theta))
-    hypot, one = math.hypot, 1 - rho
-    miss = list(range(first))
-    for i in range(first, len(radii)):
-        r = radii[i]
-        t = (r - rho) / one  # the sweep, inlined
-        if not hypot((1 - t) * u + t * u / norm - r * cos,
-                     (1 - t) * v + t * v / norm - r * sin) <= tolerance:
-            miss.append(i)
-    return miss
+    return _cover_run(radii, 0, len(radii), EmbeddingSpec.MAIN_CURVE, math.tan(theta), sin,
+                      cos, sin, tolerance)
 
 
 def _spiral_column(
@@ -191,29 +223,31 @@ def _spiral_column(
     radius rho = x/(1+x) drops below r, then slide out along the tube.
 
     ``needs[i]`` is (1 - r)/r for ``r = radii[i]``: rho <= r  <=>  1/x >= need.
-    The curve point is recomputed only where n changes down the column.
-    Returns the indices into ``radii`` of the column's uncovered points.
+    The winding n_i = max(1, ceil((needs[i] - theta)/(2 pi))) never grows
+    down the column: the radii increase and every float operation from r to
+    n_i rounds monotonically.  So the rows of one winding form a run, whose
+    end a galloping search finds on that same expression, and each run is
+    covered from its one curve point.  Returns the indices into ``radii``
+    of the column's uncovered points.
     """
-    hypot, ceil, two_pi = math.hypot, math.ceil, 2 * math.pi
-    miss = []
-    last_n = None
-    for i, r in enumerate(radii):
-        n = ceil((needs[i] - theta) / two_pi)
-        if n < 1:
-            n = 1
-        if n != last_n:
-            last_n = n
-            x = 1 / (theta + 2 * math.pi * n)
-            rho = x / (1 + x)
-            one = 1 - rho
-            u, v, norm = _curve(EmbeddingSpec.SPIRAL, x)
-        if rho > r:
-            miss.append(i)
-            continue
-        t = (r - rho) / one  # the sweep, inlined
-        if not hypot((1 - t) * u + t * u / norm - r * cos,
-                     (1 - t) * v + t * v / norm - r * sin) <= tolerance:
-            miss.append(i)
+    two_pi = 2 * math.pi
+    miss: list[int] = []
+    lo, rows = 0, len(radii)
+    while lo < rows:
+        n = max(1, math.ceil((needs[lo] - theta) / two_pi))
+        hi = rows
+        if n > 1:
+            # the run ends at the first row of winding below n, where q <= n - 1 (the same as
+            # ceil(q) <= n - 1): gallop over the run, then bisect the last step for that row
+            known, step = lo, 1
+            while known + step < rows and (needs[known + step] - theta) / two_pi > n - 1:
+                known, step = known + step, 2 * step
+            hi = bisect_left(needs, 1 - n, known + 1, min(known + step, rows),
+                             key=lambda need: -((need - theta) / two_pi))
+        x = 1 / (theta + two_pi * n)
+        miss += _cover_run(radii, lo, hi, EmbeddingSpec.SPIRAL, x, x / (1 + x), cos, sin,
+                           tolerance)
+        lo = hi
     return miss
 
 
@@ -224,19 +258,19 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     excluded; the centre is hit by the origins at t = 0) and directions
     2*pi*b/grid_n for 0 <= b < grid_n.  A grid point counts as covered when
     the closed-form preimage of its direction's column maps within
-    ``tolerance`` of it.  The grid is walked one direction at a time, with
-    that column's trigonometry and preimages computed once.  Uncovered points
-    are counted, not kept: the report carries the first 16 in row-major
-    order (by radius, then direction) and the lower-half point nearest
-    (0, -1/2), the smallest (distance, r, theta) on a tie.  ``grid_n`` must
-    lie in [8, MAX_GRID_N].
+    ``tolerance`` of it.  The grid is walked one direction at a time, and a
+    column in runs of rows swept from one curve point: a run is covered whole
+    when ``_run_bound`` is within ``tolerance``, and otherwise point by point
+    by ``_distance``.  Uncovered points are counted, not kept: the report
+    carries the first 16 in row-major order (by radius, then direction) and
+    the lower-half point nearest (0, -1/2), the smallest (distance, r, theta)
+    on a tie.  ``grid_n`` must lie in [8, MAX_GRID_N].
 
-    Every grid point gets its own float distance check.  The lower-half key
-    is r^2 + r sin + 1/4 (to 2 ulp), a parabola in r with vertex r* = -sin/2.
-    Of a column's misses on one side of r*, each but the nearest is a grid
-    step d farther out, so its key is at least d^2 (over 5e-8) larger, far
-    beyond float error: only the misses at k - 3 .. k + 2, k =
-    bisect_left(miss, bisect_left(radii, r*)), are keyed.
+    The lower-half key is r^2 + r sin + 1/4 (to 2 ulp), a parabola in r with
+    vertex r* = -sin/2.  Of a column's misses on one side of r*, each but the
+    nearest is a grid step d farther out, so its key is at least d^2 (over
+    5e-8) larger, far beyond float error: only the misses at k - 3 .. k + 2,
+    k = bisect_left(miss, bisect_left(radii, r*)), are keyed.
     """
     if grid_n < 8:
         raise NonHausError(f"grid must be at least 8x8, got {grid_n}")

@@ -19,6 +19,7 @@ from nonhaus.audit import (
     run_audit,
 )
 from nonhaus.errors import NonHausError
+from nonhaus.lifting import homotopy_lift_record, make_merging_field
 from nonhaus.space import (
     Ball,
     InseparabilityRule,
@@ -229,6 +230,16 @@ def _foreign_schema_version(doc):
     doc["schema_version"] = "nonhaus-report/99"
 
 
+def _v8_homotopy_record(doc):
+    """A report of the earlier schema, with a homotopy record that no kind of this one decodes."""
+    doc["schema_version"] = "nonhaus-report/8"
+    record = homotopy_lift_record(make_merging_field(), {Fraction(1, 4): 1, Fraction(3, 4): 2},
+                                  SpaceConfig(2, TopologyModel.QUOTIENT))
+    doc["certificates"] = sorted(
+        doc["certificates"] + [["homotopy-lifting:quotient", json.loads(serialize.dumps(record))]],
+        key=lambda c: c[0])
+
+
 def _unknown_model(doc):
     doc["model"] = "banana"
 
@@ -405,6 +416,9 @@ _TAMPERS = [
     ("negative-deck-k", 2, _negative_deck_k, "deck-group:any"),
     ("abelian-noncommuting-pair", 2, _abelian_noncommuting_pair, "deck-group:any"),
     ("foreign-schema-version", 2, _foreign_schema_version, "schema_version 'nonhaus-report/99'"),
+    # the version is read before any certificate is decoded
+    ("v8-homotopy-record", 2, _v8_homotopy_record,
+     _FAILED + "schema_version 'nonhaus-report/8' is not 'nonhaus-report/9'"),
     ("unknown-model", 2, _unknown_model, "model 'banana'"),
     ("capitalised-model", 2, _capitalised_model, "model 'Quotient'"),
     # the one certificate of the pseudometric model's universal cells

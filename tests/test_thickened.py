@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -145,7 +146,10 @@ class TestColumnKernels:
 
     GRIDS = list(range(8, 65)) + [97, 128, 255]
 
-    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-6, 1e-3, 1.0])
+    # 0 and 1e-16 lie below every run's bound (at least 128 * 2^-53), so each point takes
+    # the per-point check; on these grids every bound is below 1e-12, so from there up
+    # the bound decides every run
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1.0])
     @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
     def test_matches_reference(self, spec, tolerance):
         for grid_n in self.GRIDS:
@@ -174,6 +178,67 @@ class TestColumnKernels:
         n = 256
         thick_audit(n, EmbeddingSpec.SPIRAL)
         assert 0 < calls < n * (n - 1) / 4
+
+
+class TestRunBound:
+    """The bound of a run is at least every float distance of its per-point check."""
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        runs = []
+        cover_run = thickened._cover_run
+
+        def recording(radii, lo, hi, spec, x, rho, cos, sin, tolerance):
+            runs.append((radii, lo, hi, spec, x, rho, cos, sin))
+            return cover_run(radii, lo, hi, spec, x, rho, cos, sin, tolerance)
+
+        monkeypatch.setattr(thickened, "_cover_run", recording)
+        return runs
+
+    @staticmethod
+    def check_runs(runs):
+        assert runs
+        for radii, lo, hi, spec, x, rho, cos, sin in runs:
+            first = bisect_left(radii, rho, lo, hi)
+            u, v, norm = thickened._curve(spec, x)
+            bound = thickened._run_bound(u, v, norm, rho, cos, sin)
+            for r in radii[first:hi]:
+                assert thickened._distance(r, u, v, norm, rho, cos, sin) <= bound, (spec, r, cos)
+
+    @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
+    def test_every_column_of_small_grids(self, monkeypatch, spec):
+        runs = self.record_runs(monkeypatch)
+        for grid_n in range(8, 301):
+            thick_audit(grid_n, spec)
+        self.check_runs(runs)
+
+    @pytest.mark.parametrize("grid_n", [512, 768])
+    @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
+    def test_benchmark_grids(self, monkeypatch, spec, grid_n):
+        runs = self.record_runs(monkeypatch)
+        thick_audit(grid_n, spec)
+        self.check_runs(runs)
+
+    def test_columns_at_the_grid_limit(self, monkeypatch):
+        n = thickened.MAX_GRID_N
+        radii = [a / (n - 1) for a in range(1, n)]
+        needs = [(1 - r) / r for r in radii]
+        runs = self.record_runs(monkeypatch)
+        for b in random.Random(n).sample(range(n), 64):
+            theta = 2 * math.pi * b / n
+            cos, sin = math.cos(theta), math.sin(theta)
+            thickened._main_column(radii, theta, cos, sin, 1e-6)
+            thickened._spiral_column(radii, needs, theta, cos, sin, 1e-6)
+        self.check_runs(runs)
+
+    @pytest.mark.parametrize("grid_n", [256, 512, 768])
+    @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
+    def test_benchmark_grids_need_no_per_point_check(self, monkeypatch, spec, grid_n):
+        def per_point(*args):
+            raise AssertionError("a run took the per-point check")
+
+        monkeypatch.setattr(thickened, "_distance", per_point)
+        assert thick_audit(grid_n, spec).tolerance == 1e-6
 
 
 class TestLowerHalfWindow:

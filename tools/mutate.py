@@ -48,7 +48,7 @@ TARGETS = {
     "audit": ("_shows", "_t2_fails", "_not_evenly_covered", "_no_local_sheets",
               "_germs_inseparable", "_charts", "_contracts", "_probe_not_null",
               "_null_homotopy_unliftable", "_every_lift_extends", "_constancy_unliftable",
-              "_deck_group_nontrivial", "_recheck_*", "recheck_report"),
+              "_deck_group_nontrivial", "_recheck_*", "recheck_report", "schema_failures"),
     "lifting": ("recheck_monodromy", "recheck_homotopy_record", "verify_lift_continuity",
                 "_breakpoint_fault"),
     "projection": ("recheck_*",),
