@@ -9,6 +9,7 @@ certificate fails its re-check.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from .lifting import (
     homotopy_lift_record,
     lift_product,
     make_merging_field,
+    sha256_hex,
 )
 from .space import (
     MetricSummary,
@@ -150,14 +152,17 @@ def _refused(exc: ValueError, text: str) -> ValueError:
 
 def _cmd_homotopy(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
-    if args.field:
-        field = serialize.read_field(Path(args.field).read_text())
+    digest = None  # a field built here is named by the digest of its dump
+    if args.field:  # the file's bytes are read once: decoded as read_text decodes them, and hashed
+        data = Path(args.field).read_bytes()
+        field = serialize.read_field(io.TextIOWrapper(io.BytesIO(data), io.text_encoding(None)).read())
+        digest = sha256_hex(data)
     else:
         field = make_merging_field()
     if args.dump_field:
         Path(args.dump_field).write_text(serialize.write_field(field))
     assignment = _parse_assignment(args.assign)
-    record = homotopy_lift_record(field, assignment, cfg, args.paper_constancy)
+    record = homotopy_lift_record(field, assignment, cfg, args.paper_constancy, digest)
     if args.json:
         return serialize.dumps(record)
     result = record.result

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv
 from typing import Iterable, Iterator, Optional, Union
 
 from .embedding import BasePoint
@@ -287,41 +289,100 @@ def recheck_monodromy(cert: MonodromyObstruction, k: int) -> list[str]:
 # Homotopy fields and the exact zero-set complex
 
 
+# A token's first character gives its sign: "-", "0" (strict "0/d") or a digit 1-9.
+_SIGN_OF_FIRST = str.maketrans("123456789", "+" * 9)
+_NEG_BITS, _ZERO_BITS = str.maketrans("-0+", "100"), str.maketrans("-0+", "010")
+
+Row = Union[str, tuple[tuple[int, ...], tuple[int, ...], Optional[str]]]
+
+
+def strict_ratios(line: str) -> tuple[tuple[int, ...], tuple[int, ...], Optional[str]]:
+    """The reduced numerators and positive denominators of a line of strict
+    ``n/d`` tokens (ASCII, no leading zero, no ``-0``, single-space
+    separated), and the line itself if every gcd is 1, so that it is their
+    canonical text.  One JSON parse reads the ints: it takes that grammar and
+    refuses an over-long numeral as ``int`` does."""
+    ints = json.loads("[" + line.replace("/", ",").replace(" ", ",") + "]")
+    nums, dens = ints[::2], ints[1::2]
+    gcds = list(map(math.gcd, nums, dens))
+    if gcds.count(1) == len(gcds):
+        return tuple(nums), tuple(dens), line
+    return tuple(map(floordiv, nums, gcds)), tuple(map(floordiv, dens, gcds)), None
+
+
 class RationalGrid:
-    """Exact rationals as tuples of rows: reduced numerators ``nums``, positive
-    denominators ``dens`` and numerator ``signs``.  The form is canonical, so grids
-    of equal values hold equal ints; ``grid[a]`` builds row a's Fractions.
+    """Exact rationals as rows, each given as its ints ``(nums, dens, line)``
+    (reduced numerators, positive denominators, and the row's canonical text
+    or None) or as a line of strict tokens, read only where it is needed.
 
-    ``lines`` holds each row's canonical text, ``"%d/%d"`` tokens joined by
-    single spaces, which the writers print: a row read as such text keeps its
-    line, any other is formatted on first use (a value too long to print
-    fails only when printed)."""
+    ``signs`` holds each row's signs as a string of ``-``, ``0`` and ``+``:
+    for a text row, its tokens' first characters.  ``negs`` and ``zeros``
+    hold the row's negative and zero values as bits, column b at bit
+    ``len(row) - 1 - b``, so a column's right neighbour is one shift away.
+    :meth:`ratio` reads a text row's first or last token alone.  ``nums``,
+    ``dens``, ``lines``, ``grid[a]`` (row a's Fractions), ``==`` and
+    ``hash`` parse every text row once, on first use, by
+    :func:`strict_ratios`.  The ints are canonical, so grids of equal values
+    hold equal ints, and ``lines`` is each row's canonical text: the kept
+    line, or ``"%d/%d"`` tokens formatted on first use (a value too long to
+    print fails only when printed)."""
 
-    __slots__ = ("nums", "dens", "signs", "_lines")
+    __slots__ = ("signs", "negs", "zeros", "_rows", "_ints")
 
-    def __init__(self, nums: tuple[tuple[int, ...], ...], dens: tuple[tuple[int, ...], ...],
-                 lines: Optional[tuple[Optional[str], ...]] = None) -> None:
-        self.nums, self.dens, self._lines = nums, dens, lines or (None,) * len(nums)
-        self.signs = tuple([tuple([(n > 0) - (n < 0) for n in row]) for row in nums])
+    def __init__(self, rows: tuple[Row, ...]) -> None:
+        self._rows, self._ints = rows, None
+        self.signs = tuple([
+            "".join([tok[0] for tok in row.split(" ")]).translate(_SIGN_OF_FIRST)
+            if type(row) is str else "".join(["-" if n < 0 else "+" if n else "0" for n in row[0]])
+            for row in rows])
+        self.negs = tuple([int("0" + sg.translate(_NEG_BITS), 2) for sg in self.signs])
+        self.zeros = tuple([int("0" + sg.translate(_ZERO_BITS), 2) for sg in self.signs])
+
+    def _parsed(self) -> tuple[tuple, tuple, tuple]:
+        if self._ints is None:
+            rows = [strict_ratios(row) if type(row) is str else row for row in self._rows]
+            self._ints = tuple(map(tuple, zip(*rows))) if rows else ((), (), ())
+        return self._ints
+
+    @property
+    def nums(self) -> tuple[tuple[int, ...], ...]:
+        return self._parsed()[0]
+
+    @property
+    def dens(self) -> tuple[tuple[int, ...], ...]:
+        return self._parsed()[1]
 
     @property
     def lines(self) -> tuple[str, ...]:
-        if None in self._lines:
-            self._lines = tuple([ln or " ".join(map("%d/%d".__mod__, zip(n, d)))
-                                 for ln, n, d in zip(self._lines, self.nums, self.dens)])
-        return self._lines
+        nums, dens, lines = self._parsed()
+        if None in lines:
+            lines = tuple([ln or " ".join(map("%d/%d".__mod__, zip(n, d)))
+                           for ln, n, d in zip(lines, nums, dens)])
+            self._ints = nums, dens, lines
+        return lines
+
+    def ratio(self, a: int, b: int) -> tuple[int, int]:
+        """Value (a, b) as a numerator and a positive denominator, not always
+        reduced; column 0 or -1 of a text row is read from that token alone."""
+        row = self._rows[a]
+        if type(row) is not str:
+            return row[0][b], row[1][b]
+        if b == 0 or b == -1:
+            n, _, d = (row.partition(" ")[0] if b == 0 else row.rpartition(" ")[2]).partition("/")
+            return int(n), int(d)
+        return self.nums[a][b], self.dens[a][b]
 
     def __len__(self) -> int:
-        return len(self.nums)
+        return len(self._rows)
 
     def __getitem__(self, a: int) -> tuple[Fraction, ...]:
         return tuple(map(Fraction, self.nums[a], self.dens[a]))
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is RationalGrid and (self.nums, self.dens) == (other.nums, other.dens)
+        return type(other) is RationalGrid and self._parsed()[:2] == other._parsed()[:2]
 
     def __hash__(self) -> int:
-        return hash((self.nums, self.dens))
+        return hash(self._parsed()[:2])
 
 
 @dataclass(frozen=True)
@@ -345,26 +406,28 @@ class HomotopyField:
         s, t = tuple(self.s_breaks), tuple(self.t_breaks)
         vals = self.values
         if type(vals) is not RationalGrid:  # rows of Fractions and ints
-            rows = tuple(map(tuple, vals))
-            vals = RationalGrid(tuple(tuple(v.numerator for v in row) for row in rows),
-                                tuple(tuple(v.denominator for v in row) for row in rows))
+            vals = RationalGrid(tuple((tuple(v.numerator for v in row),
+                                       tuple(v.denominator for v in row), None)
+                                      for row in map(tuple, vals)))
         for breaks in (s, t):
             if len(breaks) < 2 or breaks[0] != 0 or breaks[-1] != 1:
                 raise ValueError("grid breaks must span [0, 1]")
             if any(not a < b for a, b in zip(breaks, breaks[1:])):
                 raise ValueError("grid breaks must be strictly increasing")
-        if len(vals) != len(s) or any(len(row) != len(t) for row in vals.nums):
+        if len(vals) != len(s) or any(len(row) != len(t) for row in vals.signs):
             raise ValueError("value grid does not match the breaks")
         object.__setattr__(self, "s_breaks", s)
         object.__setattr__(self, "t_breaks", t)
         object.__setattr__(self, "values", vals)
-        signs = vals.signs
-        for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
-            for b in range(len(t) - 1) if 0 in r0 and 0 in r1 else ():
-                for tri in _CELL_TRIANGLES:
-                    if not any(signs[a + da][b + db] for da, db in tri):
-                        corners = ", ".join(f"({s[a + da]}, {t[b + db]})" for da, db in tri)
-                        raise NonHausError(f"triangle {corners} is identically zero")
+        signs, zeros = vals.signs, vals.zeros
+        for a, (z0, z1) in enumerate(zip(zeros, zeros[1:])):
+            flat = z0 >> 1 & z1 & (z1 >> 1 | z0)  # cells whose lower or upper triangle is all zero
+            if flat:
+                b = len(t) - 1 - flat.bit_length()  # the first of them
+                tri = next(tri for tri in _CELL_TRIANGLES
+                           if all(signs[a + da][b + db] == "0" for da, db in tri))
+                corners = ", ".join(f"({s[a + da]}, {t[b + db]})" for da, db in tri)
+                raise NonHausError(f"triangle {corners} is identically zero")
 
     def value_at(self, s: Fraction, t: Fraction) -> Fraction:
         s, t = Fraction(s), Fraction(t)
@@ -380,12 +443,12 @@ class HomotopyField:
         return v00 + (v01 - v00) * ft + (v11 - v01) * fs
 
     def bottom_path(self) -> PLPath:
-        return PLPath(tuple((s, Fraction(n[0], d[0])) for s, n, d in
-                            zip(self.s_breaks, self.values.nums, self.values.dens)))
+        ratio = self.values.ratio
+        return PLPath(tuple((s, Fraction(*ratio(a, 0))) for a, s in enumerate(self.s_breaks)))
 
     def top_path(self) -> PLPath:
-        return PLPath(tuple((s, Fraction(n[-1], d[-1])) for s, n, d in
-                            zip(self.s_breaks, self.values.nums, self.values.dens)))
+        ratio = self.values.ratio
+        return PLPath(tuple((s, Fraction(*ratio(a, -1))) for a, s in enumerate(self.s_breaks)))
 
 
 # A cell's lower then upper triangle: vertex offsets from its corner, in reading order.
@@ -488,11 +551,11 @@ def _edge_zero(p: Node, a: int, b: int, q: Node, c: int, d: int) -> Node:
 
 def _points(field: HomotopyField, names: Iterable[int]) -> dict[int, Node]:
     """Exact coordinates of the named endpoints."""
-    s, t, nums, dens = field.s_breaks, field.t_breaks, field.values.nums, field.values.dens
+    s, t, ratio = field.s_breaks, field.t_breaks, field.values.ratio
     nt, n = len(t), len(s) * len(t)
 
     def vertex(v: int) -> tuple[Node, int, int]:
-        return (s[v // nt], t[v % nt]), nums[v // nt][v % nt], dens[v // nt][v % nt]
+        return ((s[v // nt], t[v % nt]), *ratio(v // nt, v % nt))
 
     return {name: vertex(name)[0] if name < n else
             _edge_zero(*vertex(name // n - 1), *vertex(name % n)) for name in names}
@@ -501,29 +564,38 @@ def _points(field: HomotopyField, names: Iterable[int]) -> dict[int, Node]:
 def _zero_pass(field: HomotopyField) -> tuple[list[tuple[int, int]], tuple[ZeroComponent, ...]]:
     """The endpoint names of every zero segment, and the components they form.
 
-    One scan reads each triangle's zero segment from its vertex signs alone;
-    triangles meet only in shared vertices and edges, so a union-find over
-    names recovers the components exactly.  Coordinates are built only for
-    the bottom-row names, a vertex (a, 0) or the crossing inside the edge
-    from it to (a + 1, 0): no other zero point has t = 0.
+    One scan reads each triangle's zero segment from its vertex signs alone,
+    in the cells whose four signs are not one nonzero sign: each pair of rows
+    finds them from its sign bits, so a cell away from the zero set costs
+    nothing.  Triangles meet only in shared vertices and edges, so a
+    union-find over names recovers the components exactly.  Coordinates are
+    built only for the bottom-row names, a vertex (a, 0) or the crossing
+    inside the edge from it to (a + 1, 0): no other zero point has t = 0.
     """
-    signs = field.values.signs
+    grid = field.values
+    signs, negs, zeros = grid.signs, grid.negs, grid.zeros
     nt, n = len(field.t_breaks), len(field.s_breaks) * len(field.t_breaks)
-    # _TRIANGLE_ENDS on the lower and upper triangle of a cell whose first vertex is v:
-    # each endpoint's name as (m, c), the name being m * v + c
-    lower, upper = ({g: rule and tuple((1, corners[i]) if i == j else
-                                       (n + 1, _edge_name(n, corners[i], corners[j]))
-                                       for i, j in rule) for g, rule in _TRIANGLE_ENDS.items()}
+    # _TRIANGLE_ENDS on the lower and upper triangle of a cell whose first vertex is v,
+    # keyed by the corners' sign characters: each endpoint's name as (m, c), the name
+    # being m * v + c
+    lower, upper = ({"".join("-0+"[x + 1] for x in g):
+                     rule and tuple((1, corners[i]) if i == j else
+                                    (n + 1, _edge_name(n, corners[i], corners[j])) for i, j in rule)
+                     for g, rule in _TRIANGLE_ENDS.items()}
                     for corners in ((0, nt, nt + 1), (0, nt + 1, 1)))
+    cells = (1 << (nt - 1)) - 1  # bit j stands for the cell of columns nt - 2 - j and nt - 1 - j
     ends: list[tuple[int, int]] = []
-    for a, (r0, r1) in enumerate(zip(signs, signs[1:])):
-        if r0 == r1 and 0 not in r0 and (1 not in r0 or -1 not in r0):
-            continue  # two rows of one nonzero sign
-        for b, (g00, g01, g10, g11) in enumerate(zip(r0, r0[1:], r1, r1[1:])):
-            if g00 == g01 == g10 == g11 != 0:
-                continue  # a cell of one nonzero sign
+    for a in range(len(signs) - 1):
+        neg = negs[a] & negs[a + 1]
+        pos = ~(negs[a] | zeros[a] | negs[a + 1] | zeros[a + 1])
+        mixed = ~(pos & pos >> 1 | neg & neg >> 1) & cells  # not a cell of one nonzero sign
+        r0, r1 = signs[a], signs[a + 1]
+        while mixed:
+            j = mixed.bit_length() - 1  # the highest bit: the leftmost cell left
+            mixed ^= 1 << j
+            b = nt - 2 - j
             v = a * nt + b
-            for rule in (lower[g00, g10, g11], upper[g00, g11, g01]):
+            for rule in (lower[r0[b] + r1[b:b + 2]], upper[r0[b] + r1[b + 1] + r0[b + 1]]):
                 if rule is not None:
                     (m0, c0), (m1, c1) = rule
                     ends.append((m0 * v + c0, m1 * v + c1))
@@ -660,13 +732,32 @@ def attempt_homotopy_lift(
 
 @dataclass(frozen=True)
 class HomotopyLiftRecord:
-    """Self-contained certificate: inputs plus the lifting outcome."""
+    """Certificate of a lifting outcome: its inputs, the field named by digest.
 
-    field: HomotopyField
+    ``field_sha256`` is the hex sha256 of the field's ``plfield v1`` bytes:
+    those of the file it was read from, or for a field built in code those
+    of its :func:`~nonhaus.serialize.write_field` text, which ``--dump-field``
+    saves.  Either way ``sha256sum`` of that file gives it again.
+    """
+
+    field_sha256: str
     assignment: tuple[tuple[Fraction, int], ...]
     model: str
     paper_constancy: bool
     result: LiftCertificate
+
+
+def sha256_hex(data: bytes) -> str:
+    import hashlib  # here, not at import: it loads OpenSSL, which only homotopy records use
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def dump_sha256(field: HomotopyField) -> str:
+    """Hex sha256 of the field's write_field text: ``sha256sum`` of its ``--dump-field`` file."""
+    from .serialize import write_field  # serialize imports this module
+
+    return sha256_hex(write_field(field).encode())
 
 
 def homotopy_lift_record(
@@ -674,10 +765,13 @@ def homotopy_lift_record(
     bottom_assignment: dict[Fraction, int],
     cfg: SpaceConfig,
     paper_constancy: bool = False,
+    field_sha256: Optional[str] = None,
 ) -> HomotopyLiftRecord:
+    """The record of :func:`attempt_homotopy_lift`; ``field_sha256`` names the
+    bytes the field was read from, and defaults to the digest of its dump."""
     result = attempt_homotopy_lift(field, bottom_assignment, cfg, paper_constancy)
     return HomotopyLiftRecord(
-        field=field,
+        field_sha256=dump_sha256(field) if field_sha256 is None else field_sha256,
         assignment=tuple(sorted((Fraction(t), int(i)) for t, i in bottom_assignment.items())),
         model=cfg.model.value,
         paper_constancy=paper_constancy,
@@ -685,19 +779,23 @@ def homotopy_lift_record(
     )
 
 
-def recheck_homotopy_record(record: HomotopyLiftRecord, k: int) -> list[str]:
-    """Re-run the component computation and compare with the recorded outcome.
+def recheck_homotopy_record(record: HomotopyLiftRecord, field: HomotopyField, k: int) -> list[str]:
+    """Check that the record names ``field``, by the digest of its dump, then
+    re-run the component computation and compare with the recorded outcome.
+    A record of a field read from a file names that file's bytes, which are
+    its dump when the file is canonical, as ``--dump-field`` writes it.
 
     The only re-check that runs :func:`attempt_homotopy_lift`.  It is on no
     report's path, as no report carries a homotopy record; contraction
     stages are re-checked through it.  A recomputed ``NoLift`` always names
     two distinct origins, so equality covers the conflict too.
     """
+    digest = dump_sha256(field)
+    if record.field_sha256 != digest:
+        return [f"field_sha256 {record.field_sha256[:70]!r} is not the field's {digest}"]
     cfg = SpaceConfig(k, TopologyModel(record.model))
     try:
-        result = attempt_homotopy_lift(
-            record.field, dict(record.assignment), cfg, record.paper_constancy
-        )
+        result = attempt_homotopy_lift(field, dict(record.assignment), cfg, record.paper_constancy)
     except NonHausError as exc:
         return [f"recorded inputs are rejected: {exc}"]
     if result != record.result:

@@ -36,6 +36,13 @@ Text formats:
 * fields: header ``plfield v1``, a dimension line ``ns nt``, one line of
   ns s-breaks, one line of nt t-breaks, then ns rows of nt values each
   (row a holds the values over s_breaks[a], ordered by t).
+
+A field's verdict reads only the sign of each value and the exact values
+of its bottom edge.  So :func:`read_field` checks each row in full but
+keeps a row in the emitted form as its text: the signs are the tokens'
+first characters, and a value's ints are parsed only where it is read
+(:class:`~nonhaus.lifting.RationalGrid`).  A homotopy record names its
+field by the sha256 of the bytes it was read from, not by its values.
 """
 
 from __future__ import annotations
@@ -45,13 +52,14 @@ import itertools
 import json
 import math
 import re
+import sys
 import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, floordiv
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
-from .lifting import HomotopyField, LiftedPath, LiftProduct, PLPath, RationalGrid
+from .lifting import HomotopyField, LiftedPath, LiftProduct, PLPath, RationalGrid, strict_ratios
 
 
 def frac_str(x: Fraction) -> str:
@@ -68,10 +76,22 @@ def parse_frac(s: str) -> Fraction:
 
     A strict token is read as its two ints, anything else by ``Fraction(s)``;
     values and error texts agree, as ``Fraction`` passes on ``int``'s refusal
-    of an over-long numeral."""
+    of an over-long numeral.  A decimal whose exponent or digit count exceeds
+    ``int``'s digit limit is refused first: ``Fraction`` would build a power
+    of ten that large before any check, so a short token could buy unbounded
+    work."""
     if _strict_token(s):
         n, d = s.split("/")
         return Fraction(int(n), int(d))
+    limit = sys.get_int_max_str_digits()
+    mantissa, e, exponent = s.strip().replace("E", "e").partition("e")
+    if limit and (e or "." in mantissa):  # a decimal; an int or n/d meets int's own limit
+        digits = len(mantissa.lstrip("+-")) - mantissa.count("_") - mantissa.count(".")
+        power = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if digits > limit or power.isdecimal() and (len(power) > 9 or int(power) > limit):
+            shown = repr(s) if len(s) <= 40 else repr(s[:36]) + "..."
+            raise ValueError(f"Exceeds the limit ({limit} digits) for a decimal's "
+                             f"exponent or digits: {shown}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -440,21 +460,14 @@ def _ratios(line: str) -> tuple[tuple[int, ...], tuple[int, ...], Optional[str]]
     """The reduced numerators and positive denominators of one text line's
     rationals, and the line itself if it is already their canonical text.
 
-    A line in the strict form becomes ints in one JSON parse, which takes
-    exactly that grammar and refuses an over-long numeral as ``int`` does;
-    with every gcd 1 it is kept, being the text the writers would format,
-    and otherwise divided by the gcds.  Any other line (``007/03``, ``-0/5``,
-    bare ints, decimals, ``+1/2``, a zero denominator, tabs, non-ASCII
-    digits) is read token by token, so every value and error message is that
-    of :func:`parse_frac`.
+    A line in the strict form is read by
+    :func:`~nonhaus.lifting.strict_ratios`, kept when every gcd is 1.  Any
+    other line (``007/03``, ``-0/5``, bare ints, decimals, ``+1/2``, a zero
+    denominator, tabs, non-ASCII digits) is read token by token, so every
+    value and error message is that of :func:`parse_frac`.
     """
     if _STRICT_LINE.fullmatch(line):
-        ints = json.loads("[" + line.replace("/", ",").replace(" ", ",") + "]")
-        nums, dens = ints[::2], ints[1::2]
-        gcds = list(map(math.gcd, nums, dens))
-        if gcds.count(1) == len(gcds):
-            return tuple(nums), tuple(dens), line
-        return tuple(map(floordiv, nums, gcds)), tuple(map(floordiv, dens, gcds)), None
+        return strict_ratios(line)
     return (*zip(*(parse_frac(v).as_integer_ratio() for v in line.split())), None)
 
 
@@ -480,10 +493,12 @@ def write_field(field: HomotopyField) -> str:
 def read_field(text: str) -> HomotopyField:
     """A field from its ``plfield v1`` text.
 
-    Every line of values goes through :func:`_ratios`, as the ints of a grid:
-    the rows :func:`write_field` emits as int pairs, keeping their lines (in
-    the strict form with every gcd 1, so canonical) for the writers to print,
-    and any other spelling token by token, with the same values either way.
+    Every line of values is checked in full.  A line in the strict form
+    that :func:`write_field` emits, and no longer than ``int``'s digit limit
+    (so no numeral in it can be refused later), is kept as text: the grid
+    reads its signs from the tokens' first characters and parses its ints
+    only where they are needed.  Any other line goes through :func:`_ratios`
+    now, with the same values either way.
     """
     lines = _content_lines(text, PLFIELD_HEADER)
     if len(lines) < 3:
@@ -499,5 +514,7 @@ def read_field(text: str) -> HomotopyField:
         raise ValueError("grid dimensions do not match the break lines")
     if len(lines) != 3 + ns:
         raise ValueError(f"expected {ns} value rows, got {len(lines) - 3}")
-    rows = zip(*(_ratios(ln) for _, ln in lines[3:]))  # nums, dens and kept lines
-    return HomotopyField(s_breaks, t_breaks, RationalGrid(*rows))
+    short = sys.get_int_max_str_digits() or math.inf
+    rows = tuple(ln if len(ln) <= short and _STRICT_LINE.fullmatch(ln) else _ratios(ln)
+                 for _, ln in lines[3:])
+    return HomotopyField(s_breaks, t_breaks, RationalGrid(rows))

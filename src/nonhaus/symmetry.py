@@ -34,6 +34,7 @@ from .lifting import (
     NoLift,
     PLPath,
     attempt_homotopy_lift,
+    dump_sha256,
     recheck_homotopy_record,
     times_str,
     zero_times,
@@ -461,10 +462,10 @@ def recheck_contraction(cert: ContractionCertificate, k: int) -> list[str]:
     for n, stage in enumerate(cert.stages):
         if stage.field.bottom_path() != current:
             failures.append(f"stage {n}: bottom edge does not chain from the previous stage")
-        record = HomotopyLiftRecord(field=stage.field, assignment=stage.assignment,
-                                    model=cert.model, paper_constancy=False,
-                                    result=stage.certificate)
-        failures += [f"stage {n}: {msg}" for msg in recheck_homotopy_record(record, k)]
+        record = HomotopyLiftRecord(field_sha256=dump_sha256(stage.field),
+                                    assignment=stage.assignment, model=cert.model,
+                                    paper_constancy=False, result=stage.certificate)
+        failures += [f"stage {n}: {msg}" for msg in recheck_homotopy_record(record, stage.field, k)]
         if isinstance(stage.certificate, NoLift):
             failures.append(f"stage {n}: stage is not accepted")
         if stage.top != stage.field.top_path():

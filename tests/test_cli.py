@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,39 @@ class TestHomotopy:
         code, _, _ = run_cli(capsys, "homotopy", "--k", "2", "--dump-field", str(dump))
         assert code == 0
         assert serialize.read_field(dump.read_text()) == make_merging_field()
+
+    def test_record_names_its_field_by_sha256(self, capsys, tmp_path):
+        """A built field is named by the sha256 of its dump, a read one by the
+        sha256 of the file's bytes, as sha256sum gives them; the record of a
+        120x120 field is a few hundred bytes."""
+        dump = tmp_path / "merging.plfield"
+        code, out, _ = run_cli(capsys, "homotopy", "--dump-field", str(dump), "--json")
+        assert code == 0
+        built = json.loads(out)
+        assert built["field_sha256"] == hashlib.sha256(dump.read_bytes()).hexdigest()
+        # the same field in CRLF lines and other spellings: another digest, the same result
+        crlf = tmp_path / "crlf.plfield"
+        crlf.write_bytes(dump.read_bytes().replace(b"1/4", b"2/8").replace(b"\n", b"\r\n"))
+        code, out, _ = run_cli(capsys, "homotopy", "--field", str(crlf), "--json")
+        assert code == 0
+        read = json.loads(out)
+        assert read.pop("field_sha256") == hashlib.sha256(crlf.read_bytes()).hexdigest()
+        assert built.pop("field_sha256") != hashlib.sha256(crlf.read_bytes()).hexdigest()
+        assert read == built
+        n = 120
+        rows = [" ".join(serialize.frac_str(Fraction(2 * ((37 * a + 11 * b) % 29) - 29, 127 + a + b)
+                                            if b else Fraction(1 + a % 5, 127)) for b in range(n))
+                for a in range(n)]
+        breaks = " ".join(serialize.frac_str(Fraction(i, n - 1)) for i in range(n))
+        big = tmp_path / "f120.plfield"
+        big.write_text("\n".join(["plfield v1", f"{n} {n}", breaks, breaks, *rows]) + "\n")
+        out_file = tmp_path / "f120.json"
+        code, _, _ = run_cli(capsys, "homotopy", "--field", str(big), "--model", "pseudometric",
+                             "--assign", "", "--json", "--out", str(out_file))
+        assert code == 0 and out_file.stat().st_size < 4096
+        record = json.loads(out_file.read_text())
+        assert record["field_sha256"] == hashlib.sha256(big.read_bytes()).hexdigest()
+        assert record["result"] == {"kind": "non-unique-existence", "component_count": 1555}
 
     def test_free_components_list_every_assignment(self, capsys, tmp_path):
         # two interior wells and no bottom zero: each well takes either origin

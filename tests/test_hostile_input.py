@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,15 +384,76 @@ def test_zero_edge_without_plateau_accepted(capsys, tmp_path, rows, assign):
 
 
 def test_homotopy_json_past_the_digit_limit(capsys, tmp_path):
-    # read_field takes 1e5000 exactly; writing its 5,001 digits meets Python's
-    # limit on converting an int to a string
+    # an exponent past int's digit limit is refused where the field is read,
+    # in the text report as in JSON, though neither prints the value
     path = tmp_path / "f.plfield"
     path.write_text(plfield_2x2("1e5000 1 / 1 -1"))
-    line = rejected(capsys, "homotopy", "--field", str(path), "--assign", "", "--json")
-    assert line == ("error: Exceeds the limit (4300 digits) for integer string conversion; "
-                    "use sys.set_int_max_str_digits() to increase the limit")
-    # the text report prints no value, so it is still written
-    assert main(["homotopy", "--field", str(path), "--assign", ""]) == 0, capsys.readouterr().err
+    for output in ([], ["--json"]):
+        line = rejected(capsys, "homotopy", "--field", str(path), "--assign", "", *output)
+        assert line == ("error: Exceeds the limit (4300 digits) for a decimal's exponent "
+                        "or digits: '1e5000'")
+
+
+_EXPONENT_LIMIT = "error: Exceeds the limit (4300 digits) for a decimal's exponent or digits: "
+
+
+class TestShortInputsBoundedWork:
+    """A decimal whose exponent or digits pass int's digit limit is refused
+    before Fraction builds its power of ten, so a short token costs milliseconds,
+    not the seconds it took to be accepted (or refused only when printed)."""
+
+    @staticmethod
+    def quick_refusal(capsys, *argv: str) -> str:
+        start = time.perf_counter()
+        line = rejected(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        return line
+
+    def test_lift_x0(self, capsys):
+        line = self.quick_refusal(capsys, "lift", "--x0", "1e10000000")
+        assert "argument --x0: invalid parse_frac value: '1e10000000'" in line
+
+    def test_plpath_value(self, capsys, tmp_path):
+        path = tmp_path / "p.plpath"
+        path.write_text("plpath v1\n0/1 1/1\n1/2 -1e-10000000\n1/1 1/1\n")
+        line = self.quick_refusal(capsys, "lift", "--path", str(path))
+        assert line == _EXPONENT_LIMIT + "'-1e-10000000'"
+
+    def test_report_eps(self, capsys, tmp_path, report):
+        _charts(report).update(eps="1e3000000")
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(report))
+        line = self.quick_refusal(capsys, "audit", "--check", str(path))
+        assert line == ("error: ReportDocument.certificates: SeparatedCharts.eps: "
+                        + _EXPONENT_LIMIT[len("error: "):] + "'1e3000000'")
+
+    @pytest.mark.parametrize("token", ["1e4301", "1E+4301", "-1e-4301", "1e4_301", "1e0000099999",
+                                       "0." + "1" * 4300, "1" * 4301 + ".", "1" * 4301 + "e0",
+                                       "1e" + "9" * 5000],
+                             ids=["exponent", "signed-exponent", "negative-exponent", "underscore",
+                                  "leading-zeros", "fraction-digits", "whole-digits",
+                                  "digits-with-exponent", "long-exponent"])
+    def test_refused(self, token):
+        with pytest.raises(ValueError) as refused:
+            serialize.parse_frac(token)
+        shown = repr(token) if len(token) <= 40 else repr(token[:36]) + "..."
+        assert "error: " + str(refused.value) == _EXPONENT_LIMIT + shown
+
+    @pytest.mark.parametrize("token", ["1e4300", "-1e-4300", "1e0004300", "0." + "1" * 4299,
+                                       "1" * 4300 + "e-4300", "1e4_300", "1e", "1e--5", "1e5/3"],
+                             ids=["exponent", "negative-exponent", "leading-zeros",
+                                  "fraction-digits", "digits-with-exponent", "underscore",
+                                  "no-exponent", "two-signs", "ratio"])
+    def test_at_the_limit_read_as_fraction_reads_it(self, token):
+        try:
+            want = Fraction(token)
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = serialize.parse_frac(token)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
 
 @pytest.mark.parametrize("numeral", ["1" + "0" * 4300, "-" + "9" * 4301, "0" + "1" * 4301],

@@ -33,6 +33,7 @@ from nonhaus.lifting import (
     ZeroSetComplex,
     attempt_homotopy_lift,
     bounce_path,
+    dump_sha256,
     enumerate_lifts,
     extract_zero_set,
     homotopy_lift_record,
@@ -878,7 +879,7 @@ class TestAttemptHomotopyLift:
     def test_record_recheck(self, quotient2, pseudo2):
         for cfg, constancy in ((quotient2, False), (pseudo2, False), (pseudo2, True)):
             record = homotopy_lift_record(self.field, self.conflict, cfg, constancy)
-            assert recheck_homotopy_record(record, cfg.k) == []
+            assert recheck_homotopy_record(record, self.field, cfg.k) == []
 
     def test_record_recheck_catches_tampering(self, quotient2):
         import dataclasses
@@ -887,4 +888,29 @@ class TestAttemptHomotopyLift:
         bad = dataclasses.replace(
             record, result=LiftsEnumerated(assignments=(((0, 2),),))
         )
-        assert recheck_homotopy_record(bad, quotient2.k) != []
+        assert recheck_homotopy_record(bad, self.field, quotient2.k) == [
+            "recomputed lifting outcome differs from the recorded one"]
+
+    def test_record_names_its_field_by_digest(self, quotient2):
+        """The digest is sha256 of the field's dump; a record of another field's
+        digest, or of a digest that is not 64 hex digits, fails its re-check
+        with one line, even when its outcome is the other field's too."""
+        import dataclasses
+        import hashlib
+
+        record = homotopy_lift_record(self.field, self.consistent, quotient2, False)
+        dump = serialize.write_field(self.field).encode()
+        assert record.field_sha256 == hashlib.sha256(dump).hexdigest()
+        # the same bottom edge, so the same outcome, on a field of other values
+        other = HomotopyField(self.field.s_breaks, self.field.t_breaks,
+                              tuple(tuple(v + v * t for v, t in zip(self.field.values[a],
+                                                                     self.field.t_breaks))
+                                    for a in range(len(self.field.s_breaks))))
+        assert other != self.field
+        assert attempt_homotopy_lift(other, self.consistent, quotient2) == record.result
+        assert recheck_homotopy_record(record, other, quotient2.k) == [
+            f"field_sha256 {record.field_sha256!r} is not the field's {dump_sha256(other)}"]
+        for digest in (dump_sha256(other), "", "0" * 63, "g" * 64, record.field_sha256.upper()):
+            bad = dataclasses.replace(record, field_sha256=digest)
+            assert recheck_homotopy_record(bad, self.field, quotient2.k) == [
+                f"field_sha256 {digest!r} is not the field's {record.field_sha256}"]

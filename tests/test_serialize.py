@@ -21,6 +21,8 @@ from nonhaus.lifting import (
     HomotopyField,
     HomotopyLiftRecord,
     PLPath,
+    RationalGrid,
+    attempt_homotopy_lift,
     bounce_path,
     enumerate_lifts,
     extract_zero_set,
@@ -29,6 +31,7 @@ from nonhaus.lifting import (
     make_merging_field,
     monodromy_verdict,
     verify_lift_continuity,
+    zero_times,
 )
 from nonhaus.projection import even_cover_certificate
 from nonhaus.space import (
@@ -390,8 +393,90 @@ def test_read_field_matches_token_oracle(text):
         grid = got.values
         assert grid.nums == tuple(nums for nums, _ in rows)
         assert grid.dens == tuple(dens for _, dens in rows)
-        assert grid.signs == tuple(tuple((n > 0) - (n < 0) for n in nums) for nums, _ in rows)
+        assert grid.signs == tuple("".join("-" if n < 0 else "+" if n else "0" for n in nums)
+                                   for nums, _ in rows)
         assert all(type(v) is int for row in grid.nums + grid.dens for v in row)
+
+
+def _decimal(v: Fraction) -> str:
+    """v as a decimal numeral; v's denominator divides 10**6."""
+    scaled = abs(v.numerator) * (10**6 // v.denominator)
+    return ("-" if v < 0 else "") + f"{scaled // 10**6}.{scaled % 10**6:06d}"
+
+
+# one value's spellings: the strict forms a lazy row keeps as text, and others
+# that send the whole line to _ratios
+_SPELLINGS = {
+    "strict": serialize.frac_str,
+    "unreduced": lambda v: "%d/%d" % (3 * v.numerator, 3 * v.denominator),
+    "leading-zero": lambda v: ("-" if v < 0 else "") + "0%d/0%d" % (abs(v.numerator), v.denominator),
+    "signed-zero": lambda v: "-0/5" if v == 0 else serialize.frac_str(v),
+    "bare-or-decimal": lambda v: str(v.numerator) if v.denominator == 1 else _decimal(v),
+}
+
+
+@st.composite
+def spelled_fields(draw) -> str:
+    """A small plfield text: each row in one spelling of _SPELLINGS, or each
+    value in its own; values over 1, 2, 4, 5 and 8, so each has a decimal."""
+    ns, nt = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    values = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4, 5, 8]))
+    names = st.sampled_from(sorted(_SPELLINGS))
+    lines = ["plfield v1", f"{ns} {nt}",
+             " ".join(serialize.frac_str(Fraction(a, ns - 1)) for a in range(ns)),
+             " ".join(serialize.frac_str(Fraction(b, nt - 1)) for b in range(nt))]
+    for _ in range(ns):
+        row = draw(st.lists(values, min_size=nt, max_size=nt))
+        row_spelling = draw(st.one_of(names, st.just("mixed")))
+        lines.append(" ".join(_SPELLINGS[draw(names) if row_spelling == "mixed" else row_spelling](v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def eager_read_field(text: str) -> HomotopyField:
+    """read_field with every row's ints built now, by _ratios."""
+    lazy = serialize.read_field(text)
+    rows = tuple(serialize._ratios(ln) for ln in text.splitlines()[4:])
+    return HomotopyField(lazy.s_breaks, lazy.t_breaks, RationalGrid(rows))
+
+
+def _lift_outcomes(field: HomotopyField, k: int, origins: list[int]) -> list:
+    try:
+        zeros = zero_times(field.bottom_path())
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    assignment = dict(zip(zeros, origins))
+    return [outcome(lambda cfg: attempt_homotopy_lift(field, assignment, cfg, constancy),
+                    SpaceConfig(k, model))
+            for model in TopologyModel for constancy in (False, True)]
+
+
+@settings(max_examples=300)
+@given(spelled_fields(), st.integers(2, 3), st.lists(st.integers(1, 3), min_size=5, max_size=5))
+@example("plfield v1\n2 3\n0/1 1/1\n0/1 1/2 1/1\n2/4 -0/5 3/1\n-1/3 0/7 2/4\n", 2, [1, 2, 1, 2, 1])
+def test_lazy_rows_read_as_eager_rows(text, k, origins):
+    """A field whose strict rows are kept as text reads, row by row, as the
+    field whose every row is parsed by _ratios: the same signs and sign bits,
+    edge paths, lifting outcomes in both models with and without the
+    constancy rule, values at the grid points, dump, equality and hash.  The
+    signs, edges and outcomes parse no text row in full."""
+    try:
+        eager = eager_read_field(text)
+    except Exception as exc:
+        assert outcome(serialize.read_field, text) == (type(exc).__name__, str(exc))
+        return
+    lazy = serialize.read_field(text)
+    grid, want = lazy.values, eager.values
+    assert (grid.signs, grid.negs, grid.zeros) == (want.signs, want.negs, want.zeros)
+    assert lazy.bottom_path() == eager.bottom_path()
+    assert lazy.top_path() == eager.top_path()
+    assert _lift_outcomes(lazy, k, origins) == _lift_outcomes(eager, k, origins)
+    assert grid._ints is None  # nothing above read a whole text row
+    for s in lazy.s_breaks:
+        for t in lazy.t_breaks:
+            assert lazy.value_at(s, t) == eager.value_at(s, t)
+    assert serialize.write_field(lazy) == serialize.write_field(eager)
+    assert lazy == eager and hash(lazy) == hash(eager)
 
 
 # a child interpreter that imports this checkout's package
@@ -404,7 +489,7 @@ _SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 KINDS = (
     "ball", "claim-record", "continuity-probe",
     "deck-element", "deck-group-table", "grid-witness",
-    "homotopy-field", "homotopy-lift-record", "indistinguishable-origins",
+    "homotopy-lift-record", "indistinguishable-origins",
     "inseparability-rule", "labeled-loop", "lifted-path", "lifts-enumerated",
     "loop-class-record", "metric-summary", "monodromy-obstruction",
     "no-lift", "non-unique-existence", "origin", "origin-chart",
@@ -471,7 +556,7 @@ class TestKindRegistry:
         _hinted_classes(ThickAuditReport, found)
         _hinted_classes(MetricSummary, found)
         _hinted_classes(HomotopyLiftRecord, found)
-        assert len(KINDS) == 29
+        assert len(KINDS) == 28
         assert tuple(sorted(serialize._kind(cls) for cls in found)) == KINDS
 
     def test_golden_outputs_hold_only_pinned_kinds(self):
