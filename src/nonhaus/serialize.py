@@ -69,6 +69,11 @@ def frac_str(x: Fraction) -> str:
 # one "n/d" token as frac_str writes it: ASCII digits, no sign but "-", no leading zero, no "-0"
 _STRICT_TOKEN = r"(?:0|-?[1-9][0-9]*)/[1-9][0-9]*"
 _strict_token = re.compile(_STRICT_TOKEN).fullmatch
+# a number as Fraction's decimal grammar reads one: one optional sign, then digits with
+# single underscores, an optional point with more of them and an optional exponent
+_decimal = re.compile(r"\s*[-+]?(?=\.?\d)(?P<digits>(?:\d+(?:_\d+)*)?"
+                      r"(?P<point>\.(?:\d+(?:_\d+)*)?)?)(?:[eE][-+]?(?P<power>\d+(?:_\d+)*))?\s*"
+                      ).fullmatch
 
 
 def parse_frac(s: str) -> Fraction:
@@ -84,11 +89,11 @@ def parse_frac(s: str) -> Fraction:
         n, d = s.split("/")
         return Fraction(int(n), int(d))
     limit = sys.get_int_max_str_digits()
-    mantissa, e, exponent = s.strip().replace("E", "e").partition("e")
-    if limit and (e or "." in mantissa):  # a decimal; an int or n/d meets int's own limit
-        digits = len(mantissa.lstrip("+-")) - mantissa.count("_") - mantissa.count(".")
-        power = exponent.lstrip("+-").replace("_", "").lstrip("0")
-        if digits > limit or power.isdecimal() and (len(power) > 9 or int(power) > limit):
+    decimal = _decimal(s) if limit else None
+    if decimal and (decimal["point"] or decimal["power"]):  # an int meets int's own limit
+        digits = len(decimal["digits"].replace("_", "")) - bool(decimal["point"])
+        power = (decimal["power"] or "").replace("_", "").lstrip("0")
+        if digits > limit or power and (len(power) > 9 or int(power) > limit):
             shown = repr(s) if len(s) <= 40 else repr(s[:36]) + "..."
             raise ValueError(f"Exceeds the limit ({limit} digits) for a decimal's "
                              f"exponent or digits: {shown}")

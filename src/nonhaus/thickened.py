@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from .embedding import EmbeddingSpec, spiral_point
 from .errors import NonHausError
@@ -29,6 +29,24 @@ from .lifting import PLPath, lift_product
 from .space import CanonicalPoint, Origin, Regular, SpaceConfig
 
 MAX_GRID_N = 4096  # thick_audit checks MAX_GRID_N * (MAX_GRID_N - 1) points at most
+
+_SPIRAL_RUN_BOUND = 64 * (MAX_GRID_N + 16) * 2.0**-53  # about 2.9e-11
+"""At least S + 34 eps for every spiral run of every grid up to MAX_GRID_N, where S is
+the exact sum that ``_run_bound`` bounds, so at a tolerance of at least this every row
+r >= rho of a spiral run is covered, whether taken whole or point by point.
+
+With eps = 2^-53 and Higham's model (see ``_run_bound``): a run of winding n has
+A = fl(theta + fl(two_pi n)) with two_pi within 2 pi eps of 2 pi, x = fl(1/A), and
+``spiral_point`` turns through phi = fl(1/x), so |phi - (theta + 2 pi n)| <= 5 eps
+(theta + 2 pi n) to first order.  The winding is n = 1 or n < 1 + (need - theta)/(2 pi)
+with need <= need_0 = (1 - r_1)/r_1 = N - 2 for r_1 = 1/(N - 1), so theta + 2 pi n <=
+N + 4 pi.  Take cos and sin within 1 ulp, as ``_run_bound`` takes hypot.  As |cos a -
+cos b| <= |a - b|, the terms |u/norm - cos| and |v/norm - sin| are each at most the
+angle error plus 8 eps, and the first two terms, scaled by rho < 1/6, at most a sixth
+of that.  So S + 34 eps <= 7/3 (5 (N + 4 pi) + 8) eps + 34 eps <= 12 (N + 17) eps,
+below 64 (MAX_GRID_N + 16) eps with room for second-order terms.  The largest S seen on
+every grid from 64 to 300 and on 40 seeded grids up to 4096 is 4.3 N eps.
+"""
 
 
 @dataclass(frozen=True)
@@ -214,10 +232,8 @@ def _main_column(
                       cos, sin, tolerance)
 
 
-def _spiral_column(
-    radii: list[float], needs: list[float], theta: float, cos: float, sin: float, tolerance: float
-) -> list[int]:
-    """Closed-form preimage under the spiral sweep; every r > 0 is reachable.
+def _spiral_runs(needs: list[float], theta: float) -> Iterator[tuple[int, int, float, float]]:
+    """The runs (lo, hi, x, rho) of a column under the spiral sweep; every r > 0 is reachable.
 
     Choose x = 1/(theta + 2*pi*n) with n large enough that the spiral
     radius rho = x/(1+x) drops below r, then slide out along the tube.
@@ -225,14 +241,12 @@ def _spiral_column(
     ``needs[i]`` is (1 - r)/r for ``r = radii[i]``: rho <= r  <=>  1/x >= need.
     The winding n_i = max(1, ceil((needs[i] - theta)/(2 pi))) never grows
     down the column: the radii increase and every float operation from r to
-    n_i rounds monotonically.  So the rows of one winding form a run, whose
-    end a galloping search finds on that same expression, and each run is
-    covered from its one curve point.  Returns the indices into ``radii``
-    of the column's uncovered points.
+    n_i rounds monotonically.  So the rows lo..hi-1 of one winding form a run,
+    whose end a galloping search finds on that same expression, swept from the
+    one curve point of x, of solver norm rho.
     """
     two_pi = 2 * math.pi
-    miss: list[int] = []
-    lo, rows = 0, len(radii)
+    lo, rows = 0, len(needs)
     while lo < rows:
         n = max(1, math.ceil((needs[lo] - theta) / two_pi))
         hi = rows
@@ -245,9 +259,24 @@ def _spiral_column(
             hi = bisect_left(needs, 1 - n, known + 1, min(known + step, rows),
                              key=lambda need: -((need - theta) / two_pi))
         x = 1 / (theta + two_pi * n)
-        miss += _cover_run(radii, lo, hi, EmbeddingSpec.SPIRAL, x, x / (1 + x), cos, sin,
-                           tolerance)
+        yield lo, hi, x, x / (1 + x)
         lo = hi
+
+
+def _spiral_column(
+    radii: list[float], needs: list[float], theta: float, cos: float, sin: float, tolerance: float
+) -> list[int]:
+    """Indices into ``radii`` of the column's points that no run of ``_spiral_runs`` covers.
+
+    A run goes to ``_cover_run`` only if the tolerance is below ``_SPIRAL_RUN_BOUND``
+    or its first row lies inside rho: else, as that bound is at least every
+    ``_distance`` of a row r >= rho, ``_cover_run`` would find no miss.
+    """
+    miss: list[int] = []
+    per_run = tolerance < _SPIRAL_RUN_BOUND
+    for lo, hi, x, rho in _spiral_runs(needs, theta):
+        if per_run or radii[lo] < rho:
+            miss += _cover_run(radii, lo, hi, EmbeddingSpec.SPIRAL, x, rho, cos, sin, tolerance)
     return miss
 
 
@@ -259,9 +288,11 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     2*pi*b/grid_n for 0 <= b < grid_n.  A grid point counts as covered when
     the closed-form preimage of its direction's column maps within
     ``tolerance`` of it.  The grid is walked one direction at a time, and a
-    column in runs of rows swept from one curve point: a run is covered whole
-    when ``_run_bound`` is within ``tolerance``, and otherwise point by point
-    by ``_distance``.  Uncovered points are counted, not kept: the report
+    column in runs of rows swept from one curve point: a spiral run with no
+    row inside its solver norm is covered by the grid-wide ``_SPIRAL_RUN_BOUND``
+    unless ``tolerance`` is below it; any other run is covered whole when
+    ``_run_bound`` is within ``tolerance``, and otherwise point by point by
+    ``_distance``.  Uncovered points are counted, not kept: the report
     carries the first 16 in row-major order (by radius, then direction) and
     the lower-half point nearest (0, -1/2), the smallest (distance, r, theta)
     on a tie.  ``grid_n`` must lie in [8, MAX_GRID_N].

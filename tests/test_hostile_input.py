@@ -455,6 +455,14 @@ class TestShortInputsBoundedWork:
             got = str(exc)
         assert got == want
 
+    @pytest.mark.parametrize("token", ["1e--99999", "1e_99999", "1e+-99999", "1e9__9999",
+                                       "1e99999_", "--1e99999", "1 e99999"])
+    def test_invalid_past_the_limit_refused_as_fraction_refuses_it(self, token):
+        # the guard measures only what Fraction's grammar reads as a decimal
+        with pytest.raises(ValueError) as refused:
+            serialize.parse_frac(token)
+        assert str(refused.value) == f"Invalid literal for Fraction: {token!r}"
+
 
 @pytest.mark.parametrize("numeral", ["1" + "0" * 4300, "-" + "9" * 4301, "0" + "1" * 4301],
                          ids=["strict", "negative", "leading-zero"])

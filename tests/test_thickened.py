@@ -148,8 +148,9 @@ class TestColumnKernels:
 
     # 0 and 1e-16 lie below every run's bound (at least 128 * 2^-53), so each point takes
     # the per-point check; on these grids every bound is below 1e-12, so from there up
-    # the bound decides every run
-    @pytest.mark.parametrize("tolerance", [0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1.0])
+    # the bound decides every run.  1e-12 and 1e-11 lie below _SPIRAL_RUN_BOUND, so there
+    # each spiral run still goes to _cover_run and is covered whole by its own bound.
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-16, 1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 1.0])
     @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
     def test_matches_reference(self, spec, tolerance):
         for grid_n in self.GRIDS:
@@ -181,18 +182,28 @@ class TestColumnKernels:
 
 
 class TestRunBound:
-    """The bound of a run is at least every float distance of its per-point check."""
+    """The bound of a run is at least every float distance of its per-point check, and
+    ``_SPIRAL_RUN_BOUND`` is at least the bound of every spiral run."""
 
     @staticmethod
     def record_runs(monkeypatch):
+        """Every run of the columns walked: the main curve's from ``_cover_run``, the
+        spiral's from its column search, with each run's (lo, hi, x, rho)."""
         runs = []
-        cover_run = thickened._cover_run
+        cover_run, spiral_column = thickened._cover_run, thickened._spiral_column
 
-        def recording(radii, lo, hi, spec, x, rho, cos, sin, tolerance):
-            runs.append((radii, lo, hi, spec, x, rho, cos, sin))
+        def main_run(radii, lo, hi, spec, x, rho, cos, sin, tolerance):
+            if spec is EmbeddingSpec.MAIN_CURVE:
+                runs.append((radii, lo, hi, spec, x, rho, cos, sin))
             return cover_run(radii, lo, hi, spec, x, rho, cos, sin, tolerance)
 
-        monkeypatch.setattr(thickened, "_cover_run", recording)
+        def recording(radii, needs, theta, cos, sin, tolerance):
+            runs.extend((radii, lo, hi, EmbeddingSpec.SPIRAL, x, rho, cos, sin)
+                        for lo, hi, x, rho in thickened._spiral_runs(needs, theta))
+            return spiral_column(radii, needs, theta, cos, sin, tolerance)
+
+        monkeypatch.setattr(thickened, "_cover_run", main_run)
+        monkeypatch.setattr(thickened, "_spiral_column", recording)
         return runs
 
     @staticmethod
@@ -204,6 +215,8 @@ class TestRunBound:
             bound = thickened._run_bound(u, v, norm, rho, cos, sin)
             for r in radii[first:hi]:
                 assert thickened._distance(r, u, v, norm, rho, cos, sin) <= bound, (spec, r, cos)
+            if spec is EmbeddingSpec.SPIRAL:
+                assert bound <= thickened._SPIRAL_RUN_BOUND, (len(radii), lo, cos)
 
     @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
     def test_every_column_of_small_grids(self, monkeypatch, spec):
@@ -239,6 +252,14 @@ class TestRunBound:
 
         monkeypatch.setattr(thickened, "_distance", per_point)
         assert thick_audit(grid_n, spec).tolerance == 1e-6
+
+    @pytest.mark.parametrize("grid_n", [256, 512, 768])
+    def test_benchmark_grids_need_no_spiral_curve_point(self, monkeypatch, grid_n):
+        def per_run(*args):
+            raise AssertionError("a spiral run took its curve point")
+
+        monkeypatch.setattr(thickened, "_cover_run", per_run)
+        assert thick_audit(grid_n, EmbeddingSpec.SPIRAL).tolerance == 1e-6
 
 
 class TestLowerHalfWindow:
