@@ -9,7 +9,6 @@ certificate fails its re-check.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -155,7 +154,7 @@ def _cmd_homotopy(args: argparse.Namespace) -> str:
     digest = None  # a field built here is named by the digest of its dump
     if args.field:  # the file's bytes are read once: decoded as read_text decodes them, and hashed
         data = Path(args.field).read_bytes()
-        field = serialize.read_field(io.TextIOWrapper(io.BytesIO(data), io.text_encoding(None)).read())
+        field = serialize.read_field_bytes(data)
         digest = sha256_hex(data)
     else:
         field = make_merging_field()

@@ -779,18 +779,32 @@ def homotopy_lift_record(
     )
 
 
-def recheck_homotopy_record(record: HomotopyLiftRecord, field: HomotopyField, k: int) -> list[str]:
-    """Check that the record names ``field``, by the digest of its dump, then
-    re-run the component computation and compare with the recorded outcome.
-    A record of a field read from a file names that file's bytes, which are
-    its dump when the file is canonical, as ``--dump-field`` writes it.
+def recheck_homotopy_record(record: HomotopyLiftRecord, field: HomotopyField, k: int,
+                            source: Optional[bytes] = None) -> list[str]:
+    """Check that the record names ``field``, then re-run the component
+    computation and compare with the recorded outcome.  A record of a field
+    read from a file names that file's bytes: given them as ``source``, the
+    record must name their digest and ``field`` must be the field read from
+    them.  Without them it must name the digest of the field's dump, as a
+    record of a field built in code or read from a canonical file does.
 
     The only re-check that runs :func:`attempt_homotopy_lift`.  It is on no
     report's path, as no report carries a homotopy record; contraction
     stages are re-checked through it.  A recomputed ``NoLift`` always names
     two distinct origins, so equality covers the conflict too.
     """
-    digest = dump_sha256(field)
+    if source is None:
+        digest = dump_sha256(field)
+    else:
+        from .serialize import read_field_bytes  # serialize imports this module
+
+        digest = sha256_hex(source)
+        try:
+            read = read_field_bytes(source)
+        except (NonHausError, ValueError) as exc:
+            return [f"source bytes are not a field: {exc}"]
+        if read != field:
+            return ["the field read from the source bytes is not the field given"]
     if record.field_sha256 != digest:
         return [f"field_sha256 {record.field_sha256[:70]!r} is not the field's {digest}"]
     cfg = SpaceConfig(k, TopologyModel(record.model))

@@ -48,6 +48,7 @@ field by the sha256 of the bytes it was read from, not by its values.
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -493,6 +494,11 @@ def write_field(field: HomotopyField) -> str:
     lines.append(" ".join(frac_str(t) for t in field.t_breaks))
     lines += field.values.lines
     return "\n".join(lines) + "\n"
+
+
+def read_field_bytes(data: bytes) -> HomotopyField:
+    """A field from a ``plfield v1`` file's bytes, decoded as ``Path.read_text`` decodes them."""
+    return read_field(io.TextIOWrapper(io.BytesIO(data), io.text_encoding(None)).read())
 
 
 def read_field(text: str) -> HomotopyField:

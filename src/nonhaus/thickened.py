@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .embedding import EmbeddingSpec, spiral_point
 from .errors import NonHausError
@@ -46,6 +46,24 @@ angle error plus 8 eps, and the first two terms, scaled by rho < 1/6, at most a 
 of that.  So S + 34 eps <= 7/3 (5 (N + 4 pi) + 8) eps + 34 eps <= 12 (N + 17) eps,
 below 64 (MAX_GRID_N + 16) eps with room for second-order terms.  The largest S seen on
 every grid from 64 to 300 and on 40 seeded grids up to 4096 is 4.3 N eps.
+"""
+
+_SPIRAL_SCREEN = 8 * MAX_GRID_N * (MAX_GRID_N + 16) * 2.0**-53  # about 1.5e-8
+"""At least |g - (b + N n)| for g = fl(fl(N need)/two_pi) of the first row r of every
+spiral run of winding n in column b of an N-grid, N <= MAX_GRID_N, where r < rho.
+
+To first order in eps, as for ``_SPIRAL_RUN_BOUND``: rho = fl(x/fl(1 + x)) is x/(1 + x)
+within 2 eps relative, so r < rho gives 1/x < nu + 2 eps/r <= nu + 2N eps, nu = (1 -
+r)/r; 1/x = 1/fl(1/A) is A within A eps; A = fl(theta + fl(two_pi n)) is theta + 2 pi n
+within 3A eps; need = fl(fl(1 - r)/r) is nu within 2 nu eps.  So theta + 2 pi n < need +
+(2N + 4A + 2 need) eps.  The winding n = ceil(q) >= q, q = fl(fl(need - theta)/two_pi)
+being (need - theta)/(2 pi) within 3 eps relative, gives theta + 2 pi n >= need - 3 |need
+- theta| eps; the clamp n = 1 > ceil(q) takes q <= 0, so theta + 2 pi >= need + 2 pi and
+r >= rho.  As need <= N - 2 and A < need + 2 pi, |need - theta - 2 pi n| <= 8 (N + pi)
+eps.  theta = fl(fl(two_pi b)/N) is 2 pi b/N within 3 eps relative, and g is N need/(2
+pi) within 3 eps relative, below N^2/(2 pi).  Times N/(2 pi): |g - (b + N n)| <= N (11 N
++ 14 pi - 6) eps/(2 pi) <= 2 N (N + 4) eps, a quarter of this bound, which leaves room for
+the second-order terms.
 """
 
 
@@ -194,24 +212,24 @@ def _distance(r: float, u: float, v: float, norm: float, rho: float, cos: float,
 
 
 def _cover_run(radii: list[float], lo: int, hi: int, spec: EmbeddingSpec, x: float, rho: float,
-               cos: float, sin: float, tolerance: float) -> list[int]:
+               cos: float, sin: float, tolerance: float) -> Sequence[int]:
     """The rows lo..hi-1 of a column that the curve point of x, of solver norm rho, misses.
 
     The rows with r < rho, a prefix, have no preimage.  The rest are covered whole when
-    ``_run_bound`` is within ``tolerance``, and each checked by ``_distance`` otherwise.
+    ``_run_bound`` is within ``tolerance``, and the misses are then ``range(lo, first)``;
+    otherwise each row is checked by ``_distance``.
     """
     first = bisect_left(radii, rho, lo, hi)
-    miss = list(range(lo, first))
     u, v, norm = _curve(spec, x)
-    if _run_bound(u, v, norm, rho, cos, sin) > tolerance:
-        miss += [i for i in range(first, hi)
-                 if not _distance(radii[i], u, v, norm, rho, cos, sin) <= tolerance]
-    return miss
+    if _run_bound(u, v, norm, rho, cos, sin) <= tolerance:
+        return range(lo, first)
+    return [i for i in range(lo, hi)
+            if i < first or not _distance(radii[i], u, v, norm, rho, cos, sin) <= tolerance]
 
 
 def _main_column(
     radii: list[float], theta: float, cos: float, sin: float, tolerance: float
-) -> list[int]:
+) -> Sequence[int]:
     """Closed-form preimage of (r, theta) under the main-curve sweep, if any.
 
     The main curve lies on the circle through the centre of radius 1/2
@@ -224,10 +242,10 @@ def _main_column(
     """
     if theta <= 0 or theta >= math.pi:
         if abs(sin) < 1e-15 and cos > 0:  # positive axis: the origin ray (t, 0) hits each (r, 0)
-            return []
-        return list(range(len(radii)))
+            return range(0)
+        return range(len(radii))
     if abs(theta - math.pi / 2) < 1e-15:
-        return list(range(len(radii)))  # straight up is only approached in the limit
+        return range(len(radii))  # straight up is only approached in the limit
     return _cover_run(radii, 0, len(radii), EmbeddingSpec.MAIN_CURVE, math.tan(theta), sin,
                       cos, sin, tolerance)
 
@@ -270,7 +288,8 @@ def _spiral_column(
 
     A run goes to ``_cover_run`` only if the tolerance is below ``_SPIRAL_RUN_BOUND``
     or its first row lies inside rho: else, as that bound is at least every
-    ``_distance`` of a row r >= rho, ``_cover_run`` would find no miss.
+    ``_distance`` of a row r >= rho, ``_cover_run`` would find no miss.  At such a
+    tolerance ``thick_audit`` calls this only for the columns ``_spiral_screen`` names.
     """
     miss: list[int] = []
     per_run = tolerance < _SPIRAL_RUN_BOUND
@@ -278,6 +297,18 @@ def _spiral_column(
         if per_run or radii[lo] < rho:
             miss += _cover_run(radii, lo, hi, EmbeddingSpec.SPIRAL, x, rho, cos, sin, tolerance)
     return miss
+
+
+def _spiral_screen(needs: list[float], grid_n: int) -> list[int]:
+    """The columns, ascending, where a spiral run's first row can lie inside its rho.
+
+    Those are the columns b = c mod N of the rows whose g = N need/(2 pi) lies within
+    ``_SPIRAL_SCREEN`` of an integer c; in every other column, at a tolerance of at least
+    ``_SPIRAL_RUN_BOUND``, ``_spiral_column`` finds no miss.
+    """
+    two_pi = 2 * math.pi
+    gs = [grid_n * need / two_pi for need in needs]
+    return sorted({round(g) % grid_n for g in gs if abs(g - round(g)) <= _SPIRAL_SCREEN})
 
 
 def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> ThickAuditReport:
@@ -290,12 +321,13 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
     ``tolerance`` of it.  The grid is walked one direction at a time, and a
     column in runs of rows swept from one curve point: a spiral run with no
     row inside its solver norm is covered by the grid-wide ``_SPIRAL_RUN_BOUND``
-    unless ``tolerance`` is below it; any other run is covered whole when
-    ``_run_bound`` is within ``tolerance``, and otherwise point by point by
-    ``_distance``.  Uncovered points are counted, not kept: the report
-    carries the first 16 in row-major order (by radius, then direction) and
-    the lower-half point nearest (0, -1/2), the smallest (distance, r, theta)
-    on a tie.  ``grid_n`` must lie in [8, MAX_GRID_N].
+    unless ``tolerance`` is below it, so that at a tolerance of at least that
+    bound only the few columns that ``_spiral_screen`` names are walked; any
+    other run is covered whole when ``_run_bound`` is within ``tolerance``, and
+    otherwise point by point by ``_distance``.  Uncovered points are counted,
+    not kept: the report carries the first 16 in row-major order (by radius,
+    then direction) and the lower-half point nearest (0, -1/2), the smallest
+    (distance, r, theta) on a tie.  ``grid_n`` must lie in [8, MAX_GRID_N].
 
     The lower-half key is r^2 + r sin + 1/4 (to 2 ulp), a parabola in r with
     vertex r* = -sin/2.  Of a column's misses on one side of r*, each but the
@@ -311,18 +343,23 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     tolerance = abs(tolerance)  # -0.0 is echoed as 0.0
     radii = [a / (grid_n - 1) for a in range(1, grid_n)]
+    walked: Sequence[int] = range(grid_n)
     if spec is EmbeddingSpec.MAIN_CURVE:
         column = partial(_main_column, radii)
     else:
-        column = partial(_spiral_column, radii, [(1 - r) / r for r in radii])
-    covered = 0
+        needs = [(1 - r) / r for r in radii]
+        column = partial(_spiral_column, radii, needs)
+        if tolerance >= _SPIRAL_RUN_BOUND:
+            walked = _spiral_screen(needs, grid_n)
+    total = grid_n * (grid_n - 1)
+    covered = total
     sample: list[tuple[int, int, float]] = []  # (row, column, theta), row-major
     lower_witness, lower_key = None, None
-    for b in range(grid_n):
+    for b in walked:
         theta = 2 * math.pi * b / grid_n
         cos, sin = math.cos(theta), math.sin(theta)
         miss = column(theta, cos, sin, tolerance)
-        covered += len(radii) - len(miss)
+        covered -= len(miss)
         if miss and (len(sample) < 16 or miss[0] < sample[-1][0]):
             sample = sorted(sample + [(i, b, theta) for i in miss[:16]])[:16]
         if sin < 0 and miss:  # v = r * sin takes the sign of sin: the lower half
@@ -334,7 +371,6 @@ def thick_audit(grid_n: int, spec: EmbeddingSpec, tolerance: float = 1e-6) -> Th
             if lower_key is None or (key, r, theta) < lower_key:
                 lower_key = (key, r, theta)
                 lower_witness = _grid_witness(r, theta)
-    total = grid_n * (grid_n - 1)
     probes = (_continuity_probe(1, Fraction(1, 2), spec),)
     rows = (
         VerdictRow(claim="sweep map covers the sampled disk grid", holds=covered == total),

@@ -15,6 +15,7 @@ from nonhaus.lifting import (
     LiftedPath,
     bounce_path,
     make_merging_field,
+    recheck_homotopy_record,
 )
 from nonhaus.space import MetricSummary
 from nonhaus.symmetry import deck_group
@@ -166,6 +167,11 @@ class TestHomotopy:
         code, out, _ = run_cli(capsys, "homotopy", "--field", str(crlf), "--json")
         assert code == 0
         read = json.loads(out)
+        # its record re-checks against the file's bytes, and not against the dump's
+        record = serialize.loads(out, HomotopyLiftRecord)
+        field = serialize.read_field_bytes(crlf.read_bytes())
+        assert recheck_homotopy_record(record, field, 2, crlf.read_bytes()) == []
+        assert recheck_homotopy_record(record, field, 2, dump.read_bytes()) != []
         assert read.pop("field_sha256") == hashlib.sha256(crlf.read_bytes()).hexdigest()
         assert built.pop("field_sha256") != hashlib.sha256(crlf.read_bytes()).hexdigest()
         assert read == built

@@ -914,3 +914,29 @@ class TestAttemptHomotopyLift:
             bad = dataclasses.replace(record, field_sha256=digest)
             assert recheck_homotopy_record(bad, self.field, quotient2.k) == [
                 f"field_sha256 {digest!r} is not the field's {record.field_sha256}"]
+
+    def test_record_of_read_bytes_rechecks_against_them(self, quotient2):
+        """A record of a field read from CRLF lines in other spellings names those
+        bytes: given them, its re-check passes; the digest of other bytes, or bytes
+        of another field or of none, still fail it with one line."""
+        import hashlib
+
+        dump = serialize.write_field(self.field).encode()
+        crlf = dump.replace(b"1/4", b"2/8").replace(b"\n", b"\r\n")
+        field = serialize.read_field_bytes(crlf)
+        assert field == self.field and crlf != dump
+        digest = hashlib.sha256(crlf).hexdigest()
+        record = homotopy_lift_record(field, self.consistent, quotient2, False, digest)
+        assert recheck_homotopy_record(record, field, quotient2.k, crlf) == []
+        assert recheck_homotopy_record(record, field, quotient2.k) == [
+            f"field_sha256 {digest!r} is not the field's {dump_sha256(field)}"]
+        assert recheck_homotopy_record(record, field, quotient2.k, dump) == [
+            f"field_sha256 {digest!r} is not the field's {hashlib.sha256(dump).hexdigest()}"]
+        other = crlf.replace(b"-1", b"-2")
+        assert serialize.read_field_bytes(other) != field
+        named = homotopy_lift_record(field, self.consistent, quotient2, False,
+                                     hashlib.sha256(other).hexdigest())
+        assert recheck_homotopy_record(named, field, quotient2.k, other) == [
+            "the field read from the source bytes is not the field given"]
+        assert recheck_homotopy_record(record, field, quotient2.k, b"plfield v2\n") == [
+            "source bytes are not a field: expected header 'plfield v1'"]

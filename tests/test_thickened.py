@@ -26,6 +26,12 @@ def close(p, q, tol=REL):
     return math.hypot(p[0] - q[0], p[1] - q[1]) <= tol
 
 
+def grid_rows(grid_n):
+    """The radii of an N-grid's rows and each row's need (1 - r)/r, as thick_audit has them."""
+    radii = [a / (grid_n - 1) for a in range(1, grid_n)]
+    return radii, [(1 - r) / r for r in radii]
+
+
 class TestThickPoint:
     def test_boundary_gluing(self):
         assert ThickPoint(Origin(3), 1) == ThickPoint(Origin(1), 1)
@@ -186,24 +192,29 @@ class TestRunBound:
     ``_SPIRAL_RUN_BOUND`` is at least the bound of every spiral run."""
 
     @staticmethod
-    def record_runs(monkeypatch):
-        """Every run of the columns walked: the main curve's from ``_cover_run``, the
-        spiral's from its column search, with each run's (lo, hi, x, rho)."""
+    def column_runs(monkeypatch, grid_n, spec, columns=None):
+        """Every run of every column b of the grid, or of ``columns``, with its (lo, hi, x,
+        rho): the main curve's from ``_cover_run`` as ``_main_column`` calls it, the
+        spiral's from ``_spiral_runs`` directly, as ``thick_audit`` walks a spiral column
+        only when its screen names it."""
+        radii, needs = grid_rows(grid_n)
         runs = []
-        cover_run, spiral_column = thickened._cover_run, thickened._spiral_column
+        cover_run = thickened._cover_run
 
-        def main_run(radii, lo, hi, spec, x, rho, cos, sin, tolerance):
-            if spec is EmbeddingSpec.MAIN_CURVE:
-                runs.append((radii, lo, hi, spec, x, rho, cos, sin))
+        def recording(radii, lo, hi, spec, x, rho, cos, sin, tolerance):
+            runs.append((radii, lo, hi, spec, x, rho, cos, sin))
             return cover_run(radii, lo, hi, spec, x, rho, cos, sin, tolerance)
 
-        def recording(radii, needs, theta, cos, sin, tolerance):
-            runs.extend((radii, lo, hi, EmbeddingSpec.SPIRAL, x, rho, cos, sin)
-                        for lo, hi, x, rho in thickened._spiral_runs(needs, theta))
-            return spiral_column(radii, needs, theta, cos, sin, tolerance)
-
-        monkeypatch.setattr(thickened, "_cover_run", main_run)
-        monkeypatch.setattr(thickened, "_spiral_column", recording)
+        with monkeypatch.context() as m:
+            m.setattr(thickened, "_cover_run", recording)
+            for b in range(grid_n) if columns is None else columns:
+                theta = 2 * math.pi * b / grid_n
+                cos, sin = math.cos(theta), math.sin(theta)
+                if spec is EmbeddingSpec.MAIN_CURVE:
+                    thickened._main_column(radii, theta, cos, sin, 1e-6)
+                else:
+                    runs.extend((radii, lo, hi, spec, x, rho, cos, sin)
+                                for lo, hi, x, rho in thickened._spiral_runs(needs, theta))
         return runs
 
     @staticmethod
@@ -220,29 +231,19 @@ class TestRunBound:
 
     @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
     def test_every_column_of_small_grids(self, monkeypatch, spec):
-        runs = self.record_runs(monkeypatch)
         for grid_n in range(8, 301):
-            thick_audit(grid_n, spec)
-        self.check_runs(runs)
+            self.check_runs(self.column_runs(monkeypatch, grid_n, spec))
 
     @pytest.mark.parametrize("grid_n", [512, 768])
     @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
     def test_benchmark_grids(self, monkeypatch, spec, grid_n):
-        runs = self.record_runs(monkeypatch)
-        thick_audit(grid_n, spec)
-        self.check_runs(runs)
+        self.check_runs(self.column_runs(monkeypatch, grid_n, spec))
 
     def test_columns_at_the_grid_limit(self, monkeypatch):
         n = thickened.MAX_GRID_N
-        radii = [a / (n - 1) for a in range(1, n)]
-        needs = [(1 - r) / r for r in radii]
-        runs = self.record_runs(monkeypatch)
-        for b in random.Random(n).sample(range(n), 64):
-            theta = 2 * math.pi * b / n
-            cos, sin = math.cos(theta), math.sin(theta)
-            thickened._main_column(radii, theta, cos, sin, 1e-6)
-            thickened._spiral_column(radii, needs, theta, cos, sin, 1e-6)
-        self.check_runs(runs)
+        columns = random.Random(n).sample(range(n), 64)
+        for spec in EmbeddingSpec:
+            self.check_runs(self.column_runs(monkeypatch, n, spec, columns))
 
     @pytest.mark.parametrize("grid_n", [256, 512, 768])
     @pytest.mark.parametrize("spec", list(EmbeddingSpec), ids=lambda s: s.value)
@@ -260,6 +261,94 @@ class TestRunBound:
 
         monkeypatch.setattr(thickened, "_cover_run", per_run)
         assert thick_audit(grid_n, EmbeddingSpec.SPIRAL).tolerance == 1e-6
+
+
+class TestSpiralScreen:
+    """At a tolerance of at least ``_SPIRAL_RUN_BOUND`` the spiral walks only the columns
+    that ``_spiral_screen`` names, and every run that can start inside its rho is in one."""
+
+    EPS = 2.0**-53
+    GRIDS = list(range(8, 301)) + [512, 768]
+    SEEDED = random.Random(39).sample(range(769, thickened.MAX_GRID_N), 7) + [thickened.MAX_GRID_N]
+
+    def test_naming_every_column_changes_no_report(self, monkeypatch):
+        for grid_n in self.GRIDS + self.SEEDED:
+            screened = thick_audit(grid_n, EmbeddingSpec.SPIRAL)
+            with monkeypatch.context() as m:
+                m.setattr(thickened, "_spiral_screen", lambda needs, n: range(n))
+                assert thick_audit(grid_n, EmbeddingSpec.SPIRAL) == screened, grid_n
+
+    def check_runs_named(self, grid_n, columns):
+        """Each run start with |q - n| within the derived delta, or inside its rho, lies in a
+        named column; and every unclamped start's g = N need/(2 pi) is within N |q - n| +
+        N (N + 3) eps of b + N n, the step by which the screen's bound covers delta."""
+        radii, needs = grid_rows(grid_n)
+        named = set(thickened._spiral_screen(needs, grid_n))
+        two_pi = 2 * math.pi
+        delta = 12 * (grid_n + 4 * math.pi + 1) * self.EPS / two_pi
+        starts = 0
+        for b in columns:
+            theta = 2 * math.pi * b / grid_n
+            for lo, hi, x, rho in thickened._spiral_runs(needs, theta):
+                q = (needs[lo] - theta) / two_pi
+                n = max(1, math.ceil(q))
+                if abs(q - n) <= delta or radii[lo] < rho:
+                    assert b in named, (grid_n, b, lo)
+                if math.ceil(q) >= 1:
+                    g = grid_n * needs[lo] / two_pi
+                    slack = grid_n * abs(q - n) + grid_n * (grid_n + 3) * self.EPS
+                    assert abs(g - (b + grid_n * n)) <= slack, (grid_n, b, lo)
+                    starts += 1
+        assert starts
+        assert grid_n * delta + grid_n * (grid_n + 3) * self.EPS <= thickened._SPIRAL_SCREEN
+
+    def test_every_run_inside_its_rho_is_named(self):
+        for grid_n in self.GRIDS + self.SEEDED:
+            self.check_runs_named(grid_n, range(grid_n))
+
+    def test_columns_at_the_grid_limit(self):
+        n = thickened.MAX_GRID_N
+        self.check_runs_named(n, random.Random(n).sample(range(n), 64))
+
+    @pytest.mark.parametrize("grid_n", [256, 512, 768])
+    def test_benchmark_grids_walk_only_named_columns(self, monkeypatch, grid_n):
+        walked = []
+        spiral_runs = thickened._spiral_runs
+
+        def recording(needs, theta):
+            walked.append(theta)
+            return spiral_runs(needs, theta)
+
+        monkeypatch.setattr(thickened, "_spiral_runs", recording)
+        named = thickened._spiral_screen(grid_rows(grid_n)[1], grid_n)
+        assert thick_audit(grid_n, EmbeddingSpec.SPIRAL).covered == grid_n * (grid_n - 1)
+        assert walked == [2 * math.pi * b / grid_n for b in named]
+        assert len(named) <= 4
+
+    @pytest.mark.parametrize("grid_n", [8, 300, thickened.MAX_GRID_N])
+    def test_rows_name_their_columns(self, grid_n):
+        # a row whose need is theta_b + 2 pi n names column b, and one 1e-6 off names none
+        two_pi = 2 * math.pi
+        columns = sorted(random.Random(grid_n).sample(range(1, grid_n), 5))
+        needs = [two_pi * b / grid_n + two_pi * n for n, b in enumerate(columns, 1)]
+        assert thickened._spiral_screen(needs, grid_n) == columns
+        assert thickened._spiral_screen([need + 1e-6 for need in needs], grid_n) == []
+
+    def test_main_columns_miss_ranges(self, monkeypatch):
+        main_column = thickened._main_column
+        columns = 0
+
+        def checked(*args):
+            nonlocal columns
+            columns += 1
+            miss = main_column(*args)
+            assert isinstance(miss, range), args[1:]
+            return miss
+
+        monkeypatch.setattr(thickened, "_main_column", checked)
+        for grid_n in self.GRIDS:
+            thick_audit(grid_n, EmbeddingSpec.MAIN_CURVE)
+        assert columns == sum(self.GRIDS)
 
 
 class TestLowerHalfWindow:
